@@ -234,13 +234,11 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
     per = make_periodic(sol)
     traj = lift(vhc, per, sys_, n_samples=int(scfg["lift_samples"]))
 
-    rows = []
-    for i, t in enumerate(traj.t):
-        th, dth, _ = traj.scalar.eval(float(t))
-        rows.append([t, th, dth, *traj.q[i], *traj.qdot[i], *traj.u[i]])
+    th, dth, _ = traj.scalar.eval(traj.t)
     write_csv(out / "trajectory.csv",
               ["t", "theta", "thetadot", "x", "z", "psi",
-               "xdot", "zdot", "psidot", "u1", "u2"], rows)
+               "xdot", "zdot", "psidot", "u1", "u2"],
+              np.column_stack([traj.t, th, dth, traj.q, traj.qdot, traj.u]))
 
     report_json.update({
         "singular_acceleration": sol.a_s,

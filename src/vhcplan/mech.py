@@ -15,16 +15,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import linalg
 
 from .errors import ModelInvariantError
+from .numdiff import matvec
 
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
 class MechanicalSystem:
-    """Evaluators of a mechanical model; all callables are pure functions of q (and q')."""
+    """Evaluators of a mechanical model; all callables are pure functions of q (and q').
+
+    Batched evaluation passes q of shape (k, n); each callable then returns a
+    stack of k results, or one result that holds for every q (a constant mass
+    matrix, say), which broadcasts over the batch.
+    """
 
     n: int
     mass_matrix: Callable[[Array], Array]
@@ -55,40 +60,54 @@ class PhaseState:
         object.__setattr__(self, "qdot", qdot)
 
 
-def eval_accel(sys: MechanicalSystem, state: PhaseState, u: Array) -> Array:
-    """Solve M(q)q'' = B(q)u - C(q,q')q' - G(q) for the acceleration."""
-    q, qdot = state.q, state.qdot
+def eval_accel(sys: MechanicalSystem, q: Array, qdot: Array, u: Array) -> Array:
+    """Solve M(q)q'' = B(q)u - C(q,q')q' - G(q) for the acceleration.
+
+    A single point has q, qdot of shape (n,) and u of shape (n-1,); a batch of
+    k points has shapes (k, n) and (k, n-1). The mass matrix is checked to be
+    symmetric positive definite by one Cholesky factorization per call, or per
+    point when M(q) returns a stack of matrices.
+    """
+    q = np.asarray(q, dtype=float)
+    qdot = np.asarray(qdot, dtype=float)
     u = np.asarray(u, dtype=float)
-    if u.shape != (sys.n - 1,):
-        raise ValueError(f"u must have shape ({sys.n - 1},)")
+    if q.shape != qdot.shape or q.shape[-1:] != (sys.n,) or q.ndim > 2:
+        raise ModelInvariantError(f"q and qdot must both have shape ({sys.n},) or (k, {sys.n})")
+    if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
+        raise ModelInvariantError("phase state must be finite")
+    if u.shape != q.shape[:-1] + (sys.n - 1,):
+        raise ValueError(f"u must have shape {q.shape[:-1] + (sys.n - 1,)}")
     M = np.asarray(sys.mass_matrix(q), dtype=float)
     try:
-        cho = linalg.cho_factor(M)
-    except linalg.LinAlgError as exc:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         raise ModelInvariantError("mass matrix is not symmetric positive definite") from exc
-    rhs = sys.input_map(q) @ u - sys.coriolis(q, qdot) @ qdot - sys.gravity(q)
-    return linalg.cho_solve(cho, rhs)
+    rhs = matvec(sys.input_map(q), u) - matvec(sys.coriolis(q, qdot), qdot) - sys.gravity(q)
+    return np.linalg.solve(M, rhs[..., None])[..., 0]
 
 
 def inverse_input(sys: MechanicalSystem, q: Array, qdot: Array, qddot: Array):
-    """Least-squares input for a prescribed acceleration.
+    """Least-squares input for a prescribed acceleration (B(q) of full column rank).
 
     Returns (u, residual) where residual = |B_perp (M q'' + C q' + G)| measures
     the component of the required generalized force outside the actuated
-    subspace (B_perp has unit norm, so the residual is scale-free).
+    subspace (B_perp has unit norm, so the residual is scale-free). Accepts a
+    single point or a batch along a leading axis, like `eval_accel`.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     qddot = np.asarray(qddot, dtype=float)
-    force = sys.mass_matrix(q) @ qddot + sys.coriolis(q, qdot) @ qdot + sys.gravity(q)
-    B = sys.input_map(q)
-    u, *_ = np.linalg.lstsq(B, force, rcond=None)
-    residual = float(abs(left_annihilator(sys, q) @ force))
+    force = (matvec(sys.mass_matrix(q), qddot) + matvec(sys.coriolis(q, qdot), qdot)
+             + sys.gravity(q))
+    B = np.asarray(sys.input_map(q), dtype=float)
+    Bt = np.swapaxes(B, -1, -2)
+    u = np.linalg.solve(Bt @ B, matvec(Bt, force)[..., None])[..., 0]
+    residual = np.abs(np.sum(left_annihilator(sys, q) * force, axis=-1))
     return u, residual
 
 
 def left_annihilator(sys: MechanicalSystem, q: Array, prev: Array | None = None) -> Array:
-    """Unit row vector B_perp(q) with B_perp(q) B(q) = 0.
+    """Unit row vector B_perp(q) with B_perp(q) B(q) = 0 (one row per point of a batch).
 
     Closed-form annihilators attached to the model are used verbatim (after
     normalization). The numeric fallback orients the null-space vector so its
@@ -98,21 +117,19 @@ def left_annihilator(sys: MechanicalSystem, q: Array, prev: Array | None = None)
     q = np.asarray(q, dtype=float)
     if sys.annihilator is not None:
         w = np.asarray(sys.annihilator(q), dtype=float)
-        return w / np.linalg.norm(w)
-    ns = linalg.null_space(np.asarray(sys.input_map(q), dtype=float).T)
-    if ns.shape[1] != 1:
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+    B = np.asarray(sys.input_map(q), dtype=float)
+    U, s, _ = np.linalg.svd(B)
+    tol = np.finfo(float).eps * max(B.shape[-2:]) * s[..., :1]
+    if np.any(np.sum(s > tol, axis=-1) != B.shape[-2] - 1):
         raise ModelInvariantError("input map does not have a one-dimensional left null space")
-    w = ns[:, 0]
+    w = U[..., :, -1]
     if prev is not None:
-        if float(np.dot(w, prev)) < 0.0:
-            w = -w
-        return w
-    for entry in w:
-        if abs(entry) > 1e-12:
-            if entry < 0.0:
-                w = -w
-            break
-    return w
+        ref = np.sum(w * prev, axis=-1)
+    else:
+        first = np.argmax(np.abs(w) > 1e-12, axis=-1)
+        ref = np.take_along_axis(w, first[..., None], axis=-1)[..., 0]
+    return np.where((ref < 0.0)[..., None], -w, w)
 
 
 def pvtol_model() -> MechanicalSystem:
@@ -121,13 +138,19 @@ def pvtol_model() -> MechanicalSystem:
     zeros = np.zeros((3, 3))
     grav = np.array([0.0, 1.0, 0.0])
 
+    # q.T[2] is the thrust angle of a point (shape (3,)) or of each point of a
+    # batch (shape (k, 3)); a single point stays on numpy scalars.
     def input_map(q: Array) -> Array:
-        psi = q[2]
-        return np.array([[-np.sin(psi), 0.0], [np.cos(psi), 0.0], [0.0, 1.0]])
+        psi = q.T[2]
+        B = np.zeros(np.shape(psi) + (3, 2))
+        B[..., 0, 0] = -np.sin(psi)
+        B[..., 1, 0] = np.cos(psi)
+        B[..., 2, 1] = 1.0
+        return B
 
     def annihilator(q: Array) -> Array:
-        psi = q[2]
-        return np.array([np.cos(psi), np.sin(psi), 0.0])
+        psi = q.T[2]
+        return np.array([np.cos(psi), np.sin(psi), 0.0 * psi]).T
 
     return MechanicalSystem(
         n=3,
@@ -146,13 +169,14 @@ def tic_toc_reference(t: float):
     Returns (q, qdot, u). The motion traces x = sin t, z = -sin^2(t)/2 while
     the thrust axis tilts by -arctan(2 sin t) about the vertical; both inputs
     vanish at the singular passes t = 0, pi where the thrust line meets the
-    gravity direction.
+    gravity direction. A 1-D array of times gives arrays of shape (k, 3),
+    (k, 3) and (k, 2).
     """
     st, ct = np.sin(t), np.cos(t)
     s2 = 1.0 + 4.0 * st * st
-    q = np.array([st, -0.5 * st * st, 0.5 * np.pi - np.arctan(2.0 * st)])
-    qdot = np.array([ct, -st * ct, -2.0 * ct / s2])
-    u = np.array([st * np.sqrt(s2), (12.0 * st + 2.0 * np.sin(3.0 * t)) / (3.0 - 2.0 * np.cos(2.0 * t)) ** 2])
+    q = np.array([st, -0.5 * st * st, 0.5 * np.pi - np.arctan(2.0 * st)]).T
+    qdot = np.array([ct, -st * ct, -2.0 * ct / s2]).T
+    u = np.array([st * np.sqrt(s2), (12.0 * st + 2.0 * np.sin(3.0 * t)) / (3.0 - 2.0 * np.cos(2.0 * t)) ** 2]).T
     return q, qdot, u
 
 
@@ -160,4 +184,4 @@ def tic_toc_acceleration(t: float) -> Array:
     """Analytic acceleration of the tic-toc reference (companion to tic_toc_reference)."""
     st = np.sin(t)
     u2 = (12.0 * st + 2.0 * np.sin(3.0 * t)) / (3.0 - 2.0 * np.cos(2.0 * t)) ** 2
-    return np.array([-st, -np.cos(2.0 * t), u2])
+    return np.array([-st, -np.cos(2.0 * t), u2]).T

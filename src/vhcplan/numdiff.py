@@ -4,6 +4,15 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
+Array = np.ndarray
+
+
+def matvec(A: Array, x: Array) -> Array:
+    """A @ x for a matrix or a stack of matrices and a vector or a stack of vectors."""
+    return (A @ x[..., None])[..., 0]
+
 
 def central_derivative(f: Callable[[float], float], x: float, h: float) -> float:
     """Central difference with one Richardson extrapolation step (O(h^4))."""

@@ -2,8 +2,8 @@
 
 Fixed-step RK4 on the second-order dynamics; the control u = u*(tau) + K(tau) rho
 is recomputed at every integrator stage by default (a zero-order hold variant
-keeps it frozen across the step). Transverse coordinates are logged whenever the
-chart map is defined, so convergence into the orbit can be read off directly.
+keeps it frozen across the step). The transverse coordinates the control uses at
+each step are logged, so convergence into the orbit can be read off directly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .mech import MechanicalSystem, PhaseState, eval_accel
+from .mech import MechanicalSystem, eval_accel
 from .transverse import GainSchedule
 
 Array = np.ndarray
@@ -52,18 +52,18 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
     n = sys.n
     n_steps = int(round(horizon / dt))
 
-    def control(y: Array) -> Array:
-        q, qd = y[:n], y[n:]
-        tau, rho = chart.forward(q, qd)
+    def feedback(tau: float, rho: Array) -> Array:
         u = chart.reference_input(tau)
         if gains is not None and not open_loop:
             u = u + gains.k_of(tau) @ rho
         return u
 
+    def control(y: Array) -> Array:
+        return feedback(*chart.forward(y[:n], y[n:]))
+
     def deriv(y: Array, u: Array) -> Array:
         q, qd = y[:n], y[n:]
-        qdd = eval_accel(sys, PhaseState(q, qd), u)
-        return np.concatenate([qd, qdd])
+        return np.concatenate([qd, eval_accel(sys, q, qd, u)])
 
     ts = np.empty(n_steps + 1)
     qs = np.empty((n_steps + 1, n))
@@ -77,18 +77,14 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
         t = k * dt
         if not np.all(np.isfinite(y)) or float(np.max(np.abs(y))) > 1e6:
             raise ConvergenceError(f"simulation diverged at t = {t:.3f}")
-        u_hold = control(y)
+        tau_k, rho_k = chart.forward(y[:n], y[n:])
+        u_hold = feedback(tau_k, rho_k)
         ts[k] = t
         qs[k] = y[:n]
         qds[k] = y[n:]
         us[k] = u_hold
-        try:
-            tau_k, rho_k = chart.forward(y[:n], y[n:])
-            taus[k] = tau_k
-            rhos[k] = rho_k
-        except Exception:
-            taus[k] = math.nan
-            rhos[k] = math.nan
+        taus[k] = tau_k
+        rhos[k] = rho_k
         if k == n_steps:
             break
 

@@ -18,7 +18,6 @@ above; endpoint conditions hold by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -90,8 +89,8 @@ class ScalarSolution:
     samples: Array  # columns t, theta, dtheta, ddtheta
     _eval: Callable[[float], tuple[float, float, float]] = field(repr=False)
 
-    def eval(self, t: float):
-        """(theta, theta', theta'') at time t in [t1, t2]."""
+    def eval(self, t):
+        """(theta, theta', theta'') at time t in [t1, t2]; arrays for an array of t."""
         return self._eval(t)
 
 
@@ -106,15 +105,14 @@ class PeriodicScalarSolution:
     crossings: tuple
     samples: Array
 
-    def eval(self, t: float):
+    def eval(self, t):
+        """(theta, theta', theta'') at any time t; arrays for an array of t."""
         base = self.base
-        tau = self.t0 + math.fmod(t - self.t0, self.period)
-        if tau < self.t0:
-            tau += self.period
-        if tau <= base.t2:
-            return base.eval(tau)
-        th, dth, ddth = base.eval(2.0 * base.t2 - tau)
-        return th, -dth, ddth
+        tau = self.t0 + np.fmod(np.asarray(t, dtype=float) - self.t0, self.period)
+        tau = tau + self.period * (tau < self.t0)
+        mirrored = tau > base.t2
+        th, dth, ddth = base.eval(np.where(mirrored, 2.0 * base.t2 - tau, tau))
+        return th, dth * (1.0 - 2.0 * mirrored), ddth   # theta' flips on the mirrored half
 
 
 def _reduced_rhs(model: ReducedModel):
@@ -204,8 +202,8 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
     t1 = -(T_left + dt_left)
     t2 = dt_right + T_right
 
-    def quotient_accel(th: float, dth: float) -> float:
-        return -(float(model.beta(th)) * dth * dth + float(model.gamma(th))) / float(model.alpha(th))
+    def quotient_accel(th, dth):
+        return -(model.beta(th) * dth * dth + model.gamma(th)) / model.alpha(th)
 
     # Quadratic through the crossing acceleration and the two safe edge values
     # avoids the 0/0 quotient inside the bridge window.
@@ -216,26 +214,41 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
                          quotient_accel(edge_r[0], edge_r[1])])
     bridge_poly = np.polyfit(bridge_t, bridge_a, 2)
 
-    def evaluate(t: float):
-        if t < t1 - 1e-9 or t > t2 + 1e-9:
-            raise DomainError(f"t={t} outside solution window [{t1}, {t2}]")
-        if t < -dt_left:
-            th, dth = left.sol(min(t - t1, T_left))
-            return float(th), float(dth), quotient_accel(float(th), float(dth))
-        if t > dt_right:
-            th, dth = right.sol(max(t - t2, -T_right))
-            return float(th), float(dth), quotient_accel(float(th), float(dth))
-        th = th_s + v_s * t + 0.5 * a_s * t * t
-        dth = v_s + a_s * t
-        return th, dth, float(np.polyval(bridge_poly, t))
+    def bridge(t):
+        return th_s + v_s * t + 0.5 * a_s * t * t, v_s + a_s * t, np.polyval(bridge_poly, t)
+
+    def evaluate(t_in):
+        t = np.asarray(t_in, dtype=float)
+        outside = (t < t1 - 1e-9) | (t > t2 + 1e-9)
+        if outside.any():
+            raise DomainError(f"t={t[outside][0]} outside solution window [{t1}, {t2}]")
+        if t.ndim == 0:
+            # A single time takes only its own branch: the masked path below
+            # costs one point several times more, and a closed loop on the
+            # family chart evaluates single times at every stage.
+            t = float(t)
+            if t < -dt_left:
+                th, dth = left.sol(min(t - t1, T_left))
+            elif t > dt_right:
+                th, dth = right.sol(max(t - t2, -T_right))
+            else:
+                return bridge(t)
+            return th, dth, quotient_accel(th, dth)
+        th, dth, ddth = bridge(t)
+        on_left = t < -dt_left
+        on_right = t > dt_right
+        if on_left.any():
+            th[on_left], dth[on_left] = left.sol(np.minimum(t[on_left] - t1, T_left))
+        if on_right.any():
+            th[on_right], dth[on_right] = right.sol(np.maximum(t[on_right] - t2, -T_right))
+        on_ode = on_left | on_right
+        ddth[on_ode] = quotient_accel(th[on_ode], dth[on_ode])
+        return th, dth, ddth
 
     times = np.linspace(t1, t2, int(n_samples))
     if not np.any(np.abs(times) < 1e-12):
         times = np.sort(np.append(times, 0.0))
-    samples = np.empty((times.size, 4))
-    for i, t in enumerate(times):
-        th, dth, ddth = evaluate(float(t))
-        samples[i] = (t, th, dth, ddth)
+    samples = np.column_stack([times, *evaluate(times)])
 
     return ScalarSolution(
         model=model, report=report, t_s=0.0, t1=t1, t2=t2,
@@ -281,19 +294,24 @@ class PeriodicTrajectory:
     scalar: PeriodicScalarSolution
     system: MechanicalSystem
 
-    def state_at(self, t: float):
+    def state_at(self, t):
         """(q, qdot) at time t, exact to the scalar solution's accuracy."""
-        th, dth, _ = self.scalar.eval(t)
-        return self.vhc.phi(th), self.vhc.dphi(th) * dth
+        q, qd, _ = _constrained_motion(self.vhc, *self.scalar.eval(t))
+        return q, qd
 
-    def full_state_at(self, t: float):
+    def full_state_at(self, t):
         """(q, qdot, qddot, u) at time t."""
-        th, dth, ddth = self.scalar.eval(t)
-        q = self.vhc.phi(th)
-        qd = self.vhc.dphi(th) * dth
-        qdd = self.vhc.ddphi(th) * dth * dth + self.vhc.dphi(th) * ddth
+        q, qd, qdd = _constrained_motion(self.vhc, *self.scalar.eval(t))
         u, _ = inverse_input(self.system, q, qd, qdd)
         return q, qd, qdd, u
+
+
+def _constrained_motion(vhc: ParametricVhc, th, dth, ddth):
+    """(q, q', q'') on the constraint curve for scalars or 1-D arrays of (theta, theta', theta'')."""
+    dth = np.asarray(dth)[..., None]
+    ddth = np.asarray(ddth)[..., None]
+    dphi = vhc.dphi(th)
+    return vhc.phi(th), dphi * dth, vhc.ddphi(th) * dth * dth + dphi * ddth
 
 
 def lift(vhc: ParametricVhc, sol: PeriodicScalarSolution, sys: MechanicalSystem,
@@ -305,24 +323,12 @@ def lift(vhc: ParametricVhc, sol: PeriodicScalarSolution, sys: MechanicalSystem,
     below 1e-8 (it equals the reduced-equation residual).
     """
     times = sol.t0 + sol.period * np.arange(int(n_samples)) / int(n_samples)
-    n = times.size
-    q = np.empty((n, sys.n))
-    qd = np.empty((n, sys.n))
-    qdd = np.empty((n, sys.n))
-    u = np.empty((n, sys.n - 1))
-    res = np.empty(n)
-    for i, t in enumerate(times):
-        th, dth, ddth = sol.eval(float(t))
-        q[i] = vhc.phi(th)
-        qd[i] = vhc.dphi(th) * dth
-        qdd[i] = vhc.ddphi(th) * dth * dth + vhc.dphi(th) * ddth
-        u[i], res[i] = inverse_input(sys, q[i], qd[i], qdd[i])
+    q, qd, qdd = _constrained_motion(vhc, *sol.eval(times))
+    u, res = inverse_input(sys, q, qd, qdd)
     if float(np.max(res)) > 1e-8:
         raise ConvergenceError(f"lift residual {np.max(res):.3e} exceeds 1e-8")
     # Closure of the full state over one period (wrap back to the first sample).
-    th, dth, _ = sol.eval(float(times[0] + sol.period))
-    q_wrap = vhc.phi(th)
-    qd_wrap = vhc.dphi(th) * dth
+    q_wrap, qd_wrap, _ = _constrained_motion(vhc, *sol.eval(float(times[0] + sol.period)))
     gap = max(float(np.max(np.abs(q_wrap - q[0]))), float(np.max(np.abs(qd_wrap - qd[0]))))
     if gap > 1e-6:
         raise ConvergenceError(f"periodic closure gap {gap:.3e} exceeds 1e-6")

@@ -29,8 +29,8 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import ConditionCheckError, ConvergenceError, OutsideTubeError
-from .feasibility import candidate_dh, candidate_h
 from .mech import MechanicalSystem, PhaseState, eval_accel, tic_toc_reference
+from .numdiff import matvec
 from .singular_solver import PeriodicTrajectory
 from .vhc import FamilyParameters
 
@@ -39,12 +39,9 @@ Array = np.ndarray
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(a: float) -> float:
-    """Map an angle to [-pi, pi)."""
-    r = math.fmod(a + math.pi, TWO_PI)
-    if r < 0.0:
-        r += TWO_PI
-    return r - math.pi
+def wrap_angle(a):
+    """Map an angle, or each entry of an array of angles, to [-pi, pi)."""
+    return (a + math.pi) % TWO_PI - math.pi
 
 
 class PeriodicMatrixSpline:
@@ -68,69 +65,72 @@ class TransverseCoords:
 
 
 class TicTocChart:
-    """Reference chart of the tic-toc orbit (unit circle in the (x, xdot) plane)."""
+    """Reference chart of the tic-toc orbit (unit circle in the (x, xdot) plane).
 
-    # Constraint candidate whose zero set contains the orbit's configuration curve.
-    h = staticmethod(candidate_h)
-    dh = staticmethod(candidate_dh)
+    Chart methods take a single point (q, qd of shape (3,), scalar tau, rho of
+    shape (5,)) or a batch along one leading axis (shapes (k, 3), (k,) and
+    (k, 5)). Unpacking `q.T` and packing `np.array([...]).T` handle both with
+    one code path, and keep a single point on numpy scalars, which is cheap.
+    """
 
     def __init__(self, tube_radius: float = 1.0):
         self.tube_radius = float(tube_radius)
 
     def forward(self, q: Array, qd: Array):
-        x, z, psi = q
-        xd, zd, psid = qd
-        tau = wrap_angle(math.atan2(x, xd))
+        x, z, psi = q.T
+        xd, zd, psid = qd.T
+        tau = wrap_angle(np.arctan2(x, xd))
         rho = np.array([
             z + 0.5 * x * x,
-            psi - 0.5 * math.pi + math.atan(2.0 * x),
+            psi - 0.5 * math.pi + np.arctan(2.0 * x),
             x * xd + zd,
             psid + 2.0 * xd / (1.0 + 4.0 * x * x),
-            math.hypot(x, xd) - 1.0,
-        ])
+            np.hypot(x, xd) - 1.0,
+        ]).T
         return tau, rho
 
     def jacobian(self, q: Array, qd: Array) -> Array:
-        x = q[0]
-        xd = qd[0]
+        x = q.T[0]
+        xd = qd.T[0]
         D = x * x + xd * xd
-        if D == 0.0:
+        if np.any(D == 0.0):
             raise OutsideTubeError("chart differential undefined at x = xdot = 0")
         s4 = 1.0 + 4.0 * x * x
-        r = math.sqrt(D)
-        J = np.zeros((6, 6))
-        J[0, 0] = xd / D
-        J[0, 3] = -x / D
-        J[1, 0] = x
-        J[1, 1] = 1.0
-        J[2, 0] = 2.0 / s4
-        J[2, 2] = 1.0
-        J[3, 0] = xd
-        J[3, 3] = x
-        J[3, 4] = 1.0
-        J[4, 0] = -16.0 * x * xd / (s4 * s4)
-        J[4, 3] = 2.0 / s4
-        J[4, 5] = 1.0
-        J[5, 0] = x / r
-        J[5, 3] = xd / r
+        r = np.sqrt(D)
+        J = np.zeros(np.shape(x) + (6, 6))
+        J[..., 0, 0] = xd / D
+        J[..., 0, 3] = -x / D
+        J[..., 1, 0] = x
+        J[..., 1, 1] = 1.0
+        J[..., 2, 0] = 2.0 / s4
+        J[..., 2, 2] = 1.0
+        J[..., 3, 0] = xd
+        J[..., 3, 3] = x
+        J[..., 3, 4] = 1.0
+        J[..., 4, 0] = -16.0 * x * xd / (s4 * s4)
+        J[..., 4, 3] = 2.0 / s4
+        J[..., 4, 5] = 1.0
+        J[..., 5, 0] = x / r
+        J[..., 5, 3] = xd / r
         return J
 
-    def reference(self, tau: float):
+    def reference(self, tau):
         q, qd, _ = tic_toc_reference(tau)
         return q, qd
 
-    def reference_input(self, tau: float) -> Array:
+    def reference_input(self, tau) -> Array:
         return tic_toc_reference(tau)[2]
 
-    def invert_guess(self, tau: float, rho: Array):
-        r = 1.0 + rho[4]
-        x = r * math.sin(tau)
-        xd = r * math.cos(tau)
-        z = rho[0] - 0.5 * x * x
-        psi = rho[1] + 0.5 * math.pi - math.atan(2.0 * x)
-        zd = rho[2] - x * xd
-        psid = rho[3] - 2.0 * xd / (1.0 + 4.0 * x * x)
-        return np.array([x, z, psi]), np.array([xd, zd, psid])
+    def invert_guess(self, tau, rho: Array):
+        rho0, rho1, rho2, rho3, rho4 = rho.T
+        r = 1.0 + rho4
+        x = r * np.sin(tau)
+        xd = r * np.cos(tau)
+        z = rho0 - 0.5 * x * x
+        psi = rho1 + 0.5 * math.pi - np.arctan(2.0 * x)
+        zd = rho2 - x * xd
+        psid = rho3 - 2.0 * xd / (1.0 + 4.0 * x * x)
+        return np.array([x, z, psi]).T, np.array([xd, zd, psid]).T
 
 
 class FamilyChart:
@@ -140,6 +140,7 @@ class FamilyChart:
     and angular rate so it is near-circular; theta is read off the thrust
     angle, theta_hat = (psi - psi_s)/k2, and the remaining coordinates are the
     constraint errors x - phi1(theta_hat), z - phi2(theta_hat) and their rates.
+    Methods accept a single point or a batch, as those of `TicTocChart`.
     """
 
     def __init__(self, traj: PeriodicTrajectory, params: FamilyParameters,
@@ -152,12 +153,7 @@ class FamilyChart:
         scalar = traj.scalar
         self.omega = TWO_PI / scalar.period
         ts = scalar.t0 + scalar.period * np.arange(n_grid + 1) / n_grid
-        thetas = np.empty(n_grid + 1)
-        dthetas = np.empty(n_grid + 1)
-        for i, t in enumerate(ts):
-            th, dth, _ = scalar.eval(float(t))
-            thetas[i] = th
-            dthetas[i] = dth
+        thetas, dthetas, _ = scalar.eval(ts)
         self.theta_scale = float(np.max(np.abs(thetas)))
         p = thetas / self.theta_scale
         v = dthetas / (self.omega * self.theta_scale)
@@ -171,27 +167,27 @@ class FamilyChart:
 
     # -- reduced-plane helpers ------------------------------------------------
 
-    def _pv(self, theta: float, dtheta: float):
+    def _pv(self, theta, dtheta):
         return theta / self.theta_scale, dtheta / (self.omega * self.theta_scale)
 
-    def _time_of_phase(self, tau: float) -> float:
+    def _time_of_phase(self, tau):
         y = self._tau_grid[0] + (tau - self._tau_grid[0]) % TWO_PI
-        t = float(np.interp(y, self._tau_grid, self._t_grid))
+        t = np.interp(y, self._tau_grid, self._t_grid)
         scalar = self.traj.scalar
         for _ in range(3):
             th, dth, ddth = scalar.eval(t)
             p, v = self._pv(th, dth)
-            err = wrap_angle(math.atan2(p, v) - y)
+            err = wrap_angle(np.arctan2(p, v) - y)
             rate = (v * dth / self.theta_scale - p * ddth / (self.omega * self.theta_scale)) / (p * p + v * v)
-            t -= err / rate
+            t = t - err / rate
         return t
 
-    def _orbit_radial(self, tau: float):
+    def _orbit_radial(self, tau):
         """r*(tau) and dr*/dtau on the orbit."""
         t = self._time_of_phase(tau)
         th, dth, ddth = self.traj.scalar.eval(t)
         p, v = self._pv(th, dth)
-        r = math.hypot(p, v)
+        r = np.hypot(p, v)
         pdot = dth / self.theta_scale
         vdot = ddth / (self.omega * self.theta_scale)
         taudot = (v * pdot - p * vdot) / (r * r)
@@ -201,81 +197,82 @@ class FamilyChart:
     # -- chart interface ------------------------------------------------------
 
     def forward(self, q: Array, qd: Array):
-        x, z, psi = q
-        xd, zd, psid = qd
+        x, z, psi = q.T
+        xd, zd, psid = qd.T
         th = (psi - self.psi_s) / self.k2
         dth = psid / self.k2
         p, v = self._pv(th, dth)
-        tau = wrap_angle(math.atan2(p, v))
-        phi = self.vhc.phi(th)
-        dphi = self.vhc.dphi(th)
+        tau = wrap_angle(np.arctan2(p, v))
+        phi = self.vhc.phi(th).T
+        dphi = self.vhc.dphi(th).T
         r_star, _ = self._orbit_radial(tau)
         rho = np.array([
             x - phi[0],
             z - phi[1],
             xd - dphi[0] * dth,
             zd - dphi[1] * dth,
-            math.hypot(p, v) - r_star,
-        ])
+            np.hypot(p, v) - r_star,
+        ]).T
         return tau, rho
 
     def jacobian(self, q: Array, qd: Array) -> Array:
-        psi = q[2]
-        psid = qd[2]
+        psi = q.T[2]
+        psid = qd.T[2]
         th = (psi - self.psi_s) / self.k2
         dth = psid / self.k2
         p, v = self._pv(th, dth)
         D = p * p + v * v
-        if D == 0.0:
+        if np.any(D == 0.0):
             raise OutsideTubeError("chart differential undefined at the reduced-plane origin")
-        r = math.sqrt(D)
-        tau = wrap_angle(math.atan2(p, v))
+        r = np.sqrt(D)
+        tau = wrap_angle(np.arctan2(p, v))
         _, dr_star = self._orbit_radial(tau)
-        dphi = self.vhc.dphi(th)
-        ddphi = self.vhc.ddphi(th)
+        dphi = self.vhc.dphi(th).T
+        ddphi = self.vhc.ddphi(th).T
         cp = 1.0 / (self.k2 * self.theta_scale)                 # dp/dpsi
         cv = 1.0 / (self.k2 * self.omega * self.theta_scale)   # dv/dpsid
-        J = np.zeros((6, 6))
-        J[0, 2] = (v / D) * cp
-        J[0, 5] = -(p / D) * cv
-        J[1, 0] = 1.0
-        J[1, 2] = -dphi[0] / self.k2
-        J[2, 1] = 1.0
-        J[2, 2] = -dphi[1] / self.k2
-        J[3, 2] = -ddphi[0] * dth / self.k2
-        J[3, 3] = 1.0
-        J[3, 5] = -dphi[0] / self.k2
-        J[4, 2] = -ddphi[1] * dth / self.k2
-        J[4, 4] = 1.0
-        J[4, 5] = -dphi[1] / self.k2
-        J[5, 2] = (p / r) * cp - dr_star * (v / D) * cp
-        J[5, 5] = (v / r) * cv + dr_star * (p / D) * cv
+        J = np.zeros(np.shape(psi) + (6, 6))
+        J[..., 0, 2] = (v / D) * cp
+        J[..., 0, 5] = -(p / D) * cv
+        J[..., 1, 0] = 1.0
+        J[..., 1, 2] = -dphi[0] / self.k2
+        J[..., 2, 1] = 1.0
+        J[..., 2, 2] = -dphi[1] / self.k2
+        J[..., 3, 2] = -ddphi[0] * dth / self.k2
+        J[..., 3, 3] = 1.0
+        J[..., 3, 5] = -dphi[0] / self.k2
+        J[..., 4, 2] = -ddphi[1] * dth / self.k2
+        J[..., 4, 4] = 1.0
+        J[..., 4, 5] = -dphi[1] / self.k2
+        J[..., 5, 2] = (p / r) * cp - dr_star * (v / D) * cp
+        J[..., 5, 5] = (v / r) * cv + dr_star * (p / D) * cv
         return J
 
-    def reference(self, tau: float):
+    def reference(self, tau):
         t = self._time_of_phase(tau)
         return self.traj.state_at(t)
 
-    def reference_input(self, tau: float) -> Array:
+    def reference_input(self, tau) -> Array:
         t = self._time_of_phase(tau)
         return self.traj.full_state_at(t)[3]
 
-    def invert_guess(self, tau: float, rho: Array):
+    def invert_guess(self, tau, rho: Array):
+        rho0, rho1, rho2, rho3, rho4 = rho.T
         r_star, _ = self._orbit_radial(tau)
-        r = r_star + rho[4]
-        p = r * math.sin(tau)
-        v = r * math.cos(tau)
+        r = r_star + rho4
+        p = r * np.sin(tau)
+        v = r * np.cos(tau)
         th = self.theta_scale * p
         dth = self.omega * self.theta_scale * v
         psi = self.psi_s + self.k2 * th
         psid = self.k2 * dth
-        phi = self.vhc.phi(th)
-        dphi = self.vhc.dphi(th)
-        x = rho[0] + phi[0]
-        z = rho[1] + phi[1]
-        xd = rho[2] + dphi[0] * dth
-        zd = rho[3] + dphi[1] * dth
-        return np.array([x, z, psi]), np.array([xd, zd, psid])
+        phi = self.vhc.phi(th).T
+        dphi = self.vhc.dphi(th).T
+        x = rho0 + phi[0]
+        z = rho1 + phi[1]
+        xd = rho2 + dphi[0] * dth
+        zd = rho3 + dphi[1] * dth
+        return np.array([x, z, psi]).T, np.array([xd, zd, psid]).T
 
 
 def to_transverse(chart, state: PhaseState) -> TransverseCoords:
@@ -285,48 +282,52 @@ def to_transverse(chart, state: PhaseState) -> TransverseCoords:
                             inside=bool(np.linalg.norm(rho) <= chart.tube_radius))
 
 
-def chart_invert(chart, tau: float, rho: Array, tol: float = 1e-12,
-                 max_iter: int = 50):
+def chart_invert(chart, tau, rho: Array, tol: float = 1e-12, max_iter: int = 50):
     """Phase-space point with the given chart coordinates (damped Newton).
 
-    Seeded with the chart's closed-form inverse; iterates on the six defining
-    equations until the forward-map residual is below `tol`.
+    Takes a scalar tau with rho of shape (5,), or a batch: rho of shape
+    (k, 5) with tau of shape (k,) or one tau for all. Seeded with the chart's
+    closed-form inverse; each point iterates on its six defining equations,
+    halving its own step until its residual drops, until its forward-map
+    residual is below `tol`. Raises OutsideTubeError if any rho leaves the
+    tube or any point stalls.
     """
     rho = np.asarray(rho, dtype=float)
-    if np.linalg.norm(rho) > chart.tube_radius:
+    if np.any(np.linalg.norm(rho, axis=-1) > chart.tube_radius):
         raise OutsideTubeError(f"requested rho leaves the chart tube (radius {chart.tube_radius})")
-    tau = wrap_angle(float(tau))
+    single = rho.ndim == 1
+    tau = wrap_angle(np.broadcast_to(np.asarray(tau, dtype=float), rho.shape[:-1])).reshape(-1)
+    rho = rho.reshape(-1, rho.shape[-1])
     q, qd = chart.invert_guess(tau, rho)
 
-    def residual(q, qd):
+    def residual(q, qd, idx):
         tau_c, rho_c = chart.forward(q, qd)
-        out = np.empty(6)
-        out[0] = wrap_angle(tau_c - tau)
-        out[1:] = rho_c - rho
-        return out
+        return np.column_stack([wrap_angle(tau_c - tau[idx]), rho_c - rho[idx]])
 
-    F = residual(q, qd)
-    norm = float(np.max(np.abs(F)))
+    F = residual(q, qd, slice(None))
+    norm = np.max(np.abs(F), axis=1)
     for _ in range(max_iter):
-        if norm < tol:
-            return q, qd
-        J = chart.jacobian(q, qd)
-        step = np.linalg.solve(J, -F)
-        lam = 1.0
-        while lam >= 1.0 / 64.0:
-            q_t = q + lam * step[:3]
-            qd_t = qd + lam * step[3:]
-            F_t = residual(q_t, qd_t)
-            norm_t = float(np.max(np.abs(F_t)))
-            if norm_t < norm:
-                q, qd, F, norm = q_t, qd_t, F_t, norm_t
-                break
-            lam *= 0.5
-        else:
+        todo = np.flatnonzero(norm >= tol)
+        if todo.size == 0:
             break
-    if norm < tol:
-        return q, qd
-    raise OutsideTubeError(f"chart inversion stalled at residual {norm:.3e}; point outside tube")
+        step = np.linalg.solve(chart.jacobian(q[todo], qd[todo]), -F[todo][..., None])[..., 0]
+        lam = 1.0
+        while todo.size and lam >= 1.0 / 64.0:
+            q_t = q[todo] + lam * step[:, :3]
+            qd_t = qd[todo] + lam * step[:, 3:]
+            F_t = residual(q_t, qd_t, todo)
+            norm_t = np.max(np.abs(F_t), axis=1)
+            better = norm_t < norm[todo]
+            accepted = todo[better]
+            q[accepted], qd[accepted], F[accepted], norm[accepted] = (
+                q_t[better], qd_t[better], F_t[better], norm_t[better])
+            todo, step = todo[~better], step[~better]
+            lam *= 0.5
+        if todo.size:
+            break
+    if np.all(norm < tol):
+        return (q[0], qd[0]) if single else (q, qd)
+    raise OutsideTubeError(f"chart inversion stalled at residual {norm.max():.3e}; point outside tube")
 
 
 @dataclass
@@ -351,6 +352,12 @@ class LtvModel:
         return self._ab(tau)[:, self.A.shape[2]:]
 
 
+# Grid nodes whose stencils `linearize` evaluates in one batched call: 64
+# nodes make 1,856 points, enough to amortize the per-call overhead while the
+# working arrays stay near 1 MB.
+LINEARIZE_BLOCK = 64
+
+
 def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
               n_grid: int = 512, rho_step: float = 1e-6,
               w_step: float = 1e-4) -> LtvModel:
@@ -358,52 +365,46 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
 
     Central differences with one Richardson step; the chart/trajectory pair is
     validated first (on-orbit states must map to rho ~ 0) and the on-orbit
-    vector field f(0, tau, 0) must vanish to 1e-9 at every grid node.
+    vector field f(0, tau, 0) must vanish to 1e-9 at every grid node. Each
+    node's stencil is the nominal point plus the shifts +h, -h, +h/2, -h/2 of
+    every rho and w coordinate; the stencils of LINEARIZE_BLOCK nodes go
+    through the chart, the model and the chart Jacobian as one batch.
     """
-    for t in traj.t0 + traj.period * np.arange(8) / 8.0:
-        q, qd = traj.state_at(float(t))
-        _, rho = chart.forward(q, qd)
-        if float(np.max(np.abs(rho))) > 1e-8:
-            raise ConditionCheckError("chart does not vanish on the supplied trajectory")
+    q, qd = traj.state_at(traj.t0 + traj.period * np.arange(8) / 8.0)
+    _, rho = chart.forward(q, qd)
+    if float(np.max(np.abs(rho))) > 1e-8:
+        raise ConditionCheckError("chart does not vanish on the supplied trajectory")
 
     n_rho, n_w = 5, sys.n - 1
-
-    def f(tau: float, rho: Array, w: Array) -> Array:
-        q, qd = chart_invert(chart, tau, rho)
-        u = chart.reference_input(tau) + w
-        qdd = eval_accel(sys, PhaseState(q, qd), u)
-        rates = chart.jacobian(q, qd) @ np.concatenate([qd, qdd])
-        taudot = rates[0]
-        if taudot <= 0.0:
-            raise ConditionCheckError(f"phase rate is not positive at tau={tau}")
-        return rates[1:] / taudot
-
-    def column(tau, base_rho, base_w, which, j, h):
-        def shift(delta):
-            if which == "rho":
-                e = base_rho.copy()
-                e[j] += delta
-                return f(tau, e, base_w)
-            e = base_w.copy()
-            e[j] += delta
-            return f(tau, base_rho, e)
-        d1 = (shift(h) - shift(-h)) / (2.0 * h)
-        d2 = (shift(0.5 * h) - shift(-0.5 * h)) / h
-        return (4.0 * d2 - d1) / 3.0
+    steps = np.array([rho_step] * n_rho + [w_step] * n_w)
+    n_cols = steps.size
+    stencil = np.zeros((1 + 4 * n_cols, n_cols))   # row 0: the nominal point
+    for j, h in enumerate(steps):
+        stencil[1 + 4 * j:5 + 4 * j, j] = h * np.array([1.0, -1.0, 0.5, -0.5])
 
     taus = -math.pi + TWO_PI * np.arange(n_grid) / n_grid
     A = np.empty((n_grid, n_rho, n_rho))
     B = np.empty((n_grid, n_rho, n_w))
-    zero_rho = np.zeros(n_rho)
-    zero_w = np.zeros(n_w)
     f0_max = 0.0
-    for i, tau in enumerate(taus):
-        f0 = f(float(tau), zero_rho, zero_w)
-        f0_max = max(f0_max, float(np.max(np.abs(f0))))
-        for j in range(n_rho):
-            A[i, :, j] = column(float(tau), zero_rho, zero_w, "rho", j, rho_step)
-        for j in range(n_w):
-            B[i, :, j] = column(float(tau), zero_rho, zero_w, "w", j, w_step)
+    for start in range(0, n_grid, LINEARIZE_BLOCK):
+        node_tau = taus[start:start + LINEARIZE_BLOCK]
+        k = node_tau.size
+        tau = np.repeat(node_tau, stencil.shape[0])
+        q, qd = chart_invert(chart, tau, np.tile(stencil[:, :n_rho], (k, 1)))
+        u = chart.reference_input(node_tau)[:, None, :] + stencil[:, n_rho:]
+        qdd = eval_accel(sys, q, qd, u.reshape(-1, n_w))
+        rates = matvec(chart.jacobian(q, qd), np.concatenate([qd, qdd], axis=1))
+        taudot = rates[:, 0]
+        if np.any(taudot <= 0.0):
+            raise ConditionCheckError(f"phase rate is not positive at tau={tau[taudot <= 0.0][0]}")
+        f = (rates[:, 1:] / taudot[:, None]).reshape(k, -1, n_rho)
+        f0_max = max(f0_max, float(np.max(np.abs(f[:, 0]))))
+        shifted = f[:, 1:].reshape(k, n_cols, 4, n_rho)
+        d1 = (shifted[:, :, 0] - shifted[:, :, 1]) / (2.0 * steps[:, None])
+        d2 = (shifted[:, :, 2] - shifted[:, :, 3]) / steps[:, None]
+        columns = ((4.0 * d2 - d1) / 3.0).transpose(0, 2, 1)
+        A[start:start + k] = columns[:, :, :n_rho]
+        B[start:start + k] = columns[:, :, n_rho:]
     if f0_max > 1e-9:
         raise ConditionCheckError(f"on-orbit transverse field does not vanish: {f0_max:.3e}")
     return LtvModel(taus=taus, A=A, B=B, chart=chart, f0_max=f0_max)

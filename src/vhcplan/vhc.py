@@ -24,14 +24,18 @@ import numpy as np
 
 from .errors import DomainError
 from .mech import MechanicalSystem, left_annihilator, pvtol_model
-from .numdiff import bisect, central_derivative
+from .numdiff import bisect, central_derivative, matvec
 
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
 class ParametricVhc:
-    """Smooth curve theta -> phi(theta) in configuration space with two derivatives."""
+    """Smooth curve theta -> phi(theta) in configuration space with two derivatives.
+
+    The curve functions map a scalar theta to shape (n,) and a 1-D array of k
+    values to shape (k, n).
+    """
 
     phi: Callable[[float], Array]
     dphi: Callable[[float], Array]
@@ -139,9 +143,9 @@ def _coefficients(sys: MechanicalSystem, vhc: ParametricVhc, theta: float, prev=
     ddp = vhc.ddphi(theta)
     w = left_annihilator(sys, q, prev)
     M = sys.mass_matrix(q)
-    a = float(w @ (M @ dp))
-    b = float(w @ (M @ ddp + sys.coriolis(q, dp) @ dp))
-    g = float(w @ sys.gravity(q))
+    a = np.sum(w * matvec(M, dp), axis=-1)
+    b = np.sum(w * (matvec(M, ddp) + matvec(sys.coriolis(q, dp), dp)), axis=-1)
+    g = np.sum(w * sys.gravity(q), axis=-1)
     return a, b, g, w
 
 
@@ -175,14 +179,16 @@ def reduce(sys: MechanicalSystem, vhc: ParametricVhc,
 def tic_toc_vhc(domain: tuple[float, float] = (-2.0, 2.0)) -> ParametricVhc:
     """Constraint curve of the tic-toc motion: (theta, -theta^2/2, pi/2 - arctan 2 theta)."""
 
+    # np.array([...]).T puts the coordinate axis last for a 1-D array of theta.
     def phi(th: float) -> Array:
-        return np.array([th, -0.5 * th * th, 0.5 * np.pi - np.arctan(2.0 * th)])
+        return np.array([th, -0.5 * th * th, 0.5 * np.pi - np.arctan(2.0 * th)]).T
 
     def dphi(th: float) -> Array:
-        return np.array([1.0, -th, -2.0 / (1.0 + 4.0 * th * th)])
+        return np.array([np.ones_like(th), -th, -2.0 / (1.0 + 4.0 * th * th)]).T
 
     def ddphi(th: float) -> Array:
-        return np.array([0.0, -1.0, 16.0 * th / (1.0 + 4.0 * th * th) ** 2])
+        return np.array([np.zeros_like(th), np.full_like(th, -1.0),
+                         16.0 * th / (1.0 + 4.0 * th * th) ** 2]).T
 
     return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="tictoc")
 
@@ -202,12 +208,15 @@ def family_vhc(q_s: Array, k1: float, k2: float, k3: float,
     lin = B_s @ np.array([k1, k2])
 
     def phi(th: float) -> Array:
+        th = np.asarray(th, dtype=float)[..., None]
         return q_s + lin * th + 0.5 * k3 * w_s * th * th
 
     def dphi(th: float) -> Array:
+        th = np.asarray(th, dtype=float)[..., None]
         return lin + k3 * w_s * th
 
     def ddphi(th: float) -> Array:
+        th = np.asarray(th, dtype=float)[..., None]
         return k3 * w_s + 0.0 * th
 
     return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="family")

@@ -48,7 +48,7 @@ def test_eval_accel_matches_hand_formula(pvtol):
         q = rng.uniform(-2.0, 2.0, 3)
         qd = rng.uniform(-2.0, 2.0, 3)
         u = rng.uniform(-3.0, 3.0, 2)
-        qdd = vp.eval_accel(pvtol, vp.PhaseState(q, qd), u)
+        qdd = vp.eval_accel(pvtol, q, qd, u)
         expected = pvtol.input_map(q) @ u - np.array([0.0, 1.0, 0.0])
         assert np.abs(qdd - expected).max() < 1e-14
 
@@ -63,7 +63,7 @@ def test_eval_accel_rejects_non_spd_mass():
         name="bad",
     )
     with pytest.raises(vp.ModelInvariantError):
-        vp.eval_accel(bad, vp.PhaseState(np.zeros(2), np.zeros(2)), np.zeros(1))
+        vp.eval_accel(bad, np.zeros(2), np.zeros(2), np.zeros(1))
 
 
 def test_inverse_input_round_trip(pvtol):
@@ -72,7 +72,7 @@ def test_inverse_input_round_trip(pvtol):
         q = rng.uniform(-2.0, 2.0, 3)
         qd = rng.uniform(-1.0, 1.0, 3)
         u = rng.uniform(-2.0, 2.0, 2)
-        qdd = vp.eval_accel(pvtol, vp.PhaseState(q, qd), u)
+        qdd = vp.eval_accel(pvtol, q, qd, u)
         u_rec, residual = vp.inverse_input(pvtol, q, qd, qdd)
         assert np.abs(u_rec - u).max() < 1e-12
         assert residual < 1e-13
@@ -83,7 +83,7 @@ def test_inverse_input_residual_is_unactuated_component(pvtol):
     qd = np.zeros(3)
     # Force the acceleration off the actuated subspace by a known amount.
     w = vp.left_annihilator(pvtol, q)
-    qdd = vp.eval_accel(pvtol, vp.PhaseState(q, qd), np.array([1.0, 0.2])) + 0.3 * w
+    qdd = vp.eval_accel(pvtol, q, qd, np.array([1.0, 0.2])) + 0.3 * w
     _, residual = vp.inverse_input(pvtol, q, qd, qdd)
     assert abs(residual - 0.3) < 1e-12
 
