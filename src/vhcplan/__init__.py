@@ -20,11 +20,13 @@ from .errors import (
 )
 from .feasibility import (
     NoVhcCertificate,
+    SingularPass,
     accessibility_det_closed_form,
     accessibility_det_numeric,
     candidate_dh,
     candidate_h,
     certify_no_regular_vhc,
+    theorem2_scan,
 )
 from .mech import (
     MechanicalSystem,
@@ -34,6 +36,7 @@ from .mech import (
     left_annihilator,
     pvtol_model,
     tic_toc_acceleration,
+    tic_toc_orbit,
     tic_toc_reference,
 )
 from .sim import SimulationResult, orbit_error, run_closed_loop
@@ -67,14 +70,12 @@ from .vhc import (
     ParametricVhc,
     ReducedModel,
     SingularityReport,
-    SingularPass,
     check_theorem1,
     family_reduced,
     family_vhc,
     find_family_parameters,
     reduce,
     reduced_coefficients,
-    theorem2_scan,
     tic_toc_vhc,
 )
 
@@ -136,6 +137,7 @@ __all__ = [
     "solve_boundary",
     "theorem2_scan",
     "tic_toc_acceleration",
+    "tic_toc_orbit",
     "tic_toc_reference",
     "to_transverse",
     "wrap_angle",

@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,7 +44,7 @@ from .feasibility import (
     certify_no_regular_vhc,
 )
 from .io_utils import write_csv, write_json
-from .mech import pvtol_model, tic_toc_reference
+from .mech import pvtol_model, tic_toc_orbit
 from .sim import run_closed_loop
 from .singular_solver import lift, make_periodic, singular_acceleration, solve_boundary
 from .transverse import FamilyChart, TicTocChart, gramian, linearize, monodromy, periodic_lqr
@@ -57,8 +56,6 @@ from .vhc import (
     reduce,
     tic_toc_vhc,
 )
-
-TWO_PI = 2.0 * math.pi
 
 EXIT_OK = 0
 EXIT_CONDITION = 2
@@ -89,8 +86,7 @@ DEFAULTS: dict = {
                   "max_sweeps": 50, "tube_radius": 1.0},
     "simulate": {"q0": [0.1, -0.5, 0.0], "qd0": [0.0, 0.0, 0.0], "dt": 0.01,
                  "periods": 3.0, "stage_feedback": True, "open_loop": False},
-    "sweep": {"psi_values": [0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi],
-              "workers": 3},
+    "sweep": {"psi_values": [0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi]},
 }
 
 
@@ -169,18 +165,6 @@ def _load_config(args) -> dict:
 
 
 # -- pipeline stages ---------------------------------------------------------
-
-
-class _TicTocOrbit:
-    """Closed-form reference maneuver exposed as a scan target."""
-
-    t0 = -0.5 * math.pi
-    period = TWO_PI
-
-    @staticmethod
-    def state_at(t: float):
-        q, qd, _ = tic_toc_reference(t)
-        return q, qd
 
 
 def _plan_objects(cfg: dict, out: Path) -> dict:
@@ -319,7 +303,7 @@ def _cmd_plan(cfg: dict, out: Path) -> None:
 def _cmd_certify(cfg: dict, out: Path) -> None:
     sys_ = pvtol_model()
     if cfg["vhc"]["kind"] == "tictoc":
-        orbit = _TicTocOrbit()
+        orbit = tic_toc_orbit()
     else:
         orbit = _plan_objects(cfg, out)["traj"]
     cert = certify_no_regular_vhc(sys_, orbit, n_samples=int(cfg["certify"]["n_samples"]))
@@ -371,7 +355,6 @@ def _cmd_sweep(cfg: dict, out: Path) -> None:
     values = list(cfg["sweep"]["psi_values"])
     if not values:
         raise UsageError("sweep.psi_values must be nonempty")
-    workers = max(1, int(cfg["sweep"]["workers"]))
 
     def run_one(psi: float) -> dict:
         name = f"psi_{psi:.6g}"
@@ -397,12 +380,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> None:
                     "error": f"{type(exc).__name__}: {exc}",
                     "exit_code": _exit_code_for(exc)}
 
-    results = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_one, float(psi)) for psi in values]
-        for fut in as_completed(futures):
-            results.append(fut.result())
-    results.sort(key=lambda r: r["psi_s"])
+    results = [run_one(float(psi)) for psi in values]
     n_failed = sum(1 for r in results if not r["ok"])
     write_json(out / "sweep_summary.json",
                {"results": results, "n_ok": len(results) - n_failed,

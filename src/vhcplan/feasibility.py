@@ -4,10 +4,11 @@ At a trajectory point with nonzero velocity where the unactuated momentum
 B_perp M qdot vanishes while gravity has a component outside Im B, any
 constraint reproducing the motion would need a velocity-dependent or
 discontinuous feedback, so no regular constraint curve can generate the
-orbit. The module packages that argument as a checkable certificate and
-provides the accessibility determinant (drift/control vector fields and
-their iterated brackets) both in closed form for the thrust-vectored
-vehicle and by nested finite-difference brackets for any degree-one model.
+orbit. The module scans a trajectory for such points, packages that
+argument as a checkable certificate and provides the accessibility
+determinant (drift/control vector fields and their iterated brackets) both
+in closed form for the thrust-vectored vehicle and by nested
+finite-difference brackets for any degree-one model.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mech import MechanicalSystem
-from .vhc import SingularPass, theorem2_scan
+from .mech import MechanicalSystem, left_annihilator
+from .numdiff import bisect, matvec
 
 Array = np.ndarray
 
@@ -36,6 +37,72 @@ def candidate_dh(q: Array) -> Array:
     """Jacobian of candidate_h; full rank everywhere."""
     x = q[0]
     return np.array([[x, 1.0, 0.0], [2.0 / (1.0 + 4.0 * x * x), 0.0, 1.0]])
+
+
+@dataclass(frozen=True)
+class SingularPass:
+    """Trajectory point where the unactuated momentum B_perp M qdot crosses zero."""
+
+    time: float
+    q: Array
+    qdot: Array
+    annihilator_residual: float
+    speed: float
+    gravity_distance: float
+
+
+def _gravity_distance(sys: MechanicalSystem, q: Array) -> float:
+    """Distance of the gravity vector from the actuated force subspace Im B(q)."""
+    B = np.asarray(sys.input_map(q), dtype=float)
+    G = np.asarray(sys.gravity(q), dtype=float)
+    coeff, *_ = np.linalg.lstsq(B, G, rcond=None)
+    return float(np.linalg.norm(G - B @ coeff))
+
+
+def theorem2_scan(sys: MechanicalSystem, traj, n_samples: int = 2048,
+                  min_speed: float = 1e-8) -> list[SingularPass]:
+    """Locate zero crossings of B_perp(q) M(q) qdot along a periodic trajectory.
+
+    `traj` must expose `t0`, `period` and `state_at(t) -> (q, qdot, ...)`,
+    where `state_at` also takes a 1-D array of times. The samples are one
+    array call; crossings are bisected to 1e-12 in time; points with speed
+    below `min_speed` (rest points) are excluded.
+    """
+    n_samples = max(int(n_samples), 512)
+    t0, period = float(traj.t0), float(traj.period)
+    times = t0 + period * np.arange(n_samples) / n_samples
+
+    def momentum(t):
+        q, qdot = (np.asarray(x, dtype=float) for x in traj.state_at(t)[:2])
+        p = matvec(sys.mass_matrix(q), qdot)
+        return np.sum(left_annihilator(sys, q) * p, axis=-1), q, qdot
+
+    values = momentum(times)[0]
+    following = np.roll(values, -1)
+    ends = np.append(times[1:], t0 + period)
+    roots = [float(t) for t in times[values == 0.0]]
+    for i in np.flatnonzero(values * following < 0.0):
+        roots.append(bisect(lambda t: float(momentum(t)[0]), float(times[i]), float(ends[i]),
+                            xtol=1e-12, fa=float(values[i]), fb=float(following[i])))
+
+    merged: list[float] = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > 1e-9:
+            merged.append(r)
+    if len(merged) >= 2 and (merged[0] + period) - merged[-1] <= 1e-9:
+        merged.pop()
+
+    passes = []
+    for t_s in merged:
+        s, q, qdot = momentum(t_s)
+        speed = float(np.linalg.norm(qdot))
+        if speed <= min_speed:
+            continue
+        passes.append(SingularPass(
+            time=t_s, q=q, qdot=qdot, annihilator_residual=abs(float(s)),
+            speed=speed, gravity_distance=_gravity_distance(sys, q),
+        ))
+    return passes
 
 
 def accessibility_det_closed_form(q: Array, qdot: Array) -> float:

@@ -12,6 +12,7 @@ origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -36,8 +37,8 @@ class MechanicalSystem:
     coriolis: Callable[[Array, Array], Array]
     gravity: Callable[[Array], Array]
     input_map: Callable[[Array], Array]
-    # Optional closed-form unit left annihilator of input_map; when present it
-    # overrides the numeric null-space computation (exactness for reference models).
+    # Optional closed-form left annihilator of input_map; when present it
+    # replaces the cofactor vector of `left_annihilator` (same orientation expected).
     annihilator: Callable[[Array], Array] | None = None
     name: str = "generic"
 
@@ -106,30 +107,29 @@ def inverse_input(sys: MechanicalSystem, q: Array, qdot: Array, qddot: Array):
     return u, residual
 
 
-def left_annihilator(sys: MechanicalSystem, q: Array, prev: Array | None = None) -> Array:
+def left_annihilator(sys: MechanicalSystem, q: Array) -> Array:
     """Unit row vector B_perp(q) with B_perp(q) B(q) = 0 (one row per point of a batch).
 
-    Closed-form annihilators attached to the model are used verbatim (after
-    normalization). The numeric fallback orients the null-space vector so its
-    first nonzero entry is positive, or so it aligns with `prev` when a
-    previous sample is supplied (continuity along a sweep).
+    B_perp is the normalized cofactor vector of the n x (n-1) input map,
+    w_i = (-1)^i det(B without row i). It is a polynomial in the entries of
+    B, so its orientation stays continuous along any curve q(s). A
+    closed-form annihilator attached to the model is used instead (after
+    normalization). Raises ModelInvariantError where B loses rank.
     """
     q = np.asarray(q, dtype=float)
     if sys.annihilator is not None:
         w = np.asarray(sys.annihilator(q), dtype=float)
         return w / np.linalg.norm(w, axis=-1, keepdims=True)
     B = np.asarray(sys.input_map(q), dtype=float)
-    U, s, _ = np.linalg.svd(B)
-    tol = np.finfo(float).eps * max(B.shape[-2:]) * s[..., :1]
-    if np.any(np.sum(s > tol, axis=-1) != B.shape[-2] - 1):
+    n = B.shape[-2]
+    w = np.stack([(-1.0) ** i * np.linalg.det(np.delete(B, i, axis=-2)) for i in range(n)],
+                 axis=-1)
+    norm = np.linalg.norm(w, axis=-1, keepdims=True)
+    # Hadamard: |w| <= sqrt(n) prod |B_j|, so a tiny |w| relative to that is rank loss.
+    scale = np.prod(np.linalg.norm(B, axis=-2), axis=-1)[..., None]
+    if np.any(norm <= n * n * np.finfo(float).eps * scale):
         raise ModelInvariantError("input map does not have a one-dimensional left null space")
-    w = U[..., :, -1]
-    if prev is not None:
-        ref = np.sum(w * prev, axis=-1)
-    else:
-        first = np.argmax(np.abs(w) > 1e-12, axis=-1)
-        ref = np.take_along_axis(w, first[..., None], axis=-1)[..., 0]
-    return np.where((ref < 0.0)[..., None], -w, w)
+    return w / norm
 
 
 def pvtol_model() -> MechanicalSystem:
@@ -178,6 +178,15 @@ def tic_toc_reference(t: float):
     qdot = np.array([ct, -st * ct, -2.0 * ct / s2]).T
     u = np.array([st * np.sqrt(s2), (12.0 * st + 2.0 * np.sin(3.0 * t)) / (3.0 - 2.0 * np.cos(2.0 * t)) ** 2]).T
     return q, qdot, u
+
+
+def tic_toc_orbit() -> SimpleNamespace:
+    """The tic-toc reference as a periodic orbit: `t0`, `period` and `state_at(t) -> (q, qdot)`.
+
+    `state_at` takes a time or a 1-D array of times, like tic_toc_reference.
+    """
+    return SimpleNamespace(t0=-0.5 * np.pi, period=2.0 * np.pi,
+                           state_at=lambda t: tic_toc_reference(t)[:2])
 
 
 def tic_toc_acceleration(t: float) -> Array:

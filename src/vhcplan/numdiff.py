@@ -14,8 +14,11 @@ def matvec(A: Array, x: Array) -> Array:
     return (A @ x[..., None])[..., 0]
 
 
-def central_derivative(f: Callable[[float], float], x: float, h: float) -> float:
-    """Central difference with one Richardson extrapolation step (O(h^4))."""
+def central_derivative(f: Callable[[float], Array], x: float, h: float) -> Array:
+    """Central difference with one Richardson extrapolation step (O(h^4)).
+
+    f may return a scalar or an array; an array is differentiated entrywise.
+    """
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)
     h2 = 0.5 * h
     d2 = (f(x + h2) - f(x - h2)) / (2.0 * h2)

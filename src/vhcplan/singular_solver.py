@@ -39,16 +39,13 @@ def singular_acceleration(model: ReducedModel, report: SingularityReport) -> flo
         raise ConditionCheckError("singular acceleration requires a passing existence report")
     th = report.theta_s
     h = 1e-6 * (1.0 + abs(th))
-    dbeta = central_derivative(lambda t: float(model.beta(t)), th, h)
-    dgamma = central_derivative(lambda t: float(model.gamma(t)), th, h)
-    dalpha = central_derivative(lambda t: float(model.alpha(t)), th, h)
-    beta_s = float(model.beta(th))
-    gamma_s = float(model.gamma(th))
+    dalpha, dbeta, dgamma = central_derivative(model.coefficients, th, h)
+    _, beta_s, gamma_s = model.coefficients(th)
     v2 = -gamma_s / beta_s
     denom = dalpha + 2.0 * beta_s
     if denom == 0.0:
         raise ConditionCheckError("degenerate crossing: alpha' + 2 beta vanishes")
-    return -(dbeta * v2 + dgamma) / denom
+    return float(-(dbeta * v2 + dgamma) / denom)
 
 
 def escape_singularity(model: ReducedModel, report: SingularityReport,
@@ -118,8 +115,8 @@ class PeriodicScalarSolution:
 def _reduced_rhs(model: ReducedModel):
     def rhs(t, y):
         th, dth = y
-        alpha = float(model.alpha(th))
-        return [dth, -(float(model.beta(th)) * dth * dth + float(model.gamma(th))) / alpha]
+        alpha, beta, gamma = model.coefficients(th)
+        return [dth, -(beta * dth * dth + gamma) / alpha]
     return rhs
 
 
@@ -203,7 +200,8 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
     t2 = dt_right + T_right
 
     def quotient_accel(th, dth):
-        return -(model.beta(th) * dth * dth + model.gamma(th)) / model.alpha(th)
+        alpha, beta, gamma = model.coefficients(th)
+        return -(beta * dth * dth + gamma) / alpha
 
     # Quadratic through the crossing acceleration and the two safe edge values
     # avoids the 0/0 quotient inside the bridge window.

@@ -8,17 +8,15 @@ freedom whose motion obeys
 with coefficients obtained by projecting the dynamics onto the unactuated
 direction B_perp. The module evaluates these coefficients, checks the
 existence conditions for periodic solutions that cross a regularity-losing
-point of the constraint (alpha = 0), builds the two-parameter-plus-curvature
-constraint family anchored at an upright-thrust configuration, and scans
-trajectories for points where no regular controlled-invariant constraint can
-exist.
+point of the constraint (alpha = 0) and builds the two-parameter-plus-curvature
+constraint family anchored at an upright-thrust configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,35 +44,16 @@ class ParametricVhc:
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Scalar reduced dynamics alpha theta'' + beta theta'^2 + gamma = 0 on an interval."""
+    """Scalar reduced dynamics alpha theta'' + beta theta'^2 + gamma = 0 on an interval.
 
-    alpha: Callable[[float], float]
-    beta: Callable[[float], float]
-    gamma: Callable[[float], float]
+    `coefficients(theta)` returns the array (alpha, beta, gamma): shape (3,)
+    for a scalar theta and (3, k) for a 1-D array of k values.
+    """
+
+    coefficients: Callable[[Array], Array]
     interval: tuple[float, float]
     system: MechanicalSystem | None = None
     vhc: ParametricVhc | None = None
-    vectorized: bool = False
-
-    def sample(self, thetas: Array):
-        """Coefficient arrays over a theta grid, annihilator-continuous for generic models."""
-        thetas = np.asarray(thetas, dtype=float)
-        if self.vectorized:
-            return (np.asarray(self.alpha(thetas), dtype=float),
-                    np.asarray(self.beta(thetas), dtype=float),
-                    np.asarray(self.gamma(thetas), dtype=float))
-        if self.system is not None and self.vhc is not None and self.system.annihilator is None:
-            a = np.empty_like(thetas)
-            b = np.empty_like(thetas)
-            g = np.empty_like(thetas)
-            prev = None
-            for i, th in enumerate(thetas):
-                a[i], b[i], g[i], prev = _coefficients(self.system, self.vhc, float(th), prev)
-            return a, b, g
-        a = np.array([self.alpha(float(th)) for th in thetas])
-        b = np.array([self.beta(float(th)) for th in thetas])
-        g = np.array([self.gamma(float(th)) for th in thetas])
-        return a, b, g
 
 
 @dataclass(frozen=True)
@@ -104,18 +83,6 @@ class SingularityReport:
 
 
 @dataclass(frozen=True)
-class SingularPass:
-    """Trajectory point where the unactuated momentum B_perp M qdot crosses zero."""
-
-    time: float
-    q: Array
-    qdot: Array
-    annihilator_residual: float
-    speed: float
-    gravity_distance: float
-
-
-@dataclass(frozen=True)
 class FamilyParameters:
     """Constraint-family parameters found admissible on a symmetric interval."""
 
@@ -137,16 +104,16 @@ class FamilyParameters:
         }
 
 
-def _coefficients(sys: MechanicalSystem, vhc: ParametricVhc, theta: float, prev=None):
+def _coefficients(sys: MechanicalSystem, vhc: ParametricVhc, theta) -> Array:
     q = vhc.phi(theta)
     dp = vhc.dphi(theta)
     ddp = vhc.ddphi(theta)
-    w = left_annihilator(sys, q, prev)
+    w = left_annihilator(sys, q)
     M = sys.mass_matrix(q)
     a = np.sum(w * matvec(M, dp), axis=-1)
     b = np.sum(w * (matvec(M, ddp) + matvec(sys.coriolis(q, dp), dp)), axis=-1)
     g = np.sum(w * sys.gravity(q), axis=-1)
-    return a, b, g, w
+    return np.array([a, b, g])
 
 
 def reduced_coefficients(sys: MechanicalSystem, vhc: ParametricVhc, theta: float):
@@ -154,7 +121,7 @@ def reduced_coefficients(sys: MechanicalSystem, vhc: ParametricVhc, theta: float
     lo, hi = vhc.domain
     if not lo <= theta <= hi:
         raise DomainError(f"theta={theta} outside constraint domain {vhc.domain}")
-    a, b, g, _ = _coefficients(sys, vhc, theta)
+    a, b, g = _coefficients(sys, vhc, theta)
     return a, b, g
 
 
@@ -167,9 +134,7 @@ def reduce(sys: MechanicalSystem, vhc: ParametricVhc,
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError("reduction interval must be finite with lo < hi")
     return ReducedModel(
-        alpha=lambda th: _coefficients(sys, vhc, th)[0],
-        beta=lambda th: _coefficients(sys, vhc, th)[1],
-        gamma=lambda th: _coefficients(sys, vhc, th)[2],
+        coefficients=lambda th: _coefficients(sys, vhc, th),
         interval=(float(lo), float(hi)),
         system=sys,
         vhc=vhc,
@@ -193,16 +158,15 @@ def tic_toc_vhc(domain: tuple[float, float] = (-2.0, 2.0)) -> ParametricVhc:
     return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="tictoc")
 
 
-def family_vhc(q_s: Array, k1: float, k2: float, k3: float,
+def family_vhc(sys: MechanicalSystem, q_s: Array, k1: float, k2: float, k3: float,
                domain: tuple[float, float] = (-math.inf, math.inf)) -> ParametricVhc:
-    """Constraint family through q_s: actuated-direction line plus unactuated curvature.
+    """Constraint family of `sys` through q_s: actuated-direction line plus unactuated curvature.
 
     phi(theta) = q_s + B(q_s) (k1, k2) theta + (k3/2) B_perp(q_s)^T theta^2.
     """
     if k1 == 0.0 and k2 == 0.0:
         raise DomainError("degenerate family parameters: dphi(0) = 0")
     q_s = np.asarray(q_s, dtype=float)
-    sys = pvtol_model()
     B_s = sys.input_map(q_s)
     w_s = left_annihilator(sys, q_s)
     lin = B_s @ np.array([k1, k2])
@@ -224,28 +188,27 @@ def family_vhc(q_s: Array, k1: float, k2: float, k3: float,
 
 def family_reduced(psi_s: float, k1: float, k2: float, k3: float,
                    interval: tuple[float, float]) -> ReducedModel:
-    """Closed-form reduced model of the constraint family (vectorized evaluators).
+    """Closed-form reduced model of the constraint family of the thrust-vectored vehicle.
 
     alpha = k1 sin(k2 th) + k3 th cos(k2 th), beta = k3 cos(k2 th),
     gamma = sin(psi_s + k2 th); these agree with the generic projection because
     the annihilator of the upright-thrust model has unit norm.
     """
-    q_s = np.array([0.0, 0.0, float(psi_s)])
-    vhc = family_vhc(q_s, k1, k2, k3, domain=interval)
-    return ReducedModel(
-        alpha=lambda th: k1 * np.sin(k2 * th) + k3 * th * np.cos(k2 * th),
-        beta=lambda th: k3 * np.cos(k2 * th) + 0.0 * th,
-        gamma=lambda th: np.sin(psi_s + k2 * th),
-        interval=(float(interval[0]), float(interval[1])),
-        system=pvtol_model(),
-        vhc=vhc,
-        vectorized=True,
-    )
+    sys = pvtol_model()
+    vhc = family_vhc(sys, np.array([0.0, 0.0, float(psi_s)]), k1, k2, k3, domain=interval)
+
+    def coefficients(th):
+        c, s = np.cos(k2 * th), np.sin(k2 * th)
+        return np.array([k1 * s + k3 * th * c, k3 * c, np.sin(psi_s + k2 * th)])
+
+    return ReducedModel(coefficients=coefficients,
+                        interval=(float(interval[0]), float(interval[1])),
+                        system=sys, vhc=vhc)
 
 
 def _find_zeros(model: ReducedModel, thetas: Array, alphas: Array) -> list[float]:
     zeros: list[float] = []
-    f = lambda th: float(model.alpha(th))
+    f = lambda th: float(model.coefficients(th)[0])
     for i in range(len(thetas) - 1):
         a0, a1 = alphas[i], alphas[i + 1]
         if a0 == 0.0:
@@ -273,16 +236,15 @@ def check_theorem1(model: ReducedModel, n_grid: int = 2048) -> SingularityReport
     """
     lo, hi = model.interval
     thetas = np.linspace(lo, hi, n_grid)
-    alphas, betas, gammas = model.sample(thetas)
+    alphas, _, gammas = model.coefficients(thetas)
     zeros = _find_zeros(model, thetas, alphas)
     unique = len(zeros) == 1
 
     if zeros:
         theta_s = zeros[0]
         h = 1e-6 * (1.0 + abs(theta_s))
-        slope = central_derivative(lambda th: float(model.alpha(th)), theta_s, h)
-        beta_s = float(model.beta(theta_s))
-        gamma_s = float(model.gamma(theta_s))
+        slope = float(central_derivative(model.coefficients, theta_s, h)[0])
+        _, beta_s, gamma_s = (float(c) for c in model.coefficients(theta_s))
     else:
         theta_s = math.nan
         slope = math.nan
@@ -357,68 +319,3 @@ def find_family_parameters(psi_s: float) -> FamilyParameters | None:
                     if report.overall:
                         return FamilyParameters(psi_s, k1, k2, k3, interval, report)
     return None
-
-
-def _gravity_distance(sys: MechanicalSystem, q: Array) -> float:
-    """Distance of the gravity vector from the actuated force subspace Im B(q)."""
-    B = np.asarray(sys.input_map(q), dtype=float)
-    G = np.asarray(sys.gravity(q), dtype=float)
-    coeff, *_ = np.linalg.lstsq(B, G, rcond=None)
-    return float(np.linalg.norm(G - B @ coeff))
-
-
-def theorem2_scan(sys: MechanicalSystem, traj, n_samples: int = 2048,
-                  min_speed: float = 1e-8) -> list[SingularPass]:
-    """Locate zero crossings of B_perp(q) M(q) qdot along a periodic trajectory.
-
-    `traj` must expose `t0`, `period` and `state_at(t) -> (q, qdot, ...)`.
-    Crossings are bisected to 1e-12 in time; points with speed below
-    `min_speed` (rest points) are excluded.
-    """
-    n_samples = max(int(n_samples), 512)
-    t0, period = float(traj.t0), float(traj.period)
-    times = t0 + period * np.arange(n_samples) / n_samples
-
-    def momentum(t: float, prev=None):
-        state = traj.state_at(t)
-        q, qdot = np.asarray(state[0], dtype=float), np.asarray(state[1], dtype=float)
-        w = left_annihilator(sys, q, prev)
-        return float(w @ (sys.mass_matrix(q) @ qdot)), w, q, qdot
-
-    values = []
-    w_prev = None
-    for t in times:
-        s, w_prev, _, _ = momentum(float(t), w_prev)
-        values.append(s)
-    values = np.asarray(values)
-
-    roots: list[float] = []
-    for i in range(n_samples):
-        t_a = float(times[i])
-        t_b = float(times[(i + 1) % n_samples]) if i + 1 < n_samples else t0 + period
-        s_a, s_b = values[i], values[(i + 1) % n_samples]
-        if s_a == 0.0:
-            roots.append(t_a)
-        elif s_a * s_b < 0.0:
-            w_anchor = left_annihilator(sys, np.asarray(traj.state_at(t_a)[0], dtype=float))
-            g = lambda t: momentum(t, w_anchor)[0]
-            roots.append(bisect(g, t_a, t_b, xtol=1e-12, fa=float(s_a), fb=float(s_b)))
-
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > 1e-9:
-            merged.append(r)
-    if len(merged) >= 2 and (merged[0] + period) - merged[-1] <= 1e-9:
-        merged.pop()
-
-    passes = []
-    for t_s in merged:
-        s, _, q, qdot = momentum(t_s)
-        speed = float(np.linalg.norm(qdot))
-        if speed <= min_speed:
-            continue
-        passes.append(SingularPass(
-            time=t_s, q=q, qdot=qdot, annihilator_residual=abs(s),
-            speed=speed, gravity_distance=_gravity_distance(sys, q),
-        ))
-    return passes

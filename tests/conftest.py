@@ -7,18 +7,6 @@ import pytest
 import vhcplan as vp
 
 
-class ReferenceOrbit:
-    """Closed-form tic-toc maneuver exposed with the scan interface."""
-
-    t0 = -0.5 * math.pi
-    period = 2.0 * math.pi
-
-    @staticmethod
-    def state_at(t: float):
-        q, qd, _ = vp.tic_toc_reference(t)
-        return q, qd
-
-
 @pytest.fixture(scope="session")
 def timings():
     return {}
@@ -82,7 +70,7 @@ def tictoc_gains(tictoc_ltv):
 
 @pytest.fixture(scope="session")
 def reference_orbit():
-    return ReferenceOrbit()
+    return vp.tic_toc_orbit()
 
 
 @pytest.fixture(scope="session")

@@ -170,8 +170,8 @@ def _closure_residual(model, per):
     compare against the mirrored periodic solution (independent of the wrap)."""
     def rhs(t, y):
         th, dth = y
-        return [dth, -(float(model.beta(th)) * dth * dth
-                       + float(model.gamma(th))) / float(model.alpha(th))]
+        alpha, beta, gamma = model.coefficients(th)
+        return [dth, -(beta * dth * dth + gamma) / alpha]
 
     t2 = per.base.t2
     y0 = per.eval(0.5 * t2)[:2]

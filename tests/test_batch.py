@@ -78,6 +78,16 @@ def test_vhc_batch(family_pack, thetas):
             assert _close(curve(thetas), [curve(th) for th in thetas])
 
 
+@pytest.mark.parametrize("which", ["tictoc", "family"])
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda k: _batch(k, None, -0.19, 0.19)))
+def test_reduced_model_batch(which, tictoc_model, family_pack, thetas):
+    model = tictoc_model if which == "tictoc" else family_pack["model"]
+    batched = model.coefficients(thetas)
+    assert batched.shape == (3, thetas.size)
+    assert _close(batched, np.column_stack([model.coefficients(th) for th in thetas]))
+
+
 def _special_times(per):
     """Times in the series bridge, at the mirror point, in the mirrored half and across wraps."""
     base = per.base

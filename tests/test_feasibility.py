@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -70,6 +71,20 @@ def test_certificate_positive_on_reference_orbit(pvtol, reference_orbit):
     assert set(d["tolerances"]) == {"annihilator_residual", "speed", "gravity_distance"}
 
 
+def test_certificate_generic_annihilator_matches_closed_form(pvtol, reference_orbit):
+    # Without the closed-form annihilator the scan uses the cofactor vector,
+    # whose orientation stays continuous through the singular passes.
+    generic = dataclasses.replace(pvtol, annihilator=None)
+    cert = vp.certify_no_regular_vhc(generic, reference_orbit)
+    closed = vp.certify_no_regular_vhc(pvtol, reference_orbit)
+    assert cert.verdict
+    assert len(cert.passes) == len(closed.passes) == 2
+    for p, c in zip(cert.passes, closed.passes):
+        assert abs(p.time - c.time) < 1e-8
+        assert abs(p.speed - math.sqrt(5.0)) < 1e-12
+        assert abs(p.gravity_distance - 1.0) < 1e-12
+
+
 class _NoCrossingOrbit:
     """Horizontal oscillation: the unactuated momentum only vanishes at rest."""
 
@@ -77,9 +92,10 @@ class _NoCrossingOrbit:
     period = 2.0 * math.pi
 
     @staticmethod
-    def state_at(t: float):
-        return (np.array([math.sin(t), 0.0, 0.0]),
-                np.array([math.cos(t), 0.0, 0.0]))
+    def state_at(t):
+        zero = np.zeros_like(t)
+        return (np.array([np.sin(t), zero, zero]).T,
+                np.array([np.cos(t), zero, zero]).T)
 
 
 class _TangentGravityOrbit:
@@ -89,9 +105,10 @@ class _TangentGravityOrbit:
     period = 2.0 * math.pi
 
     @staticmethod
-    def state_at(t: float):
-        return (np.array([math.cos(t), 0.0, math.sin(t)]),
-                np.array([-math.sin(t), 0.0, math.cos(t)]))
+    def state_at(t):
+        zero = np.zeros_like(t)
+        return (np.array([np.cos(t), zero, np.sin(t)]).T,
+                np.array([-np.sin(t), zero, np.cos(t)]).T)
 
 
 def test_certificate_inconclusive_without_moving_crossings(pvtol):

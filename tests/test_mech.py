@@ -28,18 +28,27 @@ def test_annihilator_unit_norm_and_orthogonal(pvtol):
 
 
 def test_annihilator_matches_generic_null_space(pvtol):
-    # Strip the closed-form annihilator and recompute through the SVD route.
+    # Strip the closed-form annihilator and recompute through the cofactor route.
     generic = MechanicalSystem(n=3, mass_matrix=pvtol.mass_matrix,
                                coriolis=pvtol.coriolis, gravity=pvtol.gravity,
                                input_map=pvtol.input_map, name="pvtol-generic")
     rng = np.random.default_rng(3)
-    prev = None
     for _ in range(20):
         q = rng.uniform(-2.0, 2.0, 3)
         w_closed = vp.left_annihilator(pvtol, q)
-        w_generic = vp.left_annihilator(generic, q, prev=w_closed)
+        w_generic = vp.left_annihilator(generic, q)
         assert np.abs(w_closed - w_generic).max() < 1e-12
-        prev = w_generic
+
+
+def test_annihilator_rejects_rank_deficient_input_map():
+    # Two parallel input columns leave a two-dimensional left null space.
+    for B in (np.array([[1.0, 2.0], [0.5, 1.0], [0.0, 0.0]]), np.zeros((3, 2))):
+        sys_ = MechanicalSystem(n=3, mass_matrix=lambda q: np.eye(3),
+                                coriolis=lambda q, qd: np.zeros((3, 3)),
+                                gravity=lambda q: np.zeros(3),
+                                input_map=lambda q, B=B: B, name="rank-one")
+        with pytest.raises(vp.ModelInvariantError):
+            vp.left_annihilator(sys_, np.zeros(3))
 
 
 def test_eval_accel_matches_hand_formula(pvtol):

@@ -30,10 +30,8 @@ def test_singular_acceleration_agrees_with_coarser_derivative_step():
     a_s = vp.singular_acceleration(model, rep)
     th, v2 = rep.theta_s, rep.v_s ** 2
     for h in (1e-5, 1e-6):
-        db = (float(model.beta(th + h)) - float(model.beta(th - h))) / (2 * h)
-        dg = (float(model.gamma(th + h)) - float(model.gamma(th - h))) / (2 * h)
-        da = (float(model.alpha(th + h)) - float(model.alpha(th - h))) / (2 * h)
-        crude = -(db * v2 + dg) / (da + 2.0 * float(model.beta(th)))
+        da, db, dg = (model.coefficients(th + h) - model.coefficients(th - h)) / (2 * h)
+        crude = -(db * v2 + dg) / (da + 2.0 * float(model.coefficients(th)[1]))
         assert abs(a_s - crude) < 1e-5
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ def test_tictoc_coefficient_ratios(pvtol):
 
 def test_tictoc_alpha_slope(pvtol, tictoc_model):
     h = 1e-6
-    slope = (float(tictoc_model.alpha(h)) - float(tictoc_model.alpha(-h))) / (2.0 * h)
-    assert abs(float(tictoc_model.alpha(0.0))) < 1e-15
+    alpha = lambda th: float(tictoc_model.coefficients(th)[0])
+    slope = (alpha(h) - alpha(-h)) / (2.0 * h)
+    assert abs(alpha(0.0)) < 1e-15
     assert abs(slope - 1.0) < 1e-9
 
 
@@ -37,15 +39,6 @@ def test_reduce_uses_vhc_domain_by_default(pvtol):
         vp.reduce(pvtol, vhc, (0.0, math.inf))
 
 
-def test_model_sample_matches_scalar_calls(pvtol, tictoc_model):
-    thetas = np.linspace(-1.0, 1.0, 11)
-    alphas, betas, gammas = tictoc_model.sample(thetas)
-    for i, th in enumerate(thetas):
-        assert abs(alphas[i] - float(tictoc_model.alpha(float(th)))) < 1e-14
-        assert abs(betas[i] - float(tictoc_model.beta(float(th)))) < 1e-14
-        assert abs(gammas[i] - float(tictoc_model.gamma(float(th)))) < 1e-14
-
-
 def test_existence_check_tictoc(tictoc_report):
     rep = tictoc_report
     assert rep.overall
@@ -55,6 +48,17 @@ def test_existence_check_tictoc(tictoc_report):
     assert abs(rep.beta_s / rep.alpha_slope + 1.0) < 1e-8
     assert rep.sign == 1
     assert rep.zeros == (rep.theta_s,)
+
+
+def test_existence_check_generic_annihilator_matches_closed_form(pvtol, tictoc_report):
+    # The cofactor annihilator keeps one orientation through the singular point,
+    # where the first entry of B_perp (cos psi) changes sign.
+    generic = dataclasses.replace(pvtol, annihilator=None)
+    rep = vp.check_theorem1(vp.reduce(generic, vp.tic_toc_vhc(), (-2.0, 2.0)))
+    assert rep.flags == tictoc_report.flags
+    assert rep.overall
+    assert abs(rep.theta_s - tictoc_report.theta_s) < 1e-9
+    assert abs(rep.v_s - tictoc_report.v_s) < 1e-9
 
 
 def test_existence_check_json_round_trip(tictoc_report):
@@ -72,9 +76,7 @@ def test_family_closed_form_matches_generic_reduction(pvtol):
     closed = vp.family_reduced(psi_s, k1, k2, k3, (-0.3, 0.3))
     generic = vp.reduce(pvtol, closed.vhc, (-0.3, 0.3))
     for th in np.linspace(-0.29, 0.29, 31):
-        assert abs(float(closed.alpha(th)) - float(generic.alpha(float(th)))) < 1e-12
-        assert abs(float(closed.beta(th)) - float(generic.beta(float(th)))) < 1e-12
-        assert abs(float(closed.gamma(th)) - float(generic.gamma(float(th)))) < 1e-12
+        assert np.abs(closed.coefficients(th) - generic.coefficients(float(th))).max() < 1e-12
 
 
 def test_family_example_passes_with_known_crossing_speed():
@@ -106,12 +108,12 @@ def test_existence_check_retries_flipped_annihilator_sign():
 
 def test_family_vhc_rejects_degenerate_direction():
     with pytest.raises(vp.DomainError):
-        vp.family_vhc(np.array([0.0, 0.0, 0.5 * math.pi]), 0.0, 0.0, -1.0)
+        vp.family_vhc(vp.pvtol_model(), np.array([0.0, 0.0, 0.5 * math.pi]), 0.0, 0.0, -1.0)
 
 
-def test_family_vhc_geometry():
+def test_family_vhc_geometry(pvtol):
     q_s = np.array([0.0, 0.0, 0.5 * math.pi])
-    vhc = vp.family_vhc(q_s, 0.25, 1.5, -0.25, domain=(-0.2, 0.2))
+    vhc = vp.family_vhc(pvtol, q_s, 0.25, 1.5, -0.25, domain=(-0.2, 0.2))
     assert np.abs(vhc.phi(0.0) - q_s).max() < 1e-15
     # dphi(0) = B(q_s) (k1, k2); psi_s = pi/2 makes that (-0.25, 0, 1.5).
     assert np.abs(vhc.dphi(0.0) - [-0.25, 0.0, 1.5]).max() < 1e-15
