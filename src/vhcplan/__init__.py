@@ -30,7 +30,6 @@ from .feasibility import (
 )
 from .mech import (
     MechanicalSystem,
-    PhaseState,
     eval_accel,
     inverse_input,
     left_annihilator,
@@ -56,13 +55,11 @@ from .transverse import (
     LtvModel,
     PeriodicMatrixSpline,
     TicTocChart,
-    TransverseCoords,
     chart_invert,
     gramian,
     linearize,
     monodromy,
     periodic_lqr,
-    to_transverse,
     wrap_angle,
 )
 from .vhc import (
@@ -98,14 +95,12 @@ __all__ = [
     "PeriodicMatrixSpline",
     "PeriodicScalarSolution",
     "PeriodicTrajectory",
-    "PhaseState",
     "ReducedModel",
     "ScalarSolution",
     "SimulationResult",
     "SingularPass",
     "SingularityReport",
     "TicTocChart",
-    "TransverseCoords",
     "UsageError",
     "VhcplanError",
     "accessibility_det_closed_form",
@@ -139,6 +134,5 @@ __all__ = [
     "tic_toc_acceleration",
     "tic_toc_orbit",
     "tic_toc_reference",
-    "to_transverse",
     "wrap_angle",
 ]

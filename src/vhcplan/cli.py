@@ -62,6 +62,8 @@ EXIT_CONDITION = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
+GRAMIAN_GATE = 1e-6   # the controllability Gramian's smallest eigenvalue must exceed this
+
 _NUMERIC_ERRORS = (BoundaryUnreachableError, ConvergenceError, ModelInvariantError,
                    DomainError, OutsideTubeError)
 
@@ -82,8 +84,8 @@ DEFAULTS: dict = {
     "check": {"n_grid": 2048},
     "certify": {"n_samples": 2048, "accessibility_samples": 64},
     "stabilize": {"n_grid": 512, "rho_step": 1e-6, "w_step": 1e-4,
-                  "q_weight": 1.0, "r_weight": 1.0, "fp_tol": 1e-8,
-                  "max_sweeps": 50, "tube_radius": 1.0},
+                  "q_weight": 1.0, "r_weight": 1.0, "max_sweeps": 50,
+                  "tube_radius": 1.0},
     "simulate": {"q0": [0.1, -0.5, 0.0], "qd0": [0.0, 0.0, 0.0], "dt": 0.01,
                  "periods": 3.0, "stage_feedback": True, "open_loop": False},
     "sweep": {"psi_values": [0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi]},
@@ -258,13 +260,13 @@ def _stabilize_objects(cfg: dict, out: Path) -> dict:
 
     W = gramian(ltv)
     w_eigs = np.linalg.eigvalsh(W)
-    if float(w_eigs.min()) <= 1e-6:
+    if float(w_eigs.min()) <= GRAMIAN_GATE:
         raise ConvergenceError(
             f"controllability Gramian nearly singular: min eigenvalue {w_eigs.min():.3e}")
 
     gains = periodic_lqr(ltv, Q=float(kcfg["q_weight"]) * np.eye(5),
                          R=float(kcfg["r_weight"]) * np.eye(2),
-                         fp_tol=float(kcfg["fp_tol"]), max_sweeps=int(kcfg["max_sweeps"]))
+                         max_sweeps=int(kcfg["max_sweeps"]))
     write_csv(out / "gains.csv",
               ["tau"] + [f"k{i}{j}" for i in range(1, 3) for j in range(1, 6)],
               [[gains.taus[i], *gains.K[i].ravel()] for i in range(gains.taus.size)])
@@ -275,12 +277,16 @@ def _stabilize_objects(cfg: dict, out: Path) -> dict:
     spectra = {
         "gramian_eigenvalues": sorted((float(v) for v in w_eigs), reverse=True),
         "gramian_min_eigenvalue": float(w_eigs.min()),
+        "gramian_gate_margin": float(w_eigs.min()) / GRAMIAN_GATE,
+        "gramian_eigenvalue_ratio": float(w_eigs.min() / w_eigs.max()),
         "open_loop_multipliers": [[float(v.real), float(v.imag)] for v in eig_open],
         "open_loop_spectral_radius": float(np.max(np.abs(eig_open))),
         "closed_loop_multipliers": [[float(v.real), float(v.imag)] for v in eig_closed],
         "closed_loop_max_abs": closed_max,
         "riccati_sweeps": gains.sweeps,
         "riccati_fixed_point_gap": gains.fixed_point_gap,
+        "riccati_multiplier_gap": float(np.max(np.abs(
+            np.sort(np.abs(gains.multipliers)) - np.sort(np.abs(eig_closed))))),
     }
     write_json(out / "spectra.json", spectra)
     if closed_max >= 1.0:

@@ -43,24 +43,6 @@ class MechanicalSystem:
     name: str = "generic"
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Point (q, q') of the phase space."""
-
-    q: Array
-    qdot: Array
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        qdot = np.asarray(self.qdot, dtype=float)
-        if q.shape != qdot.shape or q.ndim != 1:
-            raise ModelInvariantError("q and qdot must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
-            raise ModelInvariantError("phase state must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qdot", qdot)
-
-
 def eval_accel(sys: MechanicalSystem, q: Array, qdot: Array, u: Array) -> Array:
     """Solve M(q)q'' = B(q)u - C(q,q')q' - G(q) for the acceleration.
 

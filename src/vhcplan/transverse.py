@@ -27,9 +27,10 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import schur
 
 from .errors import ConditionCheckError, ConvergenceError, OutsideTubeError
-from .mech import MechanicalSystem, PhaseState, eval_accel, tic_toc_reference
+from .mech import MechanicalSystem, eval_accel, tic_toc_reference
 from .numdiff import matvec
 from .singular_solver import PeriodicTrajectory
 from .vhc import FamilyParameters
@@ -55,13 +56,6 @@ class PeriodicMatrixSpline:
 
     def __call__(self, tau: float):
         return self._spline(self._lo + (tau - self._lo) % TWO_PI)
-
-
-@dataclass(frozen=True)
-class TransverseCoords:
-    tau: float
-    rho: Array
-    inside: bool
 
 
 class TicTocChart:
@@ -275,13 +269,6 @@ class FamilyChart:
         return np.array([x, z, psi]).T, np.array([xd, zd, psid]).T
 
 
-def to_transverse(chart, state: PhaseState) -> TransverseCoords:
-    """Transverse coordinates of a phase-space point (outside-tube points are flagged)."""
-    tau, rho = chart.forward(state.q, state.qdot)
-    return TransverseCoords(tau=tau, rho=rho,
-                            inside=bool(np.linalg.norm(rho) <= chart.tube_radius))
-
-
 def chart_invert(chart, tau, rho: Array, tol: float = 1e-12, max_iter: int = 50):
     """Phase-space point with the given chart coordinates (damped Newton).
 
@@ -433,13 +420,18 @@ def gramian(model: LtvModel, tol: float = 1e-10) -> Array:
 
 @dataclass
 class GainSchedule:
-    """Periodic feedback u = u*(tau) + K(tau) rho with K = -R^{-1} B^T P."""
+    """Periodic feedback u = u*(tau) + K(tau) rho with K = -R^{-1} B^T P.
+
+    `multipliers` are the closed-loop Floquet multipliers the Riccati solve
+    predicts: the eigenvalues of the stable block of the Hamiltonian period map.
+    """
 
     taus: Array
     K: Array
     P: Array
     sweeps: int
     fixed_point_gap: float
+    multipliers: Array
     _k_spline: PeriodicMatrixSpline = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -449,14 +441,37 @@ class GainSchedule:
         return self._k_spline(tau)
 
 
-def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None,
-                 fp_tol: float = 1e-8, max_sweeps: int = 50,
-                 ode_tol: float = 1e-10) -> GainSchedule:
-    """Periodic LQR via repeated backward Riccati sweeps to a period fixed point.
+# A Riccati sweep has reached the periodic solution when max|P(0) - P(2 pi)| is
+# below this fraction of max|P(0)| (about 500 on the family orbit, 20 on the tic-toc).
+RICCATI_GAP_RTOL = 1e-8
 
-    Each sweep integrates P' = -(A^T P + P A - P B R^{-1} B^T P + Q) from 2 pi
-    down to 0 starting at the previous sweep's initial value (first sweep: Q);
-    convergence when max|P(0) - P(2 pi)| < fp_tol.
+
+def _period_map(coefficient: Callable[[float], Array], t0: float, tol: float) -> Array:
+    """Phi(t0 + 2 pi, t0) of the periodic linear system Phi' = M(s) Phi."""
+    n = coefficient(t0).shape[0]
+
+    def rhs(s, y):
+        return (coefficient(s) @ y.reshape(n, n)).ravel()
+
+    sol = solve_ivp(rhs, (t0, t0 + TWO_PI), np.eye(n).ravel(), method="RK45",
+                    rtol=tol, atol=tol)
+    Phi = sol.y[:, -1].reshape(n, n)
+    if not sol.success or not np.all(np.isfinite(Phi)):
+        raise ConvergenceError(f"period map integration failed: {sol.message}")
+    return Phi
+
+
+def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None,
+                 max_sweeps: int = 50, ode_tol: float = 1e-10) -> GainSchedule:
+    """Periodic LQR from the stable subspace of the Hamiltonian period map.
+
+    The period map of z' = [[A, -B R^{-1} B^T], [-Q, -A^T]] z has n eigenvalues
+    inside the unit circle when (A, B) is stabilizable; its ordered real Schur
+    form gives their invariant subspace [X; Y], and P(0) = Y X^{-1} is the
+    stabilizing periodic solution (Bittanti, Colaneri & De Nicolao 1991).
+    A backward sweep of P' = -(A^T P + P A - P B R^{-1} B^T P + Q) from P(0)
+    samples P and K on the grid; it is repeated from its own P(0), at most
+    `max_sweeps` times, until max|P(0) - P(2 pi)| < RICCATI_GAP_RTOL max|P(0)|.
     """
     n = model.A.shape[1]
     m = model.B.shape[2]
@@ -464,15 +479,30 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     R = np.eye(m) if R is None else np.asarray(R, dtype=float)
     Rinv = np.linalg.inv(R)
 
+    def hamiltonian(s):
+        A, B = model.a_of(s), model.b_of(s)
+        return np.block([[A, -B @ Rinv @ B.T], [-Q, -A.T]])
+
+    T, Z, n_stable = schur(_period_map(hamiltonian, 0.0, ode_tol), output="real", sort="iuc")
+    if n_stable != n:
+        raise ConvergenceError(f"Hamiltonian period map has {n_stable} stable multipliers, "
+                               f"not {n}: (A, B) is not stabilizable or (Q, A) not detectable")
+    X, Y = Z[:n, :n], Z[n:, :n]
+    cond = np.linalg.cond(X)
+    if not cond <= 1e12:
+        raise ConvergenceError(f"stable subspace of the Hamiltonian period map is not a graph "
+                               f"over the state (cond X = {cond:.3e})")
+    P_term = np.linalg.solve(X.T, Y.T)   # = (Y X^{-1})^T; symmetric at the solution
+    P_term = 0.5 * (P_term + P_term.T)
+
     def rhs(s, p):
         P = p.reshape(n, n)
         P = 0.5 * (P + P.T)
-        A = model.a_of(s)
-        B = model.b_of(s)
+        A, B = model.a_of(s), model.b_of(s)
         dP = -(A.T @ P + P @ A - P @ B @ Rinv @ B.T @ P + Q)
         return dP.ravel()
 
-    P_term = Q.copy()
+    gap = math.inf
     for sweep in range(1, max_sweeps + 1):
         sol = solve_ivp(rhs, (TWO_PI, 0.0), P_term.ravel(), method="RK45",
                         rtol=ode_tol, atol=ode_tol, dense_output=True)
@@ -480,20 +510,16 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
             raise ConvergenceError(f"Riccati sweep failed: {sol.message}")
         P0 = sol.y[:, -1].reshape(n, n)
         P0 = 0.5 * (P0 + P0.T)
-        gap = float(np.max(np.abs(P0 - P_term)))
-        if gap < fp_tol:
-            P_samples = np.empty((model.taus.size, n, n))
-            K_samples = np.empty((model.taus.size, m, n))
-            for i, tau in enumerate(model.taus):
-                s = tau % TWO_PI
-                P = sol.sol(s).reshape(n, n)
-                P = 0.5 * (P + P.T)
-                P_samples[i] = P
-                K_samples[i] = -Rinv @ model.B[i].T @ P
-            return GainSchedule(taus=model.taus, K=K_samples, P=P_samples,
-                                sweeps=sweep, fixed_point_gap=gap)
+        gap = float(np.max(np.abs(P0 - P_term)) / np.max(np.abs(P0)))
+        if gap < RICCATI_GAP_RTOL:
+            P = sol.sol(model.taus % TWO_PI).T.reshape(-1, n, n)
+            P = 0.5 * (P + P.transpose(0, 2, 1))
+            K = -Rinv @ model.B.transpose(0, 2, 1) @ P
+            return GainSchedule(taus=model.taus, K=K, P=P, sweeps=sweep, fixed_point_gap=gap,
+                                multipliers=np.linalg.eigvals(T[:n, :n]))
         P_term = P0
-    raise ConvergenceError(f"periodic Riccati did not reach a fixed point in {max_sweeps} sweeps")
+    raise ConvergenceError(f"periodic Riccati did not reach a fixed point in {max_sweeps} sweeps "
+                           f"(relative gap {gap:.3e})")
 
 
 def monodromy(model: LtvModel, gains: GainSchedule | None = None,
@@ -502,18 +528,10 @@ def monodromy(model: LtvModel, gains: GainSchedule | None = None,
 
     Returns (F, eigenvalues); gains=None gives the open-loop map.
     """
-    n = model.A.shape[1]
 
-    def rhs(s, y):
-        Phi = y.reshape(n, n)
+    def closed_loop(s):
         A = model.a_of(s)
-        if gains is not None:
-            A = A + model.b_of(s) @ gains.k_of(s)
-        return (A @ Phi).ravel()
+        return A if gains is None else A + model.b_of(s) @ gains.k_of(s)
 
-    sol = solve_ivp(rhs, (t0, t0 + TWO_PI), np.eye(n).ravel(), method="RK45",
-                    rtol=tol, atol=tol)
-    if not sol.success:
-        raise ConvergenceError(f"monodromy integration failed: {sol.message}")
-    F = sol.y[:, -1].reshape(n, n)
+    F = _period_map(closed_loop, t0, tol)
     return F, np.linalg.eigvals(F)

@@ -97,3 +97,8 @@ def family_pack(pvtol):
     ltv = vp.linearize(chart, pvtol, traj, n_grid=96)
     return {"params": params, "model": model, "report": report, "sol": sol,
             "per": per, "traj": traj, "chart": chart, "ltv": ltv}
+
+
+@pytest.fixture(scope="session")
+def family_gains(family_pack):
+    return vp.periodic_lqr(family_pack["ltv"])

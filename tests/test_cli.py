@@ -113,6 +113,11 @@ def test_stabilize_artifacts(tmp_path):
     assert spectra["open_loop_spectral_radius"] >= 1.0
     assert spectra["gramian_min_eigenvalue"] > 1e-6
     assert len(spectra["gramian_eigenvalues"]) == 5
+    eigs = spectra["gramian_eigenvalues"]
+    assert spectra["gramian_gate_margin"] == pytest.approx(eigs[-1] / 1e-6, rel=1e-12)
+    assert spectra["gramian_gate_margin"] > 1.0
+    assert spectra["gramian_eigenvalue_ratio"] == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
+    assert spectra["riccati_multiplier_gap"] < 1e-6
     # stabilize keeps the upstream planning artifacts alongside its own
     assert (out / "trajectory.csv").is_file()
     assert (out / "report.json").is_file()
@@ -149,7 +154,6 @@ def test_sweep(tmp_path):
     proc = run_cli("sweep", "--out", str(out),
                    "--set", f"sweep.psi_values=[{0.5 * math.pi}]",
                    "--set", "stabilize.n_grid=48",
-                   "--set", "stabilize.max_sweeps=300",
                    "--set", "solver.lift_samples=512")
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((out / "sweep_summary.json").read_text())
@@ -158,6 +162,33 @@ def test_sweep(tmp_path):
     assert (sub / "spectra.json").is_file()
     assert (sub / "gains.csv").is_file()
     assert json.loads((sub / "spectra.json").read_text())["closed_loop_max_abs"] < 1.0
+
+
+@pytest.fixture(scope="module")
+def family_stabilize(tmp_path_factory):
+    """spectra.json of `stabilize --set vhc.kind=family` at a given n_grid, run once each."""
+    runs = {}
+
+    def run(n_grid):
+        if n_grid not in runs:
+            out = tmp_path_factory.mktemp(f"family{n_grid}")
+            proc = run_cli("stabilize", "--out", str(out), "--set", "vhc.kind=family",
+                           "--set", f"stabilize.n_grid={n_grid}")
+            assert proc.returncode == 0, proc.stderr
+            runs[n_grid] = json.loads((out / "spectra.json").read_text())
+        return runs[n_grid]
+    return run
+
+
+@pytest.mark.parametrize("n_grid", [48, 128, 512])
+def test_family_stabilize_default_config(family_stabilize, n_grid):
+    spectra = family_stabilize(n_grid)
+    assert spectra["riccati_sweeps"] <= 2
+    assert spectra["riccati_fixed_point_gap"] < 1e-8
+    # The spread is the O(h^4) interpolation error of the coarse grid's
+    # A, B and K splines (1.2e-6 at n_grid 48, 2e-8 at 128), not the solver's.
+    reference = family_stabilize(512)["closed_loop_max_abs"]
+    assert abs(spectra["closed_loop_max_abs"] - reference) < 2e-6
 
 
 def test_exit_code_condition_failure(tmp_path):

@@ -75,6 +75,16 @@ def test_eval_accel_rejects_non_spd_mass():
         vp.eval_accel(bad, np.zeros(2), np.zeros(2), np.zeros(1))
 
 
+def test_eval_accel_rejects_invalid_phase_state(pvtol):
+    u = np.zeros(2)
+    with pytest.raises(vp.ModelInvariantError):
+        vp.eval_accel(pvtol, np.array([1.0, np.nan, 0.0]), np.zeros(3), u)
+    with pytest.raises(vp.ModelInvariantError):
+        vp.eval_accel(pvtol, np.zeros(3), np.zeros(2), u)
+    with pytest.raises(vp.ModelInvariantError):
+        vp.eval_accel(pvtol, np.zeros((2, 2)), np.zeros((2, 2)), u)
+
+
 def test_inverse_input_round_trip(pvtol):
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -95,15 +105,6 @@ def test_inverse_input_residual_is_unactuated_component(pvtol):
     qdd = vp.eval_accel(pvtol, q, qd, np.array([1.0, 0.2])) + 0.3 * w
     _, residual = vp.inverse_input(pvtol, q, qd, qdd)
     assert abs(residual - 0.3) < 1e-12
-
-
-def test_phase_state_validation():
-    with pytest.raises(vp.ModelInvariantError):
-        vp.PhaseState(np.array([1.0, np.nan]), np.zeros(2))
-    with pytest.raises(vp.ModelInvariantError):
-        vp.PhaseState(np.zeros(3), np.zeros(2))
-    with pytest.raises(vp.ModelInvariantError):
-        vp.PhaseState(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_reference_initial_conditions_and_rest_points():

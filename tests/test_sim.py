@@ -66,20 +66,19 @@ def test_divergence_guard(pvtol, tictoc_chart, tictoc_ltv):
         taus=tictoc_ltv.taus,
         K=np.tile(np.full((2, 5), 50.0), (tictoc_ltv.taus.size, 1, 1)),
         P=np.tile(np.eye(5), (tictoc_ltv.taus.size, 1, 1)),
-        sweeps=1, fixed_point_gap=0.0)
+        sweeps=1, fixed_point_gap=0.0, multipliers=np.zeros(5))
     with pytest.raises(vp.ConvergenceError):
         vp.run_closed_loop(pvtol, tictoc_chart, destabilizing,
                            np.array([0.1, -0.5, 0.0]), np.zeros(3))
 
 
-def test_family_closed_loop(pvtol, family_pack):
-    gains = vp.periodic_lqr(family_pack["ltv"], max_sweeps=300)
-    _, eig = vp.monodromy(family_pack["ltv"], gains)
+def test_family_closed_loop(pvtol, family_pack, family_gains):
+    _, eig = vp.monodromy(family_pack["ltv"], family_gains)
     assert np.abs(eig).max() < 1.0
     traj, chart = family_pack["traj"], family_pack["chart"]
     q0, qd0 = traj.state_at(0.1)
     q0 = q0 + np.array([0.01, -0.01, 0.0])
-    res = vp.run_closed_loop(pvtol, chart, gains, q0, qd0, dt=0.002,
+    res = vp.run_closed_loop(pvtol, chart, family_gains, q0, qd0, dt=0.002,
                              horizon=18.0 * traj.period)
     start = np.linalg.norm(res.rho[0])
     end = np.linalg.norm(res.rho[-1])

@@ -84,13 +84,12 @@ def test_chart_invert_rejects_points_outside_tube(tictoc_chart):
         vp.chart_invert(tictoc_chart, 0.0, np.array([2.0, 0.0, 0.0, 0.0, 0.0]))
 
 
-def test_to_transverse_flags_inside(tictoc_chart):
+def test_chart_forward_flags_inside(tictoc_chart):
     q, qd, _ = vp.tic_toc_reference(0.3)
-    coords = vp.to_transverse(tictoc_chart, vp.PhaseState(q, qd))
-    assert coords.inside and np.abs(coords.rho).max() < 1e-12
-    far = vp.to_transverse(tictoc_chart, vp.PhaseState(np.array([0.1, -0.5, 0.0]),
-                                                       np.zeros(3)))
-    assert not far.inside
+    _, rho = tictoc_chart.forward(q, qd)
+    assert np.linalg.norm(rho) <= tictoc_chart.tube_radius and np.abs(rho).max() < 1e-12
+    _, far = tictoc_chart.forward(np.array([0.1, -0.5, 0.0]), np.zeros(3))
+    assert np.linalg.norm(far) > tictoc_chart.tube_radius
 
 
 def test_family_chart_on_orbit(family_pack):
@@ -194,12 +193,38 @@ def test_gramian_spectrum(tictoc_gramian):
 
 
 def test_periodic_lqr_converges(tictoc_gains):
-    assert tictoc_gains.sweeps <= 10
+    assert tictoc_gains.sweeps == 1
     assert tictoc_gains.fixed_point_gap < 1e-8
     for i in (0, 128, 400):
         P = tictoc_gains.P[i]
         assert np.abs(P - P.T).max() < 1e-9
         assert np.linalg.eigvalsh(P).min() > 0.0
+
+
+@pytest.mark.parametrize("orbit", ["tictoc", "family"])
+def test_riccati_multipliers_match_closed_loop_monodromy(request, orbit):
+    # The stable block of the Hamiltonian period map predicts the closed-loop
+    # Floquet multipliers; the monodromy of A + B K computes them independently.
+    if orbit == "tictoc":
+        ltv = request.getfixturevalue("tictoc_ltv")
+    else:
+        ltv = request.getfixturevalue("family_pack")["ltv"]
+    gains = request.getfixturevalue(f"{orbit}_gains")
+    _, eig = vp.monodromy(ltv, gains)
+    assert gains.multipliers.shape == (5,)
+    assert np.abs(np.sort(np.abs(gains.multipliers)) - np.sort(np.abs(eig))).max() < 1e-6
+
+
+@pytest.mark.parametrize("A", ["tictoc", "saddle"])
+def test_periodic_lqr_rejects_unstabilizable_model(tictoc_ltv, A):
+    # With B = 0 the tic-toc A keeps its multipliers on and outside the unit
+    # circle; the constant saddle has a stable subspace that is no graph over x.
+    A = tictoc_ltv.A if A == "tictoc" else np.tile(np.diag([0.1, -0.1, -0.2, -0.3, -0.4]),
+                                                   (tictoc_ltv.taus.size, 1, 1))
+    model = vp.LtvModel(taus=tictoc_ltv.taus, A=A, B=np.zeros_like(tictoc_ltv.B),
+                        chart=None, f0_max=0.0)
+    with pytest.raises(vp.ConvergenceError):
+        vp.periodic_lqr(model)
 
 
 def test_riccati_residual_on_grid(tictoc_ltv, tictoc_gains):
