@@ -255,8 +255,8 @@ def _stabilize_objects(cfg: dict, out: Path) -> dict:
     write_csv(out / "ltv.csv",
               ["tau"] + [f"a{i}{j}" for i in range(1, 6) for j in range(1, 6)]
               + [f"b{i}{j}" for i in range(1, 6) for j in range(1, 3)],
-              [[ltv.taus[i], *ltv.A[i].ravel(), *ltv.B[i].ravel()]
-               for i in range(ltv.taus.size)])
+              np.column_stack([ltv.taus, ltv.A.reshape(ltv.taus.size, -1),
+                               ltv.B.reshape(ltv.taus.size, -1)]))
 
     W = gramian(ltv)
     w_eigs = np.linalg.eigvalsh(W)
@@ -269,7 +269,7 @@ def _stabilize_objects(cfg: dict, out: Path) -> dict:
                          max_sweeps=int(kcfg["max_sweeps"]))
     write_csv(out / "gains.csv",
               ["tau"] + [f"k{i}{j}" for i in range(1, 3) for j in range(1, 6)],
-              [[gains.taus[i], *gains.K[i].ravel()] for i in range(gains.taus.size)])
+              np.column_stack([gains.taus, gains.K.reshape(gains.taus.size, -1)]))
 
     _, eig_open = monodromy(ltv, None)
     _, eig_closed = monodromy(ltv, gains)
@@ -316,13 +316,11 @@ def _cmd_certify(cfg: dict, out: Path) -> None:
     write_json(out / "certificate.json", cert.to_json_dict())
 
     n_acc = int(cfg["certify"]["accessibility_samples"])
-    rows = []
-    for k in range(n_acc):
-        t = orbit.t0 + orbit.period * k / n_acc
-        q, qd = orbit.state_at(t)[:2]
-        rows.append([t, accessibility_det_closed_form(q, qd),
-                     accessibility_det_numeric(sys_, q, qd)])
-    write_csv(out / "accessibility.csv", ["t", "det_closed_form", "det_numeric"], rows)
+    ts = orbit.t0 + orbit.period * np.arange(n_acc) / n_acc
+    states = [orbit.state_at(t)[:2] for t in ts]
+    write_csv(out / "accessibility.csv", ["t", "det_closed_form", "det_numeric"],
+              np.column_stack([ts, [accessibility_det_closed_form(*s) for s in states],
+                               [accessibility_det_numeric(sys_, *s) for s in states]]))
     if not cert.verdict:
         raise ConditionCheckError(cert.message)
 
@@ -345,8 +343,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
     write_csv(out / "simulation.csv",
               ["t", "x", "z", "psi", "xdot", "zdot", "psidot", "u1", "u2",
                "tau", "rho1", "rho2", "rho3", "rho4", "rho5"],
-              [[res.t[k], *res.q[k], *res.qdot[k], *res.u[k], res.tau[k], *res.rho[k]]
-               for k in range(res.t.size)])
+              np.column_stack([res.t, res.q, res.qdot, res.u, res.tau, res.rho]))
     final_error = float(np.linalg.norm(res.rho[-1]))
     ctx["report_json"]["simulation"] = {
         "final_orbit_error": final_error,

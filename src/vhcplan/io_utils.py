@@ -6,29 +6,26 @@ artifacts round-trip exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 
-def format_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+CSV_BLOCK = 256   # rows formatted per write; bounds the text held in memory
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([format_float(v) for v in row])
+def write_csv(path: Path, header: Sequence[str], rows: ArrayLike) -> None:
+    """Write a float table, one row per line: "%.17g" values and CRLF ends, as csv writes."""
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block in np.split(table, range(CSV_BLOCK, len(table), CSV_BLOCK)):
+            fh.write("".join([line % tuple(row) for row in block.tolist()]))
 
 
 def _jsonable(obj):
@@ -36,15 +33,10 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return "nan" if math.isnan(x) else x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, float):
+        return "nan" if math.isnan(obj) else obj
     return obj
 
 

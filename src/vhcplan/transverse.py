@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.linalg import schur
+from scipy.linalg import expm, schur
 
 from .errors import ConditionCheckError, ConvergenceError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_reference
@@ -54,7 +53,7 @@ class PeriodicMatrixSpline:
         self._lo = float(taus[0])
         self._spline = CubicSpline(t_ext, v_ext, axis=0, bc_type="periodic")
 
-    def __call__(self, tau: float):
+    def __call__(self, tau: float | Array) -> Array:
         return self._spline(self._lo + (tau - self._lo) % TWO_PI)
 
 
@@ -332,11 +331,11 @@ class LtvModel:
     def __post_init__(self):
         self._ab = PeriodicMatrixSpline(self.taus, np.concatenate([self.A, self.B], axis=2))
 
-    def a_of(self, tau: float) -> Array:
-        return self._ab(tau)[:, :self.A.shape[2]]
+    def a_of(self, tau: float | Array) -> Array:
+        return self._ab(tau)[..., :self.A.shape[2]]
 
-    def b_of(self, tau: float) -> Array:
-        return self._ab(tau)[:, self.A.shape[2]:]
+    def b_of(self, tau: float | Array) -> Array:
+        return self._ab(tau)[..., self.A.shape[2]:]
 
 
 # Grid nodes whose stencils `linearize` evaluates in one batched call: 64
@@ -397,24 +396,61 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     return LtvModel(taus=taus, A=A, B=B, chart=chart, f0_max=f0_max)
 
 
-def gramian(model: LtvModel, tol: float = 1e-10) -> Array:
+# Longest Magnus step: at 2 pi/1024 the tic-toc P(0) is 5e-9 (relative) off the
+# spline's exact flow, 3e-10 at half the step, while the 512-knot spline itself
+# moves P(0) by 7e-8 against a 1024-knot one.
+MAGNUS_STEP = TWO_PI / 1024
+MAGNUS_BLOCK = 128              # Magnus steps per batched `expm` call
+_GAUSS = math.sqrt(3.0) / 6.0   # Gauss-Legendre nodes sit at 1/2 -+ _GAUSS of a step
+
+
+def _ordered_product(maps: Array) -> Array:
+    """maps[..., n-1, :, :] @ ... @ maps[..., 0, :, :] by pairwise batched matmuls."""
+    while (k := maps.shape[-3]) > 1:
+        pairs = maps[..., 1::2, :, :] @ maps[..., 0:k - k % 2:2, :, :]
+        maps = np.concatenate([pairs, maps[..., -1:, :, :]], axis=-3) if k % 2 else pairs
+    return maps[..., 0, :, :]
+
+
+def _interval_maps(coefficient: Callable[[Array], Array], t0: float, n_intervals: int) -> Array:
+    """Transition maps of Phi' = M(s) Phi across n equal intervals of one period from t0.
+
+    `coefficient` gives M at an array of phases. An interval takes the fewest
+    equal steps h <= MAGNUS_STEP, each the fourth-order Magnus map
+    exp(h/2 (M1 + M2) + sqrt(3)/12 h^2 [M2, M1]) of M at the step's Gauss
+    points (Blanes, Casas, Oteo & Ros, Phys. Rep. 2009).
+    """
+    sub = math.ceil(round(TWO_PI / (n_intervals * MAGNUS_STEP), 9))
+    h = TWO_PI / (n_intervals * sub)
+    per_block = max(1, MAGNUS_BLOCK // sub)
+    maps = []
+    for start in range(0, n_intervals, per_block):
+        k = min(per_block, n_intervals - start)
+        mid = t0 + h * (start * sub + np.arange(k * sub) + 0.5)
+        M1, M2 = coefficient(mid - _GAUSS * h), coefficient(mid + _GAUSS * h)
+        omega = 0.5 * h * (M1 + M2) + 0.5 * _GAUSS * h * h * (M2 @ M1 - M1 @ M2)
+        maps.append(_ordered_product(expm(omega).reshape(k, sub, *omega.shape[1:])))
+    maps = np.concatenate(maps)
+    if not np.all(np.isfinite(maps)):
+        raise ConvergenceError("interval maps of the periodic linear system are not finite")
+    return maps
+
+
+def gramian(model: LtvModel) -> Array:
     """Controllability Gramian over one period, anchored at phase 0.
 
-    W = integral of Phi(0,s) B(s) B(s)^T Phi(0,s)^T ds over [0, 2 pi], with
-    the inverse-transition factor propagated by Y' = -Y A(s).
+    W = integral of Phi(0,s) B B^T Phi(0,s)^T ds over [0, 2 pi] is M X^T at 2 pi for
+    [X M]' = [X M] [[-A, B B^T], [0, A^T]], X(0) = I, M(0) = 0: one period map of
+    the transposed block system (Van Loan, IEEE TAC 1978).
     """
     n = model.A.shape[1]
 
-    def rhs(s, y):
-        Y = y[:n * n].reshape(n, n)
-        YB = Y @ model.b_of(s)
-        return np.concatenate([(-Y @ model.a_of(s)).ravel(), (YB @ YB.T).ravel()])
+    def coefficient(s):
+        A, B = model.a_of(s), model.b_of(s)
+        return np.block([[-A.swapaxes(1, 2), np.zeros_like(A)], [B @ B.swapaxes(1, 2), A]])
 
-    y0 = np.concatenate([np.eye(n).ravel(), np.zeros(n * n)])
-    sol = solve_ivp(rhs, (0.0, TWO_PI), y0, method="RK45", rtol=tol, atol=tol)
-    if not sol.success:
-        raise ConvergenceError(f"Gramian integration failed: {sol.message}")
-    W = sol.y[n * n:, -1].reshape(n, n)
+    F = _ordered_product(_interval_maps(coefficient, 0.0, model.taus.size))
+    W = F[n:, :n].T @ F[:n, :n]
     return 0.5 * (W + W.T)
 
 
@@ -437,93 +473,67 @@ class GainSchedule:
     def __post_init__(self):
         self._k_spline = PeriodicMatrixSpline(self.taus, self.K)
 
-    def k_of(self, tau: float) -> Array:
+    def k_of(self, tau: float | Array) -> Array:
         return self._k_spline(tau)
 
 
-# A Riccati sweep has reached the periodic solution when max|P(0) - P(2 pi)| is
+# A backward sweep has reached the periodic solution when max|P(0) - P(2 pi)| is
 # below this fraction of max|P(0)| (about 500 on the family orbit, 20 on the tic-toc).
 RICCATI_GAP_RTOL = 1e-8
 
 
-def _period_map(coefficient: Callable[[float], Array], t0: float, tol: float) -> Array:
-    """Phi(t0 + 2 pi, t0) of the periodic linear system Phi' = M(s) Phi."""
-    n = coefficient(t0).shape[0]
-
-    def rhs(s, y):
-        return (coefficient(s) @ y.reshape(n, n)).ravel()
-
-    sol = solve_ivp(rhs, (t0, t0 + TWO_PI), np.eye(n).ravel(), method="RK45",
-                    rtol=tol, atol=tol)
-    Phi = sol.y[:, -1].reshape(n, n)
-    if not sol.success or not np.all(np.isfinite(Phi)):
-        raise ConvergenceError(f"period map integration failed: {sol.message}")
-    return Phi
-
-
 def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None,
-                 max_sweeps: int = 50, ode_tol: float = 1e-10) -> GainSchedule:
+                 max_sweeps: int = 50) -> GainSchedule:
     """Periodic LQR from the stable subspace of the Hamiltonian period map.
 
-    The period map of z' = [[A, -B R^{-1} B^T], [-Q, -A^T]] z has n eigenvalues
-    inside the unit circle when (A, B) is stabilizable; its ordered real Schur
-    form gives their invariant subspace [X; Y], and P(0) = Y X^{-1} is the
-    stabilizing periodic solution (Bittanti, Colaneri & De Nicolao 1991).
-    A backward sweep of P' = -(A^T P + P A - P B R^{-1} B^T P + Q) from P(0)
-    samples P and K on the grid; it is repeated from its own P(0), at most
-    `max_sweeps` times, until max|P(0) - P(2 pi)| < RICCATI_GAP_RTOL max|P(0)|.
+    The period map of z' = [[A, -B R^{-1} B^T], [-Q, -A^T]] z from the first
+    node has n eigenvalues inside the unit circle when (A, B) is stabilizable;
+    the ordered real Schur form gives their subspace [X; Y], and P = Y X^{-1}
+    (Bittanti, Colaneri & De Nicolao 1991). A sweep carries [X; Y] backward
+    through the interval maps, where it attracts, and reads P at each node of
+    the uniform grid; at most `max_sweeps` sweeps run until P(0) comes back
+    within RICCATI_GAP_RTOL.
     """
-    n = model.A.shape[1]
-    m = model.B.shape[2]
+    n, m = model.B.shape[1:]
     Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)
     R = np.eye(m) if R is None else np.asarray(R, dtype=float)
     Rinv = np.linalg.inv(R)
 
     def hamiltonian(s):
         A, B = model.a_of(s), model.b_of(s)
-        return np.block([[A, -B @ Rinv @ B.T], [-Q, -A.T]])
+        return np.block([[A, -B @ Rinv @ B.swapaxes(1, 2)],
+                         [np.broadcast_to(-Q, A.shape), -A.swapaxes(1, 2)]])
 
-    T, Z, n_stable = schur(_period_map(hamiltonian, 0.0, ode_tol), output="real", sort="iuc")
+    def graph(V):   # P = Y X^{-1}, symmetric at the solution
+        P = np.linalg.solve(V[..., :n, :].swapaxes(-1, -2), V[..., n:, :].swapaxes(-1, -2))
+        return 0.5 * (P + P.swapaxes(-1, -2))
+
+    maps = _interval_maps(hamiltonian, float(model.taus[0]), model.taus.size)
+    T, Z, n_stable = schur(_ordered_product(maps), output="real", sort="iuc")
     if n_stable != n:
         raise ConvergenceError(f"Hamiltonian period map has {n_stable} stable multipliers, "
                                f"not {n}: (A, B) is not stabilizable or (Q, A) not detectable")
-    X, Y = Z[:n, :n], Z[n:, :n]
-    cond = np.linalg.cond(X)
+    cond = np.linalg.cond(Z[:n, :n])
     if not cond <= 1e12:
         raise ConvergenceError(f"stable subspace of the Hamiltonian period map is not a graph "
                                f"over the state (cond X = {cond:.3e})")
-    P_term = np.linalg.solve(X.T, Y.T)   # = (Y X^{-1})^T; symmetric at the solution
-    P_term = 0.5 * (P_term + P_term.T)
-
-    def rhs(s, p):
-        P = p.reshape(n, n)
-        P = 0.5 * (P + P.T)
-        A, B = model.a_of(s), model.b_of(s)
-        dP = -(A.T @ P + P @ A - P @ B @ Rinv @ B.T @ P + Q)
-        return dP.ravel()
-
-    gap = math.inf
+    V, nodes = Z[:, :n], np.empty((model.taus.size, 2 * n, n))
+    P_end, gap = graph(V), math.inf
     for sweep in range(1, max_sweeps + 1):
-        sol = solve_ivp(rhs, (TWO_PI, 0.0), P_term.ravel(), method="RK45",
-                        rtol=ode_tol, atol=ode_tol, dense_output=True)
-        if not sol.success:
-            raise ConvergenceError(f"Riccati sweep failed: {sol.message}")
-        P0 = sol.y[:, -1].reshape(n, n)
-        P0 = 0.5 * (P0 + P0.T)
-        gap = float(np.max(np.abs(P0 - P_term)) / np.max(np.abs(P0)))
+        for i in reversed(range(model.taus.size)):
+            V = nodes[i] = np.linalg.qr(np.linalg.solve(maps[i], V))[0]
+        P = graph(nodes)
+        gap = float(np.max(np.abs(P[0] - P_end)) / np.max(np.abs(P[0])))
         if gap < RICCATI_GAP_RTOL:
-            P = sol.sol(model.taus % TWO_PI).T.reshape(-1, n, n)
-            P = 0.5 * (P + P.transpose(0, 2, 1))
             K = -Rinv @ model.B.transpose(0, 2, 1) @ P
             return GainSchedule(taus=model.taus, K=K, P=P, sweeps=sweep, fixed_point_gap=gap,
                                 multipliers=np.linalg.eigvals(T[:n, :n]))
-        P_term = P0
+        P_end = P[0]
     raise ConvergenceError(f"periodic Riccati did not reach a fixed point in {max_sweeps} sweeps "
                            f"(relative gap {gap:.3e})")
 
 
-def monodromy(model: LtvModel, gains: GainSchedule | None = None,
-              t0: float = 0.0, tol: float = 1e-10):
+def monodromy(model: LtvModel, gains: GainSchedule | None = None, t0: float = 0.0):
     """Period map of the (closed-loop) transverse linearization from phase t0.
 
     Returns (F, eigenvalues); gains=None gives the open-loop map.
@@ -533,5 +543,5 @@ def monodromy(model: LtvModel, gains: GainSchedule | None = None,
         A = model.a_of(s)
         return A if gains is None else A + model.b_of(s) @ gains.k_of(s)
 
-    F = _period_map(closed_loop, t0, tol)
+    F = _ordered_product(_interval_maps(closed_loop, t0, model.taus.size))
     return F, np.linalg.eigvals(F)

@@ -88,6 +88,20 @@ def test_reduced_model_batch(which, tictoc_model, family_pack, thetas):
     assert _close(batched, np.column_stack([model.coefficients(th) for th in thetas]))
 
 
+@pytest.mark.parametrize("which", ["tictoc", "family"])
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda k: _batch(k, None, -10.0, 10.0)))
+def test_periodic_spline_batch(which, tictoc_ltv, tictoc_gains, family_pack, family_gains,
+                               taus):
+    ltv, gains = ((tictoc_ltv, tictoc_gains) if which == "tictoc"
+                  else (family_pack["ltv"], family_gains))
+    n, m = ltv.B.shape[1:]
+    for evaluate, shape in ((ltv.a_of, (n, n)), (ltv.b_of, (n, m)), (gains.k_of, (m, n))):
+        batched = evaluate(taus)
+        assert batched.shape == (taus.size,) + shape
+        assert _close(batched, [evaluate(float(t)) for t in taus])
+
+
 def _special_times(per):
     """Times in the series bridge, at the mirror point, in the mirrored half and across wraps."""
     base = per.base

@@ -25,6 +25,31 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def _csv_module_writer(path, header, rows):
+    """The csv-module writer `write_csv` replaces: one formatted row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(header))
+        for row in rows:
+            writer.writerow(["nan" if math.isnan(v) else f"{v:.17g}" for v in map(float, row)])
+
+
+def test_write_csv_matches_csv_module(tmp_path):
+    from vhcplan.io_utils import CSV_BLOCK, write_csv
+
+    special = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300,
+               5e-324, 3.0, -42.0, 1e16, 2.0 ** 60, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(5)
+    shape = (CSV_BLOCK + 37, len(special))
+    table = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, shape)
+    table[[0, CSV_BLOCK, CSV_BLOCK + 36]] = special
+    header = [f"c{i}" for i in range(len(special))]
+    for rows in (table, table[:0], table.tolist()):
+        write_csv(tmp_path / "new.csv", header, rows)
+        _csv_module_writer(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_plan_artifacts(tmp_path):
     out = tmp_path / "plan"
     proc = run_cli("plan", "--out", str(out))

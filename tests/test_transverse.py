@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import schur
 
 import vhcplan as vp
 
@@ -282,3 +283,83 @@ def test_family_gramian_nonsingular(family_pack):
     W = vp.gramian(family_pack["ltv"])
     assert np.abs(W - W.T).max() < 1e-10
     assert np.linalg.eigvalsh(W).min() > 1e-6
+
+
+# -- the Magnus interval maps against an independent RK45 oracle --------------
+
+
+def _rk45_period_map(coefficient, t0, n):
+    """Phi(t0 + 2 pi, t0) of Phi' = M(s) Phi by adaptive RK45 at tolerance 1e-12."""
+    sol = solve_ivp(lambda s, y: (coefficient(s) @ y.reshape(n, n)).ravel(),
+                    (t0, t0 + 2.0 * math.pi), np.eye(n).ravel(), rtol=1e-12, atol=1e-12)
+    assert sol.success
+    return sol.y[:, -1].reshape(n, n)
+
+
+def _rk45_riccati_p0(ltv):
+    """P at the first grid node from the stable Schur subspace of the RK45 Hamiltonian map."""
+    def hamiltonian(s):
+        A, B = ltv.a_of(s), ltv.b_of(s)
+        return np.block([[A, -B @ B.T], [-np.eye(5), -A.T]])
+
+    _, Z, _ = schur(_rk45_period_map(hamiltonian, float(ltv.taus[0]), 10), output="real",
+                    sort="iuc")
+    P = np.linalg.solve(Z[:5, :5].T, Z[5:, :5].T)
+    return 0.5 * (P + P.T)
+
+
+def _rk45_gramian(ltv):
+    def rhs(s, y):
+        Y = y[:25].reshape(5, 5)
+        YB = Y @ ltv.b_of(s)
+        return np.concatenate([(-Y @ ltv.a_of(s)).ravel(), (YB @ YB.T).ravel()])
+
+    sol = solve_ivp(rhs, (0.0, 2.0 * math.pi), np.concatenate([np.eye(5).ravel(), np.zeros(25)]),
+                    rtol=1e-12, atol=1e-12)
+    assert sol.success
+    return sol.y[25:, -1].reshape(5, 5)
+
+
+def _relative(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.fixture(scope="module", params=["tictoc", "family"])
+def orbit_reference(request):
+    """LTV model, gains and RK45 references of P(0), the Gramian and the closed-loop map."""
+    if request.param == "tictoc":
+        ltv = request.getfixturevalue("tictoc_ltv")
+    else:
+        ltv = request.getfixturevalue("family_pack")["ltv"]
+    gains = request.getfixturevalue(f"{request.param}_gains")
+    closed = _rk45_period_map(lambda s: ltv.a_of(s) + ltv.b_of(s) @ gains.k_of(s), 0.0, 5)
+    return {"ltv": ltv, "gains": gains, "P0": _rk45_riccati_p0(ltv),
+            "W": _rk45_gramian(ltv), "F": closed}
+
+
+def test_interval_maps_match_rk45(orbit_reference):
+    ltv, gains = orbit_reference["ltv"], orbit_reference["gains"]
+    assert _relative(gains.P[0], orbit_reference["P0"]) < 1e-7
+    assert _relative(vp.gramian(ltv), orbit_reference["W"]) < 1e-7
+    assert _relative(vp.monodromy(ltv, gains)[0], orbit_reference["F"]) < 1e-7
+    assert gains.sweeps == 1 and gains.fixed_point_gap < 1e-10
+
+
+def test_interval_maps_fourth_order(tictoc_ltv, monkeypatch):
+    # Halving the step must cut the P(0) error at least 8-fold; a clean
+    # fourth-order method cuts it 16-fold.
+    reference = _rk45_riccati_p0(tictoc_ltv)
+    errors = []
+    for step in (vp.transverse.MAGNUS_STEP, 0.5 * vp.transverse.MAGNUS_STEP):
+        monkeypatch.setattr(vp.transverse, "MAGNUS_STEP", step)
+        errors.append(_relative(vp.periodic_lqr(tictoc_ltv).P[0], reference))
+    assert errors[1] * 8.0 <= errors[0]
+
+
+def test_monodromy_off_knot_start(orbit_reference):
+    # From t0 = 1.0 the steps straddle the spline knots; the multipliers of a
+    # period map do not depend on where the period starts.
+    ltv, gains = orbit_reference["ltv"], orbit_reference["gains"]
+    _, eig_knot = vp.monodromy(ltv, gains, t0=0.0)
+    _, eig_off = vp.monodromy(ltv, gains, t0=1.0)
+    assert np.abs(np.sort(np.abs(eig_knot)) - np.sort(np.abs(eig_off))).max() < 1e-8
