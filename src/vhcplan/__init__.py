@@ -23,8 +23,6 @@ from .feasibility import (
     SingularPass,
     accessibility_det_closed_form,
     accessibility_det_numeric,
-    candidate_dh,
-    candidate_h,
     certify_no_regular_vhc,
     theorem2_scan,
 )
@@ -38,7 +36,7 @@ from .mech import (
     tic_toc_orbit,
     tic_toc_reference,
 )
-from .sim import SimulationResult, orbit_error, run_closed_loop
+from .sim import SimulationResult, run_closed_loop
 from .singular_solver import (
     PeriodicScalarSolution,
     PeriodicTrajectory,
@@ -72,7 +70,6 @@ from .vhc import (
     family_vhc,
     find_family_parameters,
     reduce,
-    reduced_coefficients,
     tic_toc_vhc,
 )
 
@@ -105,8 +102,6 @@ __all__ = [
     "VhcplanError",
     "accessibility_det_closed_form",
     "accessibility_det_numeric",
-    "candidate_dh",
-    "candidate_h",
     "certify_no_regular_vhc",
     "chart_invert",
     "check_theorem1",
@@ -122,11 +117,9 @@ __all__ = [
     "linearize",
     "make_periodic",
     "monodromy",
-    "orbit_error",
     "periodic_lqr",
     "pvtol_model",
     "reduce",
-    "reduced_coefficients",
     "run_closed_loop",
     "singular_acceleration",
     "solve_boundary",

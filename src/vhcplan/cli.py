@@ -334,12 +334,12 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
     ctx = _stabilize_objects(cfg, out)
     mcfg = cfg["simulate"]
     horizon = float(mcfg["periods"]) * ctx["traj"].period
-    res = run_closed_loop(ctx["sys"], ctx["chart"], ctx["gains"],
+    res = run_closed_loop(ctx["sys"], ctx["chart"],
+                          None if mcfg["open_loop"] else ctx["gains"],
                           np.asarray(mcfg["q0"], dtype=float),
                           np.asarray(mcfg["qd0"], dtype=float),
                           dt=float(mcfg["dt"]), horizon=horizon,
-                          stage_feedback=bool(mcfg["stage_feedback"]),
-                          open_loop=bool(mcfg["open_loop"]))
+                          stage_feedback=bool(mcfg["stage_feedback"]))
     write_csv(out / "simulation.csv",
               ["t", "x", "z", "psi", "xdot", "zdot", "psidot", "u1", "u2",
                "tau", "rho1", "rho2", "rho3", "rho4", "rho5"],

@@ -27,18 +27,6 @@ SPEED_TOL = 1e-8
 GRAVITY_TOL = 1e-8
 
 
-def candidate_h(q: Array) -> Array:
-    """Constraint candidate vanishing on the tic-toc motion: (z + x^2/2, psi - pi/2 + arctan 2x)."""
-    x, z, psi = q
-    return np.array([z + 0.5 * x * x, psi - 0.5 * np.pi + np.arctan(2.0 * x)])
-
-
-def candidate_dh(q: Array) -> Array:
-    """Jacobian of candidate_h; full rank everywhere."""
-    x = q[0]
-    return np.array([[x, 1.0, 0.0], [2.0 / (1.0 + 4.0 * x * x), 0.0, 1.0]])
-
-
 @dataclass(frozen=True)
 class SingularPass:
     """Trajectory point where the unactuated momentum B_perp M qdot crosses zero."""

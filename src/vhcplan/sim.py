@@ -32,19 +32,13 @@ class SimulationResult:
     metadata: dict
 
 
-def orbit_error(chart, q: Array, qd: Array) -> float:
-    """Norm of the transverse coordinates at a phase-space point."""
-    _, rho = chart.forward(q, qd)
-    return float(np.linalg.norm(rho))
-
-
 def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
                     q0: Array, qd0: Array, dt: float = 0.01,
-                    horizon: float = 6.0 * math.pi, stage_feedback: bool = True,
-                    open_loop: bool = False) -> SimulationResult:
+                    horizon: float = 6.0 * math.pi,
+                    stage_feedback: bool = True) -> SimulationResult:
     """Simulate from (q0, qd0) for `horizon` seconds under the scheduled feedback.
 
-    gains=None or open_loop=True applies the reference input u*(tau) alone.
+    gains=None applies the reference input u*(tau) alone (open loop).
     Raises ConvergenceError if the state norm exceeds 1e6 (divergence guard).
     """
     q0 = np.asarray(q0, dtype=float)
@@ -54,7 +48,7 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
 
     def feedback(tau: float, rho: Array) -> Array:
         u = chart.reference_input(tau)
-        if gains is not None and not open_loop:
+        if gains is not None:
             u = u + gains.k_of(tau) @ rho
         return u
 
@@ -102,5 +96,5 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
 
     return SimulationResult(t=ts, q=qs, qdot=qds, u=us, tau=taus, rho=rhos, dt=dt,
                             metadata={"stage_feedback": stage_feedback,
-                                      "open_loop": bool(open_loop or gains is None),
+                                      "open_loop": gains is None,
                                       "horizon": float(horizon)})

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import expm, schur
 
 from .errors import ConditionCheckError, ConvergenceError, OutsideTubeError
@@ -64,6 +64,9 @@ class TicTocChart:
     shape (5,)) or a batch along one leading axis (shapes (k, 3), (k,) and
     (k, 5)). Unpacking `q.T` and packing `np.array([...]).T` handle both with
     one code path, and keep a single point on numpy scalars, which is cheap.
+
+    `invert_guess(tau, rho)` is the exact inverse of `forward` inside the
+    tube; `chart_invert` relies on that and only checks the residual.
     """
 
     def __init__(self, tube_radius: float = 1.0):
@@ -107,10 +110,6 @@ class TicTocChart:
         J[..., 5, 3] = xd / r
         return J
 
-    def reference(self, tau):
-        q, qd, _ = tic_toc_reference(tau)
-        return q, qd
-
     def reference_input(self, tau) -> Array:
         return tic_toc_reference(tau)[2]
 
@@ -133,7 +132,12 @@ class FamilyChart:
     and angular rate so it is near-circular; theta is read off the thrust
     angle, theta_hat = (psi - psi_s)/k2, and the remaining coordinates are the
     constraint errors x - phi1(theta_hat), z - phi2(theta_hat) and their rates.
-    Methods accept a single point or a batch, as those of `TicTocChart`.
+    The radial coordinate is measured from r*(tau), the orbit's radius at its
+    phase: the time of a phase comes from one cubic Hermite interpolant of t
+    over the phase samples of construction, and r* and dr*/dtau are evaluated
+    exactly on the orbit at that time. Methods accept a single point or a
+    batch, and `invert_guess` is the exact inverse of `forward`, as for
+    `TicTocChart`.
     """
 
     def __init__(self, traj: PeriodicTrajectory, params: FamilyParameters,
@@ -146,45 +150,38 @@ class FamilyChart:
         scalar = traj.scalar
         self.omega = TWO_PI / scalar.period
         ts = scalar.t0 + scalar.period * np.arange(n_grid + 1) / n_grid
-        thetas, dthetas, _ = scalar.eval(ts)
+        thetas, dthetas, ddthetas = scalar.eval(ts)
         self.theta_scale = float(np.max(np.abs(thetas)))
-        p = thetas / self.theta_scale
-        v = dthetas / (self.omega * self.theta_scale)
+        p, v = self._pv(thetas, dthetas)
         tau_raw = np.unwrap(np.arctan2(p, v))
         if np.any(np.diff(tau_raw) <= 0.0):
             raise ConditionCheckError("phase is not monotone along the family orbit")
         if abs((tau_raw[-1] - tau_raw[0]) - TWO_PI) > 1e-6:
             raise ConditionCheckError("phase winding along the family orbit is not one turn")
-        self._t_grid = ts
-        self._tau_grid = tau_raw
+        # t over the unwrapped phase, with the exact slope dt/dtau = 1/taudot.
+        _, taudot, _ = self._phase_rates(thetas, dthetas, ddthetas)
+        self._tau_lo = float(tau_raw[0])
+        self._time = CubicHermiteSpline(tau_raw, ts, 1.0 / taudot)
 
     # -- reduced-plane helpers ------------------------------------------------
 
     def _pv(self, theta, dtheta):
         return theta / self.theta_scale, dtheta / (self.omega * self.theta_scale)
 
+    def _phase_rates(self, theta, dtheta, ddtheta):
+        """Radius r in the scaled reduced plane and the rates taudot, rdot along the orbit."""
+        p, v = self._pv(theta, dtheta)
+        r = np.hypot(p, v)
+        pdot = dtheta / self.theta_scale
+        vdot = ddtheta / (self.omega * self.theta_scale)
+        return r, (v * pdot - p * vdot) / (r * r), (p * pdot + v * vdot) / r
+
     def _time_of_phase(self, tau):
-        y = self._tau_grid[0] + (tau - self._tau_grid[0]) % TWO_PI
-        t = np.interp(y, self._tau_grid, self._t_grid)
-        scalar = self.traj.scalar
-        for _ in range(3):
-            th, dth, ddth = scalar.eval(t)
-            p, v = self._pv(th, dth)
-            err = wrap_angle(np.arctan2(p, v) - y)
-            rate = (v * dth / self.theta_scale - p * ddth / (self.omega * self.theta_scale)) / (p * p + v * v)
-            t = t - err / rate
-        return t
+        return self._time(self._tau_lo + (tau - self._tau_lo) % TWO_PI)
 
     def _orbit_radial(self, tau):
         """r*(tau) and dr*/dtau on the orbit."""
-        t = self._time_of_phase(tau)
-        th, dth, ddth = self.traj.scalar.eval(t)
-        p, v = self._pv(th, dth)
-        r = np.hypot(p, v)
-        pdot = dth / self.theta_scale
-        vdot = ddth / (self.omega * self.theta_scale)
-        taudot = (v * pdot - p * vdot) / (r * r)
-        rdot = (p * pdot + v * vdot) / r
+        r, taudot, rdot = self._phase_rates(*self.traj.scalar.eval(self._time_of_phase(tau)))
         return r, rdot / taudot
 
     # -- chart interface ------------------------------------------------------
@@ -241,10 +238,6 @@ class FamilyChart:
         J[..., 5, 5] = (v / r) * cv + dr_star * (p / D) * cv
         return J
 
-    def reference(self, tau):
-        t = self._time_of_phase(tau)
-        return self.traj.state_at(t)
-
     def reference_input(self, tau) -> Array:
         t = self._time_of_phase(tau)
         return self.traj.full_state_at(t)[3]
@@ -268,52 +261,27 @@ class FamilyChart:
         return np.array([x, z, psi]).T, np.array([xd, zd, psid]).T
 
 
-def chart_invert(chart, tau, rho: Array, tol: float = 1e-12, max_iter: int = 50):
-    """Phase-space point with the given chart coordinates (damped Newton).
+def chart_invert(chart, tau, rho: Array, tol: float = 1e-12):
+    """Phase-space point with the given chart coordinates.
 
     Takes a scalar tau with rho of shape (5,), or a batch: rho of shape
-    (k, 5) with tau of shape (k,) or one tau for all. Seeded with the chart's
-    closed-form inverse; each point iterates on its six defining equations,
-    halving its own step until its residual drops, until its forward-map
-    residual is below `tol`. Raises OutsideTubeError if any rho leaves the
-    tube or any point stalls.
+    (k, 5) with tau of shape (k,) or one tau for all. The point is the
+    chart's exact inverse `invert_guess`, checked by one forward map. Raises
+    OutsideTubeError if any rho leaves the tube or any point's forward-map
+    residual is not below `tol`.
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(np.linalg.norm(rho, axis=-1) > chart.tube_radius):
         raise OutsideTubeError(f"requested rho leaves the chart tube (radius {chart.tube_radius})")
-    single = rho.ndim == 1
-    tau = wrap_angle(np.broadcast_to(np.asarray(tau, dtype=float), rho.shape[:-1])).reshape(-1)
-    rho = rho.reshape(-1, rho.shape[-1])
+    tau = wrap_angle(np.broadcast_to(np.asarray(tau, dtype=float), rho.shape[:-1]))
     q, qd = chart.invert_guess(tau, rho)
-
-    def residual(q, qd, idx):
-        tau_c, rho_c = chart.forward(q, qd)
-        return np.column_stack([wrap_angle(tau_c - tau[idx]), rho_c - rho[idx]])
-
-    F = residual(q, qd, slice(None))
-    norm = np.max(np.abs(F), axis=1)
-    for _ in range(max_iter):
-        todo = np.flatnonzero(norm >= tol)
-        if todo.size == 0:
-            break
-        step = np.linalg.solve(chart.jacobian(q[todo], qd[todo]), -F[todo][..., None])[..., 0]
-        lam = 1.0
-        while todo.size and lam >= 1.0 / 64.0:
-            q_t = q[todo] + lam * step[:, :3]
-            qd_t = qd[todo] + lam * step[:, 3:]
-            F_t = residual(q_t, qd_t, todo)
-            norm_t = np.max(np.abs(F_t), axis=1)
-            better = norm_t < norm[todo]
-            accepted = todo[better]
-            q[accepted], qd[accepted], F[accepted], norm[accepted] = (
-                q_t[better], qd_t[better], F_t[better], norm_t[better])
-            todo, step = todo[~better], step[~better]
-            lam *= 0.5
-        if todo.size:
-            break
-    if np.all(norm < tol):
-        return (q[0], qd[0]) if single else (q, qd)
-    raise OutsideTubeError(f"chart inversion stalled at residual {norm.max():.3e}; point outside tube")
+    tau_b, rho_b = chart.forward(q, qd)
+    residual = max(float(np.max(np.abs(wrap_angle(tau_b - tau)))),
+                   float(np.max(np.abs(rho_b - rho))))
+    if not residual < tol:
+        raise OutsideTubeError(f"chart inverse misses its coordinates by {residual:.3e} "
+                               f"(tolerance {tol:.1e})")
+    return q, qd
 
 
 @dataclass

@@ -116,15 +116,6 @@ def _coefficients(sys: MechanicalSystem, vhc: ParametricVhc, theta) -> Array:
     return np.array([a, b, g])
 
 
-def reduced_coefficients(sys: MechanicalSystem, vhc: ParametricVhc, theta: float):
-    """Coefficients (alpha, beta, gamma) of the reduced dynamics at one theta."""
-    lo, hi = vhc.domain
-    if not lo <= theta <= hi:
-        raise DomainError(f"theta={theta} outside constraint domain {vhc.domain}")
-    a, b, g = _coefficients(sys, vhc, theta)
-    return a, b, g
-
-
 def reduce(sys: MechanicalSystem, vhc: ParametricVhc,
            interval: tuple[float, float] | None = None) -> ReducedModel:
     """Reduced model of `sys` under `vhc`, restricted to `interval` (default: vhc domain)."""

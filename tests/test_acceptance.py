@@ -33,10 +33,10 @@ def test_acceptance_01_reference_solves_dynamics(pvtol):
 
 def test_acceptance_02_reduced_coefficient_ratios(pvtol):
     start = time.perf_counter()
-    vhc = vp.tic_toc_vhc()
+    model = vp.reduce(pvtol, vp.tic_toc_vhc())
     worst_a = worst_b = 0.0
     for th in np.linspace(-1.5, 1.5, 601):
-        a, b, g = vp.reduced_coefficients(pvtol, vhc, float(th))
+        a, b, g = model.coefficients(float(th))
         worst_a = max(worst_a, abs(a / g - th))
         worst_b = max(worst_b, abs(b / g + 1.0))
     elapsed = time.perf_counter() - start

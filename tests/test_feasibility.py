@@ -7,25 +7,32 @@ import pytest
 import vhcplan as vp
 
 
-def test_candidate_constraint_vanishes_on_orbit():
+# The constraint candidate h(q) = (z + x^2/2, psi - pi/2 + arctan 2x) is rho0 and
+# rho1 of the tic-toc chart; dh(q) qdot is rho2 and rho3, and dh(q) is rows 1-2,
+# columns 0-2, of the chart Jacobian.
+
+
+def test_candidate_constraint_vanishes_on_orbit(tictoc_chart):
     for t in np.linspace(-math.pi, math.pi, 100):
         q, qd, _ = vp.tic_toc_reference(float(t))
-        h = vp.candidate_h(q)
-        assert np.abs(h).max() < 1e-13
+        _, rho = tictoc_chart.forward(q, qd)
+        assert np.abs(rho[:2]).max() < 1e-13
         # The velocity stays tangent: dh(q) qdot = 0.
-        assert np.abs(vp.candidate_dh(q) @ qd).max() < 1e-13
+        assert np.abs(rho[2:4]).max() < 1e-13
 
 
-def test_candidate_jacobian_matches_finite_differences():
+def test_candidate_jacobian_matches_finite_differences(tictoc_chart):
     rng = np.random.default_rng(2)
     for _ in range(10):
         q = rng.uniform(-1.5, 1.5, 3)
-        J = vp.candidate_dh(q)
+        qd = rng.uniform(-1.5, 1.5, 3)
+        J = tictoc_chart.jacobian(q, qd)[1:3, 0:3]
         h = 1e-7
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            fd = (vp.candidate_h(q + e) - vp.candidate_h(q - e)) / (2.0 * h)
+            fd = (tictoc_chart.forward(q + e, qd)[1][:2]
+                  - tictoc_chart.forward(q - e, qd)[1][:2]) / (2.0 * h)
             assert np.abs(J[:, j] - fd).max() < 1e-7
 
 

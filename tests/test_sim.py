@@ -7,7 +7,7 @@ import vhcplan as vp
 
 
 def test_orbit_error_at_perturbed_start(tictoc_chart):
-    err = vp.orbit_error(tictoc_chart, np.array([0.1, -0.5, 0.0]), np.zeros(3))
+    err = np.linalg.norm(tictoc_chart.forward(np.array([0.1, -0.5, 0.0]), np.zeros(3))[1])
     expected = math.sqrt(0.495 ** 2 + (0.5 * math.pi - math.atan(0.2)) ** 2 + 0.81)
     assert abs(err - expected) < 1e-12
 
@@ -46,10 +46,9 @@ def test_simulation_is_deterministic(pvtol, tictoc_chart, tictoc_gains):
     assert np.array_equal(a.rho, b.rho)
 
 
-def test_open_loop_does_not_converge(pvtol, tictoc_chart, tictoc_gains):
-    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains,
-                             np.array([0.1, -0.5, 0.0]), np.zeros(3),
-                             open_loop=True)
+def test_open_loop_does_not_converge(pvtol, tictoc_chart):
+    res = vp.run_closed_loop(pvtol, tictoc_chart, None,
+                             np.array([0.1, -0.5, 0.0]), np.zeros(3))
     assert np.linalg.norm(res.rho[-1]) > 1.0
     assert res.metadata["open_loop"] is True
 

@@ -135,12 +135,26 @@ def test_family_chart_jacobian(family_pack):
 
 
 def test_family_chart_reference_consistency(family_pack):
-    chart = family_pack["chart"]
+    # The orbit point of a phase, from the chart's inverse at rho = 0 and from
+    # the trajectory at the chart's time of that phase, is the same point.
+    chart, traj = family_pack["chart"], family_pack["traj"]
     for tau in np.linspace(-math.pi, math.pi, 9, endpoint=False):
-        q, qd = chart.reference(float(tau))
+        q, qd = chart.invert_guess(float(tau), np.zeros(5))
         tau_b, rho = chart.forward(q, qd)
         assert abs(vp.wrap_angle(tau_b - float(tau))) < 1e-9
         assert np.abs(rho).max() < 1e-9
+        q_t, qd_t = traj.state_at(chart._time_of_phase(float(tau)))
+        assert np.abs(np.concatenate([q - q_t, qd - qd_t])).max() < 1e-9
+
+
+def test_family_chart_time_of_phase(family_pack):
+    chart, traj = family_pack["chart"], family_pack["traj"]
+    crossings = np.array([c[0] for c in traj.scalar.crossings])
+    tau = np.concatenate([np.linspace(-math.pi, math.pi, 257),
+                          chart.forward(*traj.state_at(crossings))[0]])
+    tau_b, rho = chart.forward(*traj.state_at(chart._time_of_phase(tau)))
+    assert np.abs(vp.wrap_angle(tau_b - tau)).max() < 1e-11
+    assert np.abs(rho).max() < 1e-11
 
 
 def test_linearize_shapes_and_on_orbit_field(tictoc_ltv):

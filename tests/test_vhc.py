@@ -10,9 +10,9 @@ import vhcplan as vp
 def test_tictoc_coefficient_ratios(pvtol):
     # The tic-toc constraint reduces to theta thetaddot - thetadot^2 + 1 = 0,
     # i.e. alpha/gamma = theta and beta/gamma = -1.
-    vhc = vp.tic_toc_vhc()
+    model = vp.reduce(pvtol, vp.tic_toc_vhc())
     for th in np.linspace(-1.5, 1.5, 121):
-        a, b, g = vp.reduced_coefficients(pvtol, vhc, float(th))
+        a, b, g = model.coefficients(float(th))
         assert abs(a / g - th) < 1e-12
         assert abs(b / g + 1.0) < 1e-12
 
@@ -23,12 +23,6 @@ def test_tictoc_alpha_slope(pvtol, tictoc_model):
     slope = (alpha(h) - alpha(-h)) / (2.0 * h)
     assert abs(alpha(0.0)) < 1e-15
     assert abs(slope - 1.0) < 1e-9
-
-
-def test_reduced_coefficients_domain_guard(pvtol):
-    vhc = vp.tic_toc_vhc(domain=(-1.0, 1.0))
-    with pytest.raises(vp.DomainError):
-        vp.reduced_coefficients(pvtol, vhc, 1.5)
 
 
 def test_reduce_uses_vhc_domain_by_default(pvtol):
