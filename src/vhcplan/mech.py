@@ -16,6 +16,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .errors import ModelInvariantError
 from .numdiff import matvec
@@ -47,9 +48,11 @@ def eval_accel(sys: MechanicalSystem, q: Array, qdot: Array, u: Array) -> Array:
     """Solve M(q)q'' = B(q)u - C(q,q')q' - G(q) for the acceleration.
 
     A single point has q, qdot of shape (n,) and u of shape (n-1,); a batch of
-    k points has shapes (k, n) and (k, n-1). The mass matrix is checked to be
-    symmetric positive definite by one Cholesky factorization per call, or per
-    point when M(q) returns a stack of matrices.
+    k points has shapes (k, n) and (k, n-1). A Cholesky factorization rejects
+    a mass matrix that is not positive definite; it reads the lower triangle
+    only, as symmetry of M is the model's contract and is not checked. One M
+    for the whole call (a single point, or a constant M) takes one LAPACK posv
+    for every right-hand side; a stack of matrices is factorized per point.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
@@ -61,11 +64,16 @@ def eval_accel(sys: MechanicalSystem, q: Array, qdot: Array, u: Array) -> Array:
     if u.shape != q.shape[:-1] + (sys.n - 1,):
         raise ValueError(f"u must have shape {q.shape[:-1] + (sys.n - 1,)}")
     M = np.asarray(sys.mass_matrix(q), dtype=float)
+    rhs = matvec(sys.input_map(q), u) - matvec(sys.coriolis(q, qdot), qdot) - sys.gravity(q)
+    if M.ndim == 2:
+        _, qddot, info = dposv(M, rhs.T, lower=1)
+        if info != 0:
+            raise ModelInvariantError("mass matrix is not symmetric positive definite")
+        return qddot.T
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise ModelInvariantError("mass matrix is not symmetric positive definite") from exc
-    rhs = matvec(sys.input_map(q), u) - matvec(sys.coriolis(q, qdot), qdot) - sys.gravity(q)
     return np.linalg.solve(M, rhs[..., None])[..., 0]
 
 
@@ -158,8 +166,14 @@ def tic_toc_reference(t: float):
     s2 = 1.0 + 4.0 * st * st
     q = np.array([st, -0.5 * st * st, 0.5 * np.pi - np.arctan(2.0 * st)]).T
     qdot = np.array([ct, -st * ct, -2.0 * ct / s2]).T
-    u = np.array([st * np.sqrt(s2), (12.0 * st + 2.0 * np.sin(3.0 * t)) / (3.0 - 2.0 * np.cos(2.0 * t)) ** 2]).T
-    return q, qdot, u
+    return q, qdot, tic_toc_input(t)
+
+
+def tic_toc_input(t: float) -> Array:
+    """Reference input u of tic_toc_reference alone, without building q and qdot."""
+    st = np.sin(t)
+    u2 = (12.0 * st + 2.0 * np.sin(3.0 * t)) / (3.0 - 2.0 * np.cos(2.0 * t)) ** 2
+    return np.array([st * np.sqrt(1.0 + 4.0 * st * st), u2]).T
 
 
 def tic_toc_orbit() -> SimpleNamespace:
@@ -173,6 +187,4 @@ def tic_toc_orbit() -> SimpleNamespace:
 
 def tic_toc_acceleration(t: float) -> Array:
     """Analytic acceleration of the tic-toc reference (companion to tic_toc_reference)."""
-    st = np.sin(t)
-    u2 = (12.0 * st + 2.0 * np.sin(3.0 * t)) / (3.0 - 2.0 * np.cos(2.0 * t)) ** 2
-    return np.array([-st, -np.cos(2.0 * t), u2]).T
+    return np.array([-np.sin(t), -np.cos(2.0 * t), tic_toc_input(t).T[1]]).T

@@ -39,7 +39,8 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
     """Simulate from (q0, qd0) for `horizon` seconds under the scheduled feedback.
 
     gains=None applies the reference input u*(tau) alone (open loop).
-    Raises ConvergenceError if the state norm exceeds 1e6 (divergence guard).
+    Raises ConvergenceError when an entry of the state is not finite or its
+    magnitude exceeds 1e6 (divergence guard).
     """
     q0 = np.asarray(q0, dtype=float)
     qd0 = np.asarray(qd0, dtype=float)
@@ -52,14 +53,16 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
             u = u + gains.k_of(tau) @ rho
         return u
 
-    def control(y: Array) -> Array:
-        return feedback(*chart.forward(y[:n], y[n:]))
-
-    def deriv(y: Array, u: Array) -> Array:
+    def deriv(y: Array, u: Array | None = None) -> Array:
         q, qd = y[:n], y[n:]
-        return np.concatenate([qd, eval_accel(sys, q, qd, u)])
+        if u is None:
+            u = feedback(*chart.forward(q, qd))
+        dy = np.empty(2 * n)
+        dy[:n] = qd
+        dy[n:] = eval_accel(sys, q, qd, u)
+        return dy
 
-    ts = np.empty(n_steps + 1)
+    ts = dt * np.arange(n_steps + 1)
     qs = np.empty((n_steps + 1, n))
     qds = np.empty((n_steps + 1, n))
     us = np.empty((n_steps + 1, n - 1))
@@ -68,12 +71,10 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
 
     y = np.concatenate([q0, qd0])
     for k in range(n_steps + 1):
-        t = k * dt
-        if not np.all(np.isfinite(y)) or float(np.max(np.abs(y))) > 1e6:
-            raise ConvergenceError(f"simulation diverged at t = {t:.3f}")
+        if not np.abs(y).max() <= 1e6:
+            raise ConvergenceError(f"simulation diverged at t = {ts[k]:.3f}")
         tau_k, rho_k = chart.forward(y[:n], y[n:])
         u_hold = feedback(tau_k, rho_k)
-        ts[k] = t
         qs[k] = y[:n]
         qds[k] = y[n:]
         us[k] = u_hold
@@ -81,17 +82,11 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
         rhos[k] = rho_k
         if k == n_steps:
             break
-
-        def stage_u(y_stage: Array) -> Array:
-            return control(y_stage) if stage_feedback else u_hold
-
+        u_stage = None if stage_feedback else u_hold
         k1 = deriv(y, u_hold)
-        y2 = y + 0.5 * dt * k1
-        k2 = deriv(y2, stage_u(y2))
-        y3 = y + 0.5 * dt * k2
-        k3 = deriv(y3, stage_u(y3))
-        y4 = y + dt * k3
-        k4 = deriv(y4, stage_u(y4))
+        k2 = deriv(y + 0.5 * dt * k1, u_stage)
+        k3 = deriv(y + 0.5 * dt * k2, u_stage)
+        k4 = deriv(y + dt * k3, u_stage)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return SimulationResult(t=ts, q=qs, qdot=qds, u=us, tau=taus, rho=rhos, dt=dt,

@@ -21,6 +21,7 @@ controllability Gramian, the periodic LQR gain schedule and the monodromy
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,7 +30,7 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import expm, schur
 
 from .errors import ConditionCheckError, ConvergenceError, OutsideTubeError
-from .mech import MechanicalSystem, eval_accel, tic_toc_reference
+from .mech import MechanicalSystem, eval_accel, tic_toc_input
 from .numdiff import matvec
 from .singular_solver import PeriodicTrajectory
 from .vhc import FamilyParameters
@@ -45,16 +46,32 @@ def wrap_angle(a):
 
 
 class PeriodicMatrixSpline:
-    """Periodic cubic interpolation of array-valued samples on [-pi, pi)."""
+    """Periodic cubic interpolation of array-valued samples on [-pi, pi).
+
+    A scalar tau skips CubicSpline's per-call set-up: it repeats scipy's own
+    periodic wrap and interval search, then sums the stored cubic in scipy's
+    order, so the value is bit-identical to the array path.
+    """
 
     def __init__(self, taus: Array, values: Array):
         t_ext = np.append(taus, taus[0] + TWO_PI)
         v_ext = np.concatenate([values, values[:1]], axis=0)
         self._lo = float(taus[0])
         self._spline = CubicSpline(t_ext, v_ext, axis=0, bc_type="periodic")
+        self._knots = t_ext.tolist()
+        self._span = float(t_ext[-1] - t_ext[0])
+        c3, c2, c1, c0 = self._spline.c
+        self._coeffs = (0.0 + c0, c1, c2, c3)  # scipy's sum starts at 0.0 (-0.0 -> +0.0)
 
     def __call__(self, tau: float | Array) -> Array:
-        return self._spline(self._lo + (tau - self._lo) % TWO_PI)
+        t = self._lo + (tau - self._lo) % TWO_PI
+        if not isinstance(t, float):
+            return self._spline(t)
+        t = self._lo + (t - self._lo) % self._span
+        i = min(bisect_right(self._knots, t) - 1, len(self._knots) - 2)
+        d = t - self._knots[i]
+        c0, c1, c2, c3 = self._coeffs
+        return c0[i] + c1[i] * d + c2[i] * (d * d) + c3[i] * (d * d * d)
 
 
 class TicTocChart:
@@ -111,7 +128,7 @@ class TicTocChart:
         return J
 
     def reference_input(self, tau) -> Array:
-        return tic_toc_reference(tau)[2]
+        return tic_toc_input(tau)
 
     def invert_guess(self, tau, rho: Array):
         rho0, rho1, rho2, rho3, rho4 = rho.T

@@ -58,6 +58,37 @@ def test_family_chart_batch(family_pack, coords):
     _check_chart(family_pack["chart"], *coords)
 
 
+def coupled_model(coupling: float = 1.0) -> vp.MechanicalSystem:
+    """PVTOL inputs on the mass matrix [[2, c cos psi, 0], [c cos psi, 2, 0], [0, 0, 1]].
+
+    M depends on q, so a batch gets a stack of mass matrices (PVTOL's M is one
+    shared identity). C holds the Christoffel terms of this M. M is positive
+    definite for |c| < 2 and loses definiteness where |c cos psi| > 2.
+    """
+    pvtol = vp.pvtol_model()
+
+    def mass_matrix(q):
+        c = coupling * np.cos(q.T[2])
+        M = np.zeros(np.shape(c) + (3, 3))
+        M[..., 0, 0] = M[..., 1, 1] = 2.0
+        M[..., 0, 1] = M[..., 1, 0] = c
+        M[..., 2, 2] = 1.0
+        return M
+
+    def coriolis(q, qd):
+        s = -0.5 * coupling * np.sin(q.T[2])
+        xd, zd, psid = qd.T
+        C = np.zeros(np.shape(s) + (3, 3))
+        C[..., 0, 1] = C[..., 1, 0] = s * psid
+        C[..., 0, 2], C[..., 2, 0] = s * zd, -s * zd
+        C[..., 1, 2], C[..., 2, 1] = s * xd, -s * xd
+        return C
+
+    return vp.MechanicalSystem(n=3, mass_matrix=mass_matrix, coriolis=coriolis,
+                               gravity=pvtol.gravity, input_map=pvtol.input_map,
+                               annihilator=pvtol.annihilator, name="coupled")
+
+
 @SETTINGS
 @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
     _batch(k, 3, -2.0, 2.0), _batch(k, 3, -2.0, 2.0), _batch(k, 2, -3.0, 3.0))))
@@ -68,6 +99,31 @@ def test_model_batch(pvtol, points):
     u_b, res_b = vp.inverse_input(pvtol, q, qd, qdd + 0.1)
     singles = [vp.inverse_input(pvtol, *p) for p in zip(q, qd, qdd + 0.1)]
     assert _close(u_b, [s[0] for s in singles]) and _close(res_b, [s[1] for s in singles])
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    _batch(k, 3, -2.0, 2.0), _batch(k, 3, -2.0, 2.0), _batch(k, 2, -3.0, 3.0))))
+def test_stacked_mass_matrix_batch(points):
+    # A stack of mass matrices takes one factorization per point; a single
+    # point has one matrix and takes the posv route.
+    model = coupled_model()
+    q, qd, u = points
+    assert model.mass_matrix(q).shape == (q.shape[0], 3, 3)
+    qdd = vp.eval_accel(model, q, qd, u)
+    assert _close(qdd, [vp.eval_accel(model, *p) for p in zip(q, qd, u)])
+    for qi, qdi, ui, qddi in zip(q, qd, u, qdd):
+        force = model.mass_matrix(qi) @ qddi + model.coriolis(qi, qdi) @ qdi + model.gravity(qi)
+        assert np.abs(force - model.input_map(qi) @ ui).max() < 1e-12
+
+
+def test_model_batch_rejects_one_non_spd_mass_matrix():
+    model = coupled_model(coupling=3.0)
+    q = np.array([[0.0, 0.0, 0.5 * math.pi], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    u = np.zeros((3, 2))
+    vp.eval_accel(model, q[:2], np.zeros((2, 3)), u[:2])
+    with pytest.raises(vp.ModelInvariantError):
+        vp.eval_accel(model, q, np.zeros((3, 3)), u)
 
 
 @SETTINGS

@@ -73,6 +73,9 @@ def test_eval_accel_rejects_non_spd_mass():
     )
     with pytest.raises(vp.ModelInvariantError):
         vp.eval_accel(bad, np.zeros(2), np.zeros(2), np.zeros(1))
+    # One constant M for a whole batch is factorized once for every right-hand side.
+    with pytest.raises(vp.ModelInvariantError):
+        vp.eval_accel(bad, np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 1)))
 
 
 def test_eval_accel_rejects_invalid_phase_state(pvtol):

@@ -69,6 +69,14 @@ def test_divergence_guard(pvtol, tictoc_chart, tictoc_ltv):
     with pytest.raises(vp.ConvergenceError):
         vp.run_closed_loop(pvtol, tictoc_chart, destabilizing,
                            np.array([0.1, -0.5, 0.0]), np.zeros(3))
+    # A state that is not finite trips the guard before any model call.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(vp.ConvergenceError, match=r"t = 0\.000"):
+            vp.run_closed_loop(pvtol, tictoc_chart, destabilizing,
+                               np.array([0.1, bad, 0.0]), np.zeros(3))
+        with pytest.raises(vp.ConvergenceError, match=r"t = 0\.000"):
+            vp.run_closed_loop(pvtol, tictoc_chart, None, np.zeros(3),
+                               np.array([0.0, 0.0, bad]))
 
 
 def test_family_closed_loop(pvtol, family_pack, family_gains):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.linalg import schur
 
 import vhcplan as vp
@@ -24,6 +25,22 @@ def test_periodic_matrix_spline_wraps():
     for t in (-9.0, -2.0, 1.0, 4.0, 12.0):
         expected = spline(vp.wrap_angle(t))
         assert np.abs(spline(t) - expected).max() < 1e-12
+    # A scalar tau sums the stored cubic itself; it must equal scipy's own
+    # evaluation bit for bit, at every knot and across the wrap. One step below
+    # the first knot wraps to exactly the last knot, which scipy's own periodic
+    # wrap sends back to the first.
+    scipy_spline = CubicSpline(np.append(taus, math.pi), np.concatenate([vals, vals[:1]]),
+                               axis=0, bc_type="periodic")
+    rng = np.random.default_rng(4)
+    tests = np.concatenate([taus, taus + 2.0 * math.pi, taus - 2.0 * math.pi,
+                            [taus[0] - 1e-17, np.nextafter(taus[0], -np.inf), math.pi],
+                            rng.uniform(-10.0, 10.0, 200)])
+    for t in tests:
+        expected = scipy_spline(vp.wrap_angle(t))
+        assert expected.shape == (1, 2)
+        assert np.array_equal(spline(float(t)), expected)
+        assert np.array_equal(spline(t), expected)
+        assert np.array_equal(spline(np.array([t]))[0], expected)
 
 
 def test_tictoc_chart_on_orbit(tictoc_chart):
