@@ -41,7 +41,6 @@ from .singular_solver import (
     PeriodicScalarSolution,
     PeriodicTrajectory,
     ScalarSolution,
-    escape_singularity,
     lift,
     make_periodic,
     singular_acceleration,
@@ -105,7 +104,6 @@ __all__ = [
     "certify_no_regular_vhc",
     "chart_invert",
     "check_theorem1",
-    "escape_singularity",
     "eval_accel",
     "family_reduced",
     "family_vhc",

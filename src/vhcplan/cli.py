@@ -79,7 +79,7 @@ DEFAULTS: dict = {
         "theta_max": None,
     },
     "boundary": {"theta1": None, "dtheta1": 0.0, "theta2": None, "dtheta2": 0.0},
-    "solver": {"n_samples": 2001, "xi_cut": 1e-6, "tol": 1e-10, "t_max": 1000.0,
+    "solver": {"xi_cut": 1e-6, "tol": 1e-10, "t_max": 1000.0,
                "lift_samples": 4096},
     "check": {"n_grid": 2048},
     "certify": {"n_samples": 2048, "accessibility_samples": 64},
@@ -110,12 +110,15 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise UsageError(f"config key {full} expects an object")
             out[key] = _merge_config(out[key], value, full)
+        elif isinstance(value, dict):
+            raise UsageError(f"config key {full} takes a value, not an object")
         else:
             out[key] = value
     return out
 
 
-def _apply_override(cfg: dict, assignment: str) -> None:
+def _apply_override(cfg: dict, assignment: str) -> dict:
+    """cfg merged with one `--set key.path=value` (the value parsed as JSON if it can be)."""
     key, sep, raw = assignment.partition("=")
     if not sep or not key:
         raise UsageError(f"--set expects key.path=value, got {assignment!r}")
@@ -123,18 +126,9 @@ def _apply_override(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise UsageError(f"unknown config key: {key}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise UsageError(f"unknown config key: {key}")
-    if isinstance(node[leaf], dict):
-        raise UsageError(f"config key {key} is an object; set one of its fields")
-    node[leaf] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return _merge_config(cfg, value)
 
 
 def _load_config(args) -> dict:
@@ -151,7 +145,7 @@ def _load_config(args) -> dict:
             raise UsageError("config file must hold a JSON object")
         cfg = _merge_config(cfg, loaded)
     for assignment in args.set or []:
-        _apply_override(cfg, assignment)
+        cfg = _apply_override(cfg, assignment)
     if cfg["system"]["name"] != "pvtol":
         raise UsageError(f"unknown system: {cfg['system']['name']}")
     if cfg["vhc"]["kind"] not in ("tictoc", "family"):
@@ -214,9 +208,8 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
         th2 = float(bcfg["theta2"]) if bcfg["theta2"] is not None else 0.8 * tmax
     scfg = cfg["solver"]
     sol = solve_boundary(model, report, th1, float(bcfg["dtheta1"]), th2,
-                         float(bcfg["dtheta2"]), n_samples=int(scfg["n_samples"]),
-                         xi_cut=float(scfg["xi_cut"]), tol=float(scfg["tol"]),
-                         t_max=float(scfg["t_max"]))
+                         float(bcfg["dtheta2"]), xi_cut=float(scfg["xi_cut"]),
+                         tol=float(scfg["tol"]), t_max=float(scfg["t_max"]))
     per = make_periodic(sol)
     traj = lift(vhc, per, sys_, n_samples=int(scfg["lift_samples"]))
 

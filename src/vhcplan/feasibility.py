@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mech import MechanicalSystem, left_annihilator
-from .numdiff import bisect, matvec
+from .numdiff import grid_roots, matvec
 
 Array = np.ndarray
 
@@ -47,14 +47,15 @@ def _gravity_distance(sys: MechanicalSystem, q: Array) -> float:
     return float(np.linalg.norm(G - B @ coeff))
 
 
-def theorem2_scan(sys: MechanicalSystem, traj, n_samples: int = 2048,
-                  min_speed: float = 1e-8) -> list[SingularPass]:
+def theorem2_scan(sys: MechanicalSystem, traj, n_samples: int = 2048) -> list[SingularPass]:
     """Locate zero crossings of B_perp(q) M(q) qdot along a periodic trajectory.
 
     `traj` must expose `t0`, `period` and `state_at(t) -> (q, qdot, ...)`,
     where `state_at` also takes a 1-D array of times. The samples are one
-    array call; crossings are bisected to 1e-12 in time; points with speed
-    below `min_speed` (rest points) are excluded.
+    array call; the grid closes with the wrap sample (t0 + period, value at
+    t0), so a crossing in the last interval is found too; crossings are
+    bisected to 1e-12 in time; points with speed at most SPEED_TOL (rest
+    points) are excluded.
     """
     n_samples = max(int(n_samples), 512)
     t0, period = float(traj.t0), float(traj.period)
@@ -66,25 +67,16 @@ def theorem2_scan(sys: MechanicalSystem, traj, n_samples: int = 2048,
         return np.sum(left_annihilator(sys, q) * p, axis=-1), q, qdot
 
     values = momentum(times)[0]
-    following = np.roll(values, -1)
-    ends = np.append(times[1:], t0 + period)
-    roots = [float(t) for t in times[values == 0.0]]
-    for i in np.flatnonzero(values * following < 0.0):
-        roots.append(bisect(lambda t: float(momentum(t)[0]), float(times[i]), float(ends[i]),
-                            xtol=1e-12, fa=float(values[i]), fb=float(following[i])))
-
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > 1e-9:
-            merged.append(r)
-    if len(merged) >= 2 and (merged[0] + period) - merged[-1] <= 1e-9:
-        merged.pop()
+    roots = grid_roots(lambda t: float(momentum(t)[0]), np.append(times, t0 + period),
+                       np.append(values, values[0]), xtol=1e-12)
+    if len(roots) >= 2 and (roots[0] + period) - roots[-1] <= 1e-9:
+        roots.pop()   # the same crossing seen again one period later
 
     passes = []
-    for t_s in merged:
+    for t_s in roots:
         s, q, qdot = momentum(t_s)
         speed = float(np.linalg.norm(qdot))
-        if speed <= min_speed:
+        if speed <= SPEED_TOL:
             continue
         passes.append(SingularPass(
             time=t_s, q=q, qdot=qdot, annihilator_residual=abs(float(s)),

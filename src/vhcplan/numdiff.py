@@ -25,11 +25,14 @@ def central_derivative(f: Callable[[float], Array], x: float, h: float) -> Array
     return (4.0 * d2 - d1) / 3.0
 
 
-def bisect(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-13,
-           fa: float | None = None, fb: float | None = None) -> float:
-    """Bisection for a sign change of f on [a, b], to bracket width xtol."""
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
+def bisect(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+           xtol: float) -> float:
+    """Bisection for a sign change of f on [a, b], to bracket width xtol.
+
+    The end values fa = f(a), fb = f(b) come from the caller's samples and are
+    not evaluated again: at a rest point f can be about 0 with a sign that
+    differs between an array evaluation and a scalar one.
+    """
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -48,3 +51,22 @@ def bisect(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-13,
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def grid_roots(f: Callable[[float], float], grid: Array, values: Array,
+               xtol: float) -> list[float]:
+    """Sorted roots of f from its samples `values` on the increasing `grid`.
+
+    Grid points where a sample is exactly zero are roots; every sign change
+    between neighbouring samples is bisected to `xtol` from the sampled end
+    values; roots closer than 1e-9 merge into the first of them.
+    """
+    roots = [float(x) for x in grid[values == 0.0]]
+    for i in np.flatnonzero(values[:-1] * values[1:] < 0.0):
+        roots.append(bisect(f, float(grid[i]), float(grid[i + 1]),
+                            float(values[i]), float(values[i + 1]), xtol))
+    merged: list[float] = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > 1e-9:
+            merged.append(r)
+    return merged

@@ -18,6 +18,7 @@ above; endpoint conditions hold by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,42 +49,16 @@ def singular_acceleration(model: ReducedModel, report: SingularityReport) -> flo
     return float(-(dbeta * v2 + dgamma) / denom)
 
 
-def escape_singularity(model: ReducedModel, report: SingularityReport,
-                       direction: int, h: float):
-    """Second-order Taylor state (theta, theta') at t_s + direction*h.
-
-    The crossing position, velocity and acceleration are forced, so the local
-    expansion theta = theta_s +/- v_s h + a_s h^2 / 2 is branch-independent.
-    """
-    if direction not in (1, -1):
-        raise DomainError("direction must be +1 or -1")
-    if not 0.0 < h <= 1e-3:
-        raise DomainError("escape step must satisfy 0 < h <= 1e-3")
-    if not report.overall:
-        raise ConditionCheckError("escape requires a passing existence report")
-    v_s = report.v_s
-    a_s = singular_acceleration(model, report)
-    theta = report.theta_s + direction * v_s * h + 0.5 * a_s * h * h
-    dtheta = v_s + direction * a_s * h
-    return theta, dtheta
-
-
 @dataclass
 class ScalarSolution:
     """One boundary-to-boundary solution through the singular crossing (t_s = 0)."""
 
-    model: ReducedModel
-    report: SingularityReport
-    t_s: float
     t1: float
     t2: float
-    theta1: float
     dtheta1: float
-    theta2: float
     dtheta2: float
     v_s: float
     a_s: float
-    samples: Array  # columns t, theta, dtheta, ddtheta
     _eval: Callable[[float], tuple[float, float, float]] = field(repr=False)
 
     def eval(self, t):
@@ -100,7 +75,6 @@ class PeriodicScalarSolution:
     period: float
     # (time, crossing velocity, crossing acceleration) per crossing in one period
     crossings: tuple
-    samples: Array
 
     def eval(self, t):
         """(theta, theta', theta'') at any time t; arrays for an array of t."""
@@ -112,29 +86,16 @@ class PeriodicScalarSolution:
         return th, dth * (1.0 - 2.0 * mirrored), ddth   # theta' flips on the mirrored half
 
 
-def _reduced_rhs(model: ReducedModel):
-    def rhs(t, y):
-        th, dth = y
-        alpha, beta, gamma = model.coefficients(th)
-        return [dth, -(beta * dth * dth + gamma) / alpha]
-    return rhs
-
-
 def _series_offset(xi: float, v_s: float, a_s: float, inward: int) -> float:
     """Time to cover distance xi from the crossing along the series (inward=-1 left)."""
-    # Solve v_s d + inward * a_s d^2 / 2 = xi for d > 0 (Newton from the linear guess).
-    d = xi / v_s
-    for _ in range(4):
-        f = v_s * d + 0.5 * inward * a_s * d * d - xi
-        fp = v_s + inward * a_s * d
-        d -= f / fp
-    return d
+    # Root d > 0 of v_s d + inward * a_s d^2 / 2 = xi, in the cancellation-free form.
+    return 2.0 * xi / (v_s + math.sqrt(v_s * v_s + 2.0 * inward * a_s * xi))
 
 
 def solve_boundary(model: ReducedModel, report: SingularityReport,
                    theta1: float, dtheta1: float, theta2: float, dtheta2: float,
-                   n_samples: int = 2001, xi_cut: float = 1e-6,
-                   tol: float = 1e-10, t_max: float = 1e3) -> ScalarSolution:
+                   xi_cut: float = 1e-6, tol: float = 1e-10,
+                   t_max: float = 1e3) -> ScalarSolution:
     """Solution with theta(t1) = theta1, theta(t2) = theta2 crossing the singularity.
 
     Endpoint velocities dtheta1, dtheta2 >= 0 select the branch on each side;
@@ -157,7 +118,13 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
 
     v_s = report.v_s
     a_s = singular_acceleration(model, report)
-    rhs = _reduced_rhs(model)
+
+    def accel(th, dth):
+        alpha, beta, gamma = model.coefficients(th)
+        return -(beta * dth * dth + gamma) / alpha
+
+    def rhs(t, y):
+        return [y[1], accel(*y)]
 
     def cut_event(target):
         def event(t, y):
@@ -199,17 +166,12 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
     t1 = -(T_left + dt_left)
     t2 = dt_right + T_right
 
-    def quotient_accel(th, dth):
-        alpha, beta, gamma = model.coefficients(th)
-        return -(beta * dth * dth + gamma) / alpha
-
     # Quadratic through the crossing acceleration and the two safe edge values
     # avoids the 0/0 quotient inside the bridge window.
     edge_l = left.sol(T_left)
     edge_r = right.sol(-T_right)
     bridge_t = np.array([-dt_left, 0.0, dt_right])
-    bridge_a = np.array([quotient_accel(edge_l[0], edge_l[1]), a_s,
-                         quotient_accel(edge_r[0], edge_r[1])])
+    bridge_a = np.array([accel(*edge_l), a_s, accel(*edge_r)])
     bridge_poly = np.polyfit(bridge_t, bridge_a, 2)
 
     def bridge(t):
@@ -231,7 +193,7 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
                 th, dth = right.sol(max(t - t2, -T_right))
             else:
                 return bridge(t)
-            return th, dth, quotient_accel(th, dth)
+            return th, dth, accel(th, dth)
         th, dth, ddth = bridge(t)
         on_left = t < -dt_left
         on_right = t > dt_right
@@ -240,19 +202,11 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
         if on_right.any():
             th[on_right], dth[on_right] = right.sol(np.maximum(t[on_right] - t2, -T_right))
         on_ode = on_left | on_right
-        ddth[on_ode] = quotient_accel(th[on_ode], dth[on_ode])
+        ddth[on_ode] = accel(th[on_ode], dth[on_ode])
         return th, dth, ddth
 
-    times = np.linspace(t1, t2, int(n_samples))
-    if not np.any(np.abs(times) < 1e-12):
-        times = np.sort(np.append(times, 0.0))
-    samples = np.column_stack([times, *evaluate(times)])
-
-    return ScalarSolution(
-        model=model, report=report, t_s=0.0, t1=t1, t2=t2,
-        theta1=theta1, dtheta1=dtheta1, theta2=theta2, dtheta2=dtheta2,
-        v_s=v_s, a_s=a_s, samples=samples, _eval=evaluate,
-    )
+    return ScalarSolution(t1=t1, t2=t2, dtheta1=dtheta1, dtheta2=dtheta2,
+                          v_s=v_s, a_s=a_s, _eval=evaluate)
 
 
 def make_periodic(sol: ScalarSolution) -> PeriodicScalarSolution:
@@ -263,17 +217,9 @@ def make_periodic(sol: ScalarSolution) -> PeriodicScalarSolution:
     """
     if abs(sol.dtheta1) > 1e-8 or abs(sol.dtheta2) > 1e-8:
         raise ConditionCheckError("mirror concatenation requires rest endpoints (dtheta = 0)")
-    period = 2.0 * (sol.t2 - sol.t1)
-    base = sol.samples
-    mirror_t = 2.0 * sol.t2 - base[:-1, 0][::-1]
-    mirror = np.column_stack([mirror_t, base[:-1, 1][::-1],
-                              -base[:-1, 2][::-1], base[:-1, 3][::-1]])
-    keep = mirror[:, 0] < sol.t1 + period
-    samples = np.vstack([base, mirror[keep]])
-    crossings = ((sol.t_s, sol.v_s, sol.a_s),
-                 (2.0 * sol.t2 - sol.t_s, -sol.v_s, sol.a_s))
-    return PeriodicScalarSolution(base=sol, t0=sol.t1, period=period,
-                                  crossings=crossings, samples=samples)
+    crossings = ((0.0, sol.v_s, sol.a_s), (2.0 * sol.t2, -sol.v_s, sol.a_s))
+    return PeriodicScalarSolution(base=sol, t0=sol.t1, period=2.0 * (sol.t2 - sol.t1),
+                                  crossings=crossings)
 
 
 @dataclass
@@ -283,7 +229,6 @@ class PeriodicTrajectory:
     t: Array
     q: Array
     qdot: Array
-    qddot: Array
     u: Array
     residuals: Array
     t0: float
@@ -330,6 +275,6 @@ def lift(vhc: ParametricVhc, sol: PeriodicScalarSolution, sys: MechanicalSystem,
     gap = max(float(np.max(np.abs(q_wrap - q[0]))), float(np.max(np.abs(qd_wrap - qd[0]))))
     if gap > 1e-6:
         raise ConvergenceError(f"periodic closure gap {gap:.3e} exceeds 1e-6")
-    return PeriodicTrajectory(t=times, q=q, qdot=qd, qddot=qdd, u=u, residuals=res,
+    return PeriodicTrajectory(t=times, q=q, qdot=qd, u=u, residuals=res,
                               t0=float(times[0]), period=sol.period,
                               vhc=vhc, scalar=sol, system=sys)

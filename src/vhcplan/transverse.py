@@ -142,6 +142,11 @@ class TicTocChart:
         return np.array([x, z, psi]).T, np.array([xd, zd, psid]).T
 
 
+# Equal time intervals over one period at which `FamilyChart` samples the
+# orbit for its phase-to-time interpolant.
+FAMILY_CHART_SAMPLES = 8192
+
+
 class FamilyChart:
     """Same chart recipe applied to a constraint-family orbit.
 
@@ -158,7 +163,7 @@ class FamilyChart:
     """
 
     def __init__(self, traj: PeriodicTrajectory, params: FamilyParameters,
-                 tube_radius: float = 1.0, n_grid: int = 8192):
+                 tube_radius: float = 1.0):
         self.traj = traj
         self.vhc = traj.vhc
         self.psi_s = float(params.psi_s)
@@ -166,7 +171,8 @@ class FamilyChart:
         self.tube_radius = float(tube_radius)
         scalar = traj.scalar
         self.omega = TWO_PI / scalar.period
-        ts = scalar.t0 + scalar.period * np.arange(n_grid + 1) / n_grid
+        n = FAMILY_CHART_SAMPLES
+        ts = scalar.t0 + scalar.period * np.arange(n + 1) / n
         thetas, dthetas, ddthetas = scalar.eval(ts)
         self.theta_scale = float(np.max(np.abs(thetas)))
         p, v = self._pv(thetas, dthetas)
@@ -278,14 +284,18 @@ class FamilyChart:
         return np.array([x, z, psi]).T, np.array([xd, zd, psid]).T
 
 
-def chart_invert(chart, tau, rho: Array, tol: float = 1e-12):
+# Largest forward-map residual that `chart_invert` accepts.
+CHART_INVERT_TOL = 1e-12
+
+
+def chart_invert(chart, tau, rho: Array):
     """Phase-space point with the given chart coordinates.
 
     Takes a scalar tau with rho of shape (5,), or a batch: rho of shape
     (k, 5) with tau of shape (k,) or one tau for all. The point is the
     chart's exact inverse `invert_guess`, checked by one forward map. Raises
     OutsideTubeError if any rho leaves the tube or any point's forward-map
-    residual is not below `tol`.
+    residual is not below CHART_INVERT_TOL.
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(np.linalg.norm(rho, axis=-1) > chart.tube_radius):
@@ -295,9 +305,9 @@ def chart_invert(chart, tau, rho: Array, tol: float = 1e-12):
     tau_b, rho_b = chart.forward(q, qd)
     residual = max(float(np.max(np.abs(wrap_angle(tau_b - tau)))),
                    float(np.max(np.abs(rho_b - rho))))
-    if not residual < tol:
+    if not residual < CHART_INVERT_TOL:
         raise OutsideTubeError(f"chart inverse misses its coordinates by {residual:.3e} "
-                               f"(tolerance {tol:.1e})")
+                               f"(tolerance {CHART_INVERT_TOL:.1e})")
     return q, qd
 
 
@@ -308,9 +318,7 @@ class LtvModel:
     taus: Array
     A: Array
     B: Array
-    chart: object
     f0_max: float
-    period: float = TWO_PI
     _ab: PeriodicMatrixSpline = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -378,7 +386,7 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
         B[start:start + k] = columns[:, :, n_rho:]
     if f0_max > 1e-9:
         raise ConditionCheckError(f"on-orbit transverse field does not vanish: {f0_max:.3e}")
-    return LtvModel(taus=taus, A=A, B=B, chart=chart, f0_max=f0_max)
+    return LtvModel(taus=taus, A=A, B=B, f0_max=f0_max)
 
 
 # Longest Magnus step: at 2 pi/1024 the tic-toc P(0) is 5e-9 (relative) off the

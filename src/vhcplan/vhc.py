@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mech import MechanicalSystem, left_annihilator, pvtol_model
-from .numdiff import bisect, central_derivative, matvec
+from .numdiff import central_derivative, grid_roots, matvec
 
 Array = np.ndarray
 
@@ -52,7 +52,6 @@ class ReducedModel:
 
     coefficients: Callable[[Array], Array]
     interval: tuple[float, float]
-    system: MechanicalSystem | None = None
     vhc: ParametricVhc | None = None
 
 
@@ -127,7 +126,6 @@ def reduce(sys: MechanicalSystem, vhc: ParametricVhc,
     return ReducedModel(
         coefficients=lambda th: _coefficients(sys, vhc, th),
         interval=(float(lo), float(hi)),
-        system=sys,
         vhc=vhc,
     )
 
@@ -185,35 +183,15 @@ def family_reduced(psi_s: float, k1: float, k2: float, k3: float,
     gamma = sin(psi_s + k2 th); these agree with the generic projection because
     the annihilator of the upright-thrust model has unit norm.
     """
-    sys = pvtol_model()
-    vhc = family_vhc(sys, np.array([0.0, 0.0, float(psi_s)]), k1, k2, k3, domain=interval)
+    vhc = family_vhc(pvtol_model(), np.array([0.0, 0.0, float(psi_s)]), k1, k2, k3,
+                     domain=interval)
 
     def coefficients(th):
         c, s = np.cos(k2 * th), np.sin(k2 * th)
         return np.array([k1 * s + k3 * th * c, k3 * c, np.sin(psi_s + k2 * th)])
 
     return ReducedModel(coefficients=coefficients,
-                        interval=(float(interval[0]), float(interval[1])),
-                        system=sys, vhc=vhc)
-
-
-def _find_zeros(model: ReducedModel, thetas: Array, alphas: Array) -> list[float]:
-    zeros: list[float] = []
-    f = lambda th: float(model.coefficients(th)[0])
-    for i in range(len(thetas) - 1):
-        a0, a1 = alphas[i], alphas[i + 1]
-        if a0 == 0.0:
-            zeros.append(float(thetas[i]))
-        elif a0 * a1 < 0.0:
-            zeros.append(bisect(f, float(thetas[i]), float(thetas[i + 1]),
-                                xtol=1e-13, fa=float(a0), fb=float(a1)))
-    if alphas[-1] == 0.0:
-        zeros.append(float(thetas[-1]))
-    merged: list[float] = []
-    for z in sorted(zeros):
-        if not merged or z - merged[-1] > 1e-9:
-            merged.append(z)
-    return merged
+                        interval=(float(interval[0]), float(interval[1])), vhc=vhc)
 
 
 def check_theorem1(model: ReducedModel, n_grid: int = 2048) -> SingularityReport:
@@ -221,15 +199,15 @@ def check_theorem1(model: ReducedModel, n_grid: int = 2048) -> SingularityReport
 
     Requires, up to a global sign of (alpha, beta, gamma): a unique zero theta_s
     of alpha on the closed sampled interval, alpha'(theta_s) > 0, gamma > 0
-    everywhere, and beta(theta_s)/alpha'(theta_s) < -1/2. Both global signs are
-    tried; the report carries the passing orientation (or the slope-positive
-    one when both fail).
+    everywhere, and beta(theta_s)/alpha'(theta_s) < -1/2. The report takes the
+    orientation with alpha'(theta_s) > 0 (sign -1 when the slope is negative,
+    +1 otherwise); no other orientation can pass.
     """
     lo, hi = model.interval
     thetas = np.linspace(lo, hi, n_grid)
     alphas, _, gammas = model.coefficients(thetas)
-    zeros = _find_zeros(model, thetas, alphas)
-    unique = len(zeros) == 1
+    zeros = grid_roots(lambda th: float(model.coefficients(th)[0]), thetas, alphas,
+                       xtol=1e-13)
 
     if zeros:
         theta_s = zeros[0]
@@ -237,35 +215,23 @@ def check_theorem1(model: ReducedModel, n_grid: int = 2048) -> SingularityReport
         slope = float(central_derivative(model.coefficients, theta_s, h)[0])
         _, beta_s, gamma_s = (float(c) for c in model.coefficients(theta_s))
     else:
-        theta_s = math.nan
-        slope = math.nan
-        beta_s = math.nan
-        gamma_s = math.nan
+        theta_s = slope = beta_s = gamma_s = math.nan
 
+    sign = -1 if slope < 0.0 else 1
     # beta/alpha' is invariant under the global sign flip.
-    ratio = beta_s / slope if zeros and slope != 0.0 else math.nan
-    ratio_ok = bool(zeros) and math.isfinite(ratio) and ratio < -0.5
-
-    best = None
-    for sign in (1, -1):
-        flags = {
-            "unique_zero": unique,
-            "slope_positive": bool(zeros) and math.isfinite(slope) and sign * slope > 0.0,
-            "gamma_positive_on_interval": bool(np.all(sign * gammas > 0.0)),
-            "ratio_below_minus_half": ratio_ok,
-        }
-        overall = all(flags.values())
-        sb, sg = sign * beta_s, sign * gamma_s
-        v_s = math.sqrt(-sg / sb) if zeros and sb < 0.0 < sg else math.nan
-        report = SingularityReport(
-            theta_s=theta_s, alpha_slope=sign * slope, beta_s=sb, gamma_s=sg,
-            v_s=v_s, flags=flags, overall=overall, sign=sign, zeros=tuple(zeros),
-        )
-        if overall:
-            return report
-        if best is None or (flags["slope_positive"] and not best.flags["slope_positive"]):
-            best = report
-    return best
+    ratio = beta_s / slope if slope != 0.0 else math.nan
+    flags = {
+        "unique_zero": len(zeros) == 1,
+        "slope_positive": math.isfinite(slope) and sign * slope > 0.0,
+        "gamma_positive_on_interval": bool(np.all(sign * gammas > 0.0)),
+        "ratio_below_minus_half": math.isfinite(ratio) and ratio < -0.5,
+    }
+    sb, sg = sign * beta_s, sign * gamma_s
+    return SingularityReport(
+        theta_s=theta_s, alpha_slope=sign * slope, beta_s=sb, gamma_s=sg,
+        v_s=math.sqrt(-sg / sb) if sb < 0.0 < sg else math.nan,
+        flags=flags, overall=all(flags.values()), sign=sign, zeros=tuple(zeros),
+    )
 
 
 _FAMILY_K1 = tuple(0.25 * i for i in range(1, 9))           # 0.25 .. 2.0

@@ -105,6 +105,26 @@ def test_config_file_and_overrides(tmp_path):
     assert report["boundary"]["theta1"] == -0.9
 
 
+def test_resolved_config_reproduces_run(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    proc = run_cli("plan", "--out", str(first), "--set", "boundary.theta1=-0.9")
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("plan", "--config", str(first / "config.resolved.json"),
+                   "--out", str(second))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("trajectory.csv", "report.json", "config.resolved.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_config_keys_validated_alike_in_files_and_overrides(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"n_samples": 2001}}))   # a removed key
+    assert run_cli("plan", "--config", str(cfg), "--out", str(tmp_path / "o1")).returncode == 64
+    for assignment in ("solver.n_samples=2001", "vhc.kind.name=1", "solver=1"):
+        assert run_cli("plan", "--out", str(tmp_path / "o2"),
+                       "--set", assignment).returncode == 64
+
+
 def test_certify_artifacts(tmp_path):
     out = tmp_path / "cert"
     proc = run_cli("certify", "--out", str(out))

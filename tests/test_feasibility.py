@@ -92,6 +92,21 @@ def test_certificate_generic_annihilator_matches_closed_form(pvtol, reference_or
         assert abs(p.gravity_distance - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("t0", [0.0, math.pi + 1e-3])
+def test_certificate_independent_of_anchor(pvtol, t0):
+    # At t0 = pi + 1e-3 the pass at 3 pi lies in the last grid interval, the
+    # one that wraps from t0 + period (1 - 1/2048) back to t0 + period.
+    orbit = vp.tic_toc_orbit()
+    orbit.t0 = t0
+    cert = vp.certify_no_regular_vhc(pvtol, orbit)
+    assert cert.verdict
+    assert len(cert.passes) == 2
+    assert all(t0 <= p.time < t0 + orbit.period for p in cert.passes)
+    # |time| reduced to [0, pi] modulo 2 pi: one pass at 0, one at pi.
+    phases = sorted(abs(math.remainder(p.time, 2.0 * math.pi)) for p in cert.passes)
+    assert phases[0] < 1e-8 and abs(phases[1] - math.pi) < 1e-8
+
+
 class _NoCrossingOrbit:
     """Horizontal oscillation: the unactuated momentum only vanishes at rest."""
 

@@ -42,23 +42,6 @@ def test_singular_acceleration_requires_passing_report():
         vp.singular_acceleration(model, rep)
 
 
-def test_escape_singularity_series(tictoc_model, tictoc_report):
-    th, dth = vp.escape_singularity(tictoc_model, tictoc_report, 1, 1e-4)
-    assert abs(th - 1e-4) < 1e-12            # theta_s + v_s h, a_s = 0
-    assert abs(dth - 1.0) < 1e-12
-    th_m, _ = vp.escape_singularity(tictoc_model, tictoc_report, -1, 1e-4)
-    assert abs(th_m + 1e-4) < 1e-12
-
-
-def test_escape_singularity_validation(tictoc_model, tictoc_report):
-    with pytest.raises(vp.DomainError):
-        vp.escape_singularity(tictoc_model, tictoc_report, 2, 1e-4)
-    with pytest.raises(vp.DomainError):
-        vp.escape_singularity(tictoc_model, tictoc_report, 1, 0.0)
-    with pytest.raises(vp.DomainError):
-        vp.escape_singularity(tictoc_model, tictoc_report, 1, 1e-2)
-
-
 def test_solution_matches_sine(tictoc_solution):
     sol = tictoc_solution
     assert abs(sol.t1 + 0.5 * math.pi) < 1e-9

@@ -254,7 +254,7 @@ def test_periodic_lqr_rejects_unstabilizable_model(tictoc_ltv, A):
     A = tictoc_ltv.A if A == "tictoc" else np.tile(np.diag([0.1, -0.1, -0.2, -0.3, -0.4]),
                                                    (tictoc_ltv.taus.size, 1, 1))
     model = vp.LtvModel(taus=tictoc_ltv.taus, A=A, B=np.zeros_like(tictoc_ltv.B),
-                        chart=None, f0_max=0.0)
+                        f0_max=0.0)
     with pytest.raises(vp.ConvergenceError):
         vp.periodic_lqr(model)
 

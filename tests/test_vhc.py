@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vhcplan as vp
 
@@ -98,6 +100,20 @@ def test_existence_check_retries_flipped_annihilator_sign():
     assert rep.sign == -1
     assert abs(rep.v_s - math.sqrt(1.0 / 0.4)) < 1e-9
     assert abs(rep.alpha_slope - 0.6) < 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(-math.pi, math.pi), st.floats(0.25, 2.0), st.floats(0.5, 4.0),
+       st.floats(-2.0, -0.25), st.sampled_from((0.2, 0.35, 0.5)))
+def test_existence_check_invariant_under_global_sign(psi_s, k1, k2, k3, tmax):
+    # Negating (alpha, beta, gamma) leaves the reduced equation unchanged: the
+    # report may differ only in its orientation, which flips with the slope.
+    model = vp.family_reduced(psi_s, k1, k2, k3, (-tmax, tmax))
+    negated = dataclasses.replace(model, coefficients=lambda th: -model.coefficients(th))
+    rep, neg = vp.check_theorem1(model), vp.check_theorem1(negated)
+    assert repr(dataclasses.replace(neg, sign=rep.sign)) == repr(rep)   # nan-aware
+    slope_nonzero = rep.alpha_slope != 0.0 and not math.isnan(rep.alpha_slope)
+    assert neg.sign == (-rep.sign if slope_nonzero else rep.sign)
 
 
 def test_family_vhc_rejects_degenerate_direction():
