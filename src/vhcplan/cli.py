@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -100,6 +101,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _fits_default(default, value) -> bool:
+    """Whether a config value has the JSON type of its key's default.
+
+    A float takes any number (not a bool), an int an int, a list a list of
+    numbers, a bool a bool and a string a string; a key whose default is null
+    takes null or a number.
+    """
+    if isinstance(default, (bool, int, str)):
+        return type(value) is type(default)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(map(_is_number, value))
+    return _is_number(value) or (default is None and value is None)
+
+
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -113,6 +132,11 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         elif isinstance(value, dict):
             raise UsageError(f"config key {full} takes a value, not an object")
         else:
+            default = functools.reduce(dict.__getitem__, full.split("."), DEFAULTS)
+            # vhc.domain is checked as a [lo, hi] pair in _load_config.
+            if full != "vhc.domain" and not _fits_default(default, value):
+                raise UsageError(f"config key {full} takes a value of the type of its default "
+                                 f"{json.dumps(default)}, got {json.dumps(value)}")
             out[key] = value
     return out
 
@@ -151,8 +175,9 @@ def _load_config(args) -> dict:
     if cfg["vhc"]["kind"] not in ("tictoc", "family"):
         raise UsageError(f"vhc.kind must be 'tictoc' or 'family', got {cfg['vhc']['kind']!r}")
     dom = cfg["vhc"]["domain"]
-    if dom is not None and (not isinstance(dom, list) or len(dom) != 2):
-        raise UsageError("vhc.domain must be a [lo, hi] pair")
+    if dom is not None and (not isinstance(dom, list) or len(dom) != 2
+                            or not all(map(_is_number, dom))):
+        raise UsageError("vhc.domain must be a [lo, hi] pair of numbers")
     for key in ("q0", "qd0"):
         vec = cfg["simulate"][key]
         if not isinstance(vec, list) or len(vec) != 3:

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.linalg import expm, schur
+from scipy.linalg import schur
 
 from .errors import ConditionCheckError, ConvergenceError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_input
@@ -393,8 +393,45 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
 # spline's exact flow, 3e-10 at half the step, while the 512-knot spline itself
 # moves P(0) by 7e-8 against a 1024-knot one.
 MAGNUS_STEP = TWO_PI / 1024
-MAGNUS_BLOCK = 128              # Magnus steps per batched `expm` call
+MAGNUS_BLOCK = 128              # Magnus steps per batched `_expm` call
 _GAUSS = math.sqrt(3.0) / 6.0   # Gauss-Legendre nodes sit at 1/2 -+ _GAUSS of a step
+_TAYLOR_MAX_DEGREE = 12         # highest degree of `_expm`; above 1-norm 0.34 it halves first
+
+
+def _taylor_degree(norm: float) -> int | None:
+    """Smallest Taylor degree m <= _TAYLOR_MAX_DEGREE whose remainder bound at 1-norm
+    `norm`, norm^(m+1)/(m+1)! / (1 - norm/(m+2)), is at most 2^-53, or None."""
+    term = norm                                  # norm^(m+1)/(m+1)! for m = 0
+    for m in range(1, _TAYLOR_MAX_DEGREE + 1):
+        term *= norm / (m + 1)
+        if norm < m + 2 and term <= 2.0 ** -53 * (1.0 - norm / (m + 2)):
+            return m
+    return None
+
+
+def _expm(a: Array) -> Array:
+    """exp of every matrix of a (k, d, d) stack by one truncated Taylor series.
+
+    One 1-norm bounds the whole stack and fixes the degree by `_taylor_degree`;
+    where no degree is accurate the stack is halved s times and the result
+    squared s times. The polynomial runs as batched Horner matmuls, so a stack
+    costs a few matmuls instead of one scaling-and-squaring per matrix (Moler &
+    Van Loan, SIAM Rev. 2003).
+    """
+    norm = float(np.abs(a).sum(axis=-2).max())
+    if not math.isfinite(norm):
+        raise ConvergenceError("matrix exponential of a non-finite exponent")
+    s = 0
+    while (m := _taylor_degree(math.ldexp(norm, -s))) is None:
+        s += 1
+    a = a * math.ldexp(1.0, -s)
+    eye = np.eye(a.shape[-1])
+    r = eye + a / m
+    for j in range(m - 1, 0, -1):
+        r = eye + (a @ r) / j
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _ordered_product(maps: Array) -> Array:
@@ -411,7 +448,8 @@ def _interval_maps(coefficient: Callable[[Array], Array], t0: float, n_intervals
     `coefficient` gives M at an array of phases. An interval takes the fewest
     equal steps h <= MAGNUS_STEP, each the fourth-order Magnus map
     exp(h/2 (M1 + M2) + sqrt(3)/12 h^2 [M2, M1]) of M at the step's Gauss
-    points (Blanes, Casas, Oteo & Ros, Phys. Rep. 2009).
+    points (Blanes, Casas, Oteo & Ros, Phys. Rep. 2009). The exponents of
+    MAGNUS_BLOCK steps go through one batched Taylor exponential `_expm`.
     """
     sub = math.ceil(round(TWO_PI / (n_intervals * MAGNUS_STEP), 9))
     h = TWO_PI / (n_intervals * sub)
@@ -422,7 +460,7 @@ def _interval_maps(coefficient: Callable[[Array], Array], t0: float, n_intervals
         mid = t0 + h * (start * sub + np.arange(k * sub) + 0.5)
         M1, M2 = coefficient(mid - _GAUSS * h), coefficient(mid + _GAUSS * h)
         omega = 0.5 * h * (M1 + M2) + 0.5 * _GAUSS * h * h * (M2 @ M1 - M1 @ M2)
-        maps.append(_ordered_product(expm(omega).reshape(k, sub, *omega.shape[1:])))
+        maps.append(_ordered_product(_expm(omega).reshape(k, sub, *omega.shape[1:])))
     maps = np.concatenate(maps)
     if not np.all(np.isfinite(maps)):
         raise ConvergenceError("interval maps of the periodic linear system are not finite")
@@ -482,26 +520,24 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     The period map of z' = [[A, -B R^{-1} B^T], [-Q, -A^T]] z from the first
     node has n eigenvalues inside the unit circle when (A, B) is stabilizable;
     the ordered real Schur form gives their subspace [X; Y], and P = Y X^{-1}
-    (Bittanti, Colaneri & De Nicolao 1991). A sweep carries [X; Y] backward
-    through the interval maps, where it attracts, and reads P at each node of
-    the uniform grid; at most `max_sweeps` sweeps run until P(0) comes back
-    within RICCATI_GAP_RTOL.
+    (Bittanti, Colaneri & De Nicolao 1991). A sweep carries the graph P
+    backward through the inverted interval maps, where it attracts:
+    [X; Y] = map^{-1} [I; P(next node)] gives P at each node of the uniform
+    grid. At most `max_sweeps` sweeps run until P(0) comes back within
+    RICCATI_GAP_RTOL.
     """
     n, m = model.B.shape[1:]
     Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)
     R = np.eye(m) if R is None else np.asarray(R, dtype=float)
     Rinv = np.linalg.inv(R)
+    taus = model.taus
 
     def hamiltonian(s):
         A, B = model.a_of(s), model.b_of(s)
         return np.block([[A, -B @ Rinv @ B.swapaxes(1, 2)],
                          [np.broadcast_to(-Q, A.shape), -A.swapaxes(1, 2)]])
 
-    def graph(V):   # P = Y X^{-1}, symmetric at the solution
-        P = np.linalg.solve(V[..., :n, :].swapaxes(-1, -2), V[..., n:, :].swapaxes(-1, -2))
-        return 0.5 * (P + P.swapaxes(-1, -2))
-
-    maps = _interval_maps(hamiltonian, float(model.taus[0]), model.taus.size)
+    maps = _interval_maps(hamiltonian, float(taus[0]), taus.size)
     T, Z, n_stable = schur(_ordered_product(maps), output="real", sort="iuc")
     if n_stable != n:
         raise ConvergenceError(f"Hamiltonian period map has {n_stable} stable multipliers, "
@@ -510,16 +546,31 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     if not cond <= 1e12:
         raise ConvergenceError(f"stable subspace of the Hamiltonian period map is not a graph "
                                f"over the state (cond X = {cond:.3e})")
-    V, nodes = Z[:, :n], np.empty((model.taus.size, 2 * n, n))
-    P_end, gap = graph(V), math.inf
+    try:
+        back = np.linalg.inv(maps)      # node i+1 -> node i
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("an interval map of the Hamiltonian system is singular") from exc
+    back_x, back_y = back[:, :, :n], back[:, :, n:]
+    P_end = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T)
+    P_end, gap = 0.5 * (P_end + P_end.T), math.inf
     for sweep in range(1, max_sweeps + 1):
-        for i in reversed(range(model.taus.size)):
-            V = nodes[i] = np.linalg.qr(np.linalg.solve(maps[i], V))[0]
-        P = graph(nodes)
+        P, P_next = np.empty((taus.size, n, n)), P_end
+        try:
+            for i in reversed(range(taus.size)):
+                V = back_x[i] + back_y[i] @ P_next
+                # X^{-T} Y^T = (Y X^{-1})^T, which is P: the graph is symmetric.
+                P_next = P[i] = np.linalg.solve(V[:n].T, V[n:].T)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"Riccati sweep meets a singular X at tau = {taus[i]:.6f}") \
+                from exc
+        bad = np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))
+        if bad.size:    # the backward walk left the finite numbers at the last bad node
+            raise ConvergenceError(f"Riccati graph P is not finite at tau = {taus[bad[-1]]:.6f}")
+        P = 0.5 * (P + P.swapaxes(1, 2))
         gap = float(np.max(np.abs(P[0] - P_end)) / np.max(np.abs(P[0])))
         if gap < RICCATI_GAP_RTOL:
             K = -Rinv @ model.B.transpose(0, 2, 1) @ P
-            return GainSchedule(taus=model.taus, K=K, P=P, sweeps=sweep, fixed_point_gap=gap,
+            return GainSchedule(taus=taus, K=K, P=P, sweeps=sweep, fixed_point_gap=gap,
                                 multipliers=np.linalg.eigvals(T[:n, :n]))
         P_end = P[0]
     raise ConvergenceError(f"periodic Riccati did not reach a fixed point in {max_sweeps} sweeps "

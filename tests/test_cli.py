@@ -125,6 +125,33 @@ def test_config_keys_validated_alike_in_files_and_overrides(tmp_path):
                        "--set", assignment).returncode == 64
 
 
+def test_config_value_types_validated(tmp_path):
+    # A value of another JSON type than its key's default, a fraction for an
+    # integer included, is a usage error from a config file and from --set alike.
+    for assignment in ("solver.tol=abc", "solver.lift_samples=[1,2]", "check.n_grid=2048.5"):
+        proc = run_cli("plan", "--out", str(tmp_path / "o1"), "--set", assignment)
+        assert proc.returncode == 64, proc.stderr
+        assert "Traceback" not in proc.stderr
+    cfg = tmp_path / "cfg.json"
+    for value in ("512", True):
+        cfg.write_text(json.dumps({"stabilize": {"n_grid": value}}))
+        assert run_cli("plan", "--config", str(cfg),
+                       "--out", str(tmp_path / "o2")).returncode == 64
+
+
+def test_config_value_types_accepted():
+    # An int for a float, and every --set the tests, the benchmark workloads
+    # and the README use, pass the type check.
+    from vhcplan.cli import DEFAULTS, _apply_override
+    for assignment in ("solver.t_max=1000", "stabilize.n_grid=64", "solver.lift_samples=1024",
+                       "boundary.theta1=-0.9", "boundary.theta2=0.9", "vhc.kind=family",
+                       f"vhc.psi_s={0.5 * math.pi}", f"sweep.psi_values=[{0.5 * math.pi}]",
+                       "vhc.k1=1", "vhc.theta_max=0.3", "stabilize.max_sweeps=300",
+                       "simulate.q0=[0.1,-0.5,0]", "simulate.q0=[0.12, -0.47, 0.03]",
+                       "vhc.domain=[-2,2]", "boundary.theta1=null"):
+        _apply_override(DEFAULTS, assignment)
+
+
 def test_certify_artifacts(tmp_path):
     out = tmp_path / "cert"
     proc = run_cli("certify", "--out", str(out))

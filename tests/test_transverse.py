@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.linalg import schur
+from scipy.linalg import expm, schur
 
 import vhcplan as vp
 
@@ -327,16 +327,27 @@ def _rk45_period_map(coefficient, t0, n):
     return sol.y[:, -1].reshape(n, n)
 
 
-def _rk45_riccati_p0(ltv):
-    """P at the first grid node from the stable Schur subspace of the RK45 Hamiltonian map."""
-    def hamiltonian(s):
+def _hamiltonian(ltv):
+    """Coefficient of the LQR Hamiltonian system (Q = I, R = I) at a phase or an array of them."""
+    def coefficient(s):
         A, B = ltv.a_of(s), ltv.b_of(s)
-        return np.block([[A, -B @ B.T], [-np.eye(5), -A.T]])
+        return np.block([[A, -B @ B.swapaxes(-1, -2)],
+                         [np.broadcast_to(-np.eye(5), A.shape), -A.swapaxes(-1, -2)]])
 
-    _, Z, _ = schur(_rk45_period_map(hamiltonian, float(ltv.taus[0]), 10), output="real",
-                    sort="iuc")
+    return coefficient
+
+
+def _schur_graph(period_map):
+    """P = Y X^{-1} of the stable subspace [X; Y] of a Hamiltonian period map (ordered Schur)."""
+    _, Z, n_stable = schur(period_map, output="real", sort="iuc")
+    assert n_stable == 5
     P = np.linalg.solve(Z[:5, :5].T, Z[5:, :5].T)
     return 0.5 * (P + P.T)
+
+
+def _rk45_riccati_p0(ltv):
+    """P at the first grid node from the stable Schur subspace of the RK45 Hamiltonian map."""
+    return _schur_graph(_rk45_period_map(_hamiltonian(ltv), float(ltv.taus[0]), 10))
 
 
 def _rk45_gramian(ltv):
@@ -394,3 +405,42 @@ def test_monodromy_off_knot_start(orbit_reference):
     _, eig_knot = vp.monodromy(ltv, gains, t0=0.0)
     _, eig_off = vp.monodromy(ltv, gains, t0=1.0)
     assert np.abs(np.sort(np.abs(eig_knot)) - np.sort(np.abs(eig_off))).max() < 1e-8
+
+
+# -- the batched Taylor exponential and the graph-form Riccati sweep ----------
+
+
+def test_expm_matches_scipy_per_matrix():
+    # The 1-norms reach degrees 4, 8 and 11 and, from 0.9 on, the halving and
+    # squaring branch. At 1-norm 50 scipy's own expm can be 8e-13 off a
+    # 40-digit reference on 5 x 5 Gaussian matrices, so the bound there is 1e-12.
+    rng = np.random.default_rng(11)
+    norms = (1e-3, 0.05, 0.2, 0.9, 5.0, 50.0)
+    assert [vp.transverse._taylor_degree(t) for t in norms] == [4, 8, 11, None, None, None]
+    for d in (5, 10):
+        base = rng.standard_normal((8, d, d))
+        for norm in norms:
+            a = base * (norm / np.abs(base).sum(axis=-2).max())
+            tol = 1e-13 if norm <= 5.0 else 1e-12
+            for got, x in zip(vp.transverse._expm(a), a):
+                assert _relative(got, expm(x)) < tol
+
+
+def test_expm_zero_and_non_finite():
+    assert np.array_equal(vp.transverse._expm(np.zeros((3, 4, 4))), np.tile(np.eye(4), (3, 1, 1)))
+    for bad in (math.nan, math.inf):
+        a = np.full((4, 5, 5), 0.01)
+        a[2, 1, 3] = bad
+        with pytest.raises(vp.ConvergenceError):
+            vp.transverse._expm(a)
+
+
+def test_riccati_graph_matches_period_map_from_each_node(orbit_reference):
+    # P(tau_i) from the ordered Schur form of the period map started at node i,
+    # without the backward recursion of `periodic_lqr`.
+    ltv, gains = orbit_reference["ltv"], orbit_reference["gains"]
+    n_nodes = ltv.taus.size
+    maps = vp.transverse._interval_maps(_hamiltonian(ltv), float(ltv.taus[0]), n_nodes)
+    for i in range(0, n_nodes, n_nodes // 4):   # tic-toc: nodes 0, 128, 256, 384
+        period_map = vp.transverse._ordered_product(np.roll(maps, -i, axis=0))
+        assert _relative(gains.P[i], _schur_graph(period_map)) < 1e-9
