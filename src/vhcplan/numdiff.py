@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable
 
 import numpy as np
@@ -70,3 +71,46 @@ def grid_roots(f: Callable[[float], float], grid: Array, values: Array,
         if not merged or r - merged[-1] > 1e-9:
             merged.append(r)
     return merged
+
+
+class PeriodicPiecewisePolynomial:
+    """Piecewise polynomial on breaks x[0] < ... < x[n], repeated with period x[n] - x[0].
+
+    `coeffs` has scipy's `PPoly` layout (degree + 1, n, *value_shape), highest
+    power first, in powers of t - x[i] on piece i. A time wraps into the base
+    period and its terms are summed as `PPoly` wraps and sums them, so values
+    are bit-identical to scipy's. A float finds its piece by `bisect`, an
+    array by `searchsorted`; both add the same terms in the same order.
+    """
+
+    def __init__(self, breaks: Array, coeffs: Array):
+        self.breaks = np.asarray(breaks, dtype=float)
+        if not np.all(np.diff(self.breaks) > 0.0):
+            raise ValueError("breaks must be strictly increasing")
+        self._breaks = self.breaks.tolist()
+        self._x0, self._span = self._breaks[0], self._breaks[-1] - self._breaks[0]
+        self._c = np.array(coeffs[::-1], dtype=float)   # lowest power first
+        self._c[0] += 0.0                                # PPoly's sum starts at 0.0: -0.0 -> +0.0
+        self._value_axes = (...,) + (None,) * (self._c.ndim - 2)
+        self._last = len(self._breaks) - 2
+
+    def __call__(self, t: float | Array) -> Array:
+        if isinstance(t, float):
+            t = self._x0 + (t - self._x0) % self._span
+            i = min(bisect_right(self._breaks, t) - 1, self._last)
+            d = t - self._breaks[i]
+            powers = [1.0]
+            for _ in range(len(self._c) - 1):
+                powers.append(powers[-1] * d)
+            # One cumulative sum adds the terms in order at the cost of one call.
+            return np.add.accumulate(self._c[:, i] * np.array(powers)[self._value_axes])[-1]
+        t = self._x0 + (np.asarray(t, dtype=float) - self._x0) % self._span
+        i = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self._last)
+        # The same sum term by term: a cumulative sum over the leading axis of a
+        # large array loops per element and is many times slower.
+        d = (t - self.breaks[i])[self._value_axes]
+        value, z = self._c[0, i], d
+        for ck in self._c[1:]:
+            value = value + ck[i] * z
+            z = z * d
+        return value

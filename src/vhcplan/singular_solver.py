@@ -14,6 +14,14 @@ crossing contracts onto the branch the boundary data selects. The solver
 therefore integrates each side inward from its endpoint, stops a small
 distance xi_cut before theta_s, and bridges the crossing with the series
 above; endpoint conditions hold by construction.
+
+The solution is one periodic table of polynomial pieces
+(`numdiff.PeriodicPiecewisePolynomial`): the RK45 dense-output quartics of
+both sides, the bridge theta_s + v_s t + a_s t^2/2 across the window of
+|theta - theta_s| < xi_cut, and the mirror image of all three about the far
+rest point, which closes the orbit. Outside the bridge theta'' is the model's
+quotient -(beta theta'^2 + gamma)/alpha; inside it, where that quotient is
+0/0, theta'' is the quadratic through a_s and the quotient at both edges.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from scipy.integrate import solve_ivp
 from .errors import (BoundaryUnreachableError, ConditionCheckError,
                      ConvergenceError, DomainError)
 from .mech import MechanicalSystem, inverse_input
-from .numdiff import central_derivative
+from .numdiff import PeriodicPiecewisePolynomial, central_derivative
 from .vhc import ParametricVhc, ReducedModel, SingularityReport
 
 Array = np.ndarray
@@ -49,9 +57,18 @@ def singular_acceleration(model: ReducedModel, report: SingularityReport) -> flo
     return float(-(dbeta * v2 + dgamma) / denom)
 
 
+# RHS evaluations one side of `solve_boundary` may spend. The default tic-toc
+# and family runs take 758 to 914 per side, and RK45's count grows like tol^(-1/5).
+RHS_BUDGET = 20_000
+
+
 @dataclass
 class ScalarSolution:
-    """One boundary-to-boundary solution through the singular crossing (t_s = 0)."""
+    """One boundary-to-boundary solution through the singular crossing (t_s = 0).
+
+    `table` holds (theta, theta', bridge weight, bridge theta'') over one
+    period from t1, the mirror half included (see `_orbit_table`).
+    """
 
     t1: float
     t2: float
@@ -59,11 +76,27 @@ class ScalarSolution:
     dtheta2: float
     v_s: float
     a_s: float
-    _eval: Callable[[float], tuple[float, float, float]] = field(repr=False)
+    coefficients: Callable[[Array], Array] = field(repr=False)
+    table: PeriodicPiecewisePolynomial = field(repr=False)
 
     def eval(self, t):
         """(theta, theta', theta'') at time t in [t1, t2]; arrays for an array of t."""
-        return self._eval(t)
+        t_arr = np.asarray(t)
+        outside = t_arr[(t_arr < self.t1 - 1e-9) | (t_arr > self.t2 + 1e-9)]
+        if outside.size:
+            raise DomainError(f"t={outside[0]} outside solution window [{self.t1}, {self.t2}]")
+        return self.state(t)
+
+    def state(self, t):
+        """(theta, theta', theta'') at any time t; arrays for an array of t.
+
+        theta'' is the model quotient, or the bridge quadratic where the bridge
+        weight w is 1: there (1 - w) drops the quotient and alpha + w keeps its
+        denominator off zero.
+        """
+        th, dth, w, bridge_acc = self.table(t).T
+        alpha, beta, gamma = self.coefficients(th)
+        return th, dth, (1.0 - w) * -(beta * dth * dth + gamma) / (alpha + w) + bridge_acc
 
 
 @dataclass
@@ -78,18 +111,62 @@ class PeriodicScalarSolution:
 
     def eval(self, t):
         """(theta, theta', theta'') at any time t; arrays for an array of t."""
-        base = self.base
-        tau = self.t0 + np.fmod(np.asarray(t, dtype=float) - self.t0, self.period)
-        tau = tau + self.period * (tau < self.t0)
-        mirrored = tau > base.t2
-        th, dth, ddth = base.eval(np.where(mirrored, 2.0 * base.t2 - tau, tau))
-        return th, dth * (1.0 - 2.0 * mirrored), ddth   # theta' flips on the mirrored half
+        return self.base.state(t)
 
 
 def _series_offset(xi: float, v_s: float, a_s: float, inward: int) -> float:
     """Time to cover distance xi from the crossing along the series (inward=-1 left)."""
     # Root d > 0 of v_s d + inward * a_s d^2 / 2 = xi, in the cancellation-free form.
     return 2.0 * xi / (v_s + math.sqrt(v_s * v_s + 2.0 * inward * a_s * xi))
+
+
+def _pieces(coeffs: Array, x0: Array, rate: Array) -> Array:
+    """Coefficients of p_i(x0_i + rate_i d) in powers of d, from those of p_i in powers of x.
+
+    Both have the layout (piece, power, component).
+    """
+    k = np.arange(coeffs.shape[1])
+    # p(x0 + y) = sum_k y^k sum_{m >= k} C(m, k) x0^(m - k) c_m
+    shift = (np.array([[math.comb(m, j) for m in k] for j in k])
+             * x0[:, None, None] ** np.maximum(k - k[:, None], 0))
+    return np.einsum("ikm,imv->ikv", shift, coeffs) * (rate[:, None] ** k)[..., None]
+
+
+def _quartics(ode):
+    """RK45 dense-output quartics of a solve_ivp solution, one per step of ode.sol.ts.
+
+    A step interpolates y_old + h sum_k Q[:, k] x^(k+1), x = (s - t_old)/h
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.6). Returns their
+    coefficients in powers of x for (theta, theta', 0, 0), x at both ends of
+    each step, and dx/ds.
+    """
+    steps = ode.sol.interpolants
+    h = np.array([it.h for it in steps])
+    t_old = np.array([it.t_old for it in steps])
+    coeffs = np.zeros((len(steps), 5, 4))
+    coeffs[:, 0, :2] = [it.y_old for it in steps]
+    coeffs[:, 1:, :2] = h[:, None, None] * np.array([it.Q.T for it in steps])
+    return coeffs, (ode.sol.ts[:-1] - t_old) / h, (ode.sol.ts[1:] - t_old) / h, 1.0 / h
+
+
+def _orbit_table(left, right, t1: float, t2: float, bridge: Array, dt_left: float,
+                 dt_right: float) -> PeriodicPiecewisePolynomial:
+    """(theta, theta', bridge weight, bridge theta'') over one period from t1, as one table.
+
+    [t1, t2] holds the left side's quartics, the bridge (`bridge` in powers of
+    t) on [-dt_left, dt_right] and the right side's quartics; [t2, t1 + period]
+    holds its mirror image theta(2 t2 - t), with theta' negated.
+    """
+    l_c, l_x0, l_x1, l_rate = _quartics(left)
+    r_c, r_x1, r_x0, r_rate = (a[::-1] for a in _quartics(right))   # time runs backward
+    coeffs = np.concatenate([l_c, bridge[None], r_c])
+    x0, x1 = np.r_[l_x0, -dt_left, r_x0], np.r_[l_x1, dt_right, r_x1]
+    rate = np.r_[l_rate, 1.0, r_rate]
+    breaks = np.r_[t1 + left.sol.ts[:-1], -dt_left, dt_right, t2 + right.sol.ts[-2:0:-1], t2]
+    mirrored = _pieces(coeffs[::-1], x1[::-1], -rate[::-1]) * [1.0, -1.0, 1.0, 1.0]
+    table = np.concatenate([_pieces(coeffs, x0, rate), mirrored])
+    breaks = np.r_[breaks[:-1], 2.0 * t2 - breaks[:0:-1], t1 + 2.0 * (t2 - t1)]
+    return PeriodicPiecewisePolynomial(breaks, table.transpose(1, 0, 2)[::-1])
 
 
 def solve_boundary(model: ReducedModel, report: SingularityReport,
@@ -100,8 +177,9 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
 
     Endpoint velocities dtheta1, dtheta2 >= 0 select the branch on each side;
     each side is integrated from its endpoint toward the crossing (RK45,
-    rtol = atol = tol), stopped at |theta - theta_s| = xi_cut, and joined by
-    the forced-velocity series. Time origin: the crossing happens at t = 0.
+    rtol = atol = tol, at most RHS_BUDGET right-hand sides), stopped at
+    |theta - theta_s| = xi_cut, and joined by the forced-velocity series. Time
+    origin: the crossing happens at t = 0.
     """
     if not report.overall:
         raise ConditionCheckError("solve_boundary requires a passing existence report")
@@ -123,90 +201,60 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
         alpha, beta, gamma = model.coefficients(th)
         return -(beta * dth * dth + gamma) / alpha
 
-    def rhs(t, y):
-        return [y[1], accel(*y)]
+    def sweep(side, y0, t_span, target):
+        count = 0
 
-    def cut_event(target):
-        def event(t, y):
+        def rhs(t, y):
+            nonlocal count
+            count += 1
+            if count > RHS_BUDGET:
+                raise BoundaryUnreachableError(
+                    f"{side} sweep spent its budget of {RHS_BUDGET} right-hand sides "
+                    "before reaching the singular crossing",
+                    {"side": side, "final_state": y.tolist(), "time": float(t), "rhs_evals": count})
+            return [y[1], accel(*y)]
+
+        def cut(t, y):
             return y[0] - target
-        event.terminal = True
-        event.direction = 0
-        return event
+        cut.terminal = True
 
-    # Left side: forward in time from (theta1, dtheta1) up to theta_s - xi_cut.
-    left = solve_ivp(rhs, (0.0, t_max), [theta1, dtheta1], method="RK45",
-                     rtol=tol, atol=tol, dense_output=True,
-                     events=[cut_event(th_s - xi_cut)])
-    if not left.t_events[0].size:
-        raise BoundaryUnreachableError(
-            "left boundary state cannot reach the singular crossing",
-            {"side": "left", "final_state": list(left.y[:, -1]), "time": float(left.t[-1])})
-    T_left = float(left.t_events[0][0])
-    dth_cut_left = float(left.y_events[0][0][1])
-
-    # Right side: backward in time from (theta2, dtheta2) down to theta_s + xi_cut.
-    right = solve_ivp(rhs, (0.0, -t_max), [theta2, dtheta2], method="RK45",
-                      rtol=tol, atol=tol, dense_output=True,
-                      events=[cut_event(th_s + xi_cut)])
-    if not right.t_events[0].size:
-        raise BoundaryUnreachableError(
-            "right boundary state cannot reach the singular crossing",
-            {"side": "right", "final_state": list(right.y[:, -1]), "time": float(right.t[-1])})
-    T_right = -float(right.t_events[0][0])
-    dth_cut_right = float(right.y_events[0][0][1])
-
-    for side, dth_cut in (("left", dth_cut_left), ("right", dth_cut_right)):
+        ode = solve_ivp(rhs, t_span, y0, method="RK45", rtol=tol, atol=tol,
+                        dense_output=True, events=[cut])
+        if not ode.t_events[0].size:
+            raise BoundaryUnreachableError(
+                f"{side} boundary state cannot reach the singular crossing",
+                {"side": side, "final_state": ode.y[:, -1].tolist(), "time": float(ode.t[-1]),
+                 "rhs_evals": count})
+        dth_cut = float(ode.y_events[0][0][1])
         if abs(dth_cut - v_s) > 0.2 * v_s + 0.2:
             raise ConvergenceError(
                 f"{side} sweep reached the cut with velocity {dth_cut:.6g}, "
                 f"far from the forced crossing velocity {v_s:.6g}")
+        return ode, abs(float(ode.t_events[0][0]))
+
+    # Left side forward in time from (theta1, dtheta1) up to theta_s - xi_cut,
+    # right side backward in time from (theta2, dtheta2) down to theta_s + xi_cut.
+    left, T_left = sweep("left", [theta1, dtheta1], (0.0, t_max), th_s - xi_cut)
+    right, T_right = sweep("right", [theta2, dtheta2], (0.0, -t_max), th_s + xi_cut)
 
     dt_left = _series_offset(xi_cut, v_s, a_s, inward=-1)
     dt_right = _series_offset(xi_cut, v_s, a_s, inward=+1)
     t1 = -(T_left + dt_left)
     t2 = dt_right + T_right
 
-    # Quadratic through the crossing acceleration and the two safe edge values
-    # avoids the 0/0 quotient inside the bridge window.
-    edge_l = left.sol(T_left)
-    edge_r = right.sol(-T_right)
-    bridge_t = np.array([-dt_left, 0.0, dt_right])
-    bridge_a = np.array([accel(*edge_l), a_s, accel(*edge_r)])
-    bridge_poly = np.polyfit(bridge_t, bridge_a, 2)
-
-    def bridge(t):
-        return th_s + v_s * t + 0.5 * a_s * t * t, v_s + a_s * t, np.polyval(bridge_poly, t)
-
-    def evaluate(t_in):
-        t = np.asarray(t_in, dtype=float)
-        outside = (t < t1 - 1e-9) | (t > t2 + 1e-9)
-        if outside.any():
-            raise DomainError(f"t={t[outside][0]} outside solution window [{t1}, {t2}]")
-        if t.ndim == 0:
-            # A single time takes only its own branch: the masked path below
-            # costs one point several times more, and a closed loop on the
-            # family chart evaluates single times at every stage.
-            t = float(t)
-            if t < -dt_left:
-                th, dth = left.sol(min(t - t1, T_left))
-            elif t > dt_right:
-                th, dth = right.sol(max(t - t2, -T_right))
-            else:
-                return bridge(t)
-            return th, dth, accel(th, dth)
-        th, dth, ddth = bridge(t)
-        on_left = t < -dt_left
-        on_right = t > dt_right
-        if on_left.any():
-            th[on_left], dth[on_left] = left.sol(np.minimum(t[on_left] - t1, T_left))
-        if on_right.any():
-            th[on_right], dth[on_right] = right.sol(np.maximum(t[on_right] - t2, -T_right))
-        on_ode = on_left | on_right
-        ddth[on_ode] = accel(th[on_ode], dth[on_ode])
-        return th, dth, ddth
-
-    return ScalarSolution(t1=t1, t2=t2, dtheta1=dtheta1, dtheta2=dtheta2,
-                          v_s=v_s, a_s=a_s, _eval=evaluate)
+    # Inside the bridge theta and theta' follow the series, and theta'' is the
+    # quadratic through the crossing acceleration and the two safe edge values,
+    # which avoids the 0/0 quotient there.
+    bridge = np.zeros((5, 4))           # (theta, theta', weight, theta'') in powers of t
+    bridge[:3, 0] = th_s, v_s, 0.5 * a_s
+    bridge[:2, 1] = v_s, a_s
+    bridge[0, 2] = 1.0
+    bridge[:3, 3] = np.polyfit([-dt_left, 0.0, dt_right],
+                               [accel(*left.sol(T_left)), a_s, accel(*right.sol(-T_right))],
+                               2)[::-1]
+    return ScalarSolution(t1=t1, t2=t2, dtheta1=dtheta1, dtheta2=dtheta2, v_s=v_s, a_s=a_s,
+                          coefficients=model.coefficients,
+                          table=_orbit_table(left, right, t1, t2, bridge, dt_left, dt_right))
 
 
 def make_periodic(sol: ScalarSolution) -> PeriodicScalarSolution:

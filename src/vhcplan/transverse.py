@@ -21,7 +21,6 @@ controllability Gramian, the periodic LQR gain schedule and the monodromy
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,7 +30,7 @@ from scipy.linalg import schur
 
 from .errors import ConditionCheckError, ConvergenceError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_input
-from .numdiff import matvec
+from .numdiff import PeriodicPiecewisePolynomial, matvec
 from .singular_solver import PeriodicTrajectory
 from .vhc import FamilyParameters
 
@@ -48,30 +47,20 @@ def wrap_angle(a):
 class PeriodicMatrixSpline:
     """Periodic cubic interpolation of array-valued samples on [-pi, pi).
 
-    A scalar tau skips CubicSpline's per-call set-up: it repeats scipy's own
-    periodic wrap and interval search, then sums the stored cubic in scipy's
-    order, so the value is bit-identical to the array path.
+    scipy's periodic `CubicSpline` gives the cubics, and the shared
+    `PeriodicPiecewisePolynomial` evaluates them, bit-identical to scipy, for
+    one tau or an array of them.
     """
 
     def __init__(self, taus: Array, values: Array):
         t_ext = np.append(taus, taus[0] + TWO_PI)
         v_ext = np.concatenate([values, values[:1]], axis=0)
         self._lo = float(taus[0])
-        self._spline = CubicSpline(t_ext, v_ext, axis=0, bc_type="periodic")
-        self._knots = t_ext.tolist()
-        self._span = float(t_ext[-1] - t_ext[0])
-        c3, c2, c1, c0 = self._spline.c
-        self._coeffs = (0.0 + c0, c1, c2, c3)  # scipy's sum starts at 0.0 (-0.0 -> +0.0)
+        self._table = PeriodicPiecewisePolynomial(
+            t_ext, CubicSpline(t_ext, v_ext, axis=0, bc_type="periodic").c)
 
     def __call__(self, tau: float | Array) -> Array:
-        t = self._lo + (tau - self._lo) % TWO_PI
-        if not isinstance(t, float):
-            return self._spline(t)
-        t = self._lo + (t - self._lo) % self._span
-        i = min(bisect_right(self._knots, t) - 1, len(self._knots) - 2)
-        d = t - self._knots[i]
-        c0, c1, c2, c3 = self._coeffs
-        return c0[i] + c1[i] * d + c2[i] * (d * d) + c3[i] * (d * d * d)
+        return self._table(self._lo + (tau - self._lo) % TWO_PI)
 
 
 class TicTocChart:
@@ -183,8 +172,8 @@ class FamilyChart:
             raise ConditionCheckError("phase winding along the family orbit is not one turn")
         # t over the unwrapped phase, with the exact slope dt/dtau = 1/taudot.
         _, taudot, _ = self._phase_rates(thetas, dthetas, ddthetas)
-        self._tau_lo = float(tau_raw[0])
-        self._time = CubicHermiteSpline(tau_raw, ts, 1.0 / taudot)
+        self._time_of_phase = PeriodicPiecewisePolynomial(
+            tau_raw, CubicHermiteSpline(tau_raw, ts, 1.0 / taudot).c)
 
     # -- reduced-plane helpers ------------------------------------------------
 
@@ -198,9 +187,6 @@ class FamilyChart:
         pdot = dtheta / self.theta_scale
         vdot = ddtheta / (self.omega * self.theta_scale)
         return r, (v * pdot - p * vdot) / (r * r), (p * pdot + v * vdot) / r
-
-    def _time_of_phase(self, tau):
-        return self._time(self._tau_lo + (tau - self._tau_lo) % TWO_PI)
 
     def _orbit_radial(self, tau):
         """r*(tau) and dr*/dtau on the orbit."""

@@ -61,6 +61,7 @@ class SingularityReport:
 
     theta_s: float
     alpha_slope: float
+    slope_margin: float
     beta_s: float
     gamma_s: float
     v_s: float
@@ -73,6 +74,7 @@ class SingularityReport:
         return {
             "theta_s": self.theta_s,
             "alpha_slope": self.alpha_slope,
+            "slope_margin": self.slope_margin,
             "beta_s": self.beta_s,
             "gamma_s": self.gamma_s,
             "v_s": self.v_s,
@@ -194,6 +196,10 @@ def family_reduced(psi_s: float, k1: float, k2: float, k3: float,
                         interval=(float(interval[0]), float(interval[1])), vhc=vhc)
 
 
+# alpha' at a zero of alpha must exceed this fraction of max|alpha| / (hi - lo).
+SLOPE_FLOOR = 1e-6
+
+
 def check_theorem1(model: ReducedModel, n_grid: int = 2048) -> SingularityReport:
     """Existence check for a periodic solution crossing the coefficient singularity.
 
@@ -202,6 +208,11 @@ def check_theorem1(model: ReducedModel, n_grid: int = 2048) -> SingularityReport
     everywhere, and beta(theta_s)/alpha'(theta_s) < -1/2. The report takes the
     orientation with alpha'(theta_s) > 0 (sign -1 when the slope is negative,
     +1 otherwise); no other orientation can pass.
+
+    The slope counts as positive only above SLOPE_FLOOR max|alpha| / (hi - lo),
+    clear of the rounding in its finite difference: at a multiple zero of
+    alpha the difference reads noise of either sign, and no solution crosses
+    there. `slope_margin` is |alpha'| over that floor.
     """
     lo, hi = model.interval
     thetas = np.linspace(lo, hi, n_grid)
@@ -217,18 +228,21 @@ def check_theorem1(model: ReducedModel, n_grid: int = 2048) -> SingularityReport
     else:
         theta_s = slope = beta_s = gamma_s = math.nan
 
+    slope_floor = SLOPE_FLOOR * float(np.max(np.abs(alphas))) / (hi - lo)
     sign = -1 if slope < 0.0 else 1
     # beta/alpha' is invariant under the global sign flip.
     ratio = beta_s / slope if slope != 0.0 else math.nan
     flags = {
         "unique_zero": len(zeros) == 1,
-        "slope_positive": math.isfinite(slope) and sign * slope > 0.0,
+        "slope_positive": math.isfinite(slope) and sign * slope > slope_floor,
         "gamma_positive_on_interval": bool(np.all(sign * gammas > 0.0)),
         "ratio_below_minus_half": math.isfinite(ratio) and ratio < -0.5,
     }
     sb, sg = sign * beta_s, sign * gamma_s
     return SingularityReport(
-        theta_s=theta_s, alpha_slope=sign * slope, beta_s=sb, gamma_s=sg,
+        theta_s=theta_s, alpha_slope=sign * slope,
+        slope_margin=abs(slope) / slope_floor if slope_floor > 0.0 else math.nan,
+        beta_s=sb, gamma_s=sg,
         v_s=math.sqrt(-sg / sb) if sb < 0.0 < sg else math.nan,
         flags=flags, overall=all(flags.values()), sign=sign, zeros=tuple(zeros),
     )

@@ -117,6 +117,17 @@ def test_stacked_mass_matrix_batch(points):
         assert np.abs(force - model.input_map(qi) @ ui).max() < 1e-12
 
 
+def test_generic_reduction_rejects_degenerate_slope():
+    # Without coupling the model is PVTOL, and (k1, k2, k3) = (0.25, 1, -0.25)
+    # zeroes alpha'(0) = k1 k2 + k3: the generic projection's slope is noise.
+    model = coupled_model(0.0)
+    vhc = vp.family_vhc(model, np.array([0.0, 0.0, 0.5 * math.pi]), 0.25, 1.0, -0.25,
+                        domain=(-0.2, 0.2))
+    rep = vp.check_theorem1(vp.reduce(model, vhc))
+    assert rep.flags["unique_zero"] and not rep.flags["slope_positive"]
+    assert rep.slope_margin < 1.0
+
+
 def test_model_batch_rejects_one_non_spd_mass_matrix():
     model = coupled_model(coupling=3.0)
     q = np.array([[0.0, 0.0, 0.5 * math.pi], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -177,7 +188,7 @@ def test_scalar_solution_batch(which, tictoc_periodic, family_pack, times):
     singles = np.array([per.eval(float(s)) for s in t])
     for i in range(3):
         assert batched[i].shape == t.shape
-        assert _close(batched[i], singles[:, i])
+        assert np.array_equal(batched[i], singles[:, i])
 
 
 def test_scalar_solution_batch_rejects_times_outside_window(tictoc_solution):

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vhcplan.cli import main
+
 BASE = [sys.executable, "-m", "vhcplan.cli"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -119,24 +121,21 @@ def test_resolved_config_reproduces_run(tmp_path):
 def test_config_keys_validated_alike_in_files_and_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"n_samples": 2001}}))   # a removed key
-    assert run_cli("plan", "--config", str(cfg), "--out", str(tmp_path / "o1")).returncode == 64
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o1")]) == 64
     for assignment in ("solver.n_samples=2001", "vhc.kind.name=1", "solver=1"):
-        assert run_cli("plan", "--out", str(tmp_path / "o2"),
-                       "--set", assignment).returncode == 64
+        assert main(["plan", "--out", str(tmp_path / "o2"), "--set", assignment]) == 64
 
 
-def test_config_value_types_validated(tmp_path):
+def test_config_value_types_validated(tmp_path, capsys):
     # A value of another JSON type than its key's default, a fraction for an
     # integer included, is a usage error from a config file and from --set alike.
     for assignment in ("solver.tol=abc", "solver.lift_samples=[1,2]", "check.n_grid=2048.5"):
-        proc = run_cli("plan", "--out", str(tmp_path / "o1"), "--set", assignment)
-        assert proc.returncode == 64, proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert main(["plan", "--out", str(tmp_path / "o1"), "--set", assignment]) == 64
+        assert "Traceback" not in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     for value in ("512", True):
         cfg.write_text(json.dumps({"stabilize": {"n_grid": value}}))
-        assert run_cli("plan", "--config", str(cfg),
-                       "--out", str(tmp_path / "o2")).returncode == 64
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 64
 
 
 def test_config_value_types_accepted():
@@ -287,29 +286,39 @@ def test_exit_code_numerical_failure(tmp_path):
 
 
 def test_exit_code_usage_errors(tmp_path):
+    # One usage error through a subprocess; the others call main in-process.
     assert run_cli("plan", "--out", str(tmp_path / "u1"),
                    "--set", "nope.key=1").returncode == 64
-    assert run_cli("plan", "--out", str(tmp_path / "u2"),
-                   "--set", "vhc.kind=spline").returncode == 64
-    assert run_cli("plan").returncode == 64
-    assert run_cli("warp", "--out", str(tmp_path / "u3")).returncode == 64
-    assert run_cli("plan", "--out", str(tmp_path / "u4"),
-                   "--set", "boundary.theta1").returncode == 64
-    proc = run_cli("plan", "--out", str(tmp_path / "u5"),
-                   "--set", "vhc.kind=family", "--set", "vhc.k1=1")
-    assert proc.returncode == 64  # partial family parameters
+    assert main(["plan", "--out", str(tmp_path / "u2"), "--set", "vhc.kind=spline"]) == 64
+    assert main(["plan"]) == 64
+    assert main(["warp", "--out", str(tmp_path / "u3")]) == 64
+    assert main(["plan", "--out", str(tmp_path / "u4"), "--set", "boundary.theta1"]) == 64
+    assert main(["plan", "--out", str(tmp_path / "u5"), "--set", "vhc.kind=family",
+                 "--set", "vhc.k1=1"]) == 64   # partial family parameters
 
 
 def test_usage_error_on_bad_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
-    assert run_cli("plan", "--config", str(cfg),
-                   "--out", str(tmp_path / "o")).returncode == 64
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 64
     cfg.write_text(json.dumps({"vhc": {"knid": "tictoc"}}))
-    assert run_cli("plan", "--config", str(cfg),
-                   "--out", str(tmp_path / "o2")).returncode == 64
-    assert run_cli("plan", "--config", str(tmp_path / "missing.json"),
-                   "--out", str(tmp_path / "o3")).returncode == 64
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 64
+    assert main(["plan", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "o3")]) == 64
+
+
+def test_degenerate_singular_point_exits_promptly(tmp_path):
+    # alpha'(theta_s) = k1 k2 + k3 = 0: the existence check must reject the
+    # triple zero of alpha instead of sending the solver after it.
+    out = tmp_path / "degenerate"
+    proc = subprocess.run(BASE + ["plan", "--out", str(out), "--set", "vhc.kind=family",
+                                  "--set", "vhc.k1=0.25", "--set", "vhc.k2=3.0",
+                                  "--set", "vhc.k3=-0.75", "--set", "vhc.theta_max=0.2"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["check"]["flags"]["slope_positive"] is False
+    assert report["check"]["slope_margin"] < 1e-6
 
 
 def test_console_entry_point(tmp_path):
@@ -350,3 +359,12 @@ def test_installed_console_script(tmp_path):
     # A script installed from another checkout writes different bytes here.
     for name in ("trajectory.csv", "report.json"):
         assert (script / name).read_bytes() == (module / name).read_bytes()
+
+
+def test_public_names():
+    import vhcplan as vp
+    assert all(hasattr(vp, name) for name in vp.__all__)
+    # Names cut from __all__ stay importable from the package.
+    from vhcplan import (NoVhcCertificate, ParametricVhc, SingularityReport,  # noqa: F401
+                         SingularPass, family_vhc, theorem2_scan, tic_toc_acceleration,
+                         wrap_angle)

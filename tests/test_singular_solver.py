@@ -1,9 +1,14 @@
+import dataclasses
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import vhcplan as vp
+from vhcplan.singular_solver import RHS_BUDGET
 
 
 def test_singular_acceleration_tictoc_vanishes(tictoc_model, tictoc_report):
@@ -112,6 +117,22 @@ def test_unreachable_boundary_reports_diagnostics(tictoc_model, tictoc_report):
     assert exc.value.diagnostics
 
 
+def test_degenerate_crossing_stops_at_the_rhs_budget():
+    # A report forced to pass at a triple zero of alpha: the sweep creeps
+    # toward the cut without reaching it, and must stop at its budget.
+    model = vp.family_reduced(0.5 * math.pi, 0.25, 3.0, -0.75, (-0.2, 0.2))
+    forced = dataclasses.replace(vp.check_theorem1(model), overall=True)
+    start = time.perf_counter()
+    with pytest.raises(vp.BoundaryUnreachableError) as exc:
+        vp.solve_boundary(model, forced, -0.16, 0.0, 0.16, 0.0)
+    assert time.perf_counter() - start < 20.0
+    diagnostics = exc.value.diagnostics
+    assert diagnostics["side"] == "left"
+    assert diagnostics["rhs_evals"] == RHS_BUDGET + 1
+    assert len(diagnostics["final_state"]) == 2
+    assert "left" in str(exc.value) and str(RHS_BUDGET) in str(exc.value)
+
+
 def test_eval_outside_window_raises(tictoc_solution):
     with pytest.raises(vp.DomainError):
         tictoc_solution.eval(tictoc_solution.t2 + 0.5)
@@ -179,3 +200,68 @@ def test_time_reversal_symmetry(tictoc_periodic):
         assert abs(th - th_r) < 1e-9
         assert abs(dth + dth_r) < 1e-9
         assert abs(ddth - ddth_r) < 1e-7
+
+
+@pytest.fixture(params=["tictoc", "family"])
+def orbit(request, tictoc_model, tictoc_report, tictoc_periodic, family_pack):
+    """(model, theta_s, boundary positions, periodic solution) of one orbit."""
+    if request.param == "tictoc":
+        return tictoc_model, tictoc_report.theta_s, (-1.0, 1.0), tictoc_periodic
+    tmax = family_pack["params"].interval[1]
+    return (family_pack["model"], family_pack["report"].theta_s, (-0.8 * tmax, 0.8 * tmax),
+            family_pack["per"])
+
+
+def test_table_matches_independent_dense_output(orbit):
+    # Each side again through solve_ivp with the solver's settings, its dense
+    # output read by scipy: the table must reproduce it on both halves.
+    model, th_s, (theta1, theta2), per = orbit
+    sol = per.base
+
+    def rhs(t, y):
+        alpha, beta, gamma = model.coefficients(y[0])
+        return [y[1], -(beta * y[1] * y[1] + gamma) / alpha]
+
+    for theta, target, span, origin in ((theta1, th_s - 1e-6, (0.0, 1e3), sol.t1),
+                                        (theta2, th_s + 1e-6, (0.0, -1e3), sol.t2)):
+        def cut(t, y):
+            return y[0] - target
+        cut.terminal = True
+        ref = solve_ivp(rhs, span, [theta, 0.0], method="RK45", rtol=1e-10, atol=1e-10,
+                        dense_output=True, events=[cut])
+        s = np.linspace(0.0, 0.999 * ref.t_events[0][0], 2001)   # away from the bridge
+        th_ref, dth_ref = ref.sol(s)
+        th, dth, _ = per.eval(origin + s)
+        assert np.abs(th - th_ref).max() < 1e-13 and np.abs(dth - dth_ref).max() < 1e-13
+        th, dth, _ = per.eval(2.0 * sol.t2 - origin - s)          # mirror half
+        assert np.abs(th - th_ref).max() < 1e-13 and np.abs(dth + dth_ref).max() < 1e-13
+
+
+def test_table_is_continuous_at_its_breaks(orbit):
+    # theta and theta' are continuous where one quartic meets the next; where
+    # the bridge meets a side, the series and the integrated side differ a little.
+    # Each jump is read 1e-10 to either side of a break, less the slope's share.
+    _, _, _, per = orbit
+    breaks = per.base.table.breaks
+    assert np.diff(breaks).min() > 1e-8
+    eps = 1e-10
+    after, before = per.eval(breaks[1:-1] + eps), per.eval(breaks[1:-1] - eps)
+    jumps = np.abs([after[0] - before[0] - eps * (after[1] + before[1]),
+                    after[1] - before[1] - eps * (after[2] + before[2])]).T
+    in_bridge = per.base.table(0.5 * (breaks[:-1] + breaks[1:]))[:, 2]
+    joints = np.diff(in_bridge) != 0.0
+    assert joints.sum() == 4            # both ends of the bridge and of its mirror image
+    assert jumps[~joints].max() < 1e-13
+    print(f"bridge joint jumps: theta {jumps[joints, 0].max():.2e}, "
+          f"theta' {jumps[joints, 1].max():.2e}")
+    assert jumps[joints].max() < 1e-9
+
+
+def test_eval_at_the_crossings_raises_no_warning(orbit):
+    _, th_s, _, per = orbit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.0, 2.0 * per.base.t2):
+            th, _, ddth = per.eval(t)
+            assert abs(th - th_s) < 1e-12 and np.isfinite(ddth)
+        per.eval(np.array([0.0, 2.0 * per.base.t2]))

@@ -91,6 +91,20 @@ def test_family_wrong_curvature_fails_ratio_flag():
     assert rep.flags["slope_positive"]
 
 
+# alpha'(0) = k1 k2 + k3 = 0: alpha has a triple zero at theta = 0, and its
+# finite-difference slope is rounding noise (about 3.5e-17).
+DEGENERATE_FAMILY = (0.5 * math.pi, 0.25, 3.0, -0.75, (-0.2, 0.2))
+
+
+def test_existence_check_rejects_degenerate_slope(tictoc_report):
+    rep = vp.check_theorem1(vp.family_reduced(*DEGENERATE_FAMILY))
+    assert rep.flags["unique_zero"] and rep.flags["ratio_below_minus_half"]
+    assert not rep.flags["slope_positive"] and not rep.overall
+    assert rep.slope_margin < 1e-6
+    assert rep.to_json_dict()["slope_margin"] == rep.slope_margin
+    assert tictoc_report.slope_margin > 1e6
+
+
 def test_existence_check_retries_flipped_annihilator_sign():
     # Raw coefficients have alpha' < 0 and gamma < 0; the flipped global sign
     # must be tried and accepted.
