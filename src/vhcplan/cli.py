@@ -79,14 +79,11 @@ DEFAULTS: dict = {
         "k3": None,
         "theta_max": None,
     },
-    "boundary": {"theta1": None, "dtheta1": 0.0, "theta2": None, "dtheta2": 0.0},
-    "solver": {"xi_cut": 1e-6, "tol": 1e-10, "t_max": 1000.0,
-               "lift_samples": 4096},
+    "boundary": {"theta1": None, "theta2": None},
+    "solver": {"t_max": 1000.0, "lift_samples": 4096},
     "check": {"n_grid": 2048},
     "certify": {"n_samples": 2048, "accessibility_samples": 64},
-    "stabilize": {"n_grid": 512, "rho_step": 1e-6, "w_step": 1e-4,
-                  "q_weight": 1.0, "r_weight": 1.0, "max_sweeps": 50,
-                  "tube_radius": 1.0},
+    "stabilize": {"n_grid": 512, "q_weight": 1.0, "r_weight": 1.0, "max_sweeps": 50},
     "simulate": {"q0": [0.1, -0.5, 0.0], "qd0": [0.0, 0.0, 0.0], "dt": 0.01,
                  "periods": 3.0, "stage_feedback": True, "open_loop": False},
     "sweep": {"psi_values": [0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi]},
@@ -106,12 +103,14 @@ def _is_number(value) -> bool:
 
 
 def _fits_default(default, value) -> bool:
-    """Whether a config value has the JSON type of its key's default.
+    """Whether a config value has the JSON type of its key's default, and its sign if positive.
 
     A float takes any number (not a bool), an int an int, a list a list of
     numbers, a bool a bool and a string a string; a key whose default is null
-    takes null or a number.
+    takes null or a number. A positive default marks a count, step, horizon or weight.
     """
+    if _is_number(default) and default > 0 and not (_is_number(value) and value > 0):
+        return False
     if isinstance(default, (bool, int, str)):
         return type(value) is type(default)
     if isinstance(default, list):
@@ -136,7 +135,7 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
             # vhc.domain is checked as a [lo, hi] pair in _load_config.
             if full != "vhc.domain" and not _fits_default(default, value):
                 raise UsageError(f"config key {full} takes a value of the type of its default "
-                                 f"{json.dumps(default)}, got {json.dumps(value)}")
+                                 f"{json.dumps(default)} (> 0 if it is), got {json.dumps(value)}")
             out[key] = value
     return out
 
@@ -223,18 +222,14 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
         write_json(out / "report.json", report_json)
         raise ConditionCheckError("existence conditions failed; see report.json")
 
-    bcfg = cfg["boundary"]
-    if kind == "tictoc":
-        th1 = float(bcfg["theta1"]) if bcfg["theta1"] is not None else -1.0
-        th2 = float(bcfg["theta2"]) if bcfg["theta2"] is not None else 1.0
-    else:
-        tmax = model.interval[1]
-        th1 = float(bcfg["theta1"]) if bcfg["theta1"] is not None else -0.8 * tmax
-        th2 = float(bcfg["theta2"]) if bcfg["theta2"] is not None else 0.8 * tmax
+    # The orbit runs between rest points at theta1 and theta2, both at speed 0; by
+    # default at -1 and 1 on the tic-toc and at -+0.8 of a family orbit's interval.
+    reach = 1.0 if kind == "tictoc" else 0.8 * model.interval[1]
+    th1, th2 = (sign * reach if value is None else float(value)
+                for sign, value in ((-1.0, cfg["boundary"]["theta1"]),
+                                    (1.0, cfg["boundary"]["theta2"])))
     scfg = cfg["solver"]
-    sol = solve_boundary(model, report, th1, float(bcfg["dtheta1"]), th2,
-                         float(bcfg["dtheta2"]), xi_cut=float(scfg["xi_cut"]),
-                         tol=float(scfg["tol"]), t_max=float(scfg["t_max"]))
+    sol = solve_boundary(model, report, th1, 0.0, th2, 0.0, t_max=float(scfg["t_max"]))
     per = make_periodic(sol)
     traj = lift(vhc, per, sys_, n_samples=int(scfg["lift_samples"]))
 
@@ -251,8 +246,8 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
         "t1": sol.t1,
         "t2": sol.t2,
         "period": per.period,
-        "boundary": {"theta1": th1, "dtheta1": float(bcfg["dtheta1"]),
-                     "theta2": th2, "dtheta2": float(bcfg["dtheta2"])},
+        "boundary": {"theta1": th1, "dtheta1": sol.dtheta1,
+                     "theta2": th2, "dtheta2": sol.dtheta2},
         "max_input_residual": float(np.max(traj.residuals)),
     })
     return {"sys": sys_, "vhc": vhc, "model": model, "report": report,
@@ -263,13 +258,9 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
 def _stabilize_objects(cfg: dict, out: Path) -> dict:
     ctx = _plan_objects(cfg, out)
     kcfg = cfg["stabilize"]
-    if cfg["vhc"]["kind"] == "tictoc":
-        chart = TicTocChart(tube_radius=float(kcfg["tube_radius"]))
-    else:
-        chart = FamilyChart(ctx["traj"], ctx["params"],
-                            tube_radius=float(kcfg["tube_radius"]))
-    ltv = linearize(chart, ctx["sys"], ctx["traj"], n_grid=int(kcfg["n_grid"]),
-                    rho_step=float(kcfg["rho_step"]), w_step=float(kcfg["w_step"]))
+    chart = (TicTocChart() if cfg["vhc"]["kind"] == "tictoc"
+             else FamilyChart(ctx["traj"], ctx["params"]))
+    ltv = linearize(chart, ctx["sys"], ctx["traj"], n_grid=int(kcfg["n_grid"]))
     write_csv(out / "ltv.csv",
               ["tau"] + [f"a{i}{j}" for i in range(1, 6) for j in range(1, 6)]
               + [f"b{i}{j}" for i in range(1, 6) for j in range(1, 3)],
@@ -335,10 +326,10 @@ def _cmd_certify(cfg: dict, out: Path) -> None:
 
     n_acc = int(cfg["certify"]["accessibility_samples"])
     ts = orbit.t0 + orbit.period * np.arange(n_acc) / n_acc
-    states = [orbit.state_at(t)[:2] for t in ts]
+    q, qd = orbit.state_at(ts)[:2]
     write_csv(out / "accessibility.csv", ["t", "det_closed_form", "det_numeric"],
-              np.column_stack([ts, [accessibility_det_closed_form(*s) for s in states],
-                               [accessibility_det_numeric(sys_, *s) for s in states]]))
+              np.column_stack([ts, accessibility_det_closed_form(q, qd),
+                               accessibility_det_numeric(sys_, q, qd)]))
     if not cert.verdict:
         raise ConditionCheckError(cert.message)
 

@@ -13,11 +13,12 @@ finite-difference brackets for any degree-one model.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mech import MechanicalSystem, left_annihilator
+from .mech import MechanicalSystem, eval_accel, left_annihilator
 from .numdiff import grid_roots, matvec
 
 Array = np.ndarray
@@ -85,58 +86,58 @@ def theorem2_scan(sys: MechanicalSystem, traj, n_samples: int = 2048) -> list[Si
     return passes
 
 
-def accessibility_det_closed_form(q: Array, qdot: Array) -> float:
+def accessibility_det_closed_form(q: Array, qdot: Array) -> Array:
     """Closed-form bracket determinant for the thrust-vectored vehicle.
 
     det [f, g1, g2, ad_f g1, ad_f g2, ad_f^2 g1]
         = 2 psid (-psid xd sin(psi) + psid zd cos(psi) + sin(psi)).
+
+    Takes one point (q, qdot of shape (3,)) or a batch of shape (k, 3).
     """
-    psi = q[2]
-    xd, zd, psid = qdot
-    return float(2.0 * psid * (-psid * xd * np.sin(psi) + psid * zd * np.cos(psi) + np.sin(psi)))
+    psi = np.asarray(q, dtype=float).T[2]
+    xd, zd, psid = np.asarray(qdot, dtype=float).T
+    return 2.0 * psid * (-psid * xd * np.sin(psi) + psid * zd * np.cos(psi) + np.sin(psi))
 
 
 def _phase_fields(sys: MechanicalSystem):
-    """Drift and control vector fields on (q, qdot) phase space."""
+    """Drift (`eval_accel` at u = 0) and control (columns of M^-1 B) fields at x (..., 2n)."""
     n = sys.n
 
     def drift(x: Array) -> Array:
-        q, qd = x[:n], x[n:]
-        acc = -np.linalg.solve(sys.mass_matrix(q), sys.coriolis(q, qd) @ qd + sys.gravity(q))
-        return np.concatenate([qd, acc])
+        q, qd = x[..., :n], x[..., n:]
+        return np.concatenate([qd, eval_accel(sys, q, qd, np.zeros(q.shape[:-1] + (n - 1,)))],
+                              axis=-1)
 
-    def control(i: int):
-        def g(x: Array) -> Array:
-            q = x[:n]
-            col = np.linalg.solve(sys.mass_matrix(q), np.asarray(sys.input_map(q))[:, i])
-            return np.concatenate([np.zeros(n), col])
-        return g
+    def control(x: Array, i: int) -> Array:
+        q = x[..., :n]
+        cols = np.linalg.solve(sys.mass_matrix(q), sys.input_map(q))
+        return np.concatenate([np.zeros_like(q), cols[..., i]], axis=-1)
 
-    return drift, [control(i) for i in range(n - 1)]
-
-
-def _directional(F, x: Array, v: Array, h: float) -> Array:
-    return (F(x + h * v) - F(x - h * v)) / (2.0 * h)
+    return drift, [functools.partial(control, i=i) for i in range(n - 1)]
 
 
 def _bracket(F, G, h: float):
     """Lie bracket [F, G] = DG F - DF G via central differences."""
     def fg(x: Array) -> Array:
-        return _directional(G, x, F(x), h) - _directional(F, x, G(x), h)
+        fx, gx = F(x), G(x)
+        return ((G(x + h * fx) - G(x - h * fx)) / (2.0 * h)
+                - (F(x + h * gx) - F(x - h * gx)) / (2.0 * h))
     return fg
 
 
 def accessibility_det_numeric(sys: MechanicalSystem, q: Array, qdot: Array,
-                              h: float = 1e-5) -> float:
-    """Bracket determinant by nested central-difference Jacobian-vector products."""
-    f, gs = _phase_fields(sys)
-    g1, g2 = gs
+                              h: float = 1e-5) -> Array:
+    """Bracket determinant by nested central-difference Jacobian-vector products.
+
+    Takes one point or a batch, like `accessibility_det_closed_form`.
+    """
+    f, (g1, g2) = _phase_fields(sys)
     ad_f_g1 = _bracket(f, g1, h)
     ad_f_g2 = _bracket(f, g2, h)
     ad2_f_g1 = _bracket(f, ad_f_g1, h)
-    x = np.concatenate([np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)])
+    x = np.concatenate([np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)], axis=-1)
     cols = [f(x), g1(x), g2(x), ad_f_g1(x), ad_f_g2(x), ad2_f_g1(x)]
-    return float(np.linalg.det(np.column_stack(cols)))
+    return np.linalg.det(np.stack(cols, axis=-1))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ kappa = -2 beta/alpha' > 1, integrating away from the crossing amplifies any
 seed error by 1/xi^kappa, while integrating from a boundary state toward the
 crossing contracts onto the branch the boundary data selects. The solver
 therefore integrates each side inward from its endpoint, stops a small
-distance xi_cut before theta_s, and bridges the crossing with the series
+distance XI_CUT before theta_s, and bridges the crossing with the series
 above; endpoint conditions hold by construction.
 
 The solution is one periodic table of polynomial pieces
 (`numdiff.PeriodicPiecewisePolynomial`): the RK45 dense-output quartics of
 both sides, the bridge theta_s + v_s t + a_s t^2/2 across the window of
-|theta - theta_s| < xi_cut, and the mirror image of all three about the far
+|theta - theta_s| < XI_CUT, and the mirror image of all three about the far
 rest point, which closes the orbit. Outside the bridge theta'' is the model's
 quotient -(beta theta'^2 + gamma)/alpha; inside it, where that quotient is
 0/0, theta'' is the quadratic through a_s and the quotient at both edges.
@@ -57,8 +57,12 @@ def singular_acceleration(model: ReducedModel, report: SingularityReport) -> flo
     return float(-(dbeta * v2 + dgamma) / denom)
 
 
-# RHS evaluations one side of `solve_boundary` may spend. The default tic-toc
-# and family runs take 758 to 914 per side, and RK45's count grows like tol^(-1/5).
+# Each side of `solve_boundary` integrates with RK45 at rtol = atol = ODE_TOL
+# and stops XI_CUT from theta_s, where the series bridge takes over.
+XI_CUT = 1e-6
+ODE_TOL = 1e-10
+# RHS evaluations one side of `solve_boundary` may spend. The default tic-toc and
+# family runs take 758 to 914 per side, and RK45's count grows like ODE_TOL^(-1/5).
 RHS_BUDGET = 20_000
 
 
@@ -171,14 +175,13 @@ def _orbit_table(left, right, t1: float, t2: float, bridge: Array, dt_left: floa
 
 def solve_boundary(model: ReducedModel, report: SingularityReport,
                    theta1: float, dtheta1: float, theta2: float, dtheta2: float,
-                   xi_cut: float = 1e-6, tol: float = 1e-10,
                    t_max: float = 1e3) -> ScalarSolution:
     """Solution with theta(t1) = theta1, theta(t2) = theta2 crossing the singularity.
 
     Endpoint velocities dtheta1, dtheta2 >= 0 select the branch on each side;
     each side is integrated from its endpoint toward the crossing (RK45,
-    rtol = atol = tol, at most RHS_BUDGET right-hand sides), stopped at
-    |theta - theta_s| = xi_cut, and joined by the forced-velocity series. Time
+    rtol = atol = ODE_TOL, at most RHS_BUDGET right-hand sides), stopped at
+    |theta - theta_s| = XI_CUT, and joined by the forced-velocity series. Time
     origin: the crossing happens at t = 0.
     """
     if not report.overall:
@@ -191,7 +194,7 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
     lo, hi = model.interval
     if theta1 < lo or theta2 > hi:
         raise DomainError("boundary positions must lie inside the model interval")
-    if min(th_s - theta1, theta2 - th_s) < 10.0 * xi_cut:
+    if min(th_s - theta1, theta2 - th_s) < 10.0 * XI_CUT:
         raise DomainError("boundary positions too close to the singular point")
 
     v_s = report.v_s
@@ -218,7 +221,7 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
             return y[0] - target
         cut.terminal = True
 
-        ode = solve_ivp(rhs, t_span, y0, method="RK45", rtol=tol, atol=tol,
+        ode = solve_ivp(rhs, t_span, y0, method="RK45", rtol=ODE_TOL, atol=ODE_TOL,
                         dense_output=True, events=[cut])
         if not ode.t_events[0].size:
             raise BoundaryUnreachableError(
@@ -232,13 +235,13 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
                 f"far from the forced crossing velocity {v_s:.6g}")
         return ode, abs(float(ode.t_events[0][0]))
 
-    # Left side forward in time from (theta1, dtheta1) up to theta_s - xi_cut,
-    # right side backward in time from (theta2, dtheta2) down to theta_s + xi_cut.
-    left, T_left = sweep("left", [theta1, dtheta1], (0.0, t_max), th_s - xi_cut)
-    right, T_right = sweep("right", [theta2, dtheta2], (0.0, -t_max), th_s + xi_cut)
+    # Left side forward in time from (theta1, dtheta1) up to theta_s - XI_CUT,
+    # right side backward in time from (theta2, dtheta2) down to theta_s + XI_CUT.
+    left, T_left = sweep("left", [theta1, dtheta1], (0.0, t_max), th_s - XI_CUT)
+    right, T_right = sweep("right", [theta2, dtheta2], (0.0, -t_max), th_s + XI_CUT)
 
-    dt_left = _series_offset(xi_cut, v_s, a_s, inward=-1)
-    dt_right = _series_offset(xi_cut, v_s, a_s, inward=+1)
+    dt_left = _series_offset(XI_CUT, v_s, a_s, inward=-1)
+    dt_right = _series_offset(XI_CUT, v_s, a_s, inward=+1)
     t1 = -(T_left + dt_left)
     t2 = dt_right + T_right
 
@@ -258,10 +261,10 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
 
 
 def make_periodic(sol: ScalarSolution) -> PeriodicScalarSolution:
-    """Close the orbit by time reflection about t2: period 2 (t2 - t1).
+    """The periodic orbit, period 2 (t2 - t1), of a solution with rest endpoints.
 
-    The reduced dynamics is reversible (even in theta'), so the mirrored half
-    solves the same equation; rest endpoints make the junctions C^2.
+    The table already holds the mirror half (`_orbit_table`); rest endpoints
+    make its junctions C^2. Checks them and records the crossings.
     """
     if abs(sol.dtheta1) > 1e-8 or abs(sol.dtheta2) > 1e-8:
         raise ConditionCheckError("mirror concatenation requires rest endpoints (dtheta = 0)")
@@ -318,9 +321,10 @@ def lift(vhc: ParametricVhc, sol: PeriodicScalarSolution, sys: MechanicalSystem,
     u, res = inverse_input(sys, q, qd, qdd)
     if float(np.max(res)) > 1e-8:
         raise ConvergenceError(f"lift residual {np.max(res):.3e} exceeds 1e-8")
-    # Closure of the full state over one period (wrap back to the first sample).
-    q_wrap, qd_wrap, _ = _constrained_motion(vhc, *sol.eval(float(times[0] + sol.period)))
-    gap = max(float(np.max(np.abs(q_wrap - q[0]))), float(np.max(np.abs(qd_wrap - qd[0]))))
+    # Closure: the end of the table's last piece, just short of the wrap, against the start.
+    t_end = float(np.nextafter(times[0] + sol.period, -np.inf))
+    q_end, qd_end, _ = _constrained_motion(vhc, *sol.eval(t_end))
+    gap = max(float(np.max(np.abs(q_end - q[0]))), float(np.max(np.abs(qd_end - qd[0]))))
     if gap > 1e-6:
         raise ConvergenceError(f"periodic closure gap {gap:.3e} exceeds 1e-6")
     return PeriodicTrajectory(t=times, q=q, qdot=qd, u=u, residuals=res,

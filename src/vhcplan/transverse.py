@@ -28,7 +28,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import schur
 
-from .errors import ConditionCheckError, ConvergenceError, OutsideTubeError
+from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_input
 from .numdiff import PeriodicPiecewisePolynomial, matvec
 from .singular_solver import PeriodicTrajectory
@@ -72,11 +72,11 @@ class TicTocChart:
     one code path, and keep a single point on numpy scalars, which is cheap.
 
     `invert_guess(tau, rho)` is the exact inverse of `forward` inside the
-    tube; `chart_invert` relies on that and only checks the residual.
+    tube of radius `tube_radius` in rho; `chart_invert` relies on that and
+    only checks the residual.
     """
 
-    def __init__(self, tube_radius: float = 1.0):
-        self.tube_radius = float(tube_radius)
+    tube_radius = 1.0
 
     def forward(self, q: Array, qd: Array):
         x, z, psi = q.T
@@ -151,13 +151,13 @@ class FamilyChart:
     `TicTocChart`.
     """
 
-    def __init__(self, traj: PeriodicTrajectory, params: FamilyParameters,
-                 tube_radius: float = 1.0):
+    tube_radius = 1.0
+
+    def __init__(self, traj: PeriodicTrajectory, params: FamilyParameters):
         self.traj = traj
         self.vhc = traj.vhc
         self.psi_s = float(params.psi_s)
         self.k2 = float(params.k2)
-        self.tube_radius = float(tube_radius)
         scalar = traj.scalar
         self.omega = TWO_PI / scalar.period
         n = FAMILY_CHART_SAMPLES
@@ -299,36 +299,38 @@ def chart_invert(chart, tau, rho: Array):
 
 @dataclass
 class LtvModel:
-    """Periodic linearization drho/dtau = A(tau) rho + B(tau) w on [-pi, pi)."""
+    """Periodic linearization drho/dtau = A(tau) rho + B(tau) w on [-pi, pi).
+
+    `a_of(tau)` and `b_of(tau)` are the periodic cubic splines of A and B.
+    """
 
     taus: Array
     A: Array
     B: Array
     f0_max: float
-    _ab: PeriodicMatrixSpline = field(init=False, repr=False)
+    a_of: PeriodicMatrixSpline = field(init=False, repr=False)
+    b_of: PeriodicMatrixSpline = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._ab = PeriodicMatrixSpline(self.taus, np.concatenate([self.A, self.B], axis=2))
-
-    def a_of(self, tau: float | Array) -> Array:
-        return self._ab(tau)[..., :self.A.shape[2]]
-
-    def b_of(self, tau: float | Array) -> Array:
-        return self._ab(tau)[..., self.A.shape[2]:]
+        self.a_of = PeriodicMatrixSpline(self.taus, self.A)
+        self.b_of = PeriodicMatrixSpline(self.taus, self.B)
 
 
 # Grid nodes whose stencils `linearize` evaluates in one batched call: 64
 # nodes make 1,856 points, enough to amortize the per-call overhead while the
 # working arrays stay near 1 MB.
 LINEARIZE_BLOCK = 64
+# Difference steps of `linearize` in each rho and each input coordinate.
+RHO_STEP = 1e-6
+W_STEP = 1e-4
 
 
 def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
-              n_grid: int = 512, rho_step: float = 1e-6,
-              w_step: float = 1e-4) -> LtvModel:
+              n_grid: int = 512) -> LtvModel:
     """Finite-difference periodic linearization of the transverse dynamics.
 
-    Central differences with one Richardson step; the chart/trajectory pair is
+    Central differences with one Richardson step (steps RHO_STEP in rho and
+    W_STEP in w); the chart/trajectory pair is
     validated first (on-orbit states must map to rho ~ 0) and the on-orbit
     vector field f(0, tau, 0) must vanish to 1e-9 at every grid node. Each
     node's stencil is the nominal point plus the shifts +h, -h, +h/2, -h/2 of
@@ -341,7 +343,7 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
         raise ConditionCheckError("chart does not vanish on the supplied trajectory")
 
     n_rho, n_w = 5, sys.n - 1
-    steps = np.array([rho_step] * n_rho + [w_step] * n_w)
+    steps = np.array([RHO_STEP] * n_rho + [W_STEP] * n_w)
     n_cols = steps.size
     stencil = np.zeros((1 + 4 * n_cols, n_cols))   # row 0: the nominal point
     for j, h in enumerate(steps):
@@ -485,13 +487,10 @@ class GainSchedule:
     sweeps: int
     fixed_point_gap: float
     multipliers: Array
-    _k_spline: PeriodicMatrixSpline = field(init=False, repr=False)
+    k_of: PeriodicMatrixSpline = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._k_spline = PeriodicMatrixSpline(self.taus, self.K)
-
-    def k_of(self, tau: float | Array) -> Array:
-        return self._k_spline(tau)
+        self.k_of = PeriodicMatrixSpline(self.taus, self.K)
 
 
 # A backward sweep has reached the periodic solution when max|P(0) - P(2 pi)| is
@@ -510,11 +509,13 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     backward through the inverted interval maps, where it attracts:
     [X; Y] = map^{-1} [I; P(next node)] gives P at each node of the uniform
     grid. At most `max_sweeps` sweeps run until P(0) comes back within
-    RICCATI_GAP_RTOL.
+    RICCATI_GAP_RTOL. R must be symmetric positive definite.
     """
     n, m = model.B.shape[1:]
     Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)
     R = np.eye(m) if R is None else np.asarray(R, dtype=float)
+    if R.shape != (m, m) or not (np.array_equal(R, R.T) and np.all(np.linalg.eigvalsh(R) > 0.0)):
+        raise DomainError(f"R must be a symmetric positive definite {m}x{m} matrix")
     Rinv = np.linalg.inv(R)
     taus = model.taus
 

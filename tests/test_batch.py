@@ -117,6 +117,19 @@ def test_stacked_mass_matrix_batch(points):
         assert np.abs(force - model.input_map(qi) @ ui).max() < 1e-12
 
 
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    _batch(k, 3, -2.0, 2.0), _batch(k, 3, -2.0, 2.0))))
+def test_accessibility_determinant_batch(pvtol, points):
+    q, qd = points
+    closed = vp.accessibility_det_closed_form(q, qd)
+    assert np.array_equal(closed, [vp.accessibility_det_closed_form(*p) for p in zip(q, qd)])
+    numeric = vp.accessibility_det_numeric(pvtol, q, qd)
+    singles = [vp.accessibility_det_numeric(pvtol, *p) for p in zip(q, qd)]
+    assert numeric.shape == closed.shape == (q.shape[0],)
+    assert np.abs(numeric - singles).max() <= 1e-10
+
+
 def test_generic_reduction_rejects_degenerate_slope():
     # Without coupling the model is PVTOL, and (k1, k2, k3) = (0.25, 1, -0.25)
     # zeroes alpha'(0) = k1 k2 + k3: the generic projection's slope is noise.

@@ -124,18 +124,42 @@ def test_config_keys_validated_alike_in_files_and_overrides(tmp_path):
     assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o1")]) == 64
     for assignment in ("solver.n_samples=2001", "vhc.kind.name=1", "solver=1"):
         assert main(["plan", "--out", str(tmp_path / "o2"), "--set", assignment]) == 64
+    # Keys that became constants: the solver's and the chart's tuning values
+    # and the boundary velocities, which a periodic orbit fixes at 0.
+    removed = {"solver": {"xi_cut": 1e-6, "tol": 1e-10},
+               "stabilize": {"rho_step": 1e-6, "w_step": 1e-4, "tube_radius": 1.0},
+               "boundary": {"dtheta1": 0.0, "dtheta2": 0.0}}
+    for section, keys in removed.items():
+        for key, value in keys.items():
+            cfg.write_text(json.dumps({section: {key: value}}))
+            assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 64
+            assert main(["plan", "--out", str(tmp_path / "o4"),
+                         "--set", f"{section}.{key}={value}"]) == 64
 
 
 def test_config_value_types_validated(tmp_path, capsys):
     # A value of another JSON type than its key's default, a fraction for an
     # integer included, is a usage error from a config file and from --set alike.
-    for assignment in ("solver.tol=abc", "solver.lift_samples=[1,2]", "check.n_grid=2048.5"):
+    for assignment in ("stabilize.q_weight=abc", "solver.lift_samples=[1,2]",
+                       "check.n_grid=2048.5"):
         assert main(["plan", "--out", str(tmp_path / "o1"), "--set", assignment]) == 64
         assert "Traceback" not in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     for value in ("512", True):
         cfg.write_text(json.dumps({"stabilize": {"n_grid": value}}))
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 64
+
+
+def test_config_values_with_positive_defaults_must_be_positive(tmp_path, capsys):
+    # Each of these reached the numerics before and failed there with a traceback.
+    for command, assignment in (("stabilize", "stabilize.r_weight=0"),
+                                ("stabilize", "stabilize.n_grid=0"),
+                                ("plan", "solver.lift_samples=0"),
+                                ("simulate", "simulate.dt=0"),
+                                ("simulate", "simulate.periods=-1")):
+        assert main([command, "--out", str(tmp_path / "o"), "--set", assignment]) == 64
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
 
 
 def test_config_value_types_accepted():

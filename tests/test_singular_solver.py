@@ -190,6 +190,23 @@ def test_lift_state_interpolation(tictoc_trajectory):
         assert np.abs(qdd - vp.tic_toc_acceleration(t)).max() < 1e-6
 
 
+def test_lift_closure_check_sees_a_perturbed_mirror_half(tictoc_model, tictoc_periodic):
+    # theta is raised by 1e-5 on the mirror half after its crossing, so the
+    # end of the period no longer meets its start; the reduced equation still
+    # holds there, so only the closure check can see it.
+    per = tictoc_periodic
+    base = per.base
+
+    def table(t):
+        values = base.table(t)
+        late = per.t0 + (np.asarray(t) - per.t0) % per.period > 2.0 * base.t2 + 1e-3
+        return values + 1e-5 * late[..., None] * np.array([1.0, 0.0, 0.0, 0.0])
+
+    bad = dataclasses.replace(per, base=dataclasses.replace(base, table=table))
+    with pytest.raises(vp.ConvergenceError, match="closure"):
+        vp.lift(tictoc_model.vhc, bad, vp.pvtol_model(), n_samples=512)
+
+
 def test_time_reversal_symmetry(tictoc_periodic):
     # theta(2 t2 - t) = theta(t), thetadot(2 t2 - t) = -thetadot(t).
     per = tictoc_periodic

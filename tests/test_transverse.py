@@ -259,6 +259,12 @@ def test_periodic_lqr_rejects_unstabilizable_model(tictoc_ltv, A):
         vp.periodic_lqr(model)
 
 
+@pytest.mark.parametrize("R", [np.zeros((2, 2)), -np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
+def test_periodic_lqr_rejects_r_that_is_not_spd(tictoc_ltv, R):
+    with pytest.raises(vp.DomainError):
+        vp.periodic_lqr(tictoc_ltv, R=R)
+
+
 def test_riccati_residual_on_grid(tictoc_ltv, tictoc_gains):
     # P must satisfy dP/dtau = -(A'P + PA - PBB'P + Q) along the grid; check
     # the derivative with central differences of the periodic interpolant.
