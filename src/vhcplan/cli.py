@@ -4,7 +4,7 @@ Every command reads an optional JSON config (defaults below), applies dotted
 `--set key=value` overrides, and writes its artifacts into `--out`:
 
   plan       trajectory.csv, report.json
-  certify    certificate.json, accessibility.csv
+  certify    certificate.json, accessibility.csv (family: plan artifacts too)
   stabilize  plan artifacts + ltv.csv, gains.csv, spectra.json
   simulate   stabilize artifacts + simulation.csv
   sweep      psi_<value>/ subruns (stabilize each) + sweep_summary.json
@@ -320,7 +320,9 @@ def _cmd_certify(cfg: dict, out: Path) -> None:
     if cfg["vhc"]["kind"] == "tictoc":
         orbit = tic_toc_orbit()
     else:
-        orbit = _plan_objects(cfg, out)["traj"]
+        ctx = _plan_objects(cfg, out)
+        write_json(out / "report.json", ctx["report_json"])
+        orbit = ctx["traj"]
     cert = certify_no_regular_vhc(sys_, orbit, n_samples=int(cfg["certify"]["n_samples"]))
     write_json(out / "certificate.json", cert.to_json_dict())
 

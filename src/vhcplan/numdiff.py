@@ -6,6 +6,7 @@ from bisect import bisect_right
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 Array = np.ndarray
 
@@ -114,3 +115,41 @@ class PeriodicPiecewisePolynomial:
             value = value + ck[i] * z
             z = z * d
         return value
+
+
+def cubic_coefficients(x: Array, y: Array, dydx: Array | None = None) -> Array:
+    """Cubic Hermite coefficients for `PeriodicPiecewisePolynomial` on knots x.
+
+    Values y and slopes dydx run along the first axis. Without dydx the slopes
+    are the periodic cubic spline's, which needs y[-1] == y[0]. Repeats scipy's
+    `CubicHermiteSpline(x, y, dydx).c` and `CubicSpline(x, y, bc_type="periodic").c`
+    operation for operation, their branches for 2 and 3 knots included.
+    """
+    dx = np.diff(x)
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    if dydx is None and len(x) == 2:
+        dydx = np.broadcast_to(slope[0], y.shape)
+    elif dydx is None and len(x) == 3:
+        dydx = np.broadcast_to((slope / dxr).sum(0) / (1.0 / dxr).sum(0), y.shape)
+    elif dydx is None:
+        # Unknowns s[0..n-2] (s[n-1] = s[0]): a tridiagonal system plus two
+        # corner entries. Solve it without the last unknown for two right-hand
+        # sides, then get the last unknown from the last row.
+        n = len(x)
+        ab = np.zeros((3, n - 2))
+        ab[0, 2:], ab[0, 1] = dx[:-3], dx[-1]
+        ab[1, 1:], ab[1, 0] = 2 * (dx[:-2] + dx[1:-1]), 2 * (dx[-1] + dx[0])
+        ab[2] = dx[1:]
+        b = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        b1 = np.concatenate([3 * (dxr[:1] * slope[-1:] + dxr[-1:] * slope[:1]), b[:-1]])
+        b2 = np.zeros_like(b1)
+        b2[0], b2[-1] = -dx[0], -dx[-3]
+        m = len(b1)
+        s1 = solve_banded((1, 1), ab, b1.reshape(m, -1), check_finite=False).reshape(b1.shape)
+        s2 = solve_banded((1, 1), ab, b2.reshape(m, -1), check_finite=False).reshape(b2.shape)
+        s_last = ((b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
+                  / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
+        dydx = np.concatenate([s1 + s_last * s2, s_last[None], (s1[0] + s_last * s2[0])[None]])
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]))

@@ -15,6 +15,13 @@ therefore integrates each side inward from its endpoint, stops a small
 distance XI_CUT before theta_s, and bridges the crossing with the series
 above; endpoint conditions hold by construction.
 
+Each side runs the Dormand-Prince RK5(4) pair (Dormand & Prince, J. Comput.
+Appl. Math. 6, 1980) with its quartic dense output and the step control of
+Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6. `rk45_sweep` repeats scipy's
+`solve_ivp(method="RK45")` operation for operation without importing it,
+which keeps start-up short; tests check its steps bit for bit against
+scipy's.
+
 The solution is one periodic table of polynomial pieces
 (`numdiff.PeriodicPiecewisePolynomial`): the RK45 dense-output quartics of
 both sides, the bridge theta_s + v_s t + a_s t^2/2 across the window of
@@ -31,12 +38,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (BoundaryUnreachableError, ConditionCheckError,
                      ConvergenceError, DomainError)
 from .mech import MechanicalSystem, inverse_input
-from .numdiff import PeriodicPiecewisePolynomial, central_derivative
+from .numdiff import PeriodicPiecewisePolynomial, bisect, central_derivative
 from .vhc import ParametricVhc, ReducedModel, SingularityReport
 
 Array = np.ndarray
@@ -136,25 +142,147 @@ def _pieces(coeffs: Array, x0: Array, rate: Array) -> Array:
     return np.einsum("ikm,imv->ikv", shift, coeffs) * (rate[:, None] ** k)[..., None]
 
 
-def _quartics(ode):
-    """RK45 dense-output quartics of a solve_ivp solution, one per step of ode.sol.ts.
+# The Dormand-Prince RK5(4) tableau, its error weights E (5th minus 4th order)
+# and the matrix P of the quartic dense output, as in scipy's RK45.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+# Step-size control: safety factor and bounds on one step's change of h.
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 
-    A step interpolates y_old + h sum_k Q[:, k] x^(k+1), x = (s - t_old)/h
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.6). Returns their
-    coefficients in powers of x for (theta, theta', 0, 0), x at both ends of
-    each step, and dx/ds.
+
+@dataclass
+class RkSteps:
+    """Accepted RK45 steps of one sweep, each with its dense-output quartic.
+
+    Step i starts at t_old[i] from y_old[i] and has signed length h[i]; its
+    quartic is y_old + h sum_k Q[:, k] x^(k+1), x = (s - t_old)/h (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6). `t`, `y` are the last state: the
+    cut and the quartic's value there if `reached`, else the last step's end.
     """
-    steps = ode.sol.interpolants
-    h = np.array([it.h for it in steps])
-    t_old = np.array([it.t_old for it in steps])
-    coeffs = np.zeros((len(steps), 5, 4))
-    coeffs[:, 0, :2] = [it.y_old for it in steps]
-    coeffs[:, 1:, :2] = h[:, None, None] * np.array([it.Q.T for it in steps])
-    return coeffs, (ode.sol.ts[:-1] - t_old) / h, (ode.sol.ts[1:] - t_old) / h, 1.0 / h
+
+    t_old: Array
+    h: Array
+    y_old: Array
+    Q: Array
+    t: float
+    y: Array
+    reached: bool
 
 
-def _orbit_table(left, right, t1: float, t2: float, bridge: Array, dt_left: float,
-                 dt_right: float) -> PeriodicPiecewisePolynomial:
+def _rms(x: Array) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def rk45_sweep(fun, y0: Array, t_bound: float, target: float, tol: float) -> RkSteps:
+    """RK45 from t = 0 toward t_bound until y[0] crosses `target`.
+
+    Repeats scipy's `solve_ivp(fun, (0, t_bound), y0, method="RK45",
+    rtol=tol, atol=tol)` with a terminal event y[0] - target: its first step,
+    RMS error norm and step control, FSAL stages, 10-ulp minimum step and
+    t_bound clamp. The event time is bisected to full resolution on the last
+    step's quartic, where scipy runs brentq. Stops with `reached` False at
+    t_bound (at once if it is 0), or when the step falls below its minimum (a
+    NaN right-hand side shrinks it there).
+    """
+    direction = np.sign(t_bound)
+    y = np.asarray(y0, dtype=float)
+    t, f = 0.0, fun(0.0, y)
+    steps = ([], [], [], [])   # t_old, h, y_old and Q of each accepted step
+    g = y[0] - target
+
+    def done(reached):
+        return RkSteps(*map(np.array, steps), t, y, reached)
+
+    if t_bound == 0.0:
+        return done(False)
+    # Initial step (Hairer, Norsett & Wanner, II.4), scipy's select_initial_step.
+    scale = tol + np.abs(y) * tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_bound))
+    d2 = _rms((fun(h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs = min(100 * h0, h1, abs(t_bound))
+    K = np.empty((7, y.size))
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return done(False)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = K[-1] = fun(t + h, y_new)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0
+                          else min(MAX_FACTOR, SAFETY * error_norm ** -0.2))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
+            rejected = True
+        for column, value in zip(steps, (t, h, y, K.T.dot(_P))):
+            column.append(value)
+        t_old, y_old, (t, y, f) = t, y, (t_new, y_new, f_new)
+        g_old, g = g, y[0] - target
+        if (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0):
+            Q = steps[3][-1]
+
+            def dense(s):
+                return h * np.dot(Q, np.cumprod(np.full(4, (s - t_old) / h))) + y_old
+
+            lo, hi, g_lo, g_hi = (t_old, t, g_old, g) if direction > 0 else (t, t_old, g, g_old)
+            t = bisect(lambda s: dense(s)[0] - target, lo, hi, g_lo, g_hi, 0.0)
+            y = dense(t)
+            return done(True)
+        if direction * (t - t_bound) >= 0:
+            return done(False)
+
+
+def _quartics(side: RkSteps):
+    """The quartics of `side` in powers of x for (theta, theta', 0, 0).
+
+    Returns the coefficients, x at both ends of each step (up to the cut on
+    the last one) and dx/ds.
+    """
+    ts = np.r_[side.t_old, side.t]
+    coeffs = np.zeros((len(side.h), 5, 4))
+    coeffs[:, 0, :2] = side.y_old
+    coeffs[:, 1:, :2] = side.h[:, None, None] * side.Q.transpose(0, 2, 1)
+    return coeffs, (ts[:-1] - side.t_old) / side.h, (ts[1:] - side.t_old) / side.h, 1.0 / side.h
+
+
+def _orbit_table(left: RkSteps, right: RkSteps, t1: float, t2: float, bridge: Array,
+                 dt_left: float, dt_right: float) -> PeriodicPiecewisePolynomial:
     """(theta, theta', bridge weight, bridge theta'') over one period from t1, as one table.
 
     [t1, t2] holds the left side's quartics, the bridge (`bridge` in powers of
@@ -166,7 +294,7 @@ def _orbit_table(left, right, t1: float, t2: float, bridge: Array, dt_left: floa
     coeffs = np.concatenate([l_c, bridge[None], r_c])
     x0, x1 = np.r_[l_x0, -dt_left, r_x0], np.r_[l_x1, dt_right, r_x1]
     rate = np.r_[l_rate, 1.0, r_rate]
-    breaks = np.r_[t1 + left.sol.ts[:-1], -dt_left, dt_right, t2 + right.sol.ts[-2:0:-1], t2]
+    breaks = np.r_[t1 + left.t_old, -dt_left, dt_right, t2 + right.t_old[:0:-1], t2]
     mirrored = _pieces(coeffs[::-1], x1[::-1], -rate[::-1]) * [1.0, -1.0, 1.0, 1.0]
     table = np.concatenate([_pieces(coeffs, x0, rate), mirrored])
     breaks = np.r_[breaks[:-1], 2.0 * t2 - breaks[:0:-1], t1 + 2.0 * (t2 - t1)]
@@ -204,7 +332,7 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
         alpha, beta, gamma = model.coefficients(th)
         return -(beta * dth * dth + gamma) / alpha
 
-    def sweep(side, y0, t_span, target):
+    def sweep(side, y0, t_bound, target):
         count = 0
 
         def rhs(t, y):
@@ -215,30 +343,26 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
                     f"{side} sweep spent its budget of {RHS_BUDGET} right-hand sides "
                     "before reaching the singular crossing",
                     {"side": side, "final_state": y.tolist(), "time": float(t), "rhs_evals": count})
-            return [y[1], accel(*y)]
+            return np.array([y[1], accel(*y)])
 
-        def cut(t, y):
-            return y[0] - target
-        cut.terminal = True
-
-        ode = solve_ivp(rhs, t_span, y0, method="RK45", rtol=ODE_TOL, atol=ODE_TOL,
-                        dense_output=True, events=[cut])
-        if not ode.t_events[0].size:
+        steps = rk45_sweep(rhs, y0, t_bound, target, ODE_TOL)
+        if not steps.reached:
             raise BoundaryUnreachableError(
                 f"{side} boundary state cannot reach the singular crossing",
-                {"side": side, "final_state": ode.y[:, -1].tolist(), "time": float(ode.t[-1]),
+                {"side": side, "final_state": steps.y.tolist(), "time": float(steps.t),
                  "rhs_evals": count})
-        dth_cut = float(ode.y_events[0][0][1])
+        dth_cut = float(steps.y[1])
         if abs(dth_cut - v_s) > 0.2 * v_s + 0.2:
             raise ConvergenceError(
                 f"{side} sweep reached the cut with velocity {dth_cut:.6g}, "
                 f"far from the forced crossing velocity {v_s:.6g}")
-        return ode, abs(float(ode.t_events[0][0]))
+        return steps
 
     # Left side forward in time from (theta1, dtheta1) up to theta_s - XI_CUT,
     # right side backward in time from (theta2, dtheta2) down to theta_s + XI_CUT.
-    left, T_left = sweep("left", [theta1, dtheta1], (0.0, t_max), th_s - XI_CUT)
-    right, T_right = sweep("right", [theta2, dtheta2], (0.0, -t_max), th_s + XI_CUT)
+    left = sweep("left", [theta1, dtheta1], t_max, th_s - XI_CUT)
+    right = sweep("right", [theta2, dtheta2], -t_max, th_s + XI_CUT)
+    T_left, T_right = abs(left.t), abs(right.t)
 
     dt_left = _series_offset(XI_CUT, v_s, a_s, inward=-1)
     dt_right = _series_offset(XI_CUT, v_s, a_s, inward=+1)
@@ -253,7 +377,7 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
     bridge[:2, 1] = v_s, a_s
     bridge[0, 2] = 1.0
     bridge[:3, 3] = np.polyfit([-dt_left, 0.0, dt_right],
-                               [accel(*left.sol(T_left)), a_s, accel(*right.sol(-T_right))],
+                               [accel(*left.y), a_s, accel(*right.y)],
                                2)[::-1]
     return ScalarSolution(t1=t1, t2=t2, dtheta1=dtheta1, dtheta2=dtheta2, v_s=v_s, a_s=a_s,
                           coefficients=model.coefficients,

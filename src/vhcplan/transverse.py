@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import schur
 
 from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_input
-from .numdiff import PeriodicPiecewisePolynomial, matvec
+from .numdiff import PeriodicPiecewisePolynomial, cubic_coefficients, matvec
 from .singular_solver import PeriodicTrajectory
 from .vhc import FamilyParameters
 
@@ -47,9 +46,10 @@ def wrap_angle(a):
 class PeriodicMatrixSpline:
     """Periodic cubic interpolation of array-valued samples on [-pi, pi).
 
-    scipy's periodic `CubicSpline` gives the cubics, and the shared
-    `PeriodicPiecewisePolynomial` evaluates them, bit-identical to scipy, for
-    one tau or an array of them.
+    `numdiff.cubic_coefficients` gives the periodic spline's cubics and the
+    shared `PeriodicPiecewisePolynomial` evaluates them, for one tau or an
+    array of them. Tests check both bit for bit against scipy's periodic
+    `CubicSpline`.
     """
 
     def __init__(self, taus: Array, values: Array):
@@ -57,7 +57,7 @@ class PeriodicMatrixSpline:
         v_ext = np.concatenate([values, values[:1]], axis=0)
         self._lo = float(taus[0])
         self._table = PeriodicPiecewisePolynomial(
-            t_ext, CubicSpline(t_ext, v_ext, axis=0, bc_type="periodic").c)
+            t_ext, cubic_coefficients(t_ext, v_ext))
 
     def __call__(self, tau: float | Array) -> Array:
         return self._table(self._lo + (tau - self._lo) % TWO_PI)
@@ -173,7 +173,7 @@ class FamilyChart:
         # t over the unwrapped phase, with the exact slope dt/dtau = 1/taudot.
         _, taudot, _ = self._phase_rates(thetas, dthetas, ddthetas)
         self._time_of_phase = PeriodicPiecewisePolynomial(
-            tau_raw, CubicHermiteSpline(tau_raw, ts, 1.0 / taudot).c)
+            tau_raw, cubic_coefficients(tau_raw, ts, 1.0 / taudot))
 
     # -- reduced-plane helpers ------------------------------------------------
 

@@ -233,6 +233,45 @@ def test_simulate_artifacts(tmp_path):
     assert report["simulation"]["converged"] is True
 
 
+def test_family_certify_writes_plan_artifacts(tmp_path):
+    # certify plans a family orbit first, and keeps the plan's artifacts.
+    out = tmp_path / "fam_cert"
+    assert main(["certify", "--out", str(out), "--set", "vhc.kind=family"]) == 0
+    for name in ("certificate.json", "accessibility.csv", "trajectory.csv", "report.json"):
+        assert (out / name).is_file(), name
+    report = json.loads((out / "report.json").read_text())
+    assert report["check"]["overall"] is True and "family_parameters" in report
+
+
+@pytest.mark.parametrize("n_grid", [1, 2, 3])
+def test_stabilize_on_the_smallest_grids(tmp_path, n_grid):
+    # The periodic spline's branches for 2 and 3 knots and its smallest
+    # condensed system.
+    assert main(["stabilize", "--out", str(tmp_path / "s"),
+                 "--set", f"stabilize.n_grid={n_grid}"]) == 0
+
+
+# Runs every command a fresh interpreter would, then lists the scipy packages
+# the package must not load: they cost start-up time and memory on every run.
+IMPORT_FOOTPRINT = """
+import sys
+from vhcplan.cli import main
+for i, args in enumerate((["plan"], ["certify"], ["stabilize"], ["simulate"],
+                          ["stabilize", "--set", "vhc.kind=family"])):
+    assert main([args[0], "--out", f"{sys.argv[1]}/{i}", *args[1:]]) == 0, args
+banned = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special",
+          "scipy.sparse")
+print(sorted(m for m in sys.modules if m.startswith(banned)))
+"""
+
+
+def test_import_footprint(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_family_plan(tmp_path):
     out = tmp_path / "fam"
     proc = run_cli("plan", "--out", str(out), "--set", "vhc.kind=family",

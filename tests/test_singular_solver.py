@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import vhcplan as vp
-from vhcplan.singular_solver import RHS_BUDGET
+from vhcplan.singular_solver import ODE_TOL, RHS_BUDGET, XI_CUT, rk45_sweep
 
 
 def test_singular_acceleration_tictoc_vanishes(tictoc_model, tictoc_report):
@@ -113,8 +113,33 @@ def test_unreachable_boundary_reports_diagnostics(tictoc_model, tictoc_report):
     with pytest.raises(vp.BoundaryUnreachableError) as exc:
         vp.solve_boundary(tictoc_model, tictoc_report, -1.0, 0.0, 1.0, 0.0,
                           t_max=0.5)
-    assert isinstance(exc.value.diagnostics, dict)
-    assert exc.value.diagnostics
+    diagnostics = exc.value.diagnostics
+    assert diagnostics["side"] == "left"
+    assert diagnostics["time"] == 0.5           # the last step is clamped to t_max
+    assert diagnostics["final_state"][0] < -XI_CUT
+    assert 0 < diagnostics["rhs_evals"] < RHS_BUDGET
+    with pytest.raises(vp.BoundaryUnreachableError) as exc:     # no time to integrate
+        vp.solve_boundary(tictoc_model, tictoc_report, -1.0, 0.0, 1.0, 0.0, t_max=0.0)
+    assert exc.value.diagnostics == {"side": "left", "final_state": [-1.0, 0.0], "time": 0.0,
+                                     "rhs_evals": 1}
+
+
+def test_nan_right_hand_side_stops_promptly(tictoc_model, tictoc_report):
+    # theta'' is NaN on (-0.6, -0.4): every step's error norm is NaN, the step
+    # shrinks fivefold per try below its 10-ulp minimum, and the sweep stops.
+    def coefficients(th):
+        if th <= -0.6 or th >= -0.4:
+            return tictoc_model.coefficients(th)
+        return np.full(3, np.nan)
+    model = dataclasses.replace(tictoc_model, coefficients=coefficients)
+    start = time.perf_counter()
+    with pytest.raises(vp.BoundaryUnreachableError) as exc:
+        vp.solve_boundary(model, tictoc_report, -1.0, 0.0, 1.0, 0.0)
+    assert time.perf_counter() - start < 5.0
+    diagnostics = exc.value.diagnostics
+    assert diagnostics["side"] == "left"
+    assert diagnostics["rhs_evals"] < 1000
+    assert -1.0 < diagnostics["final_state"][0] <= -0.6
 
 
 def test_degenerate_crossing_stops_at_the_rhs_budget():
@@ -282,3 +307,30 @@ def test_eval_at_the_crossings_raises_no_warning(orbit):
             th, _, ddth = per.eval(t)
             assert abs(th - th_s) < 1e-12 and np.isfinite(ddth)
         per.eval(np.array([0.0, 2.0 * per.base.t2]))
+
+
+def test_rk45_sweep_matches_solve_ivp(orbit):
+    # Each side's steps (t_old, h, y_old, Q) equal scipy's RK45 dense outputs
+    # bit for bit; the cut is bisected where scipy runs brentq.
+    model, th_s, (theta1, theta2), _ = orbit
+
+    def rhs(t, y):
+        alpha, beta, gamma = model.coefficients(y[0])
+        return np.array([y[1], -(beta * y[1] * y[1] + gamma) / alpha])
+
+    for theta, target, t_bound in ((theta1, th_s - XI_CUT, 1e3), (theta2, th_s + XI_CUT, -1e3)):
+        def cut(t, y):
+            return y[0] - target
+        cut.terminal = True
+        ref = solve_ivp(rhs, (0.0, t_bound), [theta, 0.0], method="RK45", rtol=ODE_TOL,
+                        atol=ODE_TOL, dense_output=True, events=[cut])
+        steps = rk45_sweep(rhs, [theta, 0.0], t_bound, target, ODE_TOL)
+        dense = ref.sol.interpolants
+        assert steps.reached and len(steps.h) == len(dense)
+        for mine, theirs in ((steps.t_old, [d.t_old for d in dense]),
+                             (steps.h, [d.h for d in dense]),
+                             (steps.y_old, [d.y_old for d in dense]),
+                             (steps.Q, [d.Q for d in dense])):
+            assert np.array_equal(mine, np.array(theirs))
+        assert abs(steps.t - ref.t_events[0][0]) <= 1e-15
+        assert np.abs(steps.y - ref.y_events[0][0]).max() <= 1e-15

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import expm, schur
 
 import vhcplan as vp
+from vhcplan.numdiff import cubic_coefficients
 
 
 def test_wrap_angle():
@@ -41,6 +42,23 @@ def test_periodic_matrix_spline_wraps():
         assert np.array_equal(spline(float(t)), expected)
         assert np.array_equal(spline(t), expected)
         assert np.array_equal(spline(np.array([t]))[0], expected)
+
+
+@pytest.mark.parametrize("n_grid", [1, 2, 3, 4, 48, 512])
+def test_cubic_coefficients_equal_scipy(n_grid):
+    # The periodic spline's branches for 2 and 3 knots, the condensed
+    # tridiagonal solve beyond them, and the Hermite formula: all == scipy's.
+    rng = np.random.default_rng(n_grid)
+    taus = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
+    t_ext = np.append(taus, taus[0] + 2.0 * math.pi)
+    for shape in ((5, 5), (5, 2), (2, 5)):
+        vals = rng.normal(size=(n_grid,) + shape)
+        v_ext = np.concatenate([vals, vals[:1]])
+        expected = CubicSpline(t_ext, v_ext, axis=0, bc_type="periodic").c
+        assert np.array_equal(cubic_coefficients(t_ext, v_ext), expected)
+    x = np.cumsum(rng.uniform(0.1, 1.0, n_grid + 1))
+    y, dydx = rng.normal(size=(2, n_grid + 1))
+    assert np.array_equal(cubic_coefficients(x, y, dydx), CubicHermiteSpline(x, y, dydx).c)
 
 
 def test_tictoc_chart_on_orbit(tictoc_chart):
