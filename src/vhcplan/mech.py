@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from numpy.linalg import _umath_linalg
 
 from .errors import ModelInvariantError
 from .numdiff import matvec
@@ -48,11 +48,9 @@ def eval_accel(sys: MechanicalSystem, q: Array, qdot: Array, u: Array) -> Array:
     """Solve M(q)q'' = B(q)u - C(q,q')q' - G(q) for the acceleration.
 
     A single point has q, qdot of shape (n,) and u of shape (n-1,); a batch of
-    k points has shapes (k, n) and (k, n-1). A Cholesky factorization rejects
-    a mass matrix that is not positive definite; it reads the lower triangle
-    only, as symmetry of M is the model's contract and is not checked. One M
-    for the whole call (a single point, or a constant M) takes one LAPACK posv
-    for every right-hand side; a stack of matrices is factorized per point.
+    k points has shapes (k, n) and (k, n-1). Raises ModelInvariantError for a
+    phase state of the wrong shape or with a non-finite entry, ValueError for
+    u of the wrong shape; `solve_accel` does the solve.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
@@ -63,18 +61,41 @@ def eval_accel(sys: MechanicalSystem, q: Array, qdot: Array, u: Array) -> Array:
         raise ModelInvariantError("phase state must be finite")
     if u.shape != q.shape[:-1] + (sys.n - 1,):
         raise ValueError(f"u must have shape {q.shape[:-1] + (sys.n - 1,)}")
+    return solve_accel(sys, q, qdot, u)
+
+
+def solve_accel(sys: MechanicalSystem, q: Array, qdot: Array, u: Array) -> Array:
+    """The solve of `eval_accel` without its argument checks.
+
+    q, qdot and u must be float arrays of the shapes `eval_accel` accepts, and
+    q, qdot finite; a caller that checks them once for many calls (the
+    closed-loop simulation) calls this directly. Raises ModelInvariantError
+    when the mass matrix is not positive definite.
+    """
     M = np.asarray(sys.mass_matrix(q), dtype=float)
     rhs = matvec(sys.input_map(q), u) - matvec(sys.coriolis(q, qdot), qdot) - sys.gravity(q)
-    if M.ndim == 2:
-        _, qddot, info = dposv(M, rhs.T, lower=1)
-        if info != 0:
-            raise ModelInvariantError("mass matrix is not symmetric positive definite")
-        return qddot.T
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise ModelInvariantError("mass matrix is not symmetric positive definite") from exc
-    return np.linalg.solve(M, rhs[..., None])[..., 0]
+    return _spd_solve(M, rhs)
+
+
+def _spd_solve(M: Array, rhs: Array) -> Array:
+    """M^{-1} rhs for symmetric positive definite M, one matrix or a stack.
+
+    One M serves every right-hand side of a stack. The lowest eigenvalue of
+    the lower triangle's symmetric matrix rejects an M that is not positive
+    definite; symmetry of M is the model's contract and is not checked. This
+    calls the gufuncs behind `np.linalg.eigvalsh` and `np.linalg.solve`
+    directly: the public functions add about 5 us of argument handling and
+    error-state set-up per call, which the closed-loop simulation pays at
+    every RK4 stage on a 3x3 system. Without that set-up a failing LAPACK
+    call warns instead of raising, so the eigenvalue check comes first and a
+    positive definite M never fails the solve; an M with a non-finite entry
+    can fail the eigenvalue call, which then warns before M is rejected. The
+    names are those numpy.linalg itself calls, checked with numpy 2.4.6.
+    """
+    w = _umath_linalg.eigvalsh_lo(M)        # ascending: the lowest comes first
+    if not (w[0] > 0.0 if M.ndim == 2 else np.all(w[:, 0] > 0.0)):
+        raise ModelInvariantError("mass matrix is not symmetric positive definite")
+    return _umath_linalg.solve1(M, rhs)
 
 
 def inverse_input(sys: MechanicalSystem, q: Array, qdot: Array, qddot: Array):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .mech import MechanicalSystem, eval_accel
+from .errors import ConvergenceError, ModelInvariantError
+from .mech import MechanicalSystem, solve_accel
 from .transverse import GainSchedule
 
 Array = np.ndarray
@@ -39,27 +39,36 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
     """Simulate from (q0, qd0) for `horizon` seconds under the scheduled feedback.
 
     gains=None applies the reference input u*(tau) alone (open loop).
-    Raises ConvergenceError when an entry of the state is not finite or its
-    magnitude exceeds 1e6 (divergence guard).
+    Raises ConvergenceError when an entry of the state at a step is not finite
+    or its magnitude exceeds 1e6 (divergence guard). The checks of
+    `eval_accel` run before its solve, once per run for the shapes of q0 and
+    qd0, once per RK4 stage for a finite stage state, and on every feedback
+    input for the shape of u.
     """
     q0 = np.asarray(q0, dtype=float)
     qd0 = np.asarray(qd0, dtype=float)
     n = sys.n
+    if q0.shape != (n,) or qd0.shape != (n,):
+        raise ModelInvariantError(f"q0 and qd0 must both have shape ({n},)")
     n_steps = int(round(horizon / dt))
 
     def feedback(tau: float, rho: Array) -> Array:
         u = chart.reference_input(tau)
         if gains is not None:
             u = u + gains.k_of(tau) @ rho
+        if u.shape != (n - 1,):
+            raise ValueError(f"u must have shape {(n - 1,)}")
         return u
 
     def deriv(y: Array, u: Array | None = None) -> Array:
+        if not np.isfinite(y).all():
+            raise ModelInvariantError("phase state must be finite")
         q, qd = y[:n], y[n:]
         if u is None:
             u = feedback(*chart.forward(q, qd))
         dy = np.empty(2 * n)
         dy[:n] = qd
-        dy[n:] = eval_accel(sys, q, qd, u)
+        dy[n:] = solve_accel(sys, q, qd, u)
         return dy
 
     ts = dt * np.arange(n_steps + 1)

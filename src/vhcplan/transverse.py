@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_input
@@ -49,18 +48,40 @@ class PeriodicMatrixSpline:
     `numdiff.cubic_coefficients` gives the periodic spline's cubics and the
     shared `PeriodicPiecewisePolynomial` evaluates them, for one tau or an
     array of them. Tests check both bit for bit against scipy's periodic
-    `CubicSpline`.
+    `CubicSpline`. `of_tables` builds the splines of several tables sampled
+    on the same taus from one coefficient solve.
     """
 
     def __init__(self, taus: Array, values: Array):
-        t_ext = np.append(taus, taus[0] + TWO_PI)
-        v_ext = np.concatenate([values, values[:1]], axis=0)
+        (self._table,) = _periodic_tables(taus, values)
         self._lo = float(taus[0])
-        self._table = PeriodicPiecewisePolynomial(
-            t_ext, cubic_coefficients(t_ext, v_ext))
+
+    @classmethod
+    def of_tables(cls, taus: Array, *tables: Array) -> list[PeriodicMatrixSpline]:
+        """One spline per table, each bit-identical to `PeriodicMatrixSpline(taus, table)`."""
+        splines = [cls.__new__(cls) for _ in tables]
+        for spline, table in zip(splines, _periodic_tables(taus, *tables)):
+            spline._table, spline._lo = table, float(taus[0])
+        return splines
 
     def __call__(self, tau: float | Array) -> Array:
         return self._table(self._lo + (tau - self._lo) % TWO_PI)
+
+
+def _periodic_tables(taus: Array, *tables: Array) -> list[PeriodicPiecewisePolynomial]:
+    """Periodic spline tables of samples on `taus`, one coefficient solve for all.
+
+    The tables' entries become the columns of one right-hand side; the
+    tridiagonal sweep treats every column alike, so each table's cubics equal
+    those of its own solve bit for bit.
+    """
+    n = len(taus)
+    t_ext = np.append(taus, taus[0] + TWO_PI)
+    columns = np.concatenate([np.reshape(v, (n, -1)) for v in tables], axis=1)
+    coeffs = cubic_coefficients(t_ext, np.concatenate([columns, columns[:1]]))
+    ends = np.cumsum([np.prod(np.shape(v)[1:], dtype=int) for v in tables])[:-1]
+    return [PeriodicPiecewisePolynomial(t_ext, c.reshape(c.shape[:2] + np.shape(v)[1:]))
+            for c, v in zip(np.split(coeffs, ends, axis=2), tables)]
 
 
 class TicTocChart:
@@ -312,8 +333,7 @@ class LtvModel:
     b_of: PeriodicMatrixSpline = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.a_of = PeriodicMatrixSpline(self.taus, self.A)
-        self.b_of = PeriodicMatrixSpline(self.taus, self.B)
+        self.a_of, self.b_of = PeriodicMatrixSpline.of_tables(self.taus, self.A, self.B)
 
 
 # Grid nodes whose stencils `linearize` evaluates in one batched call: 64
@@ -498,13 +518,57 @@ class GainSchedule:
 RICCATI_GAP_RTOL = 1e-8
 
 
+# Newton's iteration for the matrix sign function has converged once a step
+# changes the iterate by less than SIGN_TOL relative (1-norm). It takes about
+# 2 more steps per decade that a multiplier's modulus comes closer to 1
+# (tic-toc 4 steps, family 6): SIGN_MAX_ITER steps accept multipliers about
+# 1e-5 off the unit circle and reject one that lies on it, which the interval
+# maps compute within about 1e-8 of it.
+SIGN_TOL = 1e-10
+SIGN_MAX_ITER = 16
+
+
+def _stable_subspace(F: Array) -> tuple[Array, int]:
+    """Invariant subspace of F for its eigenvalues inside the unit circle.
+
+    Returns (Z, k): the k orthonormal columns of Z span the subspace. The
+    Cayley transform C = (F - I)^{-1} (F + I) sends the inside of the unit
+    circle to the open left half-plane, so (I - sign(C)) / 2 projects onto
+    the subspace along its complement; sign(C) comes from Newton's iteration
+    with determinant scaling (Higham, Functions of Matrices, 2008, ch. 5),
+    which needs no eigenvectors and so also handles defective eigenvalues.
+    The projector's trace is k and its leading left singular vectors span its
+    range.
+    """
+    eye = np.eye(len(F))
+    try:
+        S = np.linalg.solve(F - eye, F + eye)
+        for _ in range(SIGN_MAX_ITER):
+            S_inv = np.linalg.inv(S)     # raises before a singular S scales by inf
+            mu = np.exp(-np.linalg.slogdet(S)[1] / len(F))
+            S_next = 0.5 * (mu * S + S_inv / mu)
+            change = np.abs(S_next - S).sum(axis=0).max() / np.abs(S_next).sum(axis=0).max()
+            S = S_next
+            if change <= SIGN_TOL:
+                break
+        else:
+            raise ConvergenceError(f"sign iteration on the period map did not converge in "
+                                   f"{SIGN_MAX_ITER} steps (last relative change {change:.3e}): "
+                                   f"a multiplier lies on or near the unit circle")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("the period map has a multiplier at 1 or -1") from exc
+    projector = 0.5 * (eye - S)
+    k = int(round(np.trace(projector)))
+    return np.linalg.svd(projector)[0][:, :k], k
+
+
 def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None,
                  max_sweeps: int = 50) -> GainSchedule:
     """Periodic LQR from the stable subspace of the Hamiltonian period map.
 
     The period map of z' = [[A, -B R^{-1} B^T], [-Q, -A^T]] z from the first
     node has n eigenvalues inside the unit circle when (A, B) is stabilizable;
-    the ordered real Schur form gives their subspace [X; Y], and P = Y X^{-1}
+    `_stable_subspace` gives their subspace [X; Y], and P = Y X^{-1}
     (Bittanti, Colaneri & De Nicolao 1991). A sweep carries the graph P
     backward through the inverted interval maps, where it attracts:
     [X; Y] = map^{-1} [I; P(next node)] gives P at each node of the uniform
@@ -525,11 +589,12 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
                          [np.broadcast_to(-Q, A.shape), -A.swapaxes(1, 2)]])
 
     maps = _interval_maps(hamiltonian, float(taus[0]), taus.size)
-    T, Z, n_stable = schur(_ordered_product(maps), output="real", sort="iuc")
+    period_map = _ordered_product(maps)
+    Z, n_stable = _stable_subspace(period_map)
     if n_stable != n:
         raise ConvergenceError(f"Hamiltonian period map has {n_stable} stable multipliers, "
                                f"not {n}: (A, B) is not stabilizable or (Q, A) not detectable")
-    cond = np.linalg.cond(Z[:n, :n])
+    cond = np.linalg.cond(Z[:n])
     if not cond <= 1e12:
         raise ConvergenceError(f"stable subspace of the Hamiltonian period map is not a graph "
                                f"over the state (cond X = {cond:.3e})")
@@ -538,7 +603,7 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("an interval map of the Hamiltonian system is singular") from exc
     back_x, back_y = back[:, :, :n], back[:, :, n:]
-    P_end = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T)
+    P_end = np.linalg.solve(Z[:n].T, Z[n:].T)
     P_end, gap = 0.5 * (P_end + P_end.T), math.inf
     for sweep in range(1, max_sweeps + 1):
         P, P_next = np.empty((taus.size, n, n)), P_end
@@ -558,7 +623,7 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
         if gap < RICCATI_GAP_RTOL:
             K = -Rinv @ model.B.transpose(0, 2, 1) @ P
             return GainSchedule(taus=taus, K=K, P=P, sweeps=sweep, fixed_point_gap=gap,
-                                multipliers=np.linalg.eigvals(T[:n, :n]))
+                                multipliers=np.linalg.eigvals(Z.T @ period_map @ Z))
         P_end = P[0]
     raise ConvergenceError(f"periodic Riccati did not reach a fixed point in {max_sweeps} sweeps "
                            f"(relative gap {gap:.3e})")

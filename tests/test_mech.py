@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,29 @@ def test_eval_accel_rejects_non_spd_mass():
     # One constant M for a whole batch is factorized once for every right-hand side.
     with pytest.raises(vp.ModelInvariantError):
         vp.eval_accel(bad, np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 1)))
+
+
+def test_eval_accel_mass_solve_matches_numpy():
+    rng = np.random.default_rng(8)
+    root = rng.normal(size=(3, 3))
+    M = root @ root.T + 0.5 * np.eye(3)
+    C, G, B = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=(3, 2))
+
+    def model(mass):
+        return MechanicalSystem(n=3, mass_matrix=lambda q: mass, coriolis=lambda q, qd: C,
+                                gravity=lambda q: G, input_map=lambda q: B, name="random")
+
+    q, qd = rng.normal(size=(2, 3))
+    u = rng.normal(size=2)
+    expected = np.linalg.solve(M, B @ u - C @ qd - G)
+    assert np.abs(vp.eval_accel(model(M), q, qd, u) - expected).max() \
+        <= 1e-13 * np.abs(expected).max()
+    # Symmetric but indefinite: rejected with no warning on the way.
+    indefinite = M - (np.linalg.eigvalsh(M)[0] + 0.1) * np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(vp.ModelInvariantError, match="positive definite"):
+            vp.eval_accel(model(indefinite), q, qd, u)
 
 
 def test_eval_accel_rejects_invalid_phase_state(pvtol):

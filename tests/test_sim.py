@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vhcplan as vp
+from vhcplan.mech import MechanicalSystem
 
 
 def test_orbit_error_at_perturbed_start(tictoc_chart):
@@ -90,3 +91,45 @@ def test_family_closed_loop(pvtol, family_pack, family_gains):
     start = np.linalg.norm(res.rho[0])
     end = np.linalg.norm(res.rho[-1])
     assert end < 0.2 * start
+
+
+def test_closed_loop_equals_rk4_on_eval_accel(pvtol, tictoc_chart, tictoc_gains):
+    # The loop checks once per run or stage and calls the solve alone; the
+    # reference calls the checked `eval_accel` at every stage.
+    dt, q0 = 0.01, np.array([0.1, -0.5, 0.0])
+    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3), dt=dt,
+                             horizon=math.pi)
+
+    def deriv(y):
+        tau, rho = tictoc_chart.forward(y[:3], y[3:])
+        u = tictoc_chart.reference_input(tau) + tictoc_gains.k_of(tau) @ rho
+        return np.concatenate([y[3:], vp.eval_accel(pvtol, y[:3], y[3:], u)])
+
+    y = np.concatenate([q0, np.zeros(3)])
+    for k in range(res.t.size):
+        assert np.array_equal(res.q[k], y[:3]) and np.array_equal(res.qdot[k], y[3:])
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * dt * k1)
+        k3 = deriv(y + 0.5 * dt * k2)
+        k4 = deriv(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_closed_loop_keeps_the_model_checks(pvtol, tictoc_chart):
+    q0, qd0 = np.array([0.1, -0.5, 0.0]), np.zeros(3)
+    # Infinite gravity: the first stage is finite, its acceleration is not, so
+    # the second stage state is not finite.
+    unbounded = MechanicalSystem(n=3, mass_matrix=pvtol.mass_matrix, coriolis=pvtol.coriolis,
+                                 gravity=lambda q: np.array([0.0, np.inf, 0.0]),
+                                 input_map=pvtol.input_map, name="unbounded")
+    with pytest.raises(vp.ModelInvariantError, match="finite"):
+        vp.run_closed_loop(unbounded, tictoc_chart, None, q0, qd0)
+    with pytest.raises(vp.ModelInvariantError, match="shape"):
+        vp.run_closed_loop(pvtol, tictoc_chart, None, q0[:2], qd0)
+
+    class WideInputChart(vp.TicTocChart):
+        def reference_input(self, tau):
+            return np.zeros(3)
+
+    with pytest.raises(ValueError, match="u must have shape"):
+        vp.run_closed_loop(pvtol, WideInputChart(), None, q0, qd0)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.linalg import expm, schur
+from scipy.linalg import expm, schur, solve_banded, solve_continuous_lyapunov
 
 import vhcplan as vp
-from vhcplan.numdiff import cubic_coefficients
+from vhcplan.numdiff import cubic_coefficients, tridiagonal_solve
 
 
 def test_wrap_angle():
@@ -59,6 +59,28 @@ def test_cubic_coefficients_equal_scipy(n_grid):
     x = np.cumsum(rng.uniform(0.1, 1.0, n_grid + 1))
     y, dydx = rng.normal(size=(2, n_grid + 1))
     assert np.array_equal(cubic_coefficients(x, y, dydx), CubicHermiteSpline(x, y, dydx).c)
+
+
+def test_tridiagonal_solve_equals_scipy_and_refuses_a_row_interchange():
+    # A diagonally dominant system, several right-hand sides at once: == LAPACK
+    # dgtsv through scipy, sign bits included.
+    rng = np.random.default_rng(3)
+    dl, du = rng.uniform(-1.0, 1.0, (2, 39))
+    d = rng.choice([-1.0, 1.0], 40) * rng.uniform(2.0, 3.0, 40)
+    b = rng.normal(size=(40, 4))
+    b[rng.random(b.shape) < 0.3] = 0.0
+    expected = solve_banded((1, 1), np.array([np.append(0.0, du), d, np.append(dl, 0.0)]), b)
+    assert np.array_equal(tridiagonal_solve(dl, d, du, b).view(np.int64), expected.view(np.int64))
+    # dgtsv subtracts the zeroed sub-diagonal's term 0 * x[2] from -0 in row 0: +0.
+    b = np.array([[-0.0], [0.0], [-1.0]])
+    expected = solve_banded((1, 1), np.array([[0.0, 0.5, 0.0], [2.0] * 3, [0.5, 0.5, 0.0]]), b)
+    got = tridiagonal_solve([0.5, 0.5], [2.0] * 3, [0.5, 0.0], b)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # |d| < |dl| below it: dgtsv would swap the rows; this sweep raises instead.
+    with pytest.raises(ValueError, match="row interchange at row 1"):
+        tridiagonal_solve([0.1, 2.0], [3.0, 1.0, 3.0], [0.1, 0.1], np.ones((3, 1)))
+    with pytest.raises(ValueError, match="singular"):
+        tridiagonal_solve([0.0], [1.0, 0.0], [1.0], np.ones((2, 1)))
 
 
 def test_tictoc_chart_on_orbit(tictoc_chart):
@@ -274,6 +296,51 @@ def test_periodic_lqr_rejects_unstabilizable_model(tictoc_ltv, A):
     model = vp.LtvModel(taus=tictoc_ltv.taus, A=A, B=np.zeros_like(tictoc_ltv.B),
                         f0_max=0.0)
     with pytest.raises(vp.ConvergenceError):
+        vp.periodic_lqr(model)
+
+
+@pytest.mark.parametrize("orbit", ["tictoc", "family"])
+def test_stable_subspace_matches_ordered_schur(request, orbit):
+    if orbit == "tictoc":
+        ltv = request.getfixturevalue("tictoc_ltv")
+    else:
+        ltv = request.getfixturevalue("family_pack")["ltv"]
+    gains = request.getfixturevalue(f"{orbit}_gains")
+    period_map = vp.transverse._ordered_product(
+        vp.transverse._interval_maps(_hamiltonian(ltv), float(ltv.taus[0]), ltv.taus.size))
+    assert _relative(gains.P[0], _schur_graph(period_map)) < 1e-12
+    T, _, _ = schur(period_map, output="real", sort="iuc")
+    # The entries of a period map fix its multipliers to about eps |Phi|: the
+    # tic-toc's (|m| <= 5.5e-3 in a map of 1-norm about 3e3) only to about
+    # 1e-13, which is also how far scipy's own Schur values lie from a
+    # 40-digit eigensolve of the same map.
+    gap = np.sort_complex(gains.multipliers) - np.sort_complex(np.linalg.eigvals(T[:5, :5]))
+    assert np.abs(gap).max() <= 1e-14 * np.linalg.norm(period_map, 1)
+
+
+def test_periodic_lqr_on_a_defective_multiplier():
+    # A = -I + N is one 5 x 5 Jordan block: the stable multiplier exp(-2 pi) of
+    # the Hamiltonian period map has a single eigenvector. With B = 0 the
+    # Riccati equation is the Lyapunov equation A'P + PA + Q = 0.
+    taus = -math.pi + 2.0 * math.pi * np.arange(64) / 64
+    A = -np.eye(5) + np.eye(5, k=1)
+    model = vp.LtvModel(taus=taus, A=np.tile(A, (64, 1, 1)), B=np.zeros((64, 5, 2)), f0_max=0.0)
+    gains = vp.periodic_lqr(model)
+    expected = solve_continuous_lyapunov(A.T, -np.eye(5))
+    assert max(_relative(P, expected) for P in gains.P) < 1e-10
+    # Rounding splits a five-fold defective eigenvalue by about eps^(1/5).
+    assert np.abs(gains.multipliers - math.exp(-2.0 * math.pi)).max() < 1e-3
+
+
+def test_periodic_lqr_rejects_a_multiplier_on_the_unit_circle():
+    # A rotation at rate 0.3 puts two pairs of Hamiltonian multipliers on the
+    # unit circle; the sign iteration stops at its step bound.
+    taus = -math.pi + 2.0 * math.pi * np.arange(64) / 64
+    A = np.diag([0.0, 0.0, -1.0, -1.0, -1.0])
+    A[0, 1], A[1, 0] = 0.3, -0.3
+    model = vp.LtvModel(taus=taus, A=np.tile(A, (64, 1, 1)), B=np.zeros((64, 5, 2)), f0_max=0.0)
+    with pytest.raises(vp.ConvergenceError,
+                       match=f"did not converge in {vp.transverse.SIGN_MAX_ITER} steps"):
         vp.periodic_lqr(model)
 
 
