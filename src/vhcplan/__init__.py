@@ -88,12 +88,10 @@ __all__ = [
     "MechanicalSystem",
     "ModelInvariantError",
     "OutsideTubeError",
-    "PeriodicMatrixSpline",
     "PeriodicScalarSolution",
     "PeriodicTrajectory",
     "ReducedModel",
     "ScalarSolution",
-    "SimulationResult",
     "TicTocChart",
     "UsageError",
     "VhcplanError",

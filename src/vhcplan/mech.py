@@ -88,10 +88,13 @@ def _spd_solve(M: Array, rhs: Array) -> Array:
     error-state set-up per call, which the closed-loop simulation pays at
     every RK4 stage on a 3x3 system. Without that set-up a failing LAPACK
     call warns instead of raising, so the eigenvalue check comes first and a
-    positive definite M never fails the solve; an M with a non-finite entry
-    can fail the eigenvalue call, which then warns before M is rejected. The
-    names are those numpy.linalg itself calls, checked with numpy 2.4.6.
+    positive definite M never fails the solve. An M with a non-finite entry
+    would fail the eigenvalue call itself, so a finiteness check rejects it
+    before that. The names are those numpy.linalg itself calls, checked with
+    numpy 2.4.6.
     """
+    if not np.isfinite(M).all():
+        raise ModelInvariantError("mass matrix must be finite")
     w = _umath_linalg.eigvalsh_lo(M)        # ascending: the lowest comes first
     if not (w[0] > 0.0 if M.ndim == 2 else np.all(w[:, 0] > 0.0)):
         raise ModelInvariantError("mass matrix is not symmetric positive definite")

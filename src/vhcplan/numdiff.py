@@ -116,71 +116,13 @@ class PeriodicPiecewisePolynomial:
         return value
 
 
-def tridiagonal_solve(dl: Array, d: Array, du: Array, b: Array) -> Array:
-    """Solve the tridiagonal system with sub-, main and super-diagonals dl, d, du.
-
-    b holds one right-hand side per column, shape (m, k). Repeats LAPACK
-    dgtsv, which scipy's `solve_banded` calls for one band on each side,
-    operation for operation, for a system that needs no row interchange: one
-    whose every pivot |d| is at least the |dl| below it, as in a diagonally
-    dominant system. Where dgtsv would interchange rows this raises
-    ValueError, as it does for a zero pivot. Each column goes through the same
-    arithmetic alone, so stacking right-hand sides changes no result.
-    """
-    d, dl, du = list(d), list(dl), list(du)
-    x = np.array(b, dtype=float)
-    rows = list(x)
-    for i in range(len(d) - 1):
-        if not abs(d[i]) >= abs(dl[i]) or d[i] == 0.0:
-            raise ValueError(f"tridiagonal system needs a row interchange at row {i}")
-        fact = dl[i] / d[i]
-        d[i + 1] -= fact * du[i]
-        rows[i + 1] -= fact * rows[i]
-    if d[-1] == 0.0:
-        raise ValueError("tridiagonal system is singular")
-    # Back substitution; dgtsv subtracts the zeroed sub-diagonal's term too,
-    # which can flip the sign of a zero.
-    rows[-1] = rows[-1] / d[-1]
-    if len(d) > 1:
-        rows[-2] = (rows[-2] - du[-1] * rows[-1]) / d[-2]
-    for i in range(len(d) - 3, -1, -1):
-        rows[i] = (rows[i] - du[i] * rows[i + 1] - 0.0 * rows[i + 2]) / d[i]
-    return np.array(rows)
-
-
-def cubic_coefficients(x: Array, y: Array, dydx: Array | None = None) -> Array:
+def cubic_coefficients(x: Array, y: Array, dydx: Array) -> Array:
     """Cubic Hermite coefficients for `PeriodicPiecewisePolynomial` on knots x.
 
-    Values y and slopes dydx run along the first axis. Without dydx the slopes
-    are the periodic cubic spline's, which needs y[-1] == y[0]. Repeats scipy's
-    `CubicHermiteSpline(x, y, dydx).c` and `CubicSpline(x, y, bc_type="periodic").c`
-    operation for operation, their branches for 2 and 3 knots included; the
-    spline's tridiagonal system goes through `tridiagonal_solve`, which
-    repeats the LAPACK routine scipy solves it with.
+    Values y and slopes dydx run along the first axis. Repeats scipy's
+    `CubicHermiteSpline(x, y, dydx).c` operation for operation.
     """
-    dx = np.diff(x)
-    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    dxr = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
-    if dydx is None and len(x) == 2:
-        dydx = np.broadcast_to(slope[0], y.shape)
-    elif dydx is None and len(x) == 3:
-        dydx = np.broadcast_to((slope / dxr).sum(0) / (1.0 / dxr).sum(0), y.shape)
-    elif dydx is None:
-        # Unknowns s[0..n-2] (s[n-1] = s[0]): a tridiagonal system plus two
-        # corner entries. Solve it without the last unknown for the values'
-        # right-hand sides b1 and one shared column b2 in one sweep, then get
-        # the last unknown from the last row.
-        d = np.concatenate([[2 * (dx[-1] + dx[0])], 2 * (dx[:-2] + dx[1:-1])])
-        du = np.concatenate([dx[-1:], dx[:-3]])
-        b = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        b1 = np.concatenate([3 * (dxr[:1] * slope[-1:] + dxr[-1:] * slope[:1]), b[:-1]])
-        m = len(b1)
-        b2 = np.zeros((m, 1))
-        b2[0], b2[-1] = -dx[0], -dx[-3]
-        s = tridiagonal_solve(dx[1:-1], d, du, np.hstack([b1.reshape(m, -1), b2]))
-        s1, s2 = s[:, :-1].reshape(b1.shape), s[:, -1].reshape(dxr[1:].shape)
-        s_last = ((b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
-                  / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
-        dydx = np.concatenate([s1 + s_last * s2, s_last[None], (s1[0] + s_last * s2[0])[None]])
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
     return np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]))

@@ -42,46 +42,33 @@ def wrap_angle(a):
     return (a + math.pi) % TWO_PI - math.pi
 
 
-class PeriodicMatrixSpline:
-    """Periodic cubic interpolation of array-valued samples on [-pi, pi).
+class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
+    """Periodic cubic spline of array-valued samples on n uniform knots over one period.
 
-    `numdiff.cubic_coefficients` gives the periodic spline's cubics and the
-    shared `PeriodicPiecewisePolynomial` evaluates them, for one tau or an
-    array of them. Tests check both bit for bit against scipy's periodic
-    `CubicSpline`. `of_tables` builds the splines of several tables sampled
-    on the same taus from one coefficient solve.
+    taus[i] = taus[0] + 2 pi i / n, and values[i] is the sample at taus[i].
+    On uniform knots the slope equations s[i-1] + 4 s[i] + s[i+1] =
+    3 (y[i+1] - y[i-1]) / h form a circulant system, which one real FFT
+    solves for every entry at once: the circulant's eigenvalues are
+    4 + 2 cos(2 pi k / n), all at least 2. `numdiff.cubic_coefficients`
+    turns values and slopes into the cubics that the parent class evaluates,
+    for one tau or an array of them. Values agree with scipy's periodic
+    `CubicSpline` to rounding (tests bound the gap by 1e-13 of max|y|).
+    Raises ValueError for taus that are not such a grid.
     """
 
     def __init__(self, taus: Array, values: Array):
-        (self._table,) = _periodic_tables(taus, values)
-        self._lo = float(taus[0])
-
-    @classmethod
-    def of_tables(cls, taus: Array, *tables: Array) -> list[PeriodicMatrixSpline]:
-        """One spline per table, each bit-identical to `PeriodicMatrixSpline(taus, table)`."""
-        splines = [cls.__new__(cls) for _ in tables]
-        for spline, table in zip(splines, _periodic_tables(taus, *tables)):
-            spline._table, spline._lo = table, float(taus[0])
-        return splines
-
-    def __call__(self, tau: float | Array) -> Array:
-        return self._table(self._lo + (tau - self._lo) % TWO_PI)
-
-
-def _periodic_tables(taus: Array, *tables: Array) -> list[PeriodicPiecewisePolynomial]:
-    """Periodic spline tables of samples on `taus`, one coefficient solve for all.
-
-    The tables' entries become the columns of one right-hand side; the
-    tridiagonal sweep treats every column alike, so each table's cubics equal
-    those of its own solve bit for bit.
-    """
-    n = len(taus)
-    t_ext = np.append(taus, taus[0] + TWO_PI)
-    columns = np.concatenate([np.reshape(v, (n, -1)) for v in tables], axis=1)
-    coeffs = cubic_coefficients(t_ext, np.concatenate([columns, columns[:1]]))
-    ends = np.cumsum([np.prod(np.shape(v)[1:], dtype=int) for v in tables])[:-1]
-    return [PeriodicPiecewisePolynomial(t_ext, c.reshape(c.shape[:2] + np.shape(v)[1:]))
-            for c, v in zip(np.split(coeffs, ends, axis=2), tables)]
+        taus, y = np.asarray(taus, dtype=float), np.asarray(values, dtype=float)
+        n = len(taus)
+        h = TWO_PI / n
+        if np.abs(taus - (taus[0] + h * np.arange(n))).max() > 1e-12 * max(1.0, abs(taus[0])):
+            raise ValueError("taus must be n uniform knots over one period 2 pi")
+        eig = 4.0 + 2.0 * np.cos(TWO_PI * np.arange(n // 2 + 1) / n)
+        rhs = (3.0 / h) * (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0))
+        s = np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig.reshape((-1,) + (1,) * (y.ndim - 1)),
+                         n=n, axis=0)
+        knots = np.append(taus, taus[0] + TWO_PI)
+        super().__init__(knots, cubic_coefficients(knots, np.concatenate([y, y[:1]]),
+                                                   np.concatenate([s, s[:1]])))
 
 
 class TicTocChart:
@@ -322,7 +309,8 @@ def chart_invert(chart, tau, rho: Array):
 class LtvModel:
     """Periodic linearization drho/dtau = A(tau) rho + B(tau) w on [-pi, pi).
 
-    `a_of(tau)` and `b_of(tau)` are the periodic cubic splines of A and B.
+    A and B are sampled on the uniform grid `taus`; `a_of(tau)` and
+    `b_of(tau)` are their two `PeriodicMatrixSpline`s.
     """
 
     taus: Array
@@ -333,7 +321,8 @@ class LtvModel:
     b_of: PeriodicMatrixSpline = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.a_of, self.b_of = PeriodicMatrixSpline.of_tables(self.taus, self.A, self.B)
+        self.a_of = PeriodicMatrixSpline(self.taus, self.A)
+        self.b_of = PeriodicMatrixSpline(self.taus, self.B)
 
 
 # Grid nodes whose stencils `linearize` evaluates in one batched call: 64

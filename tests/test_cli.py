@@ -428,6 +428,6 @@ def test_public_names():
     import vhcplan as vp
     assert all(hasattr(vp, name) for name in vp.__all__)
     # Names cut from __all__ stay importable from the package.
-    from vhcplan import (NoVhcCertificate, ParametricVhc, SingularityReport,  # noqa: F401
-                         SingularPass, family_vhc, theorem2_scan, tic_toc_acceleration,
-                         wrap_angle)
+    from vhcplan import (NoVhcCertificate, ParametricVhc, PeriodicMatrixSpline,  # noqa: F401
+                         SimulationResult, SingularityReport, SingularPass, family_vhc,
+                         theorem2_scan, tic_toc_acceleration, wrap_angle)

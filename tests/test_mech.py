@@ -94,12 +94,20 @@ def test_eval_accel_mass_solve_matches_numpy():
     expected = np.linalg.solve(M, B @ u - C @ qd - G)
     assert np.abs(vp.eval_accel(model(M), q, qd, u) - expected).max() \
         <= 1e-13 * np.abs(expected).max()
-    # Symmetric but indefinite: rejected with no warning on the way.
+    # Symmetric but indefinite, or with a NaN or inf entry (one matrix or one
+    # of a stack): rejected with no warning on the way.
     indefinite = M - (np.linalg.eigvalsh(M)[0] + 0.1) * np.eye(3)
+    stack = np.stack([M, M, M])
+    stack[1, 0, 0] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(vp.ModelInvariantError, match="positive definite"):
             vp.eval_accel(model(indefinite), q, qd, u)
+        for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0])):
+            with pytest.raises(vp.ModelInvariantError, match="mass matrix must be finite"):
+                vp.eval_accel(model(bad), q, qd, u)
+        with pytest.raises(vp.ModelInvariantError, match="mass matrix must be finite"):
+            vp.eval_accel(model(stack), np.stack([q] * 3), np.stack([qd] * 3), np.stack([u] * 3))
 
 
 def test_eval_accel_rejects_invalid_phase_state(pvtol):

@@ -126,6 +126,12 @@ def test_closed_loop_keeps_the_model_checks(pvtol, tictoc_chart):
         vp.run_closed_loop(unbounded, tictoc_chart, None, q0, qd0)
     with pytest.raises(vp.ModelInvariantError, match="shape"):
         vp.run_closed_loop(pvtol, tictoc_chart, None, q0[:2], qd0)
+    # A mass matrix with a NaN entry: the model error, not a LAPACK warning.
+    nan_mass = MechanicalSystem(n=3, mass_matrix=lambda q: np.full((3, 3), np.nan),
+                                coriolis=pvtol.coriolis, gravity=pvtol.gravity,
+                                input_map=pvtol.input_map, name="nan_mass")
+    with pytest.raises(vp.ModelInvariantError, match="mass matrix must be finite"):
+        vp.run_closed_loop(nan_mass, tictoc_chart, None, q0, qd0)
 
     class WideInputChart(vp.TicTocChart):
         def reference_input(self, tau):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.linalg import expm, schur, solve_banded, solve_continuous_lyapunov
+from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
 import vhcplan as vp
-from vhcplan.numdiff import cubic_coefficients, tridiagonal_solve
+from vhcplan.numdiff import cubic_coefficients
 
 
 def test_wrap_angle():
@@ -19,6 +19,11 @@ def test_wrap_angle():
     assert abs(vp.wrap_angle(-2.0 * math.pi - 0.1) + 0.1) < 1e-12
 
 
+def _scipy_periodic_spline(taus, vals):
+    return CubicSpline(np.append(taus, taus[0] + 2.0 * math.pi), np.concatenate([vals, vals[:1]]),
+                       axis=0, bc_type="periodic")
+
+
 def test_periodic_matrix_spline_wraps():
     taus = -math.pi + 2.0 * math.pi * np.arange(64) / 64
     vals = np.stack([np.array([[math.sin(t), math.cos(t)]]) for t in taus])
@@ -26,61 +31,59 @@ def test_periodic_matrix_spline_wraps():
     for t in (-9.0, -2.0, 1.0, 4.0, 12.0):
         expected = spline(vp.wrap_angle(t))
         assert np.abs(spline(t) - expected).max() < 1e-12
-    # A scalar tau sums the stored cubic itself; it must equal scipy's own
-    # evaluation bit for bit, at every knot and across the wrap. One step below
-    # the first knot wraps to exactly the last knot, which scipy's own periodic
-    # wrap sends back to the first.
-    scipy_spline = CubicSpline(np.append(taus, math.pi), np.concatenate([vals, vals[:1]]),
-                               axis=0, bc_type="periodic")
+    # A scalar tau sums the stored cubic itself; it must equal the array
+    # evaluation bit for bit, at every knot and across the wrap, and scipy's
+    # periodic spline to rounding.
+    scipy_spline = _scipy_periodic_spline(taus, vals)
     rng = np.random.default_rng(4)
     tests = np.concatenate([taus, taus + 2.0 * math.pi, taus - 2.0 * math.pi,
                             [taus[0] - 1e-17, np.nextafter(taus[0], -np.inf), math.pi],
                             rng.uniform(-10.0, 10.0, 200)])
     for t in tests:
-        expected = scipy_spline(vp.wrap_angle(t))
-        assert expected.shape == (1, 2)
-        assert np.array_equal(spline(float(t)), expected)
-        assert np.array_equal(spline(t), expected)
-        assert np.array_equal(spline(np.array([t]))[0], expected)
+        value = spline(float(t))
+        assert value.shape == (1, 2)
+        assert np.array_equal(spline(t), value)
+        assert np.array_equal(spline(np.array([t]))[0], value)
+        assert np.abs(value - scipy_spline(vp.wrap_angle(t))).max() < 1e-13
 
 
 @pytest.mark.parametrize("n_grid", [1, 2, 3, 4, 48, 512])
 def test_cubic_coefficients_equal_scipy(n_grid):
-    # The periodic spline's branches for 2 and 3 knots, the condensed
-    # tridiagonal solve beyond them, and the Hermite formula: all == scipy's.
+    # The periodic spline's values against scipy's to rounding, for every
+    # value shape; the Hermite formula == scipy's bit for bit.
     rng = np.random.default_rng(n_grid)
     taus = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
-    t_ext = np.append(taus, taus[0] + 2.0 * math.pi)
-    for shape in ((5, 5), (5, 2), (2, 5)):
+    t = np.concatenate([taus, rng.uniform(-10.0, 10.0, 200)])
+    for shape in ((5, 5), (5, 2), (2, 5), ()):
         vals = rng.normal(size=(n_grid,) + shape)
-        v_ext = np.concatenate([vals, vals[:1]])
-        expected = CubicSpline(t_ext, v_ext, axis=0, bc_type="periodic").c
-        assert np.array_equal(cubic_coefficients(t_ext, v_ext), expected)
+        expected = _scipy_periodic_spline(taus, vals)(vp.wrap_angle(t))
+        got = vp.PeriodicMatrixSpline(taus, vals)(t)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(vals).max()
     x = np.cumsum(rng.uniform(0.1, 1.0, n_grid + 1))
     y, dydx = rng.normal(size=(2, n_grid + 1))
     assert np.array_equal(cubic_coefficients(x, y, dydx), CubicHermiteSpline(x, y, dydx).c)
 
 
-def test_tridiagonal_solve_equals_scipy_and_refuses_a_row_interchange():
-    # A diagonally dominant system, several right-hand sides at once: == LAPACK
-    # dgtsv through scipy, sign bits included.
-    rng = np.random.default_rng(3)
-    dl, du = rng.uniform(-1.0, 1.0, (2, 39))
-    d = rng.choice([-1.0, 1.0], 40) * rng.uniform(2.0, 3.0, 40)
-    b = rng.normal(size=(40, 4))
-    b[rng.random(b.shape) < 0.3] = 0.0
-    expected = solve_banded((1, 1), np.array([np.append(0.0, du), d, np.append(dl, 0.0)]), b)
-    assert np.array_equal(tridiagonal_solve(dl, d, du, b).view(np.int64), expected.view(np.int64))
-    # dgtsv subtracts the zeroed sub-diagonal's term 0 * x[2] from -0 in row 0: +0.
-    b = np.array([[-0.0], [0.0], [-1.0]])
-    expected = solve_banded((1, 1), np.array([[0.0, 0.5, 0.0], [2.0] * 3, [0.5, 0.5, 0.0]]), b)
-    got = tridiagonal_solve([0.5, 0.5], [2.0] * 3, [0.5, 0.0], b)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    # |d| < |dl| below it: dgtsv would swap the rows; this sweep raises instead.
-    with pytest.raises(ValueError, match="row interchange at row 1"):
-        tridiagonal_solve([0.1, 2.0], [3.0, 1.0, 3.0], [0.1, 0.1], np.ones((3, 1)))
-    with pytest.raises(ValueError, match="singular"):
-        tridiagonal_solve([0.0], [1.0, 0.0], [1.0], np.ones((2, 1)))
+def test_periodic_spline_slopes_solve_the_circulant_system():
+    # For y = sin(k tau) on n uniform knots the spline's knot slopes are
+    # 3 sin(kh) / (h (2 + cos kh)) cos(k tau): the slope equations' circulant
+    # has eigenvalue 4 + 2 cos(kh) on this mode.
+    n = 512
+    h = 2.0 * math.pi / n
+    taus = -math.pi + h * np.arange(n)
+    for k in range(1, 101):
+        spline = vp.PeriodicMatrixSpline(taus, np.sin(k * taus))
+        exact = 3.0 * math.sin(k * h) / (h * (2.0 + math.cos(k * h))) * np.cos(k * taus)
+        slopes = spline._c[1]        # coefficients run lowest power first
+        assert np.abs(slopes - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("taus", [np.array([-3.0, -1.0, 0.5, 2.0]),
+                                  -math.pi + 2.0 * math.pi * np.arange(8) / 9,
+                                  -math.pi + 2.0 * math.pi * np.arange(8)[::-1] / 8])
+def test_periodic_spline_rejects_nonuniform_taus(taus):
+    with pytest.raises(ValueError, match="uniform"):
+        vp.PeriodicMatrixSpline(taus, np.ones((len(taus), 2)))
 
 
 def test_tictoc_chart_on_orbit(tictoc_chart):
