@@ -38,7 +38,6 @@ from .mech import (
 )
 from .sim import SimulationResult, run_closed_loop
 from .singular_solver import (
-    PeriodicScalarSolution,
     PeriodicTrajectory,
     ScalarSolution,
     lift,
@@ -88,7 +87,6 @@ __all__ = [
     "MechanicalSystem",
     "ModelInvariantError",
     "OutsideTubeError",
-    "PeriodicScalarSolution",
     "PeriodicTrajectory",
     "ReducedModel",
     "ScalarSolution",

@@ -47,7 +47,7 @@ from .feasibility import (
 from .io_utils import write_csv, write_json
 from .mech import pvtol_model, tic_toc_orbit
 from .sim import run_closed_loop
-from .singular_solver import lift, make_periodic, singular_acceleration, solve_boundary
+from .singular_solver import lift, make_periodic, solve_boundary
 from .transverse import FamilyChart, TicTocChart, gramian, linearize, monodromy, periodic_lqr
 from .vhc import (
     FamilyParameters,
@@ -64,6 +64,7 @@ EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
 GRAMIAN_GATE = 1e-6   # the controllability Gramian's smallest eigenvalue must exceed this
+ACCESSIBILITY_SAMPLES = 64   # equal time samples of accessibility.csv over one period
 
 _NUMERIC_ERRORS = (BoundaryUnreachableError, ConvergenceError, ModelInvariantError,
                    DomainError, OutsideTubeError)
@@ -80,9 +81,6 @@ DEFAULTS: dict = {
         "theta_max": None,
     },
     "boundary": {"theta1": None, "theta2": None},
-    "solver": {"t_max": 1000.0, "lift_samples": 4096},
-    "check": {"n_grid": 2048},
-    "certify": {"n_samples": 2048, "accessibility_samples": 64},
     "stabilize": {"n_grid": 512, "q_weight": 1.0, "r_weight": 1.0, "max_sweeps": 50},
     "simulate": {"q0": [0.1, -0.5, 0.0], "qd0": [0.0, 0.0, 0.0], "dt": 0.01,
                  "periods": 3.0, "stage_feedback": True, "open_loop": False},
@@ -203,8 +201,7 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
             k1, k2, k3, tmax = (float(v) for v in explicit)
             interval = (-tmax, tmax)
             model = family_reduced(psi_s, k1, k2, k3, interval)
-            params = FamilyParameters(psi_s, k1, k2, k3, interval,
-                                      check_theorem1(model, n_grid=cfg["check"]["n_grid"]))
+            params = FamilyParameters(psi_s, k1, k2, k3, interval, check_theorem1(model))
         elif any(v is not None for v in explicit):
             raise UsageError("set all of vhc.k1, k2, k3, theta_max or none of them")
         else:
@@ -214,7 +211,7 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
                     f"no admissible family parameters found for psi_s = {psi_s}")
             model = family_reduced(psi_s, params.k1, params.k2, params.k3, params.interval)
         vhc = model.vhc
-    report = check_theorem1(model, n_grid=cfg["check"]["n_grid"])
+    report = check_theorem1(model) if params is None else params.report
     report_json: dict = {"kind": kind, "check": report.to_json_dict()}
     if params is not None:
         report_json["family_parameters"] = params.to_json_dict()
@@ -228,10 +225,8 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
     th1, th2 = (sign * reach if value is None else float(value)
                 for sign, value in ((-1.0, cfg["boundary"]["theta1"]),
                                     (1.0, cfg["boundary"]["theta2"])))
-    scfg = cfg["solver"]
-    sol = solve_boundary(model, report, th1, 0.0, th2, 0.0, t_max=float(scfg["t_max"]))
-    per = make_periodic(sol)
-    traj = lift(vhc, per, sys_, n_samples=int(scfg["lift_samples"]))
+    sol = make_periodic(solve_boundary(model, report, th1, 0.0, th2, 0.0))
+    traj = lift(vhc, sol, sys_)
 
     th, dth, _ = traj.scalar.eval(traj.t)
     write_csv(out / "trajectory.csv",
@@ -242,17 +237,15 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
     report_json.update({
         "singular_acceleration": sol.a_s,
         "crossings": [{"time": c[0], "velocity": c[1], "acceleration": c[2]}
-                      for c in per.crossings],
+                      for c in sol.crossings],
         "t1": sol.t1,
         "t2": sol.t2,
-        "period": per.period,
+        "period": sol.period,
         "boundary": {"theta1": th1, "dtheta1": sol.dtheta1,
                      "theta2": th2, "dtheta2": sol.dtheta2},
         "max_input_residual": float(np.max(traj.residuals)),
     })
-    return {"sys": sys_, "vhc": vhc, "model": model, "report": report,
-            "params": params, "sol": sol, "per": per, "traj": traj,
-            "report_json": report_json}
+    return {"sys": sys_, "params": params, "traj": traj, "report_json": report_json}
 
 
 def _stabilize_objects(cfg: dict, out: Path) -> dict:
@@ -302,8 +295,7 @@ def _stabilize_objects(cfg: dict, out: Path) -> dict:
         write_json(out / "report.json", ctx["report_json"])
         raise ConditionCheckError(
             f"closed-loop multipliers not inside the unit circle (max {closed_max:.4f})")
-    ctx.update({"chart": chart, "ltv": ltv, "gramian": W, "gains": gains,
-                "spectra": spectra})
+    ctx.update({"chart": chart, "gains": gains, "spectra": spectra})
     return ctx
 
 
@@ -323,11 +315,10 @@ def _cmd_certify(cfg: dict, out: Path) -> None:
         ctx = _plan_objects(cfg, out)
         write_json(out / "report.json", ctx["report_json"])
         orbit = ctx["traj"]
-    cert = certify_no_regular_vhc(sys_, orbit, n_samples=int(cfg["certify"]["n_samples"]))
+    cert = certify_no_regular_vhc(sys_, orbit)
     write_json(out / "certificate.json", cert.to_json_dict())
 
-    n_acc = int(cfg["certify"]["accessibility_samples"])
-    ts = orbit.t0 + orbit.period * np.arange(n_acc) / n_acc
+    ts = orbit.t0 + orbit.period * np.arange(ACCESSIBILITY_SAMPLES) / ACCESSIBILITY_SAMPLES
     q, qd = orbit.state_at(ts)[:2]
     write_csv(out / "accessibility.csv", ["t", "det_closed_form", "det_numeric"],
               np.column_stack([ts, accessibility_det_closed_form(q, qd),

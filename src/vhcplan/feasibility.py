@@ -26,6 +26,7 @@ Array = np.ndarray
 RESIDUAL_TOL = 1e-10
 SPEED_TOL = 1e-8
 GRAVITY_TOL = 1e-8
+SCAN_SAMPLES = 2048   # momentum samples per period that `theorem2_scan` bisects between
 
 
 @dataclass(frozen=True)
@@ -48,19 +49,18 @@ def _gravity_distance(sys: MechanicalSystem, q: Array) -> float:
     return float(np.linalg.norm(G - B @ coeff))
 
 
-def theorem2_scan(sys: MechanicalSystem, traj, n_samples: int = 2048) -> list[SingularPass]:
+def theorem2_scan(sys: MechanicalSystem, traj) -> list[SingularPass]:
     """Locate zero crossings of B_perp(q) M(q) qdot along a periodic trajectory.
 
     `traj` must expose `t0`, `period` and `state_at(t) -> (q, qdot, ...)`,
-    where `state_at` also takes a 1-D array of times. The samples are one
-    array call; the grid closes with the wrap sample (t0 + period, value at
-    t0), so a crossing in the last interval is found too; crossings are
-    bisected to 1e-12 in time; points with speed at most SPEED_TOL (rest
-    points) are excluded.
+    where `state_at` also takes a 1-D array of times. The SCAN_SAMPLES
+    samples are one array call; the grid closes with the wrap sample
+    (t0 + period, value at t0), so a crossing in the last interval is found
+    too; crossings are bisected to 1e-12 in time; points with speed at most
+    SPEED_TOL (rest points) are excluded.
     """
-    n_samples = max(int(n_samples), 512)
     t0, period = float(traj.t0), float(traj.period)
-    times = t0 + period * np.arange(n_samples) / n_samples
+    times = t0 + period * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES
 
     def momentum(t):
         q, qdot = (np.asarray(x, dtype=float) for x in traj.state_at(t)[:2])
@@ -174,15 +174,14 @@ def _hypotheses_ok(p: SingularPass) -> bool:
             and p.gravity_distance > GRAVITY_TOL)
 
 
-def certify_no_regular_vhc(sys: MechanicalSystem, traj,
-                           n_samples: int = 2048) -> NoVhcCertificate:
+def certify_no_regular_vhc(sys: MechanicalSystem, traj) -> NoVhcCertificate:
     """Certify that no regular constraint reproduces `traj`.
 
     Positive verdict requires at least one singular pass and that every
     detected pass has vanishing unactuated momentum, nonzero speed, and
     gravity outside the actuated subspace.
     """
-    passes = tuple(theorem2_scan(sys, traj, n_samples=n_samples))
+    passes = tuple(theorem2_scan(sys, traj))
     if not passes:
         return NoVhcCertificate(False, passes,
                                 "no singular passes found; certificate inconclusive")

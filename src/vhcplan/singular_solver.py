@@ -70,6 +70,8 @@ ODE_TOL = 1e-10
 # RHS evaluations one side of `solve_boundary` may spend. The default tic-toc and
 # family runs take 758 to 914 per side, and RK45's count grows like ODE_TOL^(-1/5).
 RHS_BUDGET = 20_000
+REST_TOL = 1e-8       # |dtheta| up to which an endpoint is a rest point
+LIFT_SAMPLES = 4096   # equal time samples of one period in `lift`
 
 
 @dataclass
@@ -77,7 +79,9 @@ class ScalarSolution:
     """One boundary-to-boundary solution through the singular crossing (t_s = 0).
 
     `table` holds (theta, theta', bridge weight, bridge theta'') over one
-    period from t1, the mirror half included (see `_orbit_table`).
+    period from t1, the mirror half included (see `_orbit_table`). Between
+    rest endpoints that is a periodic orbit of period 2 (t2 - t1) from t0 = t1;
+    otherwise only [t1, t2] is a solution.
     """
 
     t1: float
@@ -89,39 +93,39 @@ class ScalarSolution:
     coefficients: Callable[[Array], Array] = field(repr=False)
     table: PeriodicPiecewisePolynomial = field(repr=False)
 
+    @property
+    def at_rest(self) -> bool:
+        return abs(self.dtheta1) <= REST_TOL and abs(self.dtheta2) <= REST_TOL
+
+    @property
+    def t0(self) -> float:
+        return self.t1
+
+    @property
+    def period(self) -> float:
+        return 2.0 * (self.t2 - self.t1)
+
+    @property
+    def crossings(self) -> tuple:
+        """(time, crossing velocity, crossing acceleration) per crossing in one period."""
+        return ((0.0, self.v_s, self.a_s), (2.0 * self.t2, -self.v_s, self.a_s))
+
     def eval(self, t):
-        """(theta, theta', theta'') at time t in [t1, t2]; arrays for an array of t."""
-        t_arr = np.asarray(t)
-        outside = t_arr[(t_arr < self.t1 - 1e-9) | (t_arr > self.t2 + 1e-9)]
-        if outside.size:
-            raise DomainError(f"t={outside[0]} outside solution window [{self.t1}, {self.t2}]")
-        return self.state(t)
+        """(theta, theta', theta'') at time t; arrays for an array of t.
 
-    def state(self, t):
-        """(theta, theta', theta'') at any time t; arrays for an array of t.
-
-        theta'' is the model quotient, or the bridge quadratic where the bridge
-        weight w is 1: there (1 - w) drops the quotient and alpha + w keeps its
-        denominator off zero.
+        Any t for rest endpoints, where the orbit is periodic; t in [t1, t2]
+        otherwise, else DomainError. theta'' is the model quotient, or the
+        bridge quadratic where the bridge weight w is 1: there (1 - w) drops
+        the quotient and alpha + w keeps its denominator off zero.
         """
+        if not self.at_rest:
+            t_arr = np.asarray(t)
+            outside = t_arr[(t_arr < self.t1 - 1e-9) | (t_arr > self.t2 + 1e-9)]
+            if outside.size:
+                raise DomainError(f"t={outside[0]} outside solution window [{self.t1}, {self.t2}]")
         th, dth, w, bridge_acc = self.table(t).T
         alpha, beta, gamma = self.coefficients(th)
         return th, dth, (1.0 - w) * -(beta * dth * dth + gamma) / (alpha + w) + bridge_acc
-
-
-@dataclass
-class PeriodicScalarSolution:
-    """Mirror-concatenated periodic solution; crossings carry series data."""
-
-    base: ScalarSolution
-    t0: float
-    period: float
-    # (time, crossing velocity, crossing acceleration) per crossing in one period
-    crossings: tuple
-
-    def eval(self, t):
-        """(theta, theta', theta'') at any time t; arrays for an array of t."""
-        return self.base.state(t)
 
 
 def _series_offset(xi: float, v_s: float, a_s: float, inward: int) -> float:
@@ -302,15 +306,14 @@ def _orbit_table(left: RkSteps, right: RkSteps, t1: float, t2: float, bridge: Ar
 
 
 def solve_boundary(model: ReducedModel, report: SingularityReport,
-                   theta1: float, dtheta1: float, theta2: float, dtheta2: float,
-                   t_max: float = 1e3) -> ScalarSolution:
+                   theta1: float, dtheta1: float, theta2: float, dtheta2: float) -> ScalarSolution:
     """Solution with theta(t1) = theta1, theta(t2) = theta2 crossing the singularity.
 
     Endpoint velocities dtheta1, dtheta2 >= 0 select the branch on each side;
     each side is integrated from its endpoint toward the crossing (RK45,
-    rtol = atol = ODE_TOL, at most RHS_BUDGET right-hand sides), stopped at
-    |theta - theta_s| = XI_CUT, and joined by the forced-velocity series. Time
-    origin: the crossing happens at t = 0.
+    rtol = atol = ODE_TOL, no time bound but at most RHS_BUDGET right-hand
+    sides), stopped at |theta - theta_s| = XI_CUT, and joined by the
+    forced-velocity series. Time origin: the crossing happens at t = 0.
     """
     if not report.overall:
         raise ConditionCheckError("solve_boundary requires a passing existence report")
@@ -360,8 +363,8 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
 
     # Left side forward in time from (theta1, dtheta1) up to theta_s - XI_CUT,
     # right side backward in time from (theta2, dtheta2) down to theta_s + XI_CUT.
-    left = sweep("left", [theta1, dtheta1], t_max, th_s - XI_CUT)
-    right = sweep("right", [theta2, dtheta2], -t_max, th_s + XI_CUT)
+    left = sweep("left", [theta1, dtheta1], math.inf, th_s - XI_CUT)
+    right = sweep("right", [theta2, dtheta2], -math.inf, th_s + XI_CUT)
     T_left, T_right = abs(left.t), abs(right.t)
 
     dt_left = _series_offset(XI_CUT, v_s, a_s, inward=-1)
@@ -384,17 +387,15 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
                           table=_orbit_table(left, right, t1, t2, bridge, dt_left, dt_right))
 
 
-def make_periodic(sol: ScalarSolution) -> PeriodicScalarSolution:
-    """The periodic orbit, period 2 (t2 - t1), of a solution with rest endpoints.
+def make_periodic(sol: ScalarSolution) -> ScalarSolution:
+    """`sol` itself, after checking that its endpoints are rest points.
 
     The table already holds the mirror half (`_orbit_table`); rest endpoints
-    make its junctions C^2. Checks them and records the crossings.
+    make its junctions C^2, so `sol` is a periodic orbit.
     """
-    if abs(sol.dtheta1) > 1e-8 or abs(sol.dtheta2) > 1e-8:
+    if not sol.at_rest:
         raise ConditionCheckError("mirror concatenation requires rest endpoints (dtheta = 0)")
-    crossings = ((0.0, sol.v_s, sol.a_s), (2.0 * sol.t2, -sol.v_s, sol.a_s))
-    return PeriodicScalarSolution(base=sol, t0=sol.t1, period=2.0 * (sol.t2 - sol.t1),
-                                  crossings=crossings)
+    return sol
 
 
 @dataclass
@@ -409,7 +410,7 @@ class PeriodicTrajectory:
     t0: float
     period: float
     vhc: ParametricVhc
-    scalar: PeriodicScalarSolution
+    scalar: ScalarSolution
     system: MechanicalSystem
 
     def state_at(self, t):
@@ -432,15 +433,15 @@ def _constrained_motion(vhc: ParametricVhc, th, dth, ddth):
     return vhc.phi(th), dphi * dth, vhc.ddphi(th) * dth * dth + dphi * ddth
 
 
-def lift(vhc: ParametricVhc, sol: PeriodicScalarSolution, sys: MechanicalSystem,
-         n_samples: int = 4096) -> PeriodicTrajectory:
+def lift(vhc: ParametricVhc, sol: ScalarSolution, sys: MechanicalSystem) -> PeriodicTrajectory:
     """Map a periodic scalar solution through the constraint to a full trajectory.
 
+    The trajectory holds LIFT_SAMPLES equal time samples over one period.
     Inputs come from the actuated least-squares inverse; the unactuated force
     residual B_perp (M q'' + C q' + G) is recorded per sample and must stay
     below 1e-8 (it equals the reduced-equation residual).
     """
-    times = sol.t0 + sol.period * np.arange(int(n_samples)) / int(n_samples)
+    times = sol.t0 + sol.period * np.arange(LIFT_SAMPLES) / LIFT_SAMPLES
     q, qd, qdd = _constrained_motion(vhc, *sol.eval(times))
     u, res = inverse_input(sys, q, qd, qdd)
     if float(np.max(res)) > 1e-8:

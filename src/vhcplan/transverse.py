@@ -426,8 +426,10 @@ def _expm(a: Array) -> Array:
     r = eye + a / m
     for j in range(m - 1, 0, -1):
         r = eye + (a @ r) / j
-    for _ in range(s):
-        r = r @ r
+    # Squaring a huge exponent overflows; the caller's finiteness gate decides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
     return r
 
 

@@ -47,12 +47,19 @@ class ReducedModel:
     """Scalar reduced dynamics alpha theta'' + beta theta'^2 + gamma = 0 on an interval.
 
     `coefficients(theta)` returns the array (alpha, beta, gamma): shape (3,)
-    for a scalar theta and (3, k) for a 1-D array of k values.
+    for a scalar theta and (3, k) for a 1-D array of k values. The interval
+    must be finite with lo < hi, else DomainError.
     """
 
     coefficients: Callable[[Array], Array]
     interval: tuple[float, float]
     vhc: ParametricVhc | None = None
+
+    def __post_init__(self):
+        lo, hi = (float(v) for v in self.interval)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DomainError(f"model interval {list(self.interval)} must be finite with lo < hi")
+        object.__setattr__(self, "interval", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -120,16 +127,8 @@ def _coefficients(sys: MechanicalSystem, vhc: ParametricVhc, theta) -> Array:
 def reduce(sys: MechanicalSystem, vhc: ParametricVhc,
            interval: tuple[float, float] | None = None) -> ReducedModel:
     """Reduced model of `sys` under `vhc`, restricted to `interval` (default: vhc domain)."""
-    if interval is None:
-        interval = vhc.domain
-    lo, hi = interval
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError("reduction interval must be finite with lo < hi")
-    return ReducedModel(
-        coefficients=lambda th: _coefficients(sys, vhc, th),
-        interval=(float(lo), float(hi)),
-        vhc=vhc,
-    )
+    return ReducedModel(coefficients=lambda th: _coefficients(sys, vhc, th),
+                        interval=vhc.domain if interval is None else interval, vhc=vhc)
 
 
 def tic_toc_vhc(domain: tuple[float, float] = (-2.0, 2.0)) -> ParametricVhc:
@@ -192,15 +191,15 @@ def family_reduced(psi_s: float, k1: float, k2: float, k3: float,
         c, s = np.cos(k2 * th), np.sin(k2 * th)
         return np.array([k1 * s + k3 * th * c, k3 * c, np.sin(psi_s + k2 * th)])
 
-    return ReducedModel(coefficients=coefficients,
-                        interval=(float(interval[0]), float(interval[1])), vhc=vhc)
+    return ReducedModel(coefficients=coefficients, interval=interval, vhc=vhc)
 
 
 # alpha' at a zero of alpha must exceed this fraction of max|alpha| / (hi - lo).
 SLOPE_FLOOR = 1e-6
+CHECK_GRID = 2048   # points of the interval where `check_theorem1` samples alpha and gamma
 
 
-def check_theorem1(model: ReducedModel, n_grid: int = 2048) -> SingularityReport:
+def check_theorem1(model: ReducedModel) -> SingularityReport:
     """Existence check for a periodic solution crossing the coefficient singularity.
 
     Requires, up to a global sign of (alpha, beta, gamma): a unique zero theta_s
@@ -215,7 +214,7 @@ def check_theorem1(model: ReducedModel, n_grid: int = 2048) -> SingularityReport
     there. `slope_margin` is |alpha'| over that floor.
     """
     lo, hi = model.interval
-    thetas = np.linspace(lo, hi, n_grid)
+    thetas = np.linspace(lo, hi, CHECK_GRID)
     alphas, _, gammas = model.coefficients(thetas)
     zeros = grid_roots(lambda th: float(model.coefficients(th)[0]), thetas, alphas,
                        xtol=1e-13)

@@ -33,6 +33,12 @@ def tictoc_solution(tictoc_model, tictoc_report):
 
 
 @pytest.fixture(scope="session")
+def moving_solution(tictoc_model, tictoc_report):
+    """sin t on [asin(-0.6), asin(0.6)]: the endpoints move, so no periodic orbit."""
+    return vp.solve_boundary(tictoc_model, tictoc_report, -0.6, 0.8, 0.6, 0.8)
+
+
+@pytest.fixture(scope="session")
 def tictoc_periodic(tictoc_solution):
     return vp.make_periodic(tictoc_solution)
 
@@ -92,7 +98,7 @@ def family_pack(pvtol):
     tmax = params.interval[1]
     sol = vp.solve_boundary(model, report, -0.8 * tmax, 0.0, 0.8 * tmax, 0.0)
     per = vp.make_periodic(sol)
-    traj = vp.lift(model.vhc, per, pvtol, n_samples=1024)
+    traj = vp.lift(model.vhc, per, pvtol)
     chart = vp.FamilyChart(traj, params)
     ltv = vp.linearize(chart, pvtol, traj, n_grid=96)
     return {"params": params, "model": model, "report": report, "sol": sol,

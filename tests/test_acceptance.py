@@ -173,7 +173,7 @@ def _closure_residual(model, per):
         alpha, beta, gamma = model.coefficients(th)
         return [dth, -(beta * dth * dth + gamma) / alpha]
 
-    t2 = per.base.t2
+    t2 = per.t2
     y0 = per.eval(0.5 * t2)[:2]
     out = solve_ivp(rhs, (0.5 * t2, 1.5 * t2), y0, rtol=1e-10, atol=1e-10,
                     dense_output=True)
@@ -198,7 +198,7 @@ def test_acceptance_11_family_pipeline(pvtol, family_pack):
             tmax = params.interval[1]
             sol = vp.solve_boundary(model, rep, -0.8 * tmax, 0.0, 0.8 * tmax, 0.0)
             per = vp.make_periodic(sol)
-            traj = vp.lift(model.vhc, per, pvtol, n_samples=1024)
+            traj = vp.lift(model.vhc, per, pvtol)
             chart = vp.FamilyChart(traj, params)
             ltv = vp.linearize(chart, pvtol, traj, n_grid=96)
         else:

@@ -184,9 +184,8 @@ def test_periodic_spline_batch(which, tictoc_ltv, tictoc_gains, family_pack, fam
 
 def _special_times(per):
     """Times in the series bridge, at the mirror point, in the mirrored half and across wraps."""
-    base = per.base
     bridge = [0.0, 1e-8, -1e-8]
-    mirror = [base.t2, 2.0 * base.t2, 2.0 * base.t2 + 1e-8, base.t2 + 0.3]
+    mirror = [per.t2, 2.0 * per.t2, 2.0 * per.t2 + 1e-8, per.t2 + 0.3]
     wraps = [per.t0, per.t0 + per.period, per.t0 - 0.4, per.t0 + 2.0 * per.period + 0.1]
     return np.array(bridge + mirror + wraps)
 
@@ -204,9 +203,9 @@ def test_scalar_solution_batch(which, tictoc_periodic, family_pack, times):
         assert np.array_equal(batched[i], singles[:, i])
 
 
-def test_scalar_solution_batch_rejects_times_outside_window(tictoc_solution):
+def test_scalar_solution_batch_rejects_times_outside_window(moving_solution):
     with pytest.raises(vp.DomainError):
-        tictoc_solution.eval(np.array([0.0, tictoc_solution.t2 + 0.5]))
+        moving_solution.eval(np.array([0.0, moving_solution.t2 + 0.5]))
 
 
 @pytest.mark.parametrize("which", ["tictoc", "family"])

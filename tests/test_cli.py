@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vhcplan.cli
+from vhcplan import BoundaryUnreachableError
 from vhcplan.cli import main
 
 BASE = [sys.executable, "-m", "vhcplan.cli"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
-FAST_STABILIZE = ["--set", "stabilize.n_grid=64", "--set", "solver.lift_samples=1024"]
+FAST_STABILIZE = ["--set", "stabilize.n_grid=64"]
 
 
 def run_cli(*args):
@@ -73,10 +75,10 @@ def test_plan_artifacts(tmp_path):
 
 def test_plan_trajectory_matches_closed_form(tmp_path):
     out = tmp_path / "plan"
-    run_cli("plan", "--out", str(out), "--set", "solver.lift_samples=512")
+    run_cli("plan", "--out", str(out))
     rows = read_rows(out / "trajectory.csv")[1:]
     worst = 0.0
-    for row in rows[:: 16]:
+    for row in rows[:: 128]:
         t = float(row[0])
         worst = max(worst, abs(float(row[1]) - math.sin(t)),
                     abs(float(row[3]) - math.sin(t)))
@@ -122,11 +124,14 @@ def test_config_keys_validated_alike_in_files_and_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"n_samples": 2001}}))   # a removed key
     assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o1")]) == 64
-    for assignment in ("solver.n_samples=2001", "vhc.kind.name=1", "solver=1"):
+    for assignment in ("solver.n_samples=2001", "vhc.kind.name=1", "stabilize=1"):
         assert main(["plan", "--out", str(tmp_path / "o2"), "--set", assignment]) == 64
-    # Keys that became constants: the solver's and the chart's tuning values
-    # and the boundary velocities, which a periodic orbit fixes at 0.
-    removed = {"solver": {"xi_cut": 1e-6, "tol": 1e-10},
+    # Keys that became constants: the solver's, the chart's and the sampling
+    # tuning values, the boundary velocities, which a periodic orbit fixes at
+    # 0, and the sweep's time bound, which RHS_BUDGET replaces.
+    removed = {"solver": {"xi_cut": 1e-6, "tol": 1e-10, "t_max": 1000, "lift_samples": 4096},
+               "check": {"n_grid": 2048},
+               "certify": {"n_samples": 2048, "accessibility_samples": 64},
                "stabilize": {"rho_step": 1e-6, "w_step": 1e-4, "tube_radius": 1.0},
                "boundary": {"dtheta1": 0.0, "dtheta2": 0.0}}
     for section, keys in removed.items():
@@ -140,8 +145,8 @@ def test_config_keys_validated_alike_in_files_and_overrides(tmp_path):
 def test_config_value_types_validated(tmp_path, capsys):
     # A value of another JSON type than its key's default, a fraction for an
     # integer included, is a usage error from a config file and from --set alike.
-    for assignment in ("stabilize.q_weight=abc", "solver.lift_samples=[1,2]",
-                       "check.n_grid=2048.5"):
+    for assignment in ("stabilize.q_weight=abc", "stabilize.n_grid=[1,2]",
+                       "stabilize.max_sweeps=50.5"):
         assert main(["plan", "--out", str(tmp_path / "o1"), "--set", assignment]) == 64
         assert "Traceback" not in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
@@ -154,7 +159,7 @@ def test_config_values_with_positive_defaults_must_be_positive(tmp_path, capsys)
     # Each of these reached the numerics before and failed there with a traceback.
     for command, assignment in (("stabilize", "stabilize.r_weight=0"),
                                 ("stabilize", "stabilize.n_grid=0"),
-                                ("plan", "solver.lift_samples=0"),
+                                ("stabilize", "stabilize.max_sweeps=0"),
                                 ("simulate", "simulate.dt=0"),
                                 ("simulate", "simulate.periods=-1")):
         assert main([command, "--out", str(tmp_path / "o"), "--set", assignment]) == 64
@@ -166,8 +171,8 @@ def test_config_value_types_accepted():
     # An int for a float, and every --set the tests, the benchmark workloads
     # and the README use, pass the type check.
     from vhcplan.cli import DEFAULTS, _apply_override
-    for assignment in ("solver.t_max=1000", "stabilize.n_grid=64", "solver.lift_samples=1024",
-                       "boundary.theta1=-0.9", "boundary.theta2=0.9", "vhc.kind=family",
+    for assignment in ("stabilize.n_grid=64", "boundary.theta1=-0.9", "boundary.theta2=0.9",
+                       "vhc.kind=family",
                        f"vhc.psi_s={0.5 * math.pi}", f"sweep.psi_values=[{0.5 * math.pi}]",
                        "vhc.k1=1", "vhc.theta_max=0.3", "stabilize.max_sweeps=300",
                        "simulate.q0=[0.1,-0.5,0]", "simulate.q0=[0.12, -0.47, 0.03]",
@@ -287,8 +292,7 @@ def test_sweep(tmp_path):
     out = tmp_path / "sweep"
     proc = run_cli("sweep", "--out", str(out),
                    "--set", f"sweep.psi_values=[{0.5 * math.pi}]",
-                   "--set", "stabilize.n_grid=48",
-                   "--set", "solver.lift_samples=512")
+                   "--set", "stabilize.n_grid=48")
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert summary["n_ok"] == 1 and summary["n_failed"] == 0
@@ -340,12 +344,40 @@ def test_exit_code_condition_failure(tmp_path):
 
 
 def test_exit_code_numerical_failure(tmp_path):
+    # A vanishing state weight leaves Hamiltonian multipliers on the unit
+    # circle, and the sign iteration of the Riccati solve stops unconverged.
     out = tmp_path / "numfail"
-    proc = run_cli("plan", "--out", str(out), "--set", "solver.t_max=0.5")
-    assert proc.returncode == 3
+    proc = run_cli("stabilize", "--out", str(out), "--set", "stabilize.q_weight=1e-300")
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConvergenceError"
+    assert json.loads((out / "metadata.json").read_text())["exit_code"] == 3
+
+
+def test_error_json_carries_diagnostics(tmp_path, monkeypatch):
+    diagnostics = {"side": "left", "final_state": [-1.0, 0.0], "time": 0.5, "rhs_evals": 7}
+
+    def unreachable(*args):
+        raise BoundaryUnreachableError("left boundary state cannot reach the singular crossing",
+                                       diagnostics)
+
+    monkeypatch.setattr(vhcplan.cli, "solve_boundary", unreachable)
+    out = tmp_path / "unreachable"
+    assert main(["plan", "--out", str(out)]) == 3
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "BoundaryUnreachableError"
-    assert "diagnostics" in err
+    assert err["diagnostics"] == diagnostics
+
+
+@pytest.mark.parametrize("assignments", [
+    ["vhc.kind=family", "vhc.k1=1", "vhc.k2=2", "vhc.k3=-1", "vhc.theta_max=-0.3"],
+    ["vhc.domain=[1,-1]"]])
+def test_reversed_interval_is_a_numerical_failure(tmp_path, assignments):
+    out = tmp_path / "reversed"
+    args = [arg for assignment in assignments for arg in ("--set", assignment)]
+    assert main(["plan", "--out", str(out), *args]) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "DomainError" and "lo < hi" in err["message"]
 
 
 def test_exit_code_usage_errors(tmp_path):
@@ -404,7 +436,7 @@ def test_console_entry_point(tmp_path):
                               capture_output=True, text=True)
 
     out = tmp_path / "o"
-    proc = run("plan", "--out", str(out), "--set", "solver.lift_samples=256")
+    proc = run("plan", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").is_file()
     assert run("plan").returncode == 64
@@ -413,7 +445,7 @@ def test_console_entry_point(tmp_path):
 @pytest.mark.skipif(shutil.which("vhcplan") is None,
                     reason="vhcplan console script not installed")
 def test_installed_console_script(tmp_path):
-    args = ["plan", "--set", "solver.lift_samples=256"]
+    args = ["plan"]
     script, module = tmp_path / "script", tmp_path / "module"
     proc = subprocess.run(["vhcplan", *args, "--out", str(script)],
                           capture_output=True, text=True)

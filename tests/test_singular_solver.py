@@ -109,21 +109,6 @@ def test_solve_boundary_requires_passing_report():
         vp.solve_boundary(model, rep, -0.2, 0.0, 0.2, 0.0)
 
 
-def test_unreachable_boundary_reports_diagnostics(tictoc_model, tictoc_report):
-    with pytest.raises(vp.BoundaryUnreachableError) as exc:
-        vp.solve_boundary(tictoc_model, tictoc_report, -1.0, 0.0, 1.0, 0.0,
-                          t_max=0.5)
-    diagnostics = exc.value.diagnostics
-    assert diagnostics["side"] == "left"
-    assert diagnostics["time"] == 0.5           # the last step is clamped to t_max
-    assert diagnostics["final_state"][0] < -XI_CUT
-    assert 0 < diagnostics["rhs_evals"] < RHS_BUDGET
-    with pytest.raises(vp.BoundaryUnreachableError) as exc:     # no time to integrate
-        vp.solve_boundary(tictoc_model, tictoc_report, -1.0, 0.0, 1.0, 0.0, t_max=0.0)
-    assert exc.value.diagnostics == {"side": "left", "final_state": [-1.0, 0.0], "time": 0.0,
-                                     "rhs_evals": 1}
-
-
 def test_nan_right_hand_side_stops_promptly(tictoc_model, tictoc_report):
     # theta'' is NaN on (-0.6, -0.4): every step's error norm is NaN, the step
     # shrinks fivefold per try below its 10-ulp minimum, and the sweep stops.
@@ -140,6 +125,9 @@ def test_nan_right_hand_side_stops_promptly(tictoc_model, tictoc_report):
     assert diagnostics["side"] == "left"
     assert diagnostics["rhs_evals"] < 1000
     assert -1.0 < diagnostics["final_state"][0] <= -0.6
+    # The left side runs theta = -cos t from its rest point, so it stalls at
+    # the edge of the NaN band, t = acos(0.6).
+    assert abs(diagnostics["time"] - math.acos(0.6)) < 1e-8
 
 
 def test_degenerate_crossing_stops_at_the_rhs_budget():
@@ -158,15 +146,26 @@ def test_degenerate_crossing_stops_at_the_rhs_budget():
     assert "left" in str(exc.value) and str(RHS_BUDGET) in str(exc.value)
 
 
-def test_eval_outside_window_raises(tictoc_solution):
+def test_eval_outside_window_raises(moving_solution):
+    # Only a solution between rest points continues past t2 as a periodic orbit.
+    sol = moving_solution
+    assert not sol.at_rest
     with pytest.raises(vp.DomainError):
-        tictoc_solution.eval(tictoc_solution.t2 + 0.5)
+        sol.eval(sol.t2 + 0.5)
+    with pytest.raises(vp.DomainError):
+        sol.eval(sol.t1 - 0.5)
 
 
-def test_make_periodic_requires_rest_endpoints(tictoc_model, tictoc_report):
-    sol = vp.solve_boundary(tictoc_model, tictoc_report, -0.6, 0.8, 0.6, 0.8)
+def test_make_periodic_requires_rest_endpoints(moving_solution):
     with pytest.raises(vp.ConditionCheckError):
-        vp.make_periodic(sol)
+        vp.make_periodic(moving_solution)
+
+
+def test_make_periodic_returns_the_solution(tictoc_solution, tictoc_periodic):
+    # One orbit object: the table already spans the period from t0 = t1.
+    assert tictoc_periodic is tictoc_solution
+    assert tictoc_solution.t0 == tictoc_solution.t1
+    assert tictoc_solution.period == 2.0 * (tictoc_solution.t2 - tictoc_solution.t1)
 
 
 def test_periodic_solution_wraps_and_mirrors(tictoc_periodic):
@@ -220,16 +219,15 @@ def test_lift_closure_check_sees_a_perturbed_mirror_half(tictoc_model, tictoc_pe
     # end of the period no longer meets its start; the reduced equation still
     # holds there, so only the closure check can see it.
     per = tictoc_periodic
-    base = per.base
 
     def table(t):
-        values = base.table(t)
-        late = per.t0 + (np.asarray(t) - per.t0) % per.period > 2.0 * base.t2 + 1e-3
+        values = per.table(t)
+        late = per.t0 + (np.asarray(t) - per.t0) % per.period > 2.0 * per.t2 + 1e-3
         return values + 1e-5 * late[..., None] * np.array([1.0, 0.0, 0.0, 0.0])
 
-    bad = dataclasses.replace(per, base=dataclasses.replace(base, table=table))
+    bad = dataclasses.replace(per, table=table)
     with pytest.raises(vp.ConvergenceError, match="closure"):
-        vp.lift(tictoc_model.vhc, bad, vp.pvtol_model(), n_samples=512)
+        vp.lift(tictoc_model.vhc, bad, vp.pvtol_model())
 
 
 def test_time_reversal_symmetry(tictoc_periodic):
@@ -257,8 +255,7 @@ def orbit(request, tictoc_model, tictoc_report, tictoc_periodic, family_pack):
 def test_table_matches_independent_dense_output(orbit):
     # Each side again through solve_ivp with the solver's settings, its dense
     # output read by scipy: the table must reproduce it on both halves.
-    model, th_s, (theta1, theta2), per = orbit
-    sol = per.base
+    model, th_s, (theta1, theta2), sol = orbit
 
     def rhs(t, y):
         alpha, beta, gamma = model.coefficients(y[0])
@@ -273,9 +270,9 @@ def test_table_matches_independent_dense_output(orbit):
                         dense_output=True, events=[cut])
         s = np.linspace(0.0, 0.999 * ref.t_events[0][0], 2001)   # away from the bridge
         th_ref, dth_ref = ref.sol(s)
-        th, dth, _ = per.eval(origin + s)
+        th, dth, _ = sol.eval(origin + s)
         assert np.abs(th - th_ref).max() < 1e-13 and np.abs(dth - dth_ref).max() < 1e-13
-        th, dth, _ = per.eval(2.0 * sol.t2 - origin - s)          # mirror half
+        th, dth, _ = sol.eval(2.0 * sol.t2 - origin - s)          # mirror half
         assert np.abs(th - th_ref).max() < 1e-13 and np.abs(dth + dth_ref).max() < 1e-13
 
 
@@ -284,13 +281,13 @@ def test_table_is_continuous_at_its_breaks(orbit):
     # the bridge meets a side, the series and the integrated side differ a little.
     # Each jump is read 1e-10 to either side of a break, less the slope's share.
     _, _, _, per = orbit
-    breaks = per.base.table.breaks
+    breaks = per.table.breaks
     assert np.diff(breaks).min() > 1e-8
     eps = 1e-10
     after, before = per.eval(breaks[1:-1] + eps), per.eval(breaks[1:-1] - eps)
     jumps = np.abs([after[0] - before[0] - eps * (after[1] + before[1]),
                     after[1] - before[1] - eps * (after[2] + before[2])]).T
-    in_bridge = per.base.table(0.5 * (breaks[:-1] + breaks[1:]))[:, 2]
+    in_bridge = per.table(0.5 * (breaks[:-1] + breaks[1:]))[:, 2]
     joints = np.diff(in_bridge) != 0.0
     assert joints.sum() == 4            # both ends of the bridge and of its mirror image
     assert jumps[~joints].max() < 1e-13
@@ -303,10 +300,10 @@ def test_eval_at_the_crossings_raises_no_warning(orbit):
     _, th_s, _, per = orbit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for t in (0.0, 2.0 * per.base.t2):
+        for t in (0.0, 2.0 * per.t2):
             th, _, ddth = per.eval(t)
             assert abs(th - th_s) < 1e-12 and np.isfinite(ddth)
-        per.eval(np.array([0.0, 2.0 * per.base.t2]))
+        per.eval(np.array([0.0, 2.0 * per.t2]))
 
 
 def test_rk45_sweep_matches_solve_ivp(orbit):

@@ -347,6 +347,13 @@ def test_periodic_lqr_rejects_a_multiplier_on_the_unit_circle():
         vp.periodic_lqr(model)
 
 
+def test_periodic_lqr_rejects_an_overflowing_weight(tictoc_ltv):
+    # The squaring in `_expm` overflows on the Hamiltonian's huge exponents;
+    # the interval maps' finiteness gate raises, not a floating-point warning.
+    with pytest.raises(vp.ConvergenceError, match="not finite"):
+        vp.periodic_lqr(tictoc_ltv, Q=1e300 * np.eye(5))
+
+
 @pytest.mark.parametrize("R", [np.zeros((2, 2)), -np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
 def test_periodic_lqr_rejects_r_that_is_not_spd(tictoc_ltv, R):
     with pytest.raises(vp.DomainError):

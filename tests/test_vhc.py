@@ -35,6 +35,15 @@ def test_reduce_uses_vhc_domain_by_default(pvtol):
         vp.reduce(pvtol, vhc, (0.0, math.inf))
 
 
+def test_reversed_interval_is_rejected():
+    # Every reduced model checks its interval; a reversed one used to pass
+    # the existence check with a NaN slope margin.
+    with pytest.raises(vp.DomainError, match=r"\[0\.3, -0\.3\]"):
+        vp.check_theorem1(vp.family_reduced(0.5 * math.pi, 1.0, 2.0, -1.0, (0.3, -0.3)))
+    with pytest.raises(vp.DomainError):
+        vp.reduce(vp.pvtol_model(), vp.tic_toc_vhc(), (1.0, -1.0))
+
+
 def test_existence_check_tictoc(tictoc_report):
     rep = tictoc_report
     assert rep.overall
