@@ -352,6 +352,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
         "converged": bool(np.isfinite(final_error) and final_error < 1e-3),
         "horizon": horizon,
         "dt": float(mcfg["dt"]),
+        **{key: res.metadata[key] for key in ("rhs_evals", "integrator_steps", "tol")},
     }
     write_json(out / "report.json", ctx["report_json"])
 
@@ -454,9 +455,8 @@ def main(argv=None) -> int:
         code = _exit_code_for(exc)
     if err is not None:
         payload = {"error": type(err).__name__, "message": str(err)}
-        diagnostics = getattr(err, "diagnostics", None)
-        if diagnostics:
-            payload["diagnostics"] = diagnostics
+        if err.diagnostics:
+            payload["diagnostics"] = err.diagnostics
         write_json(out / "error.json", payload)
         print(f"error: {err}", file=sys.stderr)
     write_json(out / "metadata.json", {

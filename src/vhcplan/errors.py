@@ -6,7 +6,11 @@ numerical failures exit 3, usage problems exit 64.
 
 
 class VhcplanError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; `diagnostics` go to the CLI's error.json."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
 
 
 class ModelInvariantError(VhcplanError):
@@ -23,10 +27,6 @@ class ConditionCheckError(VhcplanError):
 
 class BoundaryUnreachableError(VhcplanError):
     """The requested boundary state cannot be reached from the singular crossing."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
 
 
 class OutsideTubeError(VhcplanError):

@@ -86,7 +86,7 @@ def _spd_solve(M: Array, rhs: Array) -> Array:
     calls the gufuncs behind `np.linalg.eigvalsh` and `np.linalg.solve`
     directly: the public functions add about 5 us of argument handling and
     error-state set-up per call, which the closed-loop simulation pays at
-    every RK4 stage on a 3x3 system. Without that set-up a failing LAPACK
+    every Dormand-Prince stage on a 3x3 system. Without that set-up a failing LAPACK
     call warns instead of raising, so the eigenvalue check comes first and a
     positive definite M never fails the solve. An M with a non-finite entry
     would fail the eigenvalue call itself, so a finiteness check rejects it

@@ -1,9 +1,10 @@
 """Closed-loop simulation of the full nonlinear plant under the orbital feedback.
 
-Fixed-step RK4 on the second-order dynamics; the control u = u*(tau) + K(tau) rho
-is recomputed at every integrator stage by default (a zero-order hold variant
-keeps it frozen across the step). The transverse coordinates the control uses at
-each step are logged, so convergence into the orbit can be read off directly.
+Dormand-Prince steps (`singular_solver.rk45_steps`) at rtol = atol = SIM_TOL,
+read off each step's quartic at the output times k dt; the control u = u*(tau)
++ K(tau) rho is recomputed at every stage by default (a zero-order hold variant
+keeps it over each output interval). The transverse coordinates of each output
+row are logged, so convergence into the orbit can be read off directly.
 """
 
 from __future__ import annotations
@@ -15,9 +16,24 @@ import numpy as np
 
 from .errors import ConvergenceError, ModelInvariantError
 from .mech import MechanicalSystem, solve_accel
+from .numdiff import matvec
+from .singular_solver import rk45_dense, rk45_steps
 from .transverse import GainSchedule
 
 Array = np.ndarray
+
+# The loosest rtol = atol at which 3-period tic-toc runs (17 starts) stay within
+# 2.2e-8 of a run at 1e-12 and nearer than RK4 at dt = 0.01 came.
+SIM_TOL = 5e-9
+# A run may spend SIM_RHS_PER_SECOND right-hand sides per simulated second plus
+# SIM_RHS_PER_SPAN per integrated span (one under stage feedback, one per row
+# interval under a hold, each of which costs at least 7). Stage feedback spends
+# about 130 per second on tic-toc and 1,180 on the README's family run.
+SIM_RHS_PER_SECOND = 10_000
+SIM_RHS_PER_SPAN = 100
+# An accepted step shorter than SIM_MIN_STEP dt, other than one cut at the end
+# of its span, counts as divergence: such motion outruns the rows a thousandfold.
+SIM_MIN_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -36,14 +52,16 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
                     q0: Array, qd0: Array, dt: float = 0.01,
                     horizon: float = 6.0 * math.pi,
                     stage_feedback: bool = True) -> SimulationResult:
-    """Simulate from (q0, qd0) for `horizon` seconds under the scheduled feedback.
+    """Simulate from (q0, qd0) under the scheduled feedback, rows k dt up to round(horizon/dt).
 
-    gains=None applies the reference input u*(tau) alone (open loop).
-    Raises ConvergenceError when an entry of the state at a step is not finite
-    or its magnitude exceeds 1e6 (divergence guard). The checks of
-    `eval_accel` run before its solve, once per run for the shapes of q0 and
-    qd0, once per RK4 stage for a finite stage state, and on every feedback
-    input for the shape of u.
+    gains=None applies the reference input u*(tau) alone (open loop);
+    stage_feedback=False holds u over each row interval, integrated on its own.
+    Raises ConvergenceError with diagnostics (time, final_state, rhs_evals) on
+    divergence, when an initial or stage state has an entry beyond 1e6 (also a
+    non-finite initial state) or a step falls below SIM_MIN_STEP dt; when the run
+    spends its budget of right-hand sides (SIM_RHS_PER_SECOND, SIM_RHS_PER_SPAN);
+    or when the step size collapses. A non-finite stage state raises
+    ModelInvariantError.
     """
     q0 = np.asarray(q0, dtype=float)
     qd0 = np.asarray(qd0, dtype=float)
@@ -51,54 +69,69 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
     if q0.shape != (n,) or qd0.shape != (n,):
         raise ModelInvariantError(f"q0 and qd0 must both have shape ({n},)")
     n_steps = int(round(horizon / dt))
+    ts = dt * np.arange(n_steps + 1)
+    ys = np.empty((n_steps + 1, 2 * n))
+    ys[0] = np.concatenate([q0, qd0])
+    evals = steps = 0
 
-    def feedback(tau: float, rho: Array) -> Array:
+    def stop(message: str, t: float, y: Array):
+        raise ConvergenceError(f"simulation {message} at t = {t:.3f}", {
+            "time": float(t), "final_state": y.tolist(), "rhs_evals": evals})
+
+    def feedback(tau, rho: Array) -> Array:
         u = chart.reference_input(tau)
         if gains is not None:
-            u = u + gains.k_of(tau) @ rho
-        if u.shape != (n - 1,):
+            u = u + matvec(gains.k_of(tau), rho)
+        if u.shape != np.shape(tau) + (n - 1,):
             raise ValueError(f"u must have shape {(n - 1,)}")
         return u
 
-    def deriv(y: Array, u: Array | None = None) -> Array:
-        if not np.isfinite(y).all():
-            raise ModelInvariantError("phase state must be finite")
+    def rhs(t: float, y: Array, u: Array | None) -> Array:
+        nonlocal evals
+        evals += 1
+        if evals > budget:
+            stop(f"spent its budget of {budget} right-hand sides", t, y)
+        peak = np.abs(y).max()
+        if not peak <= 1e6:
+            if not math.isfinite(peak):
+                raise ModelInvariantError("phase state must be finite")
+            stop("diverged", t, y)
         q, qd = y[:n], y[n:]
         if u is None:
             u = feedback(*chart.forward(q, qd))
-        dy = np.empty(2 * n)
-        dy[:n] = qd
-        dy[n:] = solve_accel(sys, q, qd, u)
-        return dy
+        return np.concatenate([qd, solve_accel(sys, q, qd, u)])
 
-    ts = dt * np.arange(n_steps + 1)
-    qs = np.empty((n_steps + 1, n))
-    qds = np.empty((n_steps + 1, n))
-    us = np.empty((n_steps + 1, n - 1))
-    taus = np.empty(n_steps + 1)
-    rhos = np.empty((n_steps + 1, 5))
+    if not np.abs(ys[0]).max() <= 1e6:
+        stop("diverged", 0.0, ys[0])
+    # One span of rows for stage feedback, one per row interval under a hold.
+    spans = [(0, n_steps)] if stage_feedback else [(k, k + 1) for k in range(n_steps)]
+    budget = SIM_RHS_PER_SPAN * len(spans) + math.ceil(SIM_RHS_PER_SECOND * ts[-1])
+    y, row = ys[0], 1
+    for first, last in spans:
+        t0, t, grid = ts[first], 0.0, ts[first:last + 1] - ts[first]
+        u = None if stage_feedback else feedback(*chart.forward(y[:n], y[n:]))
+        # A held interval first tries itself as one step.
+        h0 = None if stage_feedback else grid[-1]
+        for t_old, h, y_old, Q, t, y in rk45_steps(lambda s, x: rhs(t0 + s, x, u), y,
+                                                   grid[-1], SIM_TOL, h0):
+            steps += 1
+            if h < SIM_MIN_STEP * dt and t < grid[-1]:
+                stop(f"diverged (a step of {h:.2e} under {SIM_MIN_STEP:g} dt)", t0 + t, y)
+            end = first + np.searchsorted(grid, t, side="right")
+            ys[row:end] = rk45_dense(t_old, h, y_old, Q, grid[row - first:end - first])
+            row = end
+        if row <= last:
+            stop("step size collapsed", t0 + t, y)
 
-    y = np.concatenate([q0, qd0])
-    for k in range(n_steps + 1):
-        if not np.abs(y).max() <= 1e6:
-            raise ConvergenceError(f"simulation diverged at t = {ts[k]:.3f}")
-        tau_k, rho_k = chart.forward(y[:n], y[n:])
-        u_hold = feedback(tau_k, rho_k)
-        qs[k] = y[:n]
-        qds[k] = y[n:]
-        us[k] = u_hold
-        taus[k] = tau_k
-        rhos[k] = rho_k
-        if k == n_steps:
-            break
-        u_stage = None if stage_feedback else u_hold
-        k1 = deriv(y, u_hold)
-        k2 = deriv(y + 0.5 * dt * k1, u_stage)
-        k3 = deriv(y + 0.5 * dt * k2, u_stage)
-        k4 = deriv(y + dt * k3, u_stage)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return SimulationResult(t=ts, q=qs, qdot=qds, u=us, tau=taus, rho=rhos, dt=dt,
-                            metadata={"stage_feedback": stage_feedback,
-                                      "open_loop": gains is None,
-                                      "horizon": float(horizon)})
+    # tau, rho and u of the rows, 256 at a time: one batch of all rows left
+    # temporaries of about 0.6 MiB and raised the peak resident memory.
+    taus, rhos, us = np.empty(len(ts)), np.empty((len(ts), 5)), np.empty((len(ts), n - 1))
+    for i in range(0, len(ts), 256):
+        b = slice(i, i + 256)
+        taus[b], rhos[b] = chart.forward(ys[b, :n], ys[b, n:])
+        us[b] = feedback(taus[b], rhos[b])
+    return SimulationResult(t=ts, q=ys[:, :n], qdot=ys[:, n:], u=us, tau=taus, rho=rhos,
+                            dt=dt, metadata={"stage_feedback": stage_feedback,
+                                             "open_loop": gains is None, "horizon": float(horizon),
+                                             "rhs_evals": evals, "integrator_steps": steps,
+                                             "tol": SIM_TOL})

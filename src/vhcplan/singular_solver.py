@@ -17,7 +17,7 @@ above; endpoint conditions hold by construction.
 
 Each side runs the Dormand-Prince RK5(4) pair (Dormand & Prince, J. Comput.
 Appl. Math. 6, 1980) with its quartic dense output and the step control of
-Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6. `rk45_sweep` repeats scipy's
+Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6. `rk45_steps` repeats scipy's
 `solve_ivp(method="RK45")` operation for operation without importing it,
 which keeps start-up short; tests check its steps bit for bit against
 scipy's.
@@ -195,37 +195,33 @@ def _rms(x: Array) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def rk45_sweep(fun, y0: Array, t_bound: float, target: float, tol: float) -> RkSteps:
-    """RK45 from t = 0 toward t_bound until y[0] crosses `target`.
+def rk45_steps(fun, y0: Array, t_bound: float, tol: float, first_step: float | None = None):
+    """Accepted RK45 steps from t = 0 toward t_bound, one at a time.
 
     Repeats scipy's `solve_ivp(fun, (0, t_bound), y0, method="RK45",
-    rtol=tol, atol=tol)` with a terminal event y[0] - target: its first step,
-    RMS error norm and step control, FSAL stages, 10-ulp minimum step and
-    t_bound clamp. The event time is bisected to full resolution on the last
-    step's quartic, where scipy runs brentq. Stops with `reached` False at
-    t_bound (at once if it is 0), or when the step falls below its minimum (a
-    NaN right-hand side shrinks it there).
+    rtol=tol, atol=tol, first_step=first_step)`: its first step (tried at
+    first_step when given), RMS error norm and step control, FSAL stages,
+    10-ulp minimum step and t_bound clamp. Yields (t_old, h,
+    y_old, Q, t, y) per step: the `RkSteps` entries and the step's end, where
+    y is the fifth-order solution. Ends at t_bound (at once if it is 0) or
+    when the step falls below its minimum (a NaN right-hand side shrinks it
+    there); a caller sees the latter as a last t short of t_bound.
     """
+    if t_bound == 0.0:
+        return
     direction = np.sign(t_bound)
     y = np.asarray(y0, dtype=float)
-    t, f = 0.0, fun(0.0, y)
-    steps = ([], [], [], [])   # t_old, h, y_old and Q of each accepted step
-    g = y[0] - target
-
-    def done(reached):
-        return RkSteps(*map(np.array, steps), t, y, reached)
-
-    if t_bound == 0.0:
-        return done(False)
-    # Initial step (Hairer, Norsett & Wanner, II.4), scipy's select_initial_step.
-    scale = tol + np.abs(y) * tol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, abs(t_bound))
-    d2 = _rms((fun(h0 * direction, y + h0 * direction * f) - f) / scale) / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1 / 5))
-    h_abs = min(100 * h0, h1, abs(t_bound))
+    t, f, h_abs = 0.0, fun(0.0, y), first_step
+    if h_abs is None:
+        # Initial step (Hairer, Norsett & Wanner, II.4), scipy's select_initial_step.
+        scale = tol + np.abs(y) * tol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, abs(t_bound))
+        d2 = _rms((fun(h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / 5))
+        h_abs = min(100 * h0, h1, abs(t_bound))
     K = np.empty((7, y.size))
     while True:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -234,7 +230,7 @@ def rk45_sweep(fun, y0: Array, t_bound: float, target: float, tol: float) -> RkS
         rejected = False
         while True:
             if h_abs < min_step:
-                return done(False)
+                return
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -254,22 +250,38 @@ def rk45_sweep(fun, y0: Array, t_bound: float, target: float, tol: float) -> RkS
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
             rejected = True
-        for column, value in zip(steps, (t, h, y, K.T.dot(_P))):
+        yield t, h, y, K.T.dot(_P), t_new, y_new
+        t, y, f = t_new, y_new, f_new
+        if direction * (t - t_bound) >= 0:
+            return
+
+
+def rk45_dense(t_old: float, h: float, y_old: Array, Q: Array, s):
+    """One step's quartic (see `RkSteps`) at time s, or one row per entry of an array s."""
+    p = np.cumprod(np.multiply.outer(np.ones(4), (np.asarray(s) - t_old) / h), axis=0)
+    return (h * np.dot(Q, p)).T + y_old
+
+
+def rk45_sweep(fun, y0: Array, t_bound: float, target: float, tol: float) -> RkSteps:
+    """`rk45_steps` from t = 0 toward t_bound until y[0] crosses `target`.
+
+    Repeats `solve_ivp` with a terminal event y[0] - target: the event time
+    is bisected to full resolution on the last step's quartic, where scipy
+    runs brentq. Stops with `reached` False where `rk45_steps` ends.
+    """
+    steps = ([], [], [], [])   # t_old, h, y_old and Q of each accepted step
+    t, y = 0.0, np.asarray(y0, dtype=float)
+    g = y[0] - target
+    for t_old, h, y_old, Q, t, y in rk45_steps(fun, y, t_bound, tol):
+        for column, value in zip(steps, (t_old, h, y_old, Q)):
             column.append(value)
-        t_old, y_old, (t, y, f) = t, y, (t_new, y_new, f_new)
         g_old, g = g, y[0] - target
         if (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0):
-            Q = steps[3][-1]
-
-            def dense(s):
-                return h * np.dot(Q, np.cumprod(np.full(4, (s - t_old) / h))) + y_old
-
-            lo, hi, g_lo, g_hi = (t_old, t, g_old, g) if direction > 0 else (t, t_old, g, g_old)
-            t = bisect(lambda s: dense(s)[0] - target, lo, hi, g_lo, g_hi, 0.0)
-            y = dense(t)
-            return done(True)
-        if direction * (t - t_bound) >= 0:
-            return done(False)
+            lo, hi, g_lo, g_hi = (t_old, t, g_old, g) if h > 0 else (t, t_old, g, g_old)
+            t = bisect(lambda s: rk45_dense(t_old, h, y_old, Q, s)[0] - target,
+                       lo, hi, g_lo, g_hi, 0.0)
+            return RkSteps(*map(np.array, steps), t, rk45_dense(t_old, h, y_old, Q, t), True)
+    return RkSteps(*map(np.array, steps), t, y, False)
 
 
 def _quartics(side: RkSteps):

@@ -236,6 +236,9 @@ def test_simulate_artifacts(tmp_path):
     assert rho_norm < 1e-3
     report = json.loads((out / "report.json").read_text())
     assert report["simulation"]["converged"] is True
+    # Fewer right-hand sides than the 4 per row interval RK4 spent.
+    assert {"rhs_evals", "integrator_steps", "tol"} <= report["simulation"].keys()
+    assert report["simulation"]["rhs_evals"] < 4 * (len(rows) - 2)
 
 
 def test_family_certify_writes_plan_artifacts(tmp_path):

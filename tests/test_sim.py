@@ -1,10 +1,16 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import vhcplan as vp
+import vhcplan.sim
+from vhcplan.cli import main
 from vhcplan.mech import MechanicalSystem
+from vhcplan.singular_solver import rk45_steps
 
 
 def test_orbit_error_at_perturbed_start(tictoc_chart):
@@ -61,15 +67,28 @@ def test_zero_order_hold_still_converges(pvtol, tictoc_chart, tictoc_gains):
     assert np.linalg.norm(res.rho[-1]) < 1e-1
 
 
+def test_zero_order_hold_budget_grows_with_the_run(pvtol, tictoc_chart, tictoc_gains):
+    # Each held interval starts its own steps; at dt 0.002 the 9,425 intervals
+    # take about 66,000 right-hand sides, which a fixed budget of 50,000 cut short.
+    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains,
+                             np.array([0.1, -0.5, 0.0]), np.zeros(3), dt=0.002,
+                             stage_feedback=False)
+    assert res.metadata["rhs_evals"] > 50_000
+    assert np.linalg.norm(res.rho[-1]) < 1e-1
+
+
 def test_divergence_guard(pvtol, tictoc_chart, tictoc_ltv):
     destabilizing = vp.GainSchedule(
         taus=tictoc_ltv.taus,
         K=np.tile(np.full((2, 5), 50.0), (tictoc_ltv.taus.size, 1, 1)),
         P=np.tile(np.eye(5), (tictoc_ltv.taus.size, 1, 1)),
         sweeps=1, fixed_point_gap=0.0, multipliers=np.zeros(5))
-    with pytest.raises(vp.ConvergenceError):
+    # The spin-up shrinks the steps below SIM_MIN_STEP dt long before a state
+    # entry passes 1e6.
+    with pytest.raises(vp.ConvergenceError, match="diverged") as info:
         vp.run_closed_loop(pvtol, tictoc_chart, destabilizing,
                            np.array([0.1, -0.5, 0.0]), np.zeros(3))
+    assert 0.0 < info.value.diagnostics["time"] < 0.2
     # A state that is not finite trips the guard before any model call.
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(vp.ConvergenceError, match=r"t = 0\.000"):
@@ -93,26 +112,72 @@ def test_family_closed_loop(pvtol, family_pack, family_gains):
     assert end < 0.2 * start
 
 
-def test_closed_loop_equals_rk4_on_eval_accel(pvtol, tictoc_chart, tictoc_gains):
+def test_closed_loop_matches_solve_ivp_on_eval_accel(pvtol, tictoc_chart, tictoc_gains):
     # The loop checks once per run or stage and calls the solve alone; the
-    # reference calls the checked `eval_accel` at every stage.
-    dt, q0 = 0.01, np.array([0.1, -0.5, 0.0])
-    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3), dt=dt,
-                             horizon=math.pi)
+    # reference, scipy's DOP853 at rtol = atol = 1e-12, calls the checked
+    # `eval_accel` at every stage.
+    q0 = np.array([0.1, -0.5, 0.0])
+    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3),
+                             horizon=2.0 * math.pi)
 
-    def deriv(y):
+    def deriv(t, y):
         tau, rho = tictoc_chart.forward(y[:3], y[3:])
         u = tictoc_chart.reference_input(tau) + tictoc_gains.k_of(tau) @ rho
         return np.concatenate([y[3:], vp.eval_accel(pvtol, y[:3], y[3:], u)])
 
-    y = np.concatenate([q0, np.zeros(3)])
-    for k in range(res.t.size):
-        assert np.array_equal(res.q[k], y[:3]) and np.array_equal(res.qdot[k], y[3:])
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * dt * k1)
-        k3 = deriv(y + 0.5 * dt * k2)
-        k4 = deriv(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ref = solve_ivp(deriv, (0.0, res.t[-1]), np.r_[q0, np.zeros(3)], method="DOP853",
+                    rtol=1e-12, atol=1e-12, t_eval=res.t)
+    assert np.abs(res.q - ref.y[:3].T).max() <= 1e-7
+
+
+def test_last_row_is_read_inside_the_last_step(monkeypatch, pvtol, tictoc_chart, tictoc_gains):
+    # 6 pi is not a multiple of dt: the rows end at 1885 dt, where the last step ends.
+    spans = []
+
+    def recording(*args):
+        for step in rk45_steps(*args):
+            spans.append((step[0], step[4]))
+            yield step
+
+    monkeypatch.setattr(vhcplan.sim, "rk45_steps", recording)
+    dt = 0.01
+    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, np.array([0.1, -0.5, 0.0]),
+                             np.zeros(3), dt=dt, horizon=6.0 * math.pi)
+    assert res.t.size == 1886 and res.t[-1] == 1885 * dt
+    t_old, t_end = spans[-1]
+    assert t_old < res.t[-1] <= t_end == 1885 * dt
+    assert res.metadata["integrator_steps"] == len(spans)
+
+
+def test_spent_budget_and_short_run_raise(monkeypatch, tmp_path, pvtol, tictoc_chart,
+                                          tictoc_gains):
+    q0, qd0 = np.array([0.1, -0.5, 0.0]), np.zeros(3)
+    keys = {"time", "final_state", "rhs_evals"}
+    monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_SECOND", 0)
+    monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_SPAN", 100)
+    with pytest.raises(vp.ConvergenceError, match="budget of 100 ") as info:
+        vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, qd0)
+    assert set(info.value.diagnostics) == keys
+    assert info.value.diagnostics["rhs_evals"] == 101
+    out = tmp_path / "sim"
+    assert main(["simulate", "--out", str(out), "--set", "stabilize.n_grid=64"]) == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ConvergenceError" and set(error["diagnostics"]) == keys
+    # 5 per held interval and 10 per second: 5 * 1885 + 189.
+    monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_SECOND", 10)
+    monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_SPAN", 5)
+    with pytest.raises(vp.ConvergenceError, match=r"budget of 9614 "):
+        vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, qd0, dt=0.01,
+                           horizon=6.0 * math.pi, stage_feedback=False)
+    # Steps that end short of the last row, as where the step size collapses.
+    monkeypatch.undo()
+    monkeypatch.setattr(vhcplan.sim, "rk45_steps",
+                        lambda *args: itertools.islice(rk45_steps(*args), 3))
+    for stage_feedback in (True, False):
+        with pytest.raises(vp.ConvergenceError, match="step size collapsed") as info:
+            vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, qd0, dt=1.0,
+                               stage_feedback=stage_feedback)
+        assert set(info.value.diagnostics) == keys
 
 
 def test_closed_loop_keeps_the_model_checks(pvtol, tictoc_chart):
