@@ -68,6 +68,7 @@ from .vhc import (
     family_vhc,
     find_family_parameters,
     reduce,
+    tic_toc_reduced,
     tic_toc_vhc,
 )
 
@@ -115,5 +116,6 @@ __all__ = [
     "singular_acceleration",
     "solve_boundary",
     "tic_toc_orbit",
+    "tic_toc_reduced",
     "tic_toc_reference",
 ]

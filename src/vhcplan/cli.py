@@ -54,8 +54,7 @@ from .vhc import (
     check_theorem1,
     family_reduced,
     find_family_parameters,
-    reduce,
-    tic_toc_vhc,
+    tic_toc_reduced,
 )
 
 EXIT_OK = 0
@@ -192,8 +191,7 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
     params: FamilyParameters | None = None
     if kind == "tictoc":
         domain = tuple(float(v) for v in (vcfg["domain"] or (-2.0, 2.0)))
-        vhc = tic_toc_vhc(domain=domain)
-        model = reduce(sys_, vhc, domain)
+        model = tic_toc_reduced(domain)
     else:
         psi_s = float(vcfg["psi_s"]) if vcfg["psi_s"] is not None else 0.5 * math.pi
         explicit = [vcfg[k] for k in ("k1", "k2", "k3", "theta_max")]
@@ -210,7 +208,7 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
                 raise ConditionCheckError(
                     f"no admissible family parameters found for psi_s = {psi_s}")
             model = family_reduced(psi_s, params.k1, params.k2, params.k3, params.interval)
-        vhc = model.vhc
+    vhc = model.vhc
     report = check_theorem1(model) if params is None else params.report
     report_json: dict = {"kind": kind, "check": report.to_json_dict()}
     if params is not None:

@@ -25,7 +25,7 @@ def write_csv(path: Path, header: Sequence[str], rows: ArrayLike) -> None:
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for block in np.split(table, range(CSV_BLOCK, len(table), CSV_BLOCK)):
-            fh.write("".join([line % tuple(row) for row in block.tolist()]))
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _jsonable(obj):

@@ -10,6 +10,11 @@ direction B_perp. The module evaluates these coefficients, checks the
 existence conditions for periodic solutions that cross a regularity-losing
 point of the constraint (alpha = 0) and builds the two-parameter-plus-curvature
 constraint family anchored at an upright-thrust configuration.
+
+The CLI plans both orbits, tic-toc and family, on closed-form reduced models of
+the thrust-vectored vehicle (`tic_toc_reduced`, `family_reduced`). `reduce` is
+the generic projection for any model and constraint; the tests check both
+closed forms against it.
 """
 
 from __future__ import annotations
@@ -146,6 +151,22 @@ def tic_toc_vhc(domain: tuple[float, float] = (-2.0, 2.0)) -> ParametricVhc:
                          16.0 * th / (1.0 + 4.0 * th * th) ** 2]).T
 
     return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="tictoc")
+
+
+def tic_toc_reduced(domain: tuple[float, float] = (-2.0, 2.0)) -> ReducedModel:
+    """Closed-form reduced model of the tic-toc constraint of the thrust-vectored vehicle.
+
+    alpha = theta/s, beta = -1/s, gamma = 1/s with s = sqrt(1 + 4 theta^2):
+    the generic projection's values, since the unit annihilator on the curve is
+    (cos psi, sin psi, 0) = (2 theta, 1, 0)/s. Up to the factor 1/s this is
+    theta theta'' - theta'^2 + 1 = 0.
+    """
+
+    def coefficients(th):
+        s = np.sqrt(1.0 + 4.0 * th * th)
+        return np.array([th / s, -1.0 / s, 1.0 / s])
+
+    return ReducedModel(coefficients=coefficients, interval=domain, vhc=tic_toc_vhc(domain))
 
 
 def family_vhc(sys: MechanicalSystem, q_s: Array, k1: float, k2: float, k3: float,

@@ -83,7 +83,7 @@ def test_divergence_guard(pvtol, tictoc_chart, tictoc_ltv):
         K=np.tile(np.full((2, 5), 50.0), (tictoc_ltv.taus.size, 1, 1)),
         P=np.tile(np.eye(5), (tictoc_ltv.taus.size, 1, 1)),
         sweeps=1, fixed_point_gap=0.0, multipliers=np.zeros(5))
-    # The spin-up shrinks the steps below SIM_MIN_STEP dt long before a state
+    # The spin-up shrinks the steps below SIM_MIN_STEP long before a state
     # entry passes 1e6.
     with pytest.raises(vp.ConvergenceError, match="diverged") as info:
         vp.run_closed_loop(pvtol, tictoc_chart, destabilizing,
@@ -97,6 +97,20 @@ def test_divergence_guard(pvtol, tictoc_chart, tictoc_ltv):
         with pytest.raises(vp.ConvergenceError, match=r"t = 0\.000"):
             vp.run_closed_loop(pvtol, tictoc_chart, None, np.zeros(3),
                                np.array([0.0, 0.0, bad]))
+
+
+def test_coarse_output_spacing_is_no_divergence(pvtol, tictoc_chart, tictoc_gains):
+    # dt only spaces the rows: the first step (about 6.7e-3) lies far below
+    # dt/1000 at dt 10, and the run still converges.
+    q0 = np.array([0.1, -0.5, 0.0])
+    fine = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3), dt=0.01,
+                              horizon=20.0)
+    for dt in (10.0, 5.0):
+        res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3), dt=dt,
+                                 horizon=20.0)
+        assert res.t[-1] == 20.0
+        assert np.abs(res.q - fine.q[::int(round(dt / 0.01))]).max() < 1e-6
+        assert np.linalg.norm(res.rho[-1]) < 1e-3
 
 
 def test_family_closed_loop(pvtol, family_pack, family_gains):

@@ -66,6 +66,36 @@ def test_existence_check_generic_annihilator_matches_closed_form(pvtol, tictoc_r
     assert abs(rep.v_s - tictoc_report.v_s) < 1e-9
 
 
+def test_tictoc_closed_form_matches_generic_reduction(pvtol):
+    # The closed form equals the projection through the model's annihilator to
+    # rounding, and the cofactor route nearly so, per point and as one batch.
+    closed = vp.tic_toc_reduced()
+    assert closed.interval == (-2.0, 2.0) and closed.vhc.domain == (-2.0, 2.0)
+    thetas = np.linspace(-2.0, 2.0, 401)
+    for annihilator, tol in ((pvtol.annihilator, 1e-14), (None, 1e-12)):
+        sys_ = dataclasses.replace(pvtol, annihilator=annihilator)
+        generic = vp.reduce(sys_, vp.tic_toc_vhc())
+        batch = closed.coefficients(thetas)
+        assert batch.shape == (3, thetas.size)
+        assert np.abs(batch - generic.coefficients(thetas)).max() < tol
+        for th in thetas[::8]:
+            point = closed.coefficients(float(th))
+            assert point.shape == (3,)
+            assert np.abs(point - generic.coefficients(float(th))).max() < tol
+
+
+def test_tictoc_closed_form_report_and_solution_match_generic(tictoc_report, tictoc_solution):
+    # The fixtures plan on the generic projection.
+    closed = vp.tic_toc_reduced()
+    rep = vp.check_theorem1(closed)
+    assert rep.flags == tictoc_report.flags
+    assert abs(rep.theta_s - tictoc_report.theta_s) < 1e-12
+    assert abs(rep.v_s - tictoc_report.v_s) < 1e-12
+    sol = vp.solve_boundary(closed, rep, -1.0, 0.0, 1.0, 0.0)
+    ts = np.linspace(sol.t0, sol.t0 + sol.period, 1001)
+    assert np.abs(np.array(sol.eval(ts)) - np.array(tictoc_solution.eval(ts))).max() < 1e-10
+
+
 def test_existence_check_json_round_trip(tictoc_report):
     d = tictoc_report.to_json_dict()
     assert d["overall"] is True
