@@ -69,7 +69,6 @@ _NUMERIC_ERRORS = (BoundaryUnreachableError, ConvergenceError, ModelInvariantErr
                    DomainError, OutsideTubeError)
 
 DEFAULTS: dict = {
-    "system": {"name": "pvtol"},
     "vhc": {
         "kind": "tictoc",
         "domain": None,
@@ -82,7 +81,7 @@ DEFAULTS: dict = {
     "boundary": {"theta1": None, "theta2": None},
     "stabilize": {"n_grid": 512, "q_weight": 1.0, "r_weight": 1.0, "max_sweeps": 50},
     "simulate": {"q0": [0.1, -0.5, 0.0], "qd0": [0.0, 0.0, 0.0], "dt": 0.01,
-                 "periods": 3.0, "stage_feedback": True, "open_loop": False},
+                 "periods": 3.0, "open_loop": False},
     "sweep": {"psi_values": [0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi]},
 }
 
@@ -96,15 +95,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether value is a finite JSON number: not a bool, NaN or an infinity."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
 
 
 def _fits_default(default, value) -> bool:
     """Whether a config value has the JSON type of its key's default, and its sign if positive.
 
-    A float takes any number (not a bool), an int an int, a list a list of
-    numbers, a bool a bool and a string a string; a key whose default is null
-    takes null or a number. A positive default marks a count, step, horizon or weight.
+    A float takes any finite number (not a bool), an int an int, a list a list
+    of finite numbers, a bool a bool and a string a string; a key whose default
+    is null takes null or a finite number. A positive default marks a count,
+    step, horizon or weight.
     """
     if _is_number(default) and default > 0 and not (_is_number(value) and value > 0):
         return False
@@ -132,7 +133,8 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
             # vhc.domain is checked as a [lo, hi] pair in _load_config.
             if full != "vhc.domain" and not _fits_default(default, value):
                 raise UsageError(f"config key {full} takes a value of the type of its default "
-                                 f"{json.dumps(default)} (> 0 if it is), got {json.dumps(value)}")
+                                 f"{json.dumps(default)} (finite, and > 0 if it is), "
+                                 f"got {json.dumps(value)}")
             out[key] = value
     return out
 
@@ -166,8 +168,6 @@ def _load_config(args) -> dict:
         cfg = _merge_config(cfg, loaded)
     for assignment in args.set or []:
         cfg = _apply_override(cfg, assignment)
-    if cfg["system"]["name"] != "pvtol":
-        raise UsageError(f"unknown system: {cfg['system']['name']}")
     if cfg["vhc"]["kind"] not in ("tictoc", "family"):
         raise UsageError(f"vhc.kind must be 'tictoc' or 'family', got {cfg['vhc']['kind']!r}")
     dom = cfg["vhc"]["domain"]
@@ -335,11 +335,8 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
     mcfg = cfg["simulate"]
     horizon = float(mcfg["periods"]) * ctx["traj"].period
     res = run_closed_loop(ctx["sys"], ctx["chart"],
-                          None if mcfg["open_loop"] else ctx["gains"],
-                          np.asarray(mcfg["q0"], dtype=float),
-                          np.asarray(mcfg["qd0"], dtype=float),
-                          dt=float(mcfg["dt"]), horizon=horizon,
-                          stage_feedback=bool(mcfg["stage_feedback"]))
+                          None if mcfg["open_loop"] else ctx["gains"], mcfg["q0"], mcfg["qd0"],
+                          dt=float(mcfg["dt"]), horizon=horizon)
     write_csv(out / "simulation.csv",
               ["t", "x", "z", "psi", "xdot", "zdot", "psidot", "u1", "u2",
                "tau", "rho1", "rho2", "rho3", "rho4", "rho5"],

@@ -2,9 +2,8 @@
 
 Dormand-Prince steps (`singular_solver.rk45_steps`) at rtol = atol = SIM_TOL,
 read off each step's quartic at the output times k dt; the control u = u*(tau)
-+ K(tau) rho is recomputed at every stage by default (a zero-order hold variant
-keeps it over each output interval). The transverse coordinates of each output
-row are logged, so convergence into the orbit can be read off directly.
++ K(tau) rho is recomputed at every stage. The transverse coordinates of each
+output row are logged, so convergence into the orbit can be read off directly.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ModelInvariantError
+from .errors import ConvergenceError, DomainError, ModelInvariantError
 from .mech import MechanicalSystem, solve_accel
 from .numdiff import matvec
 from .singular_solver import rk45_dense, rk45_steps
@@ -26,15 +25,17 @@ Array = np.ndarray
 # 2.2e-8 of a run at 1e-12 and nearer than RK4 at dt = 0.01 came.
 SIM_TOL = 5e-9
 # A run may spend SIM_RHS_PER_SECOND right-hand sides per simulated second plus
-# SIM_RHS_PER_SPAN per integrated span (one under stage feedback, one per row
-# interval under a hold, each of which costs at least 7). Stage feedback spends
-# about 130 per second on tic-toc and 1,180 on the README's family run.
+# SIM_RHS_PER_RUN once. It spends about 130 per second on tic-toc and 1,180 on
+# the README's family run.
 SIM_RHS_PER_SECOND = 10_000
-SIM_RHS_PER_SPAN = 100
+SIM_RHS_PER_RUN = 100
 # An accepted step shorter than SIM_MIN_STEP (in time units), other than one
-# cut at the end of its span, counts as divergence, as in a spin-up. The README
+# cut at the end of the run, counts as divergence, as in a spin-up. The README
 # runs never step below 4.4e-3, and the output spacing dt plays no part.
 SIM_MIN_STEP = 1e-5
+# horizon/dt must stay below SIM_MAX_ROWS, which caps the rows at about 120 MB.
+# The largest documented run, the README's 20-period family run, logs 4,242.
+SIM_MAX_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -55,20 +56,29 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
                     stage_feedback: bool = True) -> SimulationResult:
     """Simulate from (q0, qd0) under the scheduled feedback, rows k dt up to round(horizon/dt).
 
-    gains=None applies the reference input u*(tau) alone (open loop);
-    stage_feedback=False holds u over each row interval, integrated on its own.
+    gains=None applies the reference input u*(tau) alone (open loop).
+    stage_feedback accepts only True (the zero-order hold was removed).
+    Raises DomainError for a dt that is not finite and positive, or horizon/dt
+    outside [0, SIM_MAX_ROWS) (a horizon that is negative or not finite too).
     Raises ConvergenceError with diagnostics (time, final_state, rhs_evals) on
     divergence, when an initial or stage state has an entry beyond 1e6 (also a
     non-finite initial state) or a step falls below SIM_MIN_STEP; when the run
-    spends its budget of right-hand sides (SIM_RHS_PER_SECOND, SIM_RHS_PER_SPAN);
+    spends its budget of right-hand sides (SIM_RHS_PER_SECOND, SIM_RHS_PER_RUN);
     or when the step size collapses. A non-finite stage state raises
     ModelInvariantError.
     """
+    if stage_feedback is not True:
+        raise DomainError("the zero-order hold was removed: stage_feedback must be True")
     q0 = np.asarray(q0, dtype=float)
     qd0 = np.asarray(qd0, dtype=float)
     n = sys.n
     if q0.shape != (n,) or qd0.shape != (n,):
         raise ModelInvariantError(f"q0 and qd0 must both have shape ({n},)")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and positive, got {dt}")
+    if not 0 <= horizon / dt < SIM_MAX_ROWS:
+        raise DomainError(f"horizon/dt = {horizon / dt:.3g} rows, not in [0, SIM_MAX_ROWS = "
+                          f"{SIM_MAX_ROWS})")
     n_steps = int(round(horizon / dt))
     ts = dt * np.arange(n_steps + 1)
     ys = np.empty((n_steps + 1, 2 * n))
@@ -87,7 +97,7 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
             raise ValueError(f"u must have shape {(n - 1,)}")
         return u
 
-    def rhs(t: float, y: Array, u: Array | None) -> Array:
+    def rhs(t: float, y: Array) -> Array:
         nonlocal evals
         evals += 1
         if evals > budget:
@@ -98,31 +108,21 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
                 raise ModelInvariantError("phase state must be finite")
             stop("diverged", t, y)
         q, qd = y[:n], y[n:]
-        if u is None:
-            u = feedback(*chart.forward(q, qd))
-        return np.concatenate([qd, solve_accel(sys, q, qd, u)])
+        return np.concatenate([qd, solve_accel(sys, q, qd, feedback(*chart.forward(q, qd)))])
 
     if not np.abs(ys[0]).max() <= 1e6:
         stop("diverged", 0.0, ys[0])
-    # One span of rows for stage feedback, one per row interval under a hold.
-    spans = [(0, n_steps)] if stage_feedback else [(k, k + 1) for k in range(n_steps)]
-    budget = SIM_RHS_PER_SPAN * len(spans) + math.ceil(SIM_RHS_PER_SECOND * ts[-1])
-    y, row = ys[0], 1
-    for first, last in spans:
-        t0, t, grid = ts[first], 0.0, ts[first:last + 1] - ts[first]
-        u = None if stage_feedback else feedback(*chart.forward(y[:n], y[n:]))
-        # A held interval first tries itself as one step.
-        h0 = None if stage_feedback else grid[-1]
-        for t_old, h, y_old, Q, t, y in rk45_steps(lambda s, x: rhs(t0 + s, x, u), y,
-                                                   grid[-1], SIM_TOL, h0):
-            steps += 1
-            if h < SIM_MIN_STEP and t < grid[-1]:
-                stop(f"diverged (a step of {h:.2e} under {SIM_MIN_STEP:g})", t0 + t, y)
-            end = first + np.searchsorted(grid, t, side="right")
-            ys[row:end] = rk45_dense(t_old, h, y_old, Q, grid[row - first:end - first])
-            row = end
-        if row <= last:
-            stop("step size collapsed", t0 + t, y)
+    budget = SIM_RHS_PER_RUN + math.ceil(SIM_RHS_PER_SECOND * ts[-1])
+    t, y, row = 0.0, ys[0], 1
+    for t_old, h, y_old, Q, t, y in rk45_steps(rhs, y, ts[-1], SIM_TOL):
+        steps += 1
+        if h < SIM_MIN_STEP and t < ts[-1]:
+            stop(f"diverged (a step of {h:.2e} under {SIM_MIN_STEP:g})", t, y)
+        end = np.searchsorted(ts, t, side="right")
+        ys[row:end] = rk45_dense(t_old, h, y_old, Q, ts[row:end])
+        row = end
+    if row <= n_steps:
+        stop("step size collapsed", t, y)
 
     # tau, rho and u of the rows, 256 at a time: one batch of all rows left
     # temporaries of about 0.6 MiB and raised the peak resident memory.
@@ -132,7 +132,6 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
         taus[b], rhos[b] = chart.forward(ys[b, :n], ys[b, n:])
         us[b] = feedback(taus[b], rhos[b])
     return SimulationResult(t=ts, q=ys[:, :n], qdot=ys[:, n:], u=us, tau=taus, rho=rhos,
-                            dt=dt, metadata={"stage_feedback": stage_feedback,
-                                             "open_loop": gains is None, "horizon": float(horizon),
+                            dt=dt, metadata={"open_loop": gains is None, "horizon": float(horizon),
                                              "rhs_evals": evals, "integrator_steps": steps,
                                              "tol": SIM_TOL})

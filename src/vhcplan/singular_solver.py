@@ -195,15 +195,14 @@ def _rms(x: Array) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def rk45_steps(fun, y0: Array, t_bound: float, tol: float, first_step: float | None = None):
+def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
     """Accepted RK45 steps from t = 0 toward t_bound, one at a time.
 
     Repeats scipy's `solve_ivp(fun, (0, t_bound), y0, method="RK45",
-    rtol=tol, atol=tol, first_step=first_step)`: its first step (tried at
-    first_step when given), RMS error norm and step control, FSAL stages,
-    10-ulp minimum step and t_bound clamp. Yields (t_old, h,
-    y_old, Q, t, y) per step: the `RkSteps` entries and the step's end, where
-    y is the fifth-order solution. Ends at t_bound (at once if it is 0) or
+    rtol=tol, atol=tol)`: its initial step choice, RMS error norm and step
+    control, FSAL stages, 10-ulp minimum step and t_bound clamp. Yields
+    (t_old, h, y_old, Q, t, y) per step: the `RkSteps` entries and the step's
+    end, where y is the fifth-order solution. Ends at t_bound (at once if it is 0) or
     when the step falls below its minimum (a NaN right-hand side shrinks it
     there); a caller sees the latter as a last t short of t_bound.
     """
@@ -211,17 +210,16 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float, first_step: float | N
         return
     direction = np.sign(t_bound)
     y = np.asarray(y0, dtype=float)
-    t, f, h_abs = 0.0, fun(0.0, y), first_step
-    if h_abs is None:
-        # Initial step (Hairer, Norsett & Wanner, II.4), scipy's select_initial_step.
-        scale = tol + np.abs(y) * tol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, abs(t_bound))
-        d2 = _rms((fun(h0 * direction, y + h0 * direction * f) - f) / scale) / h0
-        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-              else (0.01 / max(d1, d2)) ** (1 / 5))
-        h_abs = min(100 * h0, h1, abs(t_bound))
+    t, f = 0.0, fun(0.0, y)
+    # Initial step (Hairer, Norsett & Wanner, II.4), scipy's select_initial_step.
+    scale = tol + np.abs(y) * tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_bound))
+    d2 = _rms((fun(h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs = min(100 * h0, h1, abs(t_bound))
     K = np.empty((7, y.size))
     while True:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)

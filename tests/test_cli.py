@@ -128,12 +128,15 @@ def test_config_keys_validated_alike_in_files_and_overrides(tmp_path):
         assert main(["plan", "--out", str(tmp_path / "o2"), "--set", assignment]) == 64
     # Keys that became constants: the solver's, the chart's and the sampling
     # tuning values, the boundary velocities, which a periodic orbit fixes at
-    # 0, and the sweep's time bound, which RHS_BUDGET replaces.
+    # 0, and the sweep's time bound, which RHS_BUDGET replaces. Keys with one
+    # working value: the zero-order hold's switch and the system, always PVTOL.
     removed = {"solver": {"xi_cut": 1e-6, "tol": 1e-10, "t_max": 1000, "lift_samples": 4096},
                "check": {"n_grid": 2048},
                "certify": {"n_samples": 2048, "accessibility_samples": 64},
                "stabilize": {"rho_step": 1e-6, "w_step": 1e-4, "tube_radius": 1.0},
-               "boundary": {"dtheta1": 0.0, "dtheta2": 0.0}}
+               "boundary": {"dtheta1": 0.0, "dtheta2": 0.0},
+               "simulate": {"stage_feedback": False},
+               "system": {"name": "pvtol"}}
     for section, keys in removed.items():
         for key, value in keys.items():
             cfg.write_text(json.dumps({section: {key: value}}))
@@ -145,8 +148,11 @@ def test_config_keys_validated_alike_in_files_and_overrides(tmp_path):
 def test_config_value_types_validated(tmp_path, capsys):
     # A value of another JSON type than its key's default, a fraction for an
     # integer included, is a usage error from a config file and from --set alike.
+    # So is a number that is not finite, which passed `inf > 0` before and
+    # crashed converting the periods, or which a null default took.
     for assignment in ("stabilize.q_weight=abc", "stabilize.n_grid=[1,2]",
-                       "stabilize.max_sweeps=50.5"):
+                       "stabilize.max_sweeps=50.5", "simulate.periods=Infinity",
+                       "vhc.psi_s=NaN", "simulate.q0=[0.1,-Infinity,0]"):
         assert main(["plan", "--out", str(tmp_path / "o1"), "--set", assignment]) == 64
         assert "Traceback" not in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
@@ -354,6 +360,17 @@ def test_exit_code_numerical_failure(tmp_path):
     assert proc.returncode == 3, proc.stderr
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ConvergenceError"
+    assert json.loads((out / "metadata.json").read_text())["exit_code"] == 3
+
+
+def test_tiny_output_spacing_is_a_numerical_failure(tmp_path, capsys):
+    # At dt 1e-15 the rows would take 134 PiB; the run stops before allocating.
+    out = tmp_path / "tiny_dt"
+    assert main(["simulate", "--out", str(out), "--set", "simulate.dt=1e-15",
+                 *FAST_STABILIZE]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "DomainError" and "SIM_MAX_ROWS" in err["message"]
     assert json.loads((out / "metadata.json").read_text())["exit_code"] == 3
 
 

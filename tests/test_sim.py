@@ -37,7 +37,6 @@ def test_simulation_shapes_and_metadata(sim_result):
     assert res.t.shape == (n,)
     assert res.q.shape == (n, 3) and res.qdot.shape == (n, 3)
     assert res.u.shape == (n, 2) and res.rho.shape == (n, 5)
-    assert res.metadata["stage_feedback"] is True
     assert res.metadata["open_loop"] is False
     assert res.t[1] - res.t[0] == res.dt
 
@@ -60,21 +59,22 @@ def test_open_loop_does_not_converge(pvtol, tictoc_chart):
     assert res.metadata["open_loop"] is True
 
 
-def test_zero_order_hold_still_converges(pvtol, tictoc_chart, tictoc_gains):
-    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains,
-                             np.array([0.1, -0.5, 0.0]), np.zeros(3),
-                             stage_feedback=False)
-    assert np.linalg.norm(res.rho[-1]) < 1e-1
-
-
-def test_zero_order_hold_budget_grows_with_the_run(pvtol, tictoc_chart, tictoc_gains):
-    # Each held interval starts its own steps; at dt 0.002 the 9,425 intervals
-    # take about 66,000 right-hand sides, which a fixed budget of 50,000 cut short.
-    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains,
-                             np.array([0.1, -0.5, 0.0]), np.zeros(3), dt=0.002,
-                             stage_feedback=False)
-    assert res.metadata["rhs_evals"] > 50_000
-    assert np.linalg.norm(res.rho[-1]) < 1e-1
+def test_removed_hold_and_bad_output_grids_raise(pvtol, tictoc_chart, tictoc_gains):
+    q0, qd0 = np.array([0.1, -0.5, 0.0]), np.zeros(3)
+    with pytest.raises(vp.DomainError, match="zero-order hold was removed"):
+        vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, qd0, stage_feedback=False)
+    # Each is rejected before the rows are allocated: at dt 1e-15 they would
+    # take 134 PiB.
+    for dt, horizon, match in ((0.0, 1.0, "dt must"), (-0.01, 1.0, "dt must"),
+                               (np.nan, 1.0, "dt must"), (np.inf, 1.0, "dt must"),
+                               (0.01, np.inf, "SIM_MAX_ROWS"), (0.01, -1.0, "SIM_MAX_ROWS"),
+                               (0.01, np.nan, "SIM_MAX_ROWS"),
+                               (1e-15, 6.0 * math.pi, "SIM_MAX_ROWS"),
+                               (1e-300, 1e300, "SIM_MAX_ROWS")):
+        with pytest.raises(vp.DomainError, match=match):
+            vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, qd0, dt=dt,
+                               horizon=horizon)
+    assert vhcplan.sim.SIM_MAX_ROWS >= 100 * 4242
 
 
 def test_divergence_guard(pvtol, tictoc_chart, tictoc_ltv):
@@ -168,7 +168,7 @@ def test_spent_budget_and_short_run_raise(monkeypatch, tmp_path, pvtol, tictoc_c
     q0, qd0 = np.array([0.1, -0.5, 0.0]), np.zeros(3)
     keys = {"time", "final_state", "rhs_evals"}
     monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_SECOND", 0)
-    monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_SPAN", 100)
+    monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_RUN", 100)
     with pytest.raises(vp.ConvergenceError, match="budget of 100 ") as info:
         vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, qd0)
     assert set(info.value.diagnostics) == keys
@@ -177,21 +177,19 @@ def test_spent_budget_and_short_run_raise(monkeypatch, tmp_path, pvtol, tictoc_c
     assert main(["simulate", "--out", str(out), "--set", "stabilize.n_grid=64"]) == 3
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "ConvergenceError" and set(error["diagnostics"]) == keys
-    # 5 per held interval and 10 per second: 5 * 1885 + 189.
+    # 5 per run and 10 per simulated second: 5 + ceil(10 * 1885 dt).
     monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_SECOND", 10)
-    monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_SPAN", 5)
-    with pytest.raises(vp.ConvergenceError, match=r"budget of 9614 "):
+    monkeypatch.setattr(vhcplan.sim, "SIM_RHS_PER_RUN", 5)
+    with pytest.raises(vp.ConvergenceError, match=r"budget of 194 "):
         vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, qd0, dt=0.01,
-                           horizon=6.0 * math.pi, stage_feedback=False)
+                           horizon=6.0 * math.pi)
     # Steps that end short of the last row, as where the step size collapses.
     monkeypatch.undo()
     monkeypatch.setattr(vhcplan.sim, "rk45_steps",
                         lambda *args: itertools.islice(rk45_steps(*args), 3))
-    for stage_feedback in (True, False):
-        with pytest.raises(vp.ConvergenceError, match="step size collapsed") as info:
-            vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, qd0, dt=1.0,
-                               stage_feedback=stage_feedback)
-        assert set(info.value.diagnostics) == keys
+    with pytest.raises(vp.ConvergenceError, match="step size collapsed") as info:
+        vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, qd0, dt=1.0)
+    assert set(info.value.diagnostics) == keys
 
 
 def test_closed_loop_keeps_the_model_checks(pvtol, tictoc_chart):

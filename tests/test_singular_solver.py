@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import vhcplan as vp
-from vhcplan.singular_solver import ODE_TOL, RHS_BUDGET, XI_CUT, rk45_steps, rk45_sweep
+from vhcplan.singular_solver import ODE_TOL, RHS_BUDGET, XI_CUT, rk45_sweep
 
 
 def test_singular_acceleration_tictoc_vanishes(tictoc_model, tictoc_report):
@@ -331,21 +331,3 @@ def test_rk45_sweep_matches_solve_ivp(orbit):
             assert np.array_equal(mine, np.array(theirs))
         assert abs(steps.t - ref.t_events[0][0]) <= 1e-15
         assert np.abs(steps.y - ref.y_events[0][0]).max() <= 1e-15
-
-
-def test_rk45_steps_first_step_matches_solve_ivp():
-    # A given first step replaces scipy's initial-step choice, and a first try
-    # that is too long is rejected and shrunk as scipy does.
-    def rhs(t, y):
-        return np.array([y[1], -np.sin(y[0]) - 0.1 * y[1]])
-
-    for first_step in (0.5, 3.0):
-        ref = solve_ivp(rhs, (0.0, 3.0), [1.0, 0.0], method="RK45", rtol=1e-8, atol=1e-8,
-                        first_step=first_step, dense_output=True)
-        steps = list(rk45_steps(rhs, [1.0, 0.0], 3.0, 1e-8, first_step))
-        dense = ref.sol.interpolants
-        assert len(steps) == len(dense)
-        for (t_old, h, y_old, Q, _, _), d in zip(steps, dense):
-            assert (t_old, h) == (d.t_old, d.h)
-            assert np.array_equal(y_old, d.y_old) and np.array_equal(Q, d.Q)
-        assert np.array_equal(steps[-1][5], ref.y[:, -1])
