@@ -46,7 +46,7 @@ from .feasibility import (
 )
 from .io_utils import write_csv, write_json
 from .mech import pvtol_model, tic_toc_orbit
-from .sim import run_closed_loop
+from .sim import output_steps, run_closed_loop
 from .singular_solver import lift, make_periodic, solve_boundary
 from .transverse import FamilyChart, TicTocChart, gramian, linearize, monodromy, periodic_lqr
 from .vhc import (
@@ -246,8 +246,8 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
     return {"sys": sys_, "params": params, "traj": traj, "report_json": report_json}
 
 
-def _stabilize_objects(cfg: dict, out: Path) -> dict:
-    ctx = _plan_objects(cfg, out)
+def _stabilize_objects(cfg: dict, out: Path, ctx: dict) -> dict:
+    """Stabilize the orbit planned by `_plan_objects` into ctx; returns ctx extended."""
     kcfg = cfg["stabilize"]
     chart = (TicTocChart() if cfg["vhc"]["kind"] == "tictoc"
              else FamilyChart(ctx["traj"], ctx["params"]))
@@ -326,14 +326,16 @@ def _cmd_certify(cfg: dict, out: Path) -> None:
 
 
 def _cmd_stabilize(cfg: dict, out: Path) -> None:
-    ctx = _stabilize_objects(cfg, out)
+    ctx = _stabilize_objects(cfg, out, _plan_objects(cfg, out))
     write_json(out / "report.json", ctx["report_json"])
 
 
 def _cmd_simulate(cfg: dict, out: Path) -> None:
-    ctx = _stabilize_objects(cfg, out)
+    ctx = _plan_objects(cfg, out)
     mcfg = cfg["simulate"]
     horizon = float(mcfg["periods"]) * ctx["traj"].period
+    output_steps(float(mcfg["dt"]), horizon)   # a bad output grid fails before stabilizing
+    ctx = _stabilize_objects(cfg, out, ctx)
     res = run_closed_loop(ctx["sys"], ctx["chart"],
                           None if mcfg["open_loop"] else ctx["gains"], mcfg["q0"], mcfg["qd0"],
                           dt=float(mcfg["dt"]), horizon=horizon)
@@ -366,7 +368,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> None:
         sub_cfg["vhc"]["psi_s"] = float(psi)
         write_json(sub_out / "config.resolved.json", sub_cfg)
         try:
-            ctx = _stabilize_objects(sub_cfg, sub_out)
+            ctx = _stabilize_objects(sub_cfg, sub_out, _plan_objects(sub_cfg, sub_out))
             write_json(sub_out / "report.json", ctx["report_json"])
             params = ctx["params"]
             return {"name": name, "psi_s": float(psi), "ok": True,

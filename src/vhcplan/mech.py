@@ -31,6 +31,12 @@ class MechanicalSystem:
     Batched evaluation passes q of shape (k, n); each callable then returns a
     stack of k results, or one result that holds for every q (a constant mass
     matrix, say), which broadcasts over the batch.
+
+    The optional `accel(q, qdot, u)` is a closed-form forward dynamics that
+    `solve_accel` returns instead of its mass solve. It must equal
+    M^{-1}(B u - C q' - G) of this model's own fields, for one point or a
+    batch. A copy whose M, C, G or B is replaced (by `dataclasses.replace`,
+    say) must drop it (accel=None) or supply a matching one.
     """
 
     n: int
@@ -41,6 +47,7 @@ class MechanicalSystem:
     # Optional closed-form left annihilator of input_map; when present it
     # replaces the cofactor vector of `left_annihilator` (same orientation expected).
     annihilator: Callable[[Array], Array] | None = None
+    accel: Callable[[Array, Array, Array], Array] | None = None
     name: str = "generic"
 
 
@@ -69,9 +76,12 @@ def solve_accel(sys: MechanicalSystem, q: Array, qdot: Array, u: Array) -> Array
 
     q, qdot and u must be float arrays of the shapes `eval_accel` accepts, and
     q, qdot finite; a caller that checks them once for many calls (the
-    closed-loop simulation) calls this directly. Raises ModelInvariantError
-    when the mass matrix is not positive definite.
+    closed-loop simulation) calls this directly. A model's closed-form `accel`
+    replaces the solve; otherwise raises ModelInvariantError when the mass
+    matrix is not finite or not positive definite.
     """
+    if sys.accel is not None:
+        return sys.accel(q, qdot, u)
     M = np.asarray(sys.mass_matrix(q), dtype=float)
     rhs = matvec(sys.input_map(q), u) - matvec(sys.coriolis(q, qdot), qdot) - sys.gravity(q)
     return _spd_solve(M, rhs)
@@ -85,13 +95,13 @@ def _spd_solve(M: Array, rhs: Array) -> Array:
     definite; symmetry of M is the model's contract and is not checked. This
     calls the gufuncs behind `np.linalg.eigvalsh` and `np.linalg.solve`
     directly: the public functions add about 5 us of argument handling and
-    error-state set-up per call, which the closed-loop simulation pays at
-    every Dormand-Prince stage on a 3x3 system. Without that set-up a failing LAPACK
-    call warns instead of raising, so the eigenvalue check comes first and a
-    positive definite M never fails the solve. An M with a non-finite entry
-    would fail the eigenvalue call itself, so a finiteness check rejects it
-    before that. The names are those numpy.linalg itself calls, checked with
-    numpy 2.4.6.
+    error-state set-up per call, which the closed-loop simulation of a model
+    without `accel` pays at every Dormand-Prince stage on a 3x3 system.
+    Without that set-up a failing LAPACK call warns instead of raising, so
+    the eigenvalue check comes first and a positive definite M never fails
+    the solve. An M with a non-finite entry would fail the eigenvalue call
+    itself, so a finiteness check rejects it before that. The names are those
+    numpy.linalg itself calls, checked with numpy 2.4.6.
     """
     if not np.isfinite(M).all():
         raise ModelInvariantError("mass matrix must be finite")
@@ -166,6 +176,13 @@ def pvtol_model() -> MechanicalSystem:
         psi = q.T[2]
         return np.array([np.cos(psi), np.sin(psi), 0.0 * psi]).T
 
+    # M = I and C = 0: the solve is B u - G. Adding to 0.0 gives +0.0 wherever
+    # the generic matrix products (which sum from 0.0) give a zero.
+    def accel(q: Array, qdot: Array, u: Array) -> Array:
+        psi = q.T[2]
+        u1, u2 = u.T
+        return np.array([0.0 - u1 * np.sin(psi), u1 * np.cos(psi) - 1.0, 0.0 + u2]).T
+
     return MechanicalSystem(
         n=3,
         mass_matrix=lambda q: eye,
@@ -173,6 +190,7 @@ def pvtol_model() -> MechanicalSystem:
         gravity=lambda q: grav,
         input_map=input_map,
         annihilator=annihilator,
+        accel=accel,
         name="pvtol",
     )
 

@@ -50,6 +50,20 @@ class SimulationResult:
     metadata: dict
 
 
+def output_steps(dt: float, horizon: float) -> int:
+    """round(horizon/dt), the last output row of a run; checks dt and the row cap.
+
+    Raises DomainError for a dt that is not finite and positive, or horizon/dt
+    outside [0, SIM_MAX_ROWS) (a horizon that is negative or not finite too).
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and positive, got {dt}")
+    if not 0 <= horizon / dt < SIM_MAX_ROWS:
+        raise DomainError(f"horizon/dt = {horizon / dt:.3g} rows, not in [0, SIM_MAX_ROWS = "
+                          f"{SIM_MAX_ROWS})")
+    return int(round(horizon / dt))
+
+
 def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
                     q0: Array, qd0: Array, dt: float = 0.01,
                     horizon: float = 6.0 * math.pi,
@@ -58,8 +72,7 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
 
     gains=None applies the reference input u*(tau) alone (open loop).
     stage_feedback accepts only True (the zero-order hold was removed).
-    Raises DomainError for a dt that is not finite and positive, or horizon/dt
-    outside [0, SIM_MAX_ROWS) (a horizon that is negative or not finite too).
+    Raises DomainError for a bad output grid (`output_steps`).
     Raises ConvergenceError with diagnostics (time, final_state, rhs_evals) on
     divergence, when an initial or stage state has an entry beyond 1e6 (also a
     non-finite initial state) or a step falls below SIM_MIN_STEP; when the run
@@ -74,12 +87,7 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
     n = sys.n
     if q0.shape != (n,) or qd0.shape != (n,):
         raise ModelInvariantError(f"q0 and qd0 must both have shape ({n},)")
-    if not (math.isfinite(dt) and dt > 0):
-        raise DomainError(f"dt must be finite and positive, got {dt}")
-    if not 0 <= horizon / dt < SIM_MAX_ROWS:
-        raise DomainError(f"horizon/dt = {horizon / dt:.3g} rows, not in [0, SIM_MAX_ROWS = "
-                          f"{SIM_MAX_ROWS})")
-    n_steps = int(round(horizon / dt))
+    n_steps = output_steps(dt, horizon)
     ts = dt * np.arange(n_steps + 1)
     ys = np.empty((n_steps + 1, 2 * n))
     ys[0] = np.concatenate([q0, qd0])

@@ -143,6 +143,7 @@ def test_generic_reduction_rejects_degenerate_slope():
 
 def test_model_batch_rejects_one_non_spd_mass_matrix():
     model = coupled_model(coupling=3.0)
+    assert model.accel is None   # the generic solve and its checks
     q = np.array([[0.0, 0.0, 0.5 * math.pi], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     u = np.zeros((3, 2))
     vp.eval_accel(model, q[:2], np.zeros((2, 3)), u[:2])

@@ -372,6 +372,9 @@ def test_tiny_output_spacing_is_a_numerical_failure(tmp_path, capsys):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "DomainError" and "SIM_MAX_ROWS" in err["message"]
     assert json.loads((out / "metadata.json").read_text())["exit_code"] == 3
+    # The grid is checked right after planning, before the orbit is stabilized.
+    for name in ("ltv.csv", "gains.csv", "spectra.json"):
+        assert not (out / name).exists(), name
 
 
 def test_error_json_carries_diagnostics(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -63,6 +65,33 @@ def test_eval_accel_matches_hand_formula(pvtol):
         assert np.abs(qdd - expected).max() < 1e-14
 
 
+def test_pvtol_closed_form_accel_equals_the_generic_solve(pvtol):
+    # The mass solve of the same fields is the reference, signed zeros included:
+    # psi = 0 and zero inputs give products of -0.0 that the solve sums to +0.0.
+    generic = dataclasses.replace(pvtol, accel=None)
+    rng = np.random.default_rng(12)
+    q = rng.uniform(-4.0, 4.0, (2000, 3))
+    qd = rng.uniform(-3.0, 3.0, (2000, 3))
+    u = rng.uniform(-3.0, 3.0, (2000, 2))
+    corners = list(itertools.product((0.0, -0.0, 0.5 * math.pi, math.pi),
+                                     (0.0, -0.0, 1.0, -1.0), (0.0, -0.0, 1.0, -1.0)))
+    q[:len(corners), 2] = [c[0] for c in corners]
+    u[:len(corners)] = [c[1:] for c in corners]
+    qd[:len(corners):2] = -0.0
+
+    def same(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    assert same(vp.eval_accel(pvtol, q, qd, u), vp.eval_accel(generic, q, qd, u))
+    for point in zip(q[:300], qd[:300], u[:300]):
+        assert same(vp.eval_accel(pvtol, *point), vp.eval_accel(generic, *point))
+    # A copy with a replaced mass matrix drops the closed form and meets the checks.
+    nan_mass = dataclasses.replace(pvtol, mass_matrix=lambda q: np.full((3, 3), np.nan),
+                                   accel=None)
+    with pytest.raises(vp.ModelInvariantError, match="mass matrix must be finite"):
+        vp.eval_accel(nan_mass, q[0], qd[0], u[0])
+
+
 def test_eval_accel_rejects_non_spd_mass():
     bad = MechanicalSystem(
         n=2,
@@ -72,6 +101,7 @@ def test_eval_accel_rejects_non_spd_mass():
         input_map=lambda q: np.array([[1.0], [0.0]]),
         name="bad",
     )
+    assert bad.accel is None   # the generic solve and its checks
     with pytest.raises(vp.ModelInvariantError):
         vp.eval_accel(bad, np.zeros(2), np.zeros(2), np.zeros(1))
     # One constant M for a whole batch is factorized once for every right-hand side.
@@ -89,6 +119,7 @@ def test_eval_accel_mass_solve_matches_numpy():
         return MechanicalSystem(n=3, mass_matrix=lambda q: mass, coriolis=lambda q, qd: C,
                                 gravity=lambda q: G, input_map=lambda q: B, name="random")
 
+    assert model(M).accel is None   # the generic solve and its checks
     q, qd = rng.normal(size=(2, 3))
     u = rng.normal(size=2)
     expected = np.linalg.solve(M, B @ u - C @ qd - G)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -124,6 +125,24 @@ def test_family_closed_loop(pvtol, family_pack, family_gains):
     start = np.linalg.norm(res.rho[0])
     end = np.linalg.norm(res.rho[-1])
     assert end < 0.2 * start
+
+
+def test_closed_form_dynamics_give_the_rows_of_the_mass_solve(pvtol, tictoc_chart,
+                                                               tictoc_gains, family_pack,
+                                                               family_gains):
+    generic = dataclasses.replace(pvtol, accel=None)
+    traj = family_pack["traj"]
+    q0, qd0 = traj.state_at(0.1)
+    starts = ((tictoc_chart, tictoc_gains, np.array([0.1, -0.5, 0.0]), np.zeros(3),
+               2.0 * math.pi),
+              (family_pack["chart"], family_gains, q0 + np.array([0.01, -0.01, 0.0]), qd0,
+               traj.period))
+    for chart, gains, q0, qd0, horizon in starts:
+        a, b = (vp.run_closed_loop(sys_, chart, gains, q0, qd0, horizon=horizon)
+                for sys_ in (pvtol, generic))
+        for key in ("q", "qdot", "u", "rho"):
+            assert np.array_equal(getattr(a, key), getattr(b, key)), key
+        assert a.metadata == b.metadata
 
 
 def test_closed_loop_matches_solve_ivp_on_eval_accel(pvtol, tictoc_chart, tictoc_gains):
