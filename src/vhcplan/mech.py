@@ -19,7 +19,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import ModelInvariantError
-from .numdiff import matvec
+from .numdiff import matvec, point_or_batch
 
 Array = np.ndarray
 
@@ -163,7 +163,7 @@ def pvtol_model() -> MechanicalSystem:
     grav = np.array([0.0, 1.0, 0.0])
 
     # q.T[2] is the thrust angle of a point (shape (3,)) or of each point of a
-    # batch (shape (k, 3)); a single point stays on numpy scalars.
+    # batch (shape (k, 3)).
     def input_map(q: Array) -> Array:
         psi = q.T[2]
         B = np.zeros(np.shape(psi) + (3, 2))
@@ -179,9 +179,9 @@ def pvtol_model() -> MechanicalSystem:
     # M = I and C = 0: the solve is B u - G. Adding to 0.0 gives +0.0 wherever
     # the generic matrix products (which sum from 0.0) give a zero.
     def accel(q: Array, qdot: Array, u: Array) -> Array:
-        psi = q.T[2]
-        u1, u2 = u.T
-        return np.array([0.0 - u1 * np.sin(psi), u1 * np.cos(psi) - 1.0, 0.0 + u2]).T
+        m, (_, _, psi) = point_or_batch(q)
+        _, (u1, u2) = point_or_batch(u)
+        return np.array([0.0 - u1 * m.sin(psi), u1 * m.cos(psi) - 1.0, 0.0 + u2]).T
 
     return MechanicalSystem(
         n=3,
@@ -212,10 +212,11 @@ def tic_toc_reference(t: float):
 
 
 def tic_toc_input(t: float) -> Array:
-    """Reference input u of tic_toc_reference alone, without building q and qdot."""
-    st = np.sin(t)
-    u2 = (12.0 * st + 2.0 * np.sin(3.0 * t)) / (3.0 - 2.0 * np.cos(2.0 * t)) ** 2
-    return np.array([st * np.sqrt(1.0 + 4.0 * st * st), u2]).T
+    """Reference input u of tic_toc_reference alone: shape (2,) at one time, (k, 2) at k times."""
+    m, t = point_or_batch(t, point_ndim=0)
+    st = m.sin(t)
+    u2 = (12.0 * st + 2.0 * m.sin(3.0 * t)) / (3.0 - 2.0 * m.cos(2.0 * t)) ** 2
+    return np.array([st * m.sqrt(1.0 + 4.0 * st * st), u2]).T
 
 
 def tic_toc_orbit() -> SimpleNamespace:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Callable
 
@@ -13,6 +14,18 @@ Array = np.ndarray
 def matvec(A: Array, x: Array) -> Array:
     """A @ x for a matrix or a stack of matrices and a vector or a stack of vectors."""
     return (A @ x[..., None])[..., 0]
+
+
+def point_or_batch(a, point_ndim: int = 1):
+    """`math` and one point's entries as Python floats, or numpy and a batch's columns `a.T`.
+
+    A point has `point_ndim` dimensions: a vector (1) gives a list, a scalar
+    (0: a float, np.float64 or 0-d array) one float. numpy's ufuncs share the
+    names of `math` (atan2, atan, hypot, sin, cos, sqrt), so one body serves both.
+    """
+    if getattr(a, "ndim", 0) == point_ndim:
+        return math, (a.tolist() if point_ndim else float(a))
+    return np, a.T
 
 
 def central_derivative(f: Callable[[float], Array], x: float, h: float) -> Array:

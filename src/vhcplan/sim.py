@@ -72,7 +72,8 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
 
     gains=None applies the reference input u*(tau) alone (open loop).
     stage_feedback accepts only True (the zero-order hold was removed).
-    Raises DomainError for a bad output grid (`output_steps`).
+    Raises DomainError for a bad output grid (`output_steps`), and ValueError,
+    before the first step, when u at the initial state does not have shape (n-1,).
     Raises ConvergenceError with diagnostics (time, final_state, rhs_evals) on
     divergence, when an initial or stage state has an entry beyond 1e6 (also a
     non-finite initial state) or a step falls below SIM_MIN_STEP; when the run
@@ -101,8 +102,6 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
         u = chart.reference_input(tau)
         if gains is not None:
             u = u + matvec(gains.k_of(tau), rho)
-        if u.shape != np.shape(tau) + (n - 1,):
-            raise ValueError(f"u must have shape {(n - 1,)}")
         return u
 
     def rhs(t: float, y: Array) -> Array:
@@ -120,6 +119,8 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
 
     if not np.abs(ys[0]).max() <= 1e6:
         stop("diverged", 0.0, ys[0])
+    if feedback(*chart.forward(q0, qd0)).shape != (n - 1,):
+        raise ValueError(f"u must have shape {(n - 1,)}")
     budget = SIM_RHS_PER_RUN + math.ceil(SIM_RHS_PER_SECOND * ts[-1])
     t, y, row = 0.0, ys[0], 1
     for t_old, h, y_old, Q, t, y in rk45_steps(rhs, y, ts[-1], SIM_TOL):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_input
-from .numdiff import PeriodicPiecewisePolynomial, cubic_coefficients, matvec
+from .numdiff import PeriodicPiecewisePolynomial, cubic_coefficients, matvec, point_or_batch
 from .singular_solver import PeriodicTrajectory
 from .vhc import FamilyParameters
 
@@ -77,7 +77,9 @@ class TicTocChart:
     Chart methods take a single point (q, qd of shape (3,), scalar tau, rho of
     shape (5,)) or a batch along one leading axis (shapes (k, 3), (k,) and
     (k, 5)). Unpacking `q.T` and packing `np.array([...]).T` handle both with
-    one code path, and keep a single point on numpy scalars, which is cheap.
+    one code path. `forward` and `reference_input`, which the closed loop
+    calls at every stage, unpack through `numdiff.point_or_batch`: one point
+    runs on Python floats and `math`, a batch on numpy.
 
     `invert_guess(tau, rho)` is the exact inverse of `forward` inside the
     tube of radius `tube_radius` in rho; `chart_invert` relies on that and
@@ -87,15 +89,15 @@ class TicTocChart:
     tube_radius = 1.0
 
     def forward(self, q: Array, qd: Array):
-        x, z, psi = q.T
-        xd, zd, psid = qd.T
-        tau = wrap_angle(np.arctan2(x, xd))
+        m, (x, z, psi) = point_or_batch(q)
+        _, (xd, zd, psid) = point_or_batch(qd)
+        tau = wrap_angle(m.atan2(x, xd))
         rho = np.array([
             z + 0.5 * x * x,
-            psi - 0.5 * math.pi + np.arctan(2.0 * x),
+            psi - 0.5 * math.pi + m.atan(2.0 * x),
             x * xd + zd,
             psid + 2.0 * xd / (1.0 + 4.0 * x * x),
-            np.hypot(x, xd) - 1.0,
+            m.hypot(x, xd) - 1.0,
         ]).T
         return tau, rho
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vhcplan as vp
+from vhcplan.mech import tic_toc_input
 
 TOL = 1e-13
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -50,6 +51,24 @@ def _check_chart(chart, tau, rho):
 @given(chart_coordinates())
 def test_tictoc_chart_batch(tictoc_chart, coords):
     _check_chart(tictoc_chart, *coords)
+
+
+@SETTINGS
+@given(chart_coordinates())
+def test_tictoc_single_point_runs_on_python_floats(tictoc_chart, coords):
+    # One point takes `math`, a batch numpy: numpy's SIMD arctan, arctan2 and
+    # hypot may differ from `math` by an ulp, so the rows agree to TOL.
+    tau, rho = coords
+    q, qd = tictoc_chart.invert_guess(tau, rho)
+    tau_b, rho_b = tictoc_chart.forward(q, qd)
+    u_b = tic_toc_input(tau)
+    for i in range(tau.size):
+        tau_i, rho_i = tictoc_chart.forward(q[i], qd[i])
+        assert type(tau_i) is float and rho_i.shape == (5,)
+        assert abs(tau_i - tau_b[i]) <= TOL and _close(rho_b[i], rho_i)
+        for t in (float(tau[i]), np.float64(tau[i]), np.array(tau[i])):
+            u = tic_toc_input(t)
+            assert u.shape == (2,) and _close(u_b[i], u)
 
 
 @SETTINGS

@@ -145,6 +145,32 @@ def test_closed_form_dynamics_give_the_rows_of_the_mass_solve(pvtol, tictoc_char
         assert a.metadata == b.metadata
 
 
+def test_single_point_path_follows_the_batch_path(pvtol, tictoc_chart, tictoc_gains):
+    # The stage points of the chart, reference input and dynamics run on
+    # Python floats; here each goes through the batch path as a batch of one.
+    class BatchOfOneChart(vp.TicTocChart):
+        def forward(self, q, qd):
+            if q.ndim == 2:
+                return super().forward(q, qd)
+            tau, rho = super().forward(q[None], qd[None])
+            return tau[0], rho[0]
+
+        def reference_input(self, tau):
+            if np.ndim(tau):
+                return super().reference_input(tau)
+            return super().reference_input(np.array([tau]))[0]
+
+    batch_of_one = dataclasses.replace(
+        pvtol, accel=lambda q, qd, u: pvtol.accel(q[None], qd[None], u[None])[0])
+    q0 = np.array([0.1, -0.5, 0.0])
+    a = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3),
+                           horizon=2.0 * math.pi)
+    b = vp.run_closed_loop(batch_of_one, BatchOfOneChart(), tictoc_gains, q0, np.zeros(3),
+                           horizon=2.0 * math.pi)
+    for key in ("q", "u", "rho"):
+        assert np.abs(getattr(a, key) - getattr(b, key)).max() <= 1e-10, key
+
+
 def test_closed_loop_matches_solve_ivp_on_eval_accel(pvtol, tictoc_chart, tictoc_gains):
     # The loop checks once per run or stage and calls the solve alone; the
     # reference, scipy's DOP853 at rtol = atol = 1e-12, calls the checked
@@ -211,7 +237,7 @@ def test_spent_budget_and_short_run_raise(monkeypatch, tmp_path, pvtol, tictoc_c
     assert set(info.value.diagnostics) == keys
 
 
-def test_closed_loop_keeps_the_model_checks(pvtol, tictoc_chart):
+def test_closed_loop_keeps_the_model_checks(monkeypatch, pvtol, tictoc_chart):
     q0, qd0 = np.array([0.1, -0.5, 0.0]), np.zeros(3)
     # Infinite gravity: the first stage is finite, its acceleration is not, so
     # the second stage state is not finite.
@@ -233,5 +259,10 @@ def test_closed_loop_keeps_the_model_checks(pvtol, tictoc_chart):
         def reference_input(self, tau):
             return np.zeros(3)
 
+    # The shape of u is checked once, at the initial state, before any step.
+    started = []
+    monkeypatch.setattr(vhcplan.sim, "rk45_steps",
+                        lambda *args: started.append(True) or rk45_steps(*args))
     with pytest.raises(ValueError, match="u must have shape"):
         vp.run_closed_loop(pvtol, WideInputChart(), None, q0, qd0)
+    assert not started
