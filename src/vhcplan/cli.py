@@ -249,8 +249,7 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
 def _stabilize_objects(cfg: dict, out: Path, ctx: dict) -> dict:
     """Stabilize the orbit planned by `_plan_objects` into ctx; returns ctx extended."""
     kcfg = cfg["stabilize"]
-    chart = (TicTocChart() if cfg["vhc"]["kind"] == "tictoc"
-             else FamilyChart(ctx["traj"], ctx["params"]))
+    chart = TicTocChart() if cfg["vhc"]["kind"] == "tictoc" else FamilyChart(ctx["traj"])
     ltv = linearize(chart, ctx["sys"], ctx["traj"], n_grid=int(kcfg["n_grid"]))
     write_csv(out / "ltv.csv",
               ["tau"] + [f"a{i}{j}" for i in range(1, 6) for j in range(1, 6)]

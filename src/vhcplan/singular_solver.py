@@ -439,8 +439,8 @@ def _constrained_motion(vhc: ParametricVhc, th, dth, ddth):
     """(q, q', q'') on the constraint curve for scalars or 1-D arrays of (theta, theta', theta'')."""
     dth = np.asarray(dth)[..., None]
     ddth = np.asarray(ddth)[..., None]
-    dphi = vhc.dphi(th)
-    return vhc.phi(th), dphi * dth, vhc.ddphi(th) * dth * dth + dphi * ddth
+    phi, dphi, ddphi = (np.asarray(curve(th)) for curve in (vhc.phi, vhc.dphi, vhc.ddphi))
+    return phi, dphi * dth, ddphi * dth * dth + dphi * ddth
 
 
 def lift(vhc: ParametricVhc, sol: ScalarSolution, sys: MechanicalSystem) -> PeriodicTrajectory:

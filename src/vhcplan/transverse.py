@@ -1,15 +1,14 @@
 """Transverse coordinates around a periodic orbit and orbital stabilization.
 
 A moving chart splits the phase space near the orbit into a scalar phase tau
-on [-pi, pi) and five transverse coordinates rho that vanish exactly on the
-orbit. Two charts ship:
-
-  * the tic-toc chart: tau = atan2(x, xdot), rho = (constraint values,
-    their velocities, radial deviation in the (x, xdot) plane), matching the
-    reference maneuver whose (x, xdot) projection is the unit circle;
-  * a family chart built from any constraint-family orbit, applying the same
-    recipe in the scaled reduced phase plane (theta, thetadot) with
-    constraint-error coordinates (x - phi1, z - phi2) and their rates.
+on [-pi, pi) and 2n - 1 transverse coordinates rho (five for a 3-DOF model)
+that vanish exactly on the orbit (Shiriaev, Freidovich & Gusev, IEEE TAC
+2010). One recipe, `FamilyChart`, charts any orbit that rides a constraint
+q = phi(theta) whose theta reads back affinely from one coordinate: tau is
+the angle of the scaled reduced phase point (theta, thetadot), and rho holds
+the constraint errors of the other coordinates, their rates and the radial
+deviation from the orbit. `TicTocChart` is its closed-form instance on the
+tic-toc orbit, which is the unit circle in that plane.
 
 Differentiating rho along the dynamics and dividing by taudot yields
 drho/dtau = f(rho, tau, w) with input deviation w = u - u*(tau); finite
@@ -20,6 +19,7 @@ controllability Gramian, the periodic LQR gain schedule and the monodromy
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,7 +30,7 @@ from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideT
 from .mech import MechanicalSystem, eval_accel, tic_toc_input
 from .numdiff import PeriodicPiecewisePolynomial, cubic_coefficients, matvec, point_or_batch
 from .singular_solver import PeriodicTrajectory
-from .vhc import FamilyParameters
+from .vhc import tic_toc_vhc
 
 Array = np.ndarray
 
@@ -71,74 +71,10 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
                                                    np.concatenate([s, s[:1]])))
 
 
-class TicTocChart:
-    """Reference chart of the tic-toc orbit (unit circle in the (x, xdot) plane).
-
-    Chart methods take a single point (q, qd of shape (3,), scalar tau, rho of
-    shape (5,)) or a batch along one leading axis (shapes (k, 3), (k,) and
-    (k, 5)). Unpacking `q.T` and packing `np.array([...]).T` handle both with
-    one code path. `forward` and `reference_input`, which the closed loop
-    calls at every stage, unpack through `numdiff.point_or_batch`: one point
-    runs on Python floats and `math`, a batch on numpy.
-
-    `invert_guess(tau, rho)` is the exact inverse of `forward` inside the
-    tube of radius `tube_radius` in rho; `chart_invert` relies on that and
-    only checks the residual.
-    """
-
-    tube_radius = 1.0
-
-    def forward(self, q: Array, qd: Array):
-        m, (x, z, psi) = point_or_batch(q)
-        _, (xd, zd, psid) = point_or_batch(qd)
-        tau = wrap_angle(m.atan2(x, xd))
-        rho = np.array([
-            z + 0.5 * x * x,
-            psi - 0.5 * math.pi + m.atan(2.0 * x),
-            x * xd + zd,
-            psid + 2.0 * xd / (1.0 + 4.0 * x * x),
-            m.hypot(x, xd) - 1.0,
-        ]).T
-        return tau, rho
-
-    def jacobian(self, q: Array, qd: Array) -> Array:
-        x = q.T[0]
-        xd = qd.T[0]
-        D = x * x + xd * xd
-        if np.any(D == 0.0):
-            raise OutsideTubeError("chart differential undefined at x = xdot = 0")
-        s4 = 1.0 + 4.0 * x * x
-        r = np.sqrt(D)
-        J = np.zeros(np.shape(x) + (6, 6))
-        J[..., 0, 0] = xd / D
-        J[..., 0, 3] = -x / D
-        J[..., 1, 0] = x
-        J[..., 1, 1] = 1.0
-        J[..., 2, 0] = 2.0 / s4
-        J[..., 2, 2] = 1.0
-        J[..., 3, 0] = xd
-        J[..., 3, 3] = x
-        J[..., 3, 4] = 1.0
-        J[..., 4, 0] = -16.0 * x * xd / (s4 * s4)
-        J[..., 4, 3] = 2.0 / s4
-        J[..., 4, 5] = 1.0
-        J[..., 5, 0] = x / r
-        J[..., 5, 3] = xd / r
-        return J
-
-    def reference_input(self, tau) -> Array:
-        return tic_toc_input(tau)
-
-    def invert_guess(self, tau, rho: Array):
-        rho0, rho1, rho2, rho3, rho4 = rho.T
-        r = 1.0 + rho4
-        x = r * np.sin(tau)
-        xd = r * np.cos(tau)
-        z = rho0 - 0.5 * x * x
-        psi = rho1 + 0.5 * math.pi - np.arctan(2.0 * x)
-        zd = rho2 - x * xd
-        psid = rho3 - 2.0 * xd / (1.0 + 4.0 * x * x)
-        return np.array([x, z, psi]).T, np.array([xd, zd, psid]).T
+@functools.cache
+def _other_coordinates(n: int, i: int) -> tuple[int, ...]:
+    """0, ..., n - 1 without the read-back coordinate i."""
+    return tuple(j for j in range(n) if j != i)
 
 
 # Equal time intervals over one period at which `FamilyChart` samples the
@@ -147,27 +83,31 @@ FAMILY_CHART_SAMPLES = 8192
 
 
 class FamilyChart:
-    """Same chart recipe applied to a constraint-family orbit.
+    """Transverse chart of an orbit that rides a constraint q = phi(theta).
 
-    The reduced phase plane (theta, thetadot) is scaled by the orbit amplitude
-    and angular rate so it is near-circular; theta is read off the thrust
-    angle, theta_hat = (psi - psi_s)/k2, and the remaining coordinates are the
-    constraint errors x - phi1(theta_hat), z - phi2(theta_hat) and their rates.
-    The radial coordinate is measured from r*(tau), the orbit's radius at its
-    phase: the time of a phase comes from one cubic Hermite interpolant of t
-    over the phase samples of construction, and r* and dr*/dtau are evaluated
-    exactly on the orbit at that time. Methods accept a single point or a
-    batch, and `invert_guess` is the exact inverse of `forward`, as for
-    `TicTocChart`.
+    theta = (q[i] - c)/k by the constraint's `readback`, and tau is the angle
+    of (p, v) = (theta, thetadot/omega)/theta_scale, the reduced phase point
+    scaled by the orbit's amplitude and angular rate. rho holds the errors
+    q[j] - phi_j(theta) of the other n - 1 coordinates, their rates, and the
+    radial deviation from r*(tau). r* and dr*/dtau are exact on the orbit at
+    the time of the phase, which one cubic Hermite interpolant of t over the
+    phase gives. Methods take one point or a batch along a leading axis; a
+    point whose curve values are Python floats runs on `math` (the closed
+    loop calls `forward` at every stage). `invert_guess` is the exact inverse
+    of `forward` inside the tube of radius `tube_radius` in rho, and
+    `chart_invert` only checks its residual. Raises ConditionCheckError for a
+    constraint without a read-back, or a phase that does not wind once,
+    monotonically, along the orbit.
     """
 
     tube_radius = 1.0
 
-    def __init__(self, traj: PeriodicTrajectory, params: FamilyParameters):
+    def __init__(self, traj: PeriodicTrajectory):
+        if traj.vhc.readback is None:
+            raise ConditionCheckError(f"constraint {traj.vhc.name!r} has no affine read-back "
+                                      f"of theta (ParametricVhc.readback is None)")
         self.traj = traj
         self.vhc = traj.vhc
-        self.psi_s = float(params.psi_s)
-        self.k2 = float(params.k2)
         scalar = traj.scalar
         self.omega = TWO_PI / scalar.period
         n = FAMILY_CHART_SAMPLES
@@ -177,25 +117,21 @@ class FamilyChart:
         p, v = self._pv(thetas, dthetas)
         tau_raw = np.unwrap(np.arctan2(p, v))
         if np.any(np.diff(tau_raw) <= 0.0):
-            raise ConditionCheckError("phase is not monotone along the family orbit")
+            raise ConditionCheckError("phase is not monotone along the orbit")
         if abs((tau_raw[-1] - tau_raw[0]) - TWO_PI) > 1e-6:
-            raise ConditionCheckError("phase winding along the family orbit is not one turn")
+            raise ConditionCheckError("phase winding along the orbit is not one turn")
         # t over the unwrapped phase, with the exact slope dt/dtau = 1/taudot.
         _, taudot, _ = self._phase_rates(thetas, dthetas, ddthetas)
         self._time_of_phase = PeriodicPiecewisePolynomial(
             tau_raw, cubic_coefficients(tau_raw, ts, 1.0 / taudot))
-
-    # -- reduced-plane helpers ------------------------------------------------
 
     def _pv(self, theta, dtheta):
         return theta / self.theta_scale, dtheta / (self.omega * self.theta_scale)
 
     def _phase_rates(self, theta, dtheta, ddtheta):
         """Radius r in the scaled reduced plane and the rates taudot, rdot along the orbit."""
-        p, v = self._pv(theta, dtheta)
+        (p, v), (pdot, vdot) = self._pv(theta, dtheta), self._pv(dtheta, ddtheta)
         r = np.hypot(p, v)
-        pdot = dtheta / self.theta_scale
-        vdot = ddtheta / (self.omega * self.theta_scale)
         return r, (v * pdot - p * vdot) / (r * r), (p * pdot + v * vdot) / r
 
     def _orbit_radial(self, tau):
@@ -203,81 +139,92 @@ class FamilyChart:
         r, taudot, rdot = self._phase_rates(*self.traj.scalar.eval(self._time_of_phase(tau)))
         return r, rdot / taudot
 
-    # -- chart interface ------------------------------------------------------
+    def _on_curve(self, theta, curve, derivative):
+        """`math` for Python floats of one point, else numpy (whose arctan2 and hypot
+        can differ from `math`'s in the last bit), and two curves' values by coordinate."""
+        a, b = curve(theta), derivative(theta)
+        if isinstance(a, tuple):
+            return math, a, b
+        return np, a.T, b.T
 
     def forward(self, q: Array, qd: Array):
-        x, z, psi = q.T
-        xd, zd, psid = qd.T
-        th = (psi - self.psi_s) / self.k2
-        dth = psid / self.k2
+        _, q = point_or_batch(q)
+        _, qd = point_or_batch(qd)
+        i, c, k = self.vhc.readback
+        th, dth = (q[i] - c) / k, qd[i] / k
+        m, phi, dphi = self._on_curve(th, self.vhc.phi, self.vhc.dphi)
         p, v = self._pv(th, dth)
-        tau = wrap_angle(np.arctan2(p, v))
-        phi = self.vhc.phi(th).T
-        dphi = self.vhc.dphi(th).T
-        r_star, _ = self._orbit_radial(tau)
-        rho = np.array([
-            x - phi[0],
-            z - phi[1],
-            xd - dphi[0] * dth,
-            zd - dphi[1] * dth,
-            np.hypot(p, v) - r_star,
-        ]).T
-        return tau, rho
+        tau = wrap_angle(m.atan2(p, v))
+        # Loops, not comprehensions: this runs at every closed-loop stage.
+        others = _other_coordinates(len(q), i)
+        rho = []
+        for j in others:
+            rho.append(q[j] - phi[j])
+        for j in others:
+            rho.append(qd[j] - dphi[j] * dth)
+        rho.append(m.hypot(p, v) - self._orbit_radial(tau)[0])
+        return tau, np.array(rho).T
 
     def jacobian(self, q: Array, qd: Array) -> Array:
-        psi = q.T[2]
-        psid = qd.T[2]
-        th = (psi - self.psi_s) / self.k2
-        dth = psid / self.k2
+        n = q.shape[-1]
+        i, c, k = self.vhc.readback
+        th, dth = (q.T[i] - c) / k, qd.T[i] / k
         p, v = self._pv(th, dth)
         D = p * p + v * v
         if np.any(D == 0.0):
             raise OutsideTubeError("chart differential undefined at the reduced-plane origin")
         r = np.sqrt(D)
-        tau = wrap_angle(np.arctan2(p, v))
-        _, dr_star = self._orbit_radial(tau)
-        dphi = self.vhc.dphi(th).T
-        ddphi = self.vhc.ddphi(th).T
-        cp = 1.0 / (self.k2 * self.theta_scale)                 # dp/dpsi
-        cv = 1.0 / (self.k2 * self.omega * self.theta_scale)   # dv/dpsid
-        J = np.zeros(np.shape(psi) + (6, 6))
-        J[..., 0, 2] = (v / D) * cp
-        J[..., 0, 5] = -(p / D) * cv
-        J[..., 1, 0] = 1.0
-        J[..., 1, 2] = -dphi[0] / self.k2
-        J[..., 2, 1] = 1.0
-        J[..., 2, 2] = -dphi[1] / self.k2
-        J[..., 3, 2] = -ddphi[0] * dth / self.k2
-        J[..., 3, 3] = 1.0
-        J[..., 3, 5] = -dphi[0] / self.k2
-        J[..., 4, 2] = -ddphi[1] * dth / self.k2
-        J[..., 4, 4] = 1.0
-        J[..., 4, 5] = -dphi[1] / self.k2
-        J[..., 5, 2] = (p / r) * cp - dr_star * (v / D) * cp
-        J[..., 5, 5] = (v / r) * cv + dr_star * (p / D) * cv
+        _, dr_star = self._orbit_radial(wrap_angle(np.arctan2(p, v)))
+        _, dphi, ddphi = self._on_curve(th, self.vhc.dphi, self.vhc.ddphi)
+        cp = 1.0 / (k * self.theta_scale)                 # dp/dq[i]
+        cv = 1.0 / (k * self.omega * self.theta_scale)   # dv/dqd[i]
+        J = np.zeros(np.shape(th) + (2 * n, 2 * n))
+        J[..., 0, i] = (v / D) * cp
+        J[..., 0, n + i] = -(p / D) * cv
+        for row, j in enumerate(_other_coordinates(n, i), start=1):
+            J[..., row, j] = 1.0
+            J[..., row, i] = -dphi[j] / k
+            J[..., row + n - 1, i] = -ddphi[j] * dth / k
+            J[..., row + n - 1, n + j] = 1.0
+            J[..., row + n - 1, n + i] = -dphi[j] / k
+        J[..., -1, i] = (p / r) * cp - dr_star * (v / D) * cp
+        J[..., -1, n + i] = (v / r) * cv + dr_star * (p / D) * cv
         return J
 
     def reference_input(self, tau) -> Array:
-        t = self._time_of_phase(tau)
-        return self.traj.full_state_at(t)[3]
+        return self.traj.full_state_at(self._time_of_phase(tau))[3]
 
     def invert_guess(self, tau, rho: Array):
-        rho0, rho1, rho2, rho3, rho4 = rho.T
-        r_star, _ = self._orbit_radial(tau)
-        r = r_star + rho4
-        p = r * np.sin(tau)
-        v = r * np.cos(tau)
-        th = self.theta_scale * p
-        dth = self.omega * self.theta_scale * v
-        psi = self.psi_s + self.k2 * th
-        psid = self.k2 * dth
-        phi = self.vhc.phi(th).T
-        dphi = self.vhc.dphi(th).T
-        x = rho0 + phi[0]
-        z = rho1 + phi[1]
-        xd = rho2 + dphi[0] * dth
-        zd = rho3 + dphi[1] * dth
-        return np.array([x, z, psi]).T, np.array([xd, zd, psid]).T
+        rho = rho.T
+        n = (len(rho) + 1) // 2
+        i, c, k = self.vhc.readback
+        r = self._orbit_radial(tau)[0] + rho[-1]
+        p, v = r * np.sin(tau), r * np.cos(tau)
+        th, dth = self.theta_scale * p, self.omega * self.theta_scale * v
+        _, phi, dphi = self._on_curve(th, self.vhc.phi, self.vhc.dphi)
+        q, qd = [c + k * th] * n, [k * dth] * n     # slot i keeps the read-back coordinate
+        for row, j in enumerate(_other_coordinates(n, i)):
+            q[j] = rho[row] + phi[j]
+            qd[j] = rho[n - 1 + row] + dphi[j] * dth
+        return np.array(q).T, np.array(qd).T
+
+
+class TicTocChart(FamilyChart):
+    """The recipe's closed-form instance on the tic-toc orbit, theta = sin t.
+
+    The reduced phase point runs on the unit circle at unit rate: theta_scale =
+    omega = r* = 1, and the reference input is `tic_toc_input`.
+    """
+
+    def __init__(self):
+        self.vhc = tic_toc_vhc()
+        self.theta_scale = self.omega = 1.0
+
+    def _orbit_radial(self, tau):
+        return 1.0, 0.0
+
+    def reference_input(self, tau) -> Array:
+        return tic_toc_input(tau)
 
 
 # Largest forward-map residual that `chart_invert` accepts.
@@ -559,14 +506,15 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
                  max_sweeps: int = 50) -> GainSchedule:
     """Periodic LQR from the stable subspace of the Hamiltonian period map.
 
-    The period map of z' = [[A, -B R^{-1} B^T], [-Q, -A^T]] z from the first
-    node has n eigenvalues inside the unit circle when (A, B) is stabilizable;
-    `_stable_subspace` gives their subspace [X; Y], and P = Y X^{-1}
-    (Bittanti, Colaneri & De Nicolao 1991). A sweep carries the graph P
-    backward through the inverted interval maps, where it attracts:
-    [X; Y] = map^{-1} [I; P(next node)] gives P at each node of the uniform
-    grid. At most `max_sweeps` sweeps run until P(0) comes back within
-    RICCATI_GAP_RTOL. R must be symmetric positive definite.
+    The period map of the Hamiltonian system with matrix
+    [[A, -B R^{-1} B^T], [-Q, -A^T]] from the first node has n eigenvalues
+    inside the unit circle when (A, B) is stabilizable; `_stable_subspace`
+    gives their subspace [X; Y], and P = Y X^{-1} (Bittanti, Colaneri & De
+    Nicolao 1991). A sweep carries the graph P backward through the inverted
+    interval maps, where it attracts: [X; Y] = map^{-1} [I; P(next node)]
+    gives P at each node of the uniform grid. At most `max_sweeps` sweeps run
+    until P(0) comes back within RICCATI_GAP_RTOL. R must be symmetric
+    positive definite.
     """
     n, m = model.B.shape[1:]
     Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mech import MechanicalSystem, left_annihilator, pvtol_model
-from .numdiff import central_derivative, grid_roots, matvec
+from .numdiff import central_derivative, grid_roots, matvec, point_or_batch
 
 Array = np.ndarray
 
@@ -36,8 +36,11 @@ Array = np.ndarray
 class ParametricVhc:
     """Smooth curve theta -> phi(theta) in configuration space with two derivatives.
 
-    The curve functions map a scalar theta to shape (n,) and a 1-D array of k
-    values to shape (k, n).
+    The curve functions map a 1-D array of k values of theta to shape (k, n),
+    and one theta to n values: an array, or Python floats in a tuple
+    (`tic_toc_vhc`), which keep one point off numpy's per-call overhead.
+    `readback = (i, c, k)` says that coordinate i is affine in theta,
+    phi_i = c + k theta, so theta = (q[i] - c)/k; the transverse chart needs it.
     """
 
     phi: Callable[[float], Array]
@@ -45,6 +48,7 @@ class ParametricVhc:
     ddphi: Callable[[float], Array]
     domain: tuple[float, float] = (-math.inf, math.inf)
     name: str = "vhc"
+    readback: tuple[int, float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,7 @@ class FamilyParameters:
 
 
 def _coefficients(sys: MechanicalSystem, vhc: ParametricVhc, theta) -> Array:
-    q = vhc.phi(theta)
-    dp = vhc.dphi(theta)
-    ddp = vhc.ddphi(theta)
+    q, dp, ddp = (np.asarray(curve(theta)) for curve in (vhc.phi, vhc.dphi, vhc.ddphi))
     w = left_annihilator(sys, q)
     M = sys.mass_matrix(q)
     a = np.sum(w * matvec(M, dp), axis=-1)
@@ -137,20 +139,24 @@ def reduce(sys: MechanicalSystem, vhc: ParametricVhc,
 
 
 def tic_toc_vhc(domain: tuple[float, float] = (-2.0, 2.0)) -> ParametricVhc:
-    """Constraint curve of the tic-toc motion: (theta, -theta^2/2, pi/2 - arctan 2 theta)."""
+    """Constraint curve of the tic-toc motion: (theta, -theta^2/2, pi/2 - arctan 2 theta).
 
-    # np.array([...]).T puts the coordinate axis last for a 1-D array of theta.
-    def phi(th: float) -> Array:
-        return np.array([th, -0.5 * th * th, 0.5 * np.pi - np.arctan(2.0 * th)]).T
+    theta reads back as the first coordinate. One theta (a float, np.float64
+    or 0-d array) gives Python floats from `math`, an array the same on numpy.
+    """
 
-    def dphi(th: float) -> Array:
-        return np.array([np.ones_like(th), -th, -2.0 / (1.0 + 4.0 * th * th)]).T
+    def curve(values):
+        def evaluate(th):
+            m, th = point_or_batch(th, point_ndim=0)
+            out = values(m, th)
+            return out if m is math else np.array(np.broadcast_arrays(*out)).T
+        return evaluate
 
-    def ddphi(th: float) -> Array:
-        return np.array([np.zeros_like(th), np.full_like(th, -1.0),
-                         16.0 * th / (1.0 + 4.0 * th * th) ** 2]).T
-
-    return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="tictoc")
+    phi = curve(lambda m, th: (th, -0.5 * th * th, 0.5 * m.pi - m.atan(2.0 * th)))
+    dphi = curve(lambda m, th: (1.0, -th, -2.0 / (1.0 + 4.0 * th * th)))
+    ddphi = curve(lambda m, th: (0.0, -1.0, 16.0 * th / (1.0 + 4.0 * th * th) ** 2))
+    return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="tictoc",
+                         readback=(0, 0.0, 1.0))
 
 
 def tic_toc_reduced(domain: tuple[float, float] = (-2.0, 2.0)) -> ReducedModel:
@@ -173,7 +179,8 @@ def family_vhc(sys: MechanicalSystem, q_s: Array, k1: float, k2: float, k3: floa
                domain: tuple[float, float] = (-math.inf, math.inf)) -> ParametricVhc:
     """Constraint family of `sys` through q_s: actuated-direction line plus unactuated curvature.
 
-    phi(theta) = q_s + B(q_s) (k1, k2) theta + (k3/2) B_perp(q_s)^T theta^2.
+    phi(theta) = q_s + B(q_s) (k1, k2) theta + (k3/2) B_perp(q_s)^T theta^2. theta reads
+    back from the first coordinate without curvature, for PVTOL (psi - psi_s)/k2.
     """
     if k1 == 0.0 and k2 == 0.0:
         raise DomainError("degenerate family parameters: dphi(0) = 0")
@@ -181,6 +188,8 @@ def family_vhc(sys: MechanicalSystem, q_s: Array, k1: float, k2: float, k3: floa
     B_s = sys.input_map(q_s)
     w_s = left_annihilator(sys, q_s)
     lin = B_s @ np.array([k1, k2])
+    i = next((j for j in range(q_s.size) if k3 * w_s[j] == 0.0 and lin[j] != 0.0), None)
+    readback = None if i is None else (i, float(q_s[i]), float(lin[i]))
 
     def phi(th: float) -> Array:
         th = np.asarray(th, dtype=float)[..., None]
@@ -194,7 +203,8 @@ def family_vhc(sys: MechanicalSystem, q_s: Array, k1: float, k2: float, k3: floa
         th = np.asarray(th, dtype=float)[..., None]
         return k3 * w_s + 0.0 * th
 
-    return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="family")
+    return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="family",
+                         readback=readback)
 
 
 def family_reduced(psi_s: float, k1: float, k2: float, k3: float,

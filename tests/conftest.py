@@ -99,7 +99,7 @@ def family_pack(pvtol):
     sol = vp.solve_boundary(model, report, -0.8 * tmax, 0.0, 0.8 * tmax, 0.0)
     per = vp.make_periodic(sol)
     traj = vp.lift(model.vhc, per, pvtol)
-    chart = vp.FamilyChart(traj, params)
+    chart = vp.FamilyChart(traj)
     ltv = vp.linearize(chart, pvtol, traj, n_grid=96)
     return {"params": params, "model": model, "report": report, "sol": sol,
             "per": per, "traj": traj, "chart": chart, "ltv": ltv}

@@ -199,7 +199,7 @@ def test_acceptance_11_family_pipeline(pvtol, family_pack):
             sol = vp.solve_boundary(model, rep, -0.8 * tmax, 0.0, 0.8 * tmax, 0.0)
             per = vp.make_periodic(sol)
             traj = vp.lift(model.vhc, per, pvtol)
-            chart = vp.FamilyChart(traj, params)
+            chart = vp.FamilyChart(traj)
             ltv = vp.linearize(chart, pvtol, traj, n_grid=96)
         else:
             params, model = pack["params"], pack["model"]

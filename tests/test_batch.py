@@ -178,6 +178,28 @@ def test_vhc_batch(family_pack, thetas):
             assert _close(curve(thetas), [curve(th) for th in thetas])
 
 
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda k: _batch(k, None, -2.0, 2.0)))
+def test_tictoc_curves_give_one_point_as_python_floats(thetas):
+    vhc = vp.tic_toc_vhc()
+    for curve in (vhc.phi, vhc.dphi, vhc.ddphi):
+        rows = curve(thetas)
+        assert rows.shape == (thetas.size, 3)
+        for th, row in zip(thetas, rows):
+            for point in (float(th), np.float64(th), np.array(th)):
+                value = curve(point)
+                assert type(value) is tuple and all(type(v) is float for v in value)
+                assert _close(row, value)
+
+
+def test_trajectory_state_at_one_time(tictoc_trajectory):
+    # The curves give one point as Python floats; the trajectory still gives arrays.
+    q, qd = tictoc_trajectory.state_at(0.3)
+    assert q.shape == qd.shape == (3,)
+    q_b, qd_b = tictoc_trajectory.state_at(np.array([0.3]))
+    assert _close(q_b[0], q) and _close(qd_b[0], qd)
+
+
 @pytest.mark.parametrize("which", ["tictoc", "family"])
 @SETTINGS
 @given(st.integers(1, 6).flatmap(lambda k: _batch(k, None, -0.19, 0.19)))
