@@ -376,8 +376,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> None:
                     "period": ctx["traj"].period,
                     "closed_loop_max_abs": ctx["spectra"]["closed_loop_max_abs"]}
         except VhcplanError as exc:
-            write_json(sub_out / "error.json",
-                       {"error": type(exc).__name__, "message": str(exc)})
+            write_json(sub_out / "error.json", _error_payload(exc))
             return {"name": name, "psi_s": float(psi), "ok": False,
                     "error": f"{type(exc).__name__}: {exc}",
                     "exit_code": _exit_code_for(exc)}
@@ -398,6 +397,14 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
 }
+
+
+def _error_payload(err: VhcplanError) -> dict:
+    """The error.json of a failed run: error class, message and any diagnostics."""
+    payload = {"error": type(err).__name__, "message": str(err)}
+    if err.diagnostics:
+        payload["diagnostics"] = err.diagnostics
+    return payload
 
 
 def _exit_code_for(err: Exception) -> int:
@@ -450,10 +457,7 @@ def main(argv=None) -> int:
         err = exc
         code = _exit_code_for(exc)
     if err is not None:
-        payload = {"error": type(err).__name__, "message": str(err)}
-        if err.diagnostics:
-            payload["diagnostics"] = err.diagnostics
-        write_json(out / "error.json", payload)
+        write_json(out / "error.json", _error_payload(err))
         print(f"error: {err}", file=sys.stderr)
     write_json(out / "metadata.json", {
         "command": args.command,

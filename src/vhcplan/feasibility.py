@@ -27,6 +27,7 @@ RESIDUAL_TOL = 1e-10
 SPEED_TOL = 1e-8
 GRAVITY_TOL = 1e-8
 SCAN_SAMPLES = 2048   # momentum samples per period that `theorem2_scan` bisects between
+BRACKET_STEP = 1e-5   # central-difference step of `_bracket` along each field
 
 
 @dataclass(frozen=True)
@@ -116,25 +117,24 @@ def _phase_fields(sys: MechanicalSystem):
     return drift, [functools.partial(control, i=i) for i in range(n - 1)]
 
 
-def _bracket(F, G, h: float):
+def _bracket(F, G):
     """Lie bracket [F, G] = DG F - DF G via central differences."""
     def fg(x: Array) -> Array:
-        fx, gx = F(x), G(x)
+        fx, gx, h = F(x), G(x), BRACKET_STEP
         return ((G(x + h * fx) - G(x - h * fx)) / (2.0 * h)
                 - (F(x + h * gx) - F(x - h * gx)) / (2.0 * h))
     return fg
 
 
-def accessibility_det_numeric(sys: MechanicalSystem, q: Array, qdot: Array,
-                              h: float = 1e-5) -> Array:
+def accessibility_det_numeric(sys: MechanicalSystem, q: Array, qdot: Array) -> Array:
     """Bracket determinant by nested central-difference Jacobian-vector products.
 
     Takes one point or a batch, like `accessibility_det_closed_form`.
     """
     f, (g1, g2) = _phase_fields(sys)
-    ad_f_g1 = _bracket(f, g1, h)
-    ad_f_g2 = _bracket(f, g2, h)
-    ad2_f_g1 = _bracket(f, ad_f_g1, h)
+    ad_f_g1 = _bracket(f, g1)
+    ad_f_g2 = _bracket(f, g2)
+    ad2_f_g1 = _bracket(f, ad_f_g1)
     x = np.concatenate([np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)], axis=-1)
     cols = [f(x), g1(x), g2(x), ad_f_g1(x), ad_f_g2(x), ad2_f_g1(x)]
     return np.linalg.det(np.stack(cols, axis=-1))

@@ -16,7 +16,6 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import ModelInvariantError
 from .numdiff import matvec, point_or_batch
@@ -92,23 +91,13 @@ def _spd_solve(M: Array, rhs: Array) -> Array:
 
     One M serves every right-hand side of a stack. The lowest eigenvalue of
     the lower triangle's symmetric matrix rejects an M that is not positive
-    definite; symmetry of M is the model's contract and is not checked. This
-    calls the gufuncs behind `np.linalg.eigvalsh` and `np.linalg.solve`
-    directly: the public functions add about 5 us of argument handling and
-    error-state set-up per call, which the closed-loop simulation of a model
-    without `accel` pays at every Dormand-Prince stage on a 3x3 system.
-    Without that set-up a failing LAPACK call warns instead of raising, so
-    the eigenvalue check comes first and a positive definite M never fails
-    the solve. An M with a non-finite entry would fail the eigenvalue call
-    itself, so a finiteness check rejects it before that. The names are those
-    numpy.linalg itself calls, checked with numpy 2.4.6.
+    definite; symmetry of M is the model's contract and is not checked.
     """
     if not np.isfinite(M).all():
         raise ModelInvariantError("mass matrix must be finite")
-    w = _umath_linalg.eigvalsh_lo(M)        # ascending: the lowest comes first
-    if not (w[0] > 0.0 if M.ndim == 2 else np.all(w[:, 0] > 0.0)):
+    if not np.all(np.linalg.eigvalsh(M)[..., 0] > 0.0):   # ascending: the lowest comes first
         raise ModelInvariantError("mass matrix is not symmetric positive definite")
-    return _umath_linalg.solve1(M, rhs)
+    return np.linalg.solve(M, rhs[..., None])[..., 0]
 
 
 def inverse_input(sys: MechanicalSystem, q: Array, qdot: Array, qddot: Array):

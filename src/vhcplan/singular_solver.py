@@ -42,25 +42,25 @@ import numpy as np
 from .errors import (BoundaryUnreachableError, ConditionCheckError,
                      ConvergenceError, DomainError)
 from .mech import MechanicalSystem, inverse_input
-from .numdiff import PeriodicPiecewisePolynomial, bisect, central_derivative
+from .numdiff import PeriodicPiecewisePolynomial, bisect
 from .vhc import ParametricVhc, ReducedModel, SingularityReport
 
 Array = np.ndarray
 
 
 def singular_acceleration(model: ReducedModel, report: SingularityReport) -> float:
-    """Forced acceleration at the singular crossing (global-sign invariant)."""
+    """Forced acceleration at the singular crossing (global-sign invariant).
+
+    The coefficients and their slopes at theta_s come from `report`, the
+    existence check of `model`.
+    """
     if not report.overall:
         raise ConditionCheckError("singular acceleration requires a passing existence report")
-    th = report.theta_s
-    h = 1e-6 * (1.0 + abs(th))
-    dalpha, dbeta, dgamma = central_derivative(model.coefficients, th, h)
-    _, beta_s, gamma_s = model.coefficients(th)
-    v2 = -gamma_s / beta_s
-    denom = dalpha + 2.0 * beta_s
+    v2 = -report.gamma_s / report.beta_s
+    denom = report.alpha_slope + 2.0 * report.beta_s
     if denom == 0.0:
         raise ConditionCheckError("degenerate crossing: alpha' + 2 beta vanishes")
-    return float(-(dbeta * v2 + dgamma) / denom)
+    return float(-(report.beta_slope * v2 + report.gamma_slope) / denom)
 
 
 # Each side of `solve_boundary` integrates with RK45 at rtol = atol = ODE_TOL

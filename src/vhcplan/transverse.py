@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_input
-from .numdiff import PeriodicPiecewisePolynomial, cubic_coefficients, matvec, point_or_batch
+from .numdiff import (PeriodicPiecewisePolynomial, central_derivative, cubic_coefficients,
+                      matvec, point_or_batch)
 from .singular_solver import PeriodicTrajectory
 from .vhc import tic_toc_vhc
 
@@ -278,22 +279,18 @@ class LtvModel:
 # nodes make 1,856 points, enough to amortize the per-call overhead while the
 # working arrays stay near 1 MB.
 LINEARIZE_BLOCK = 64
-# Difference steps of `linearize` in each rho and each input coordinate.
-RHO_STEP = 1e-6
-W_STEP = 1e-4
 
 
 def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
               n_grid: int = 512) -> LtvModel:
     """Finite-difference periodic linearization of the transverse dynamics.
 
-    Central differences with one Richardson step (steps RHO_STEP in rho and
-    W_STEP in w); the chart/trajectory pair is
-    validated first (on-orbit states must map to rho ~ 0) and the on-orbit
-    vector field f(0, tau, 0) must vanish to 1e-9 at every grid node. Each
-    node's stencil is the nominal point plus the shifts +h, -h, +h/2, -h/2 of
-    every rho and w coordinate; the stencils of LINEARIZE_BLOCK nodes go
-    through the chart, the model and the chart Jacobian as one batch.
+    A and B are the Jacobians of f(rho, tau, w) in rho and in the input offset
+    w at rho = 0, w = 0, by `central_derivative` (1 + 4 (n_rho + n_w) points
+    per grid node); the stencils of LINEARIZE_BLOCK nodes go through the
+    chart, the model and the chart Jacobian as one batch. The chart/trajectory
+    pair is validated first (on-orbit states must map to rho ~ 0) and the
+    on-orbit vector field f(0, tau, 0) must vanish to 1e-9 at every grid node.
     """
     q, qd = traj.state_at(traj.t0 + traj.period * np.arange(8) / 8.0)
     _, rho = chart.forward(q, qd)
@@ -301,38 +298,27 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
         raise ConditionCheckError("chart does not vanish on the supplied trajectory")
 
     n_rho, n_w = 5, sys.n - 1
-    steps = np.array([RHO_STEP] * n_rho + [W_STEP] * n_w)
-    n_cols = steps.size
-    stencil = np.zeros((1 + 4 * n_cols, n_cols))   # row 0: the nominal point
-    for j, h in enumerate(steps):
-        stencil[1 + 4 * j:5 + 4 * j, j] = h * np.array([1.0, -1.0, 0.5, -0.5])
 
-    taus = -math.pi + TWO_PI * np.arange(n_grid) / n_grid
-    A = np.empty((n_grid, n_rho, n_rho))
-    B = np.empty((n_grid, n_rho, n_w))
-    f0_max = 0.0
-    for start in range(0, n_grid, LINEARIZE_BLOCK):
-        node_tau = taus[start:start + LINEARIZE_BLOCK]
-        k = node_tau.size
-        tau = np.repeat(node_tau, stencil.shape[0])
-        q, qd = chart_invert(chart, tau, np.tile(stencil[:, :n_rho], (k, 1)))
-        u = chart.reference_input(node_tau)[:, None, :] + stencil[:, n_rho:]
+    def transverse_field(node_tau: Array, points: Array) -> Array:   # (nodes, n_rho, points)
+        tau = np.repeat(node_tau, len(points))
+        q, qd = chart_invert(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)))
+        u = chart.reference_input(node_tau)[:, None, :] + points[:, n_rho:]
         qdd = eval_accel(sys, q, qd, u.reshape(-1, n_w))
         rates = matvec(chart.jacobian(q, qd), np.concatenate([qd, qdd], axis=1))
         taudot = rates[:, 0]
         if np.any(taudot <= 0.0):
             raise ConditionCheckError(f"phase rate is not positive at tau={tau[taudot <= 0.0][0]}")
-        f = (rates[:, 1:] / taudot[:, None]).reshape(k, -1, n_rho)
-        f0_max = max(f0_max, float(np.max(np.abs(f[:, 0]))))
-        shifted = f[:, 1:].reshape(k, n_cols, 4, n_rho)
-        d1 = (shifted[:, :, 0] - shifted[:, :, 1]) / (2.0 * steps[:, None])
-        d2 = (shifted[:, :, 2] - shifted[:, :, 3]) / steps[:, None]
-        columns = ((4.0 * d2 - d1) / 3.0).transpose(0, 2, 1)
-        A[start:start + k] = columns[:, :, :n_rho]
-        B[start:start + k] = columns[:, :, n_rho:]
+        f = (rates[:, 1:] / taudot[:, None]).reshape(node_tau.size, len(points), n_rho)
+        return f.transpose(0, 2, 1)
+
+    taus = -math.pi + TWO_PI * np.arange(n_grid) / n_grid
+    blocks = [central_derivative(functools.partial(transverse_field, taus[i:i + LINEARIZE_BLOCK]),
+                                 np.zeros(n_rho + n_w)) for i in range(0, n_grid, LINEARIZE_BLOCK)]
+    f0_max = max(float(np.max(np.abs(f0))) for f0, _ in blocks)
     if f0_max > 1e-9:
         raise ConditionCheckError(f"on-orbit transverse field does not vanish: {f0_max:.3e}")
-    return LtvModel(taus=taus, A=A, B=B, f0_max=f0_max)
+    jac = np.concatenate([block_jac for _, block_jac in blocks])
+    return LtvModel(taus=taus, A=jac[:, :, :n_rho], B=jac[:, :, n_rho:], f0_max=f0_max)
 
 
 # Longest Magnus step: at 2 pi/1024 the tic-toc P(0) is 5e-9 (relative) off the

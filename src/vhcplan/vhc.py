@@ -85,6 +85,8 @@ class SingularityReport:
     overall: bool
     sign: int
     zeros: tuple
+    beta_slope: float    # beta'(theta_s), oriented like beta_s
+    gamma_slope: float   # gamma'(theta_s), oriented like gamma_s
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,11 +254,11 @@ def check_theorem1(model: ReducedModel) -> SingularityReport:
 
     if zeros:
         theta_s = zeros[0]
-        h = 1e-6 * (1.0 + abs(theta_s))
-        slope = float(central_derivative(model.coefficients, theta_s, h)[0])
-        _, beta_s, gamma_s = (float(c) for c in model.coefficients(theta_s))
+        values, slopes = central_derivative(model.coefficients, theta_s)
+        _, beta_s, gamma_s = values.tolist()
+        slope, beta_slope, gamma_slope = slopes.tolist()
     else:
-        theta_s = slope = beta_s = gamma_s = math.nan
+        theta_s = slope = beta_s = gamma_s = beta_slope = gamma_slope = math.nan
 
     slope_floor = SLOPE_FLOOR * float(np.max(np.abs(alphas))) / (hi - lo)
     sign = -1 if slope < 0.0 else 1
@@ -275,6 +277,8 @@ def check_theorem1(model: ReducedModel) -> SingularityReport:
         beta_s=sb, gamma_s=sg,
         v_s=math.sqrt(-sg / sb) if sb < 0.0 < sg else math.nan,
         flags=flags, overall=all(flags.values()), sign=sign, zeros=tuple(zeros),
+        # + 0.0: a zero slope reads +0.0 in either orientation, like its difference.
+        beta_slope=sign * beta_slope + 0.0, gamma_slope=sign * gamma_slope + 0.0,
     )
 
 

@@ -392,6 +392,23 @@ def test_error_json_carries_diagnostics(tmp_path, monkeypatch):
     assert err["diagnostics"] == diagnostics
 
 
+def test_sweep_error_json_carries_diagnostics(tmp_path, monkeypatch):
+    diagnostics = {"side": "right", "final_state": [0.2, 0.0], "time": 1.5, "rhs_evals": 9}
+
+    def unreachable(*args):
+        raise BoundaryUnreachableError("right boundary state cannot reach the singular crossing",
+                                       diagnostics)
+
+    monkeypatch.setattr(vhcplan.cli, "solve_boundary", unreachable)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out), "--set", f"sweep.psi_values=[{0.5 * math.pi}]"]) == 2
+    (sub,) = [p for p in out.iterdir() if p.name.startswith("psi_")]
+    err = json.loads((sub / "error.json").read_text())
+    assert err == {"error": "BoundaryUnreachableError",
+                   "message": "right boundary state cannot reach the singular crossing",
+                   "diagnostics": diagnostics}
+
+
 @pytest.mark.parametrize("assignments", [
     ["vhc.kind=family", "vhc.k1=1", "vhc.k2=2", "vhc.k3=-1", "vhc.theta_max=-0.3"],
     ["vhc.domain=[1,-1]"]])

@@ -24,7 +24,7 @@ def test_singular_acceleration_family_closed_form():
     model = vp.family_reduced(0.25 * math.pi, 1.0, 2.0, -1.0, (-0.3, 0.3))
     rep = vp.check_theorem1(model)
     a_s = vp.singular_acceleration(model, rep)
-    assert abs(a_s - math.sqrt(2.0)) < 1e-6
+    assert abs(a_s - math.sqrt(2.0)) < 1e-12
 
 
 def test_singular_acceleration_agrees_with_coarser_derivative_step():

@@ -8,7 +8,8 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
 import vhcplan as vp
-from vhcplan.numdiff import cubic_coefficients
+import vhcplan.numdiff
+from vhcplan.numdiff import central_derivative, cubic_coefficients
 
 
 def test_wrap_angle():
@@ -265,6 +266,39 @@ def test_linearize_spline_interpolates_grid(tictoc_ltv):
         tau = float(tictoc_ltv.taus[i])
         assert np.abs(tictoc_ltv.a_of(tau) - tictoc_ltv.A[i]).max() < 1e-10
         assert np.abs(tictoc_ltv.b_of(tau) - tictoc_ltv.B[i]).max() < 1e-10
+
+
+def test_central_derivative_one_call_on_the_stencil():
+    # Richardson's rule is exact on quartics up to rounding; f sees one stencil.
+    calls = []
+
+    def f(points):
+        calls.append(points.shape)
+        x, y = points.T
+        return np.array([x ** 4 + x * y, y ** 3])
+
+    value, jac = central_derivative(f, np.array([0.5, -2.0]))
+    assert calls == [(9, 2)]
+    assert np.array_equal(value, [0.5 ** 4 - 1.0, -8.0])
+    assert np.allclose(jac, [[0.5 - 2.0, 0.5], [0.0, 12.0]], rtol=1e-11, atol=1e-11)
+    value, slope = central_derivative(lambda th: np.array([np.sin(th), th ** 2]), 0.3)
+    assert value.shape == slope.shape == (2,)
+    assert np.allclose(slope, [math.cos(0.3), 0.6], rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("which", ["tictoc", "family"])
+def test_linearize_matches_coarser_richardson_step(which, monkeypatch, pvtol, tictoc_chart,
+                                                   tictoc_trajectory, family_pack):
+    # At step 1e-3 the rule's O(h^4) truncation is far below 2e-10; at the
+    # default step so is its rounding. A rho step of 1e-6 read 4e-10 (tic-toc)
+    # and 4e-9 (family) here, nearly all of it rounding.
+    chart, traj = ((tictoc_chart, tictoc_trajectory) if which == "tictoc"
+                   else (family_pack["chart"], family_pack["traj"]))
+    ltv = vp.linearize(chart, pvtol, traj, n_grid=64)
+    monkeypatch.setattr(vhcplan.numdiff, "DIFF_STEP", 1e-3)
+    ref = vp.linearize(chart, pvtol, traj, n_grid=64)
+    for got, want in ((ltv.A, ref.A), (ltv.B, ref.B)):
+        assert np.abs(got - want).max() <= 2e-10 * np.abs(want).max()
 
 
 def test_linearize_rejects_mismatched_chart(pvtol, family_pack, tictoc_trajectory):
