@@ -7,11 +7,14 @@ Every command reads an optional JSON config (defaults below), applies dotted
   certify    certificate.json, accessibility.csv (family: plan artifacts too)
   stabilize  plan artifacts + ltv.csv, gains.csv, spectra.json
   simulate   stabilize artifacts + simulation.csv
-  sweep      psi_<value>/ subruns (stabilize each) + sweep_summary.json
+  sweep      psi_<value>/ sub-runs (stabilize each) + sweep_summary.json
 
-plus config.resolved.json, metadata.json (the only file with timestamps) and
-error.json on failure. Exit codes: 0 success, 2 a checked condition failed,
-3 a numerical procedure failed, 64 usage error.
+The stages only compute and write their own tables; one runner, `_run`, writes
+the run files of `main` and of every sweep sub-run: config.resolved.json,
+report.json whenever the existence check ran (on failure too), error.json on
+failure and metadata.json (the only file with timestamps). Exit codes: 0
+success, 2 a checked condition failed, 3 a numerical procedure failed, 64
+usage error (an `--out` that cannot be written included).
 """
 
 from __future__ import annotations
@@ -181,10 +184,11 @@ def _load_config(args) -> dict:
     return cfg
 
 
-# -- pipeline stages ---------------------------------------------------------
+# -- pipeline stages: each fills the run context and writes its own tables ----
 
 
-def _plan_objects(cfg: dict, out: Path) -> dict:
+def _plan(cfg: dict, out: Path, ctx: dict) -> None:
+    """Plan the orbit into ctx (sys, params, traj, report_json); writes trajectory.csv."""
     sys_ = pvtol_model()
     vcfg = cfg["vhc"]
     kind = vcfg["kind"]
@@ -213,8 +217,8 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
     report_json: dict = {"kind": kind, "check": report.to_json_dict()}
     if params is not None:
         report_json["family_parameters"] = params.to_json_dict()
+    ctx["report_json"] = report_json
     if not report.overall:
-        write_json(out / "report.json", report_json)
         raise ConditionCheckError("existence conditions failed; see report.json")
 
     # The orbit runs between rest points at theta1 and theta2, both at speed 0; by
@@ -243,11 +247,11 @@ def _plan_objects(cfg: dict, out: Path) -> dict:
                      "theta2": th2, "dtheta2": sol.dtheta2},
         "max_input_residual": float(np.max(traj.residuals)),
     })
-    return {"sys": sys_, "params": params, "traj": traj, "report_json": report_json}
+    ctx.update({"sys": sys_, "params": params, "traj": traj})
 
 
-def _stabilize_objects(cfg: dict, out: Path, ctx: dict) -> dict:
-    """Stabilize the orbit planned by `_plan_objects` into ctx; returns ctx extended."""
+def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
+    """Stabilize the orbit `_plan` put in ctx (chart, gains, spectra); writes its tables."""
     kcfg = cfg["stabilize"]
     chart = TicTocChart() if cfg["vhc"]["kind"] == "tictoc" else FamilyChart(ctx["traj"])
     ltv = linearize(chart, ctx["sys"], ctx["traj"], n_grid=int(kcfg["n_grid"]))
@@ -289,28 +293,20 @@ def _stabilize_objects(cfg: dict, out: Path, ctx: dict) -> dict:
     }
     write_json(out / "spectra.json", spectra)
     if closed_max >= 1.0:
-        write_json(out / "report.json", ctx["report_json"])
         raise ConditionCheckError(
             f"closed-loop multipliers not inside the unit circle (max {closed_max:.4f})")
     ctx.update({"chart": chart, "gains": gains, "spectra": spectra})
-    return ctx
 
 
-# -- commands -----------------------------------------------------------------
+# -- commands: each runs its stages on one context; `_run` writes the run files
 
 
-def _cmd_plan(cfg: dict, out: Path) -> None:
-    ctx = _plan_objects(cfg, out)
-    write_json(out / "report.json", ctx["report_json"])
-
-
-def _cmd_certify(cfg: dict, out: Path) -> None:
+def _cmd_certify(cfg: dict, out: Path, ctx: dict) -> None:
     sys_ = pvtol_model()
     if cfg["vhc"]["kind"] == "tictoc":
         orbit = tic_toc_orbit()
     else:
-        ctx = _plan_objects(cfg, out)
-        write_json(out / "report.json", ctx["report_json"])
+        _plan(cfg, out, ctx)
         orbit = ctx["traj"]
     cert = certify_no_regular_vhc(sys_, orbit)
     write_json(out / "certificate.json", cert.to_json_dict())
@@ -324,17 +320,17 @@ def _cmd_certify(cfg: dict, out: Path) -> None:
         raise ConditionCheckError(cert.message)
 
 
-def _cmd_stabilize(cfg: dict, out: Path) -> None:
-    ctx = _stabilize_objects(cfg, out, _plan_objects(cfg, out))
-    write_json(out / "report.json", ctx["report_json"])
+def _cmd_stabilize(cfg: dict, out: Path, ctx: dict) -> None:
+    _plan(cfg, out, ctx)
+    _stabilize(cfg, out, ctx)
 
 
-def _cmd_simulate(cfg: dict, out: Path) -> None:
-    ctx = _plan_objects(cfg, out)
+def _cmd_simulate(cfg: dict, out: Path, ctx: dict) -> None:
+    _plan(cfg, out, ctx)
     mcfg = cfg["simulate"]
     horizon = float(mcfg["periods"]) * ctx["traj"].period
     output_steps(float(mcfg["dt"]), horizon)   # a bad output grid fails before stabilizing
-    ctx = _stabilize_objects(cfg, out, ctx)
+    _stabilize(cfg, out, ctx)
     res = run_closed_loop(ctx["sys"], ctx["chart"],
                           None if mcfg["open_loop"] else ctx["gains"], mcfg["q0"], mcfg["qd0"],
                           dt=float(mcfg["dt"]), horizon=horizon)
@@ -350,38 +346,28 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
         "dt": float(mcfg["dt"]),
         **{key: res.metadata[key] for key in ("rhs_evals", "integrator_steps", "tol")},
     }
-    write_json(out / "report.json", ctx["report_json"])
 
 
-def _cmd_sweep(cfg: dict, out: Path) -> None:
+def _cmd_sweep(cfg: dict, out: Path, ctx: dict) -> None:
     values = list(cfg["sweep"]["psi_values"])
     if not values:
         raise UsageError("sweep.psi_values must be nonempty")
-
-    def run_one(psi: float) -> dict:
+    results = []
+    for psi in map(float, values):
         name = f"psi_{psi:.6g}"
-        sub_out = out / name
-        sub_out.mkdir(parents=True, exist_ok=True)
         sub_cfg = copy.deepcopy(cfg)
-        sub_cfg["vhc"]["kind"] = "family"
-        sub_cfg["vhc"]["psi_s"] = float(psi)
-        write_json(sub_out / "config.resolved.json", sub_cfg)
-        try:
-            ctx = _stabilize_objects(sub_cfg, sub_out, _plan_objects(sub_cfg, sub_out))
-            write_json(sub_out / "report.json", ctx["report_json"])
-            params = ctx["params"]
-            return {"name": name, "psi_s": float(psi), "ok": True,
-                    "parameters": {"k1": params.k1, "k2": params.k2, "k3": params.k3,
-                                   "theta_max": params.interval[1]},
-                    "period": ctx["traj"].period,
-                    "closed_loop_max_abs": ctx["spectra"]["closed_loop_max_abs"]}
-        except VhcplanError as exc:
-            write_json(sub_out / "error.json", _error_payload(exc))
-            return {"name": name, "psi_s": float(psi), "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "exit_code": _exit_code_for(exc)}
-
-    results = [run_one(float(psi)) for psi in values]
+        sub_cfg["vhc"].update(kind="family", psi_s=psi)
+        code, err, sub = _run("stabilize", sub_cfg, out / name)
+        row = {"name": name, "psi_s": psi, "ok": err is None}
+        if err is None:
+            params = sub["params"]
+            row.update({"parameters": {"k1": params.k1, "k2": params.k2, "k3": params.k3,
+                                       "theta_max": params.interval[1]},
+                        "period": sub["traj"].period,
+                        "closed_loop_max_abs": sub["spectra"]["closed_loop_max_abs"]})
+        else:
+            row.update({"error": f"{type(err).__name__}: {err}", "exit_code": code})
+        results.append(row)
     n_failed = sum(1 for r in results if not r["ok"])
     write_json(out / "sweep_summary.json",
                {"results": results, "n_ok": len(results) - n_failed,
@@ -391,20 +377,12 @@ def _cmd_sweep(cfg: dict, out: Path) -> None:
 
 
 _COMMANDS = {
-    "plan": _cmd_plan,
+    "plan": _plan,
     "certify": _cmd_certify,
     "stabilize": _cmd_stabilize,
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
 }
-
-
-def _error_payload(err: VhcplanError) -> dict:
-    """The error.json of a failed run: error class, message and any diagnostics."""
-    payload = {"error": type(err).__name__, "message": str(err)}
-    if err.diagnostics:
-        payload["diagnostics"] = err.diagnostics
-    return payload
 
 
 def _exit_code_for(err: Exception) -> int:
@@ -415,6 +393,45 @@ def _exit_code_for(err: Exception) -> int:
     if isinstance(err, _NUMERIC_ERRORS):
         return EXIT_NUMERIC
     raise err
+
+
+def _run(command: str, cfg: dict, out: Path) -> tuple[int, VhcplanError | None, dict]:
+    """Run one command into `out` and write its run files; returns (exit code, error, ctx).
+
+    config.resolved.json first; report.json once the existence check has
+    filled it, on failure too; error.json on a failure; metadata.json last.
+    An `out` that cannot be created or written is a usage error.
+    """
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "config.resolved.json", cfg)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc}") from exc
+    started = datetime.now(timezone.utc)
+    t_start = time.perf_counter()
+    ctx: dict = {}
+    code, err = EXIT_OK, None
+    try:
+        _COMMANDS[command](cfg, out, ctx)
+    except VhcplanError as exc:
+        code, err = _exit_code_for(exc), exc
+    if "report_json" in ctx:
+        write_json(out / "report.json", ctx["report_json"])
+    if err is not None:
+        payload = {"error": type(err).__name__, "message": str(err)}
+        if err.diagnostics:
+            payload["diagnostics"] = err.diagnostics
+        write_json(out / "error.json", payload)
+        print(f"error: {err}", file=sys.stderr)
+    write_json(out / "metadata.json", {
+        "command": command,
+        "package_version": __version__,
+        "started_at": started.isoformat(),
+        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "duration_s": time.perf_counter() - t_start,
+        "exit_code": code,
+    })
+    return code, err, ctx
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -439,35 +456,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _load_config(args)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "config.resolved.json", cfg)
+        return _run(args.command, _load_config(args), Path(args.out))[0]
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    started = datetime.now(timezone.utc)
-    t_start = time.perf_counter()
-    code = EXIT_OK
-    err: Exception | None = None
-    try:
-        _COMMANDS[args.command](cfg, out)
-    except VhcplanError as exc:
-        err = exc
-        code = _exit_code_for(exc)
-    if err is not None:
-        write_json(out / "error.json", _error_payload(err))
-        print(f"error: {err}", file=sys.stderr)
-    write_json(out / "metadata.json", {
-        "command": args.command,
-        "package_version": __version__,
-        "started_at": started.isoformat(),
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-        "duration_s": time.perf_counter() - t_start,
-        "exit_code": code,
-    })
-    return code
 
 
 if __name__ == "__main__":

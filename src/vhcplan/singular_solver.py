@@ -52,10 +52,17 @@ def singular_acceleration(model: ReducedModel, report: SingularityReport) -> flo
     """Forced acceleration at the singular crossing (global-sign invariant).
 
     The coefficients and their slopes at theta_s come from `report`, the
-    existence check of `model`.
+    existence check of `model`: a report whose oriented beta and gamma differ
+    from the model's at theta_s by more than 1e-12 relative (a batch and a
+    scalar call may differ by an ulp) was checked on another model.
     """
     if not report.overall:
         raise ConditionCheckError("singular acceleration requires a passing existence report")
+    model_bg = report.sign * np.asarray(model.coefficients(report.theta_s), dtype=float)[1:]
+    if not np.allclose(model_bg, (report.beta_s, report.gamma_s), rtol=1e-12, atol=0.0):
+        raise ConditionCheckError(
+            f"existence report checked on another model: beta, gamma at theta_s read "
+            f"{model_bg.tolist()} here, {[report.beta_s, report.gamma_s]} in the report")
     v2 = -report.gamma_s / report.beta_s
     denom = report.alpha_slope + 2.0 * report.beta_s
     if denom == 0.0:

@@ -119,7 +119,6 @@ class FamilyParameters:
             "k2": self.k2,
             "k3": self.k3,
             "interval": list(self.interval),
-            "report": self.report.to_json_dict(),
         }
 
 

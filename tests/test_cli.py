@@ -295,6 +295,7 @@ def test_family_plan(tmp_path):
     fam = report["family_parameters"]
     assert (fam["k1"], fam["k2"], fam["k3"]) == (0.25, 1.5, -0.25)
     assert report["check"]["overall"] is True
+    assert "report" not in fam   # the existence report is stated once, under "check"
 
 
 def test_sweep(tmp_path):
@@ -309,6 +310,10 @@ def test_sweep(tmp_path):
     assert (sub / "spectra.json").is_file()
     assert (sub / "gains.csv").is_file()
     assert json.loads((sub / "spectra.json").read_text())["closed_loop_max_abs"] < 1.0
+    # Each sub-run writes the run files of a `stabilize` run of its own.
+    for sub in out.glob("psi_*"):
+        meta = json.loads((sub / "metadata.json").read_text())
+        assert meta["command"] == "stabilize" and meta["exit_code"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +366,8 @@ def test_exit_code_numerical_failure(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ConvergenceError"
     assert json.loads((out / "metadata.json").read_text())["exit_code"] == 3
+    # The plan before the failing stage passed, and its report is kept.
+    assert json.loads((out / "report.json").read_text())["check"]["overall"] is True
 
 
 def test_tiny_output_spacing_is_a_numerical_failure(tmp_path, capsys):
@@ -407,6 +414,7 @@ def test_sweep_error_json_carries_diagnostics(tmp_path, monkeypatch):
     assert err == {"error": "BoundaryUnreachableError",
                    "message": "right boundary state cannot reach the singular crossing",
                    "diagnostics": diagnostics}
+    assert json.loads((sub / "metadata.json").read_text())["exit_code"] == 3
 
 
 @pytest.mark.parametrize("assignments", [
@@ -430,6 +438,17 @@ def test_exit_code_usage_errors(tmp_path):
     assert main(["plan", "--out", str(tmp_path / "u4"), "--set", "boundary.theta1"]) == 64
     assert main(["plan", "--out", str(tmp_path / "u5"), "--set", "vhc.kind=family",
                  "--set", "vhc.k1=1"]) == 64   # partial family parameters
+
+
+def test_usage_error_on_unwritable_out(tmp_path, capsys):
+    # An --out that names a file, or lies under one, cannot be created.
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    for out in (taken, taken / "sub"):
+        assert main(["plan", "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+    assert taken.read_text() == "not a directory"
 
 
 def test_usage_error_on_bad_config_file(tmp_path):

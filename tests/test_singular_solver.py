@@ -146,6 +146,24 @@ def test_degenerate_crossing_stops_at_the_rhs_budget():
     assert "left" in str(exc.value) and str(RHS_BUDGET) in str(exc.value)
 
 
+def test_report_of_another_model_is_refused(tictoc_report):
+    # A report carries the slopes of the model it checked. Paired with another
+    # model it would give a wrong orbit without complaint (the k3 = -0.25
+    # report on the k3 = -0.3 model crosses at 2.0, not at the model's own
+    # 1.826), or a misleading sweep failure (the tic-toc report on a family model).
+    interval = (-0.2, 0.2)
+    family = vp.family_reduced(0.5 * math.pi, 0.25, 1.5, -0.25, interval)
+    other = vp.family_reduced(0.5 * math.pi, 0.25, 1.5, -0.3, interval)
+    for model, report in ((other, vp.check_theorem1(family)), (family, tictoc_report)):
+        assert report.overall
+        with pytest.raises(vp.ConditionCheckError, match="another model"):
+            vp.singular_acceleration(model, report)
+        with pytest.raises(vp.ConditionCheckError, match="another model"):
+            vp.solve_boundary(model, report, -0.16, 0.0, 0.16, 0.0)
+    own = vp.solve_boundary(other, vp.check_theorem1(other), -0.16, 0.0, 0.16, 0.0)
+    assert own.v_s == pytest.approx(math.sqrt(1.0 / 0.3), rel=1e-12)
+
+
 def test_eval_outside_window_raises(moving_solution):
     # Only a solution between rest points continues past t2 as a periodic orbit.
     sol = moving_solution
