@@ -7,7 +7,8 @@ Every command reads an optional JSON config (defaults below), applies dotted
   certify    certificate.json, accessibility.csv (family: plan artifacts too)
   stabilize  plan artifacts + ltv.csv, gains.csv, spectra.json
   simulate   stabilize artifacts + simulation.csv
-  sweep      psi_<value>/ sub-runs (stabilize each) + sweep_summary.json
+  sweep      psi_<value>/ sub-runs (stabilize each) + sweep_summary.json;
+             two angles with one psi_<value> name are a usage error
 
 The stages only compute and write their own tables; one runner, `_run`, writes
 the run files of `main` and of every sweep sub-run: config.resolved.json,
@@ -352,9 +353,15 @@ def _cmd_sweep(cfg: dict, out: Path, ctx: dict) -> None:
     values = list(cfg["sweep"]["psi_values"])
     if not values:
         raise UsageError("sweep.psi_values must be nonempty")
-    results = []
+    runs: dict[str, float] = {}   # sub-run directory -> psi
     for psi in map(float, values):
         name = f"psi_{psi:.6g}"
+        if name in runs:
+            raise UsageError(f"sweep.psi_values {runs[name]!r} and {psi!r} share the sub-run "
+                             f"directory {name}")
+        runs[name] = psi
+    results = []
+    for name, psi in runs.items():
         sub_cfg = copy.deepcopy(cfg)
         sub_cfg["vhc"].update(kind="family", psi_s=psi)
         code, err, sub = _run("stabilize", sub_cfg, out / name)

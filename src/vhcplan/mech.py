@@ -34,8 +34,10 @@ class MechanicalSystem:
     The optional `accel(q, qdot, u)` is a closed-form forward dynamics that
     `solve_accel` returns instead of its mass solve. It must equal
     M^{-1}(B u - C q' - G) of this model's own fields, for one point or a
-    batch. A copy whose M, C, G or B is replaced (by `dataclasses.replace`,
-    say) must drop it (accel=None) or supply a matching one.
+    batch. It must also take one point's q and qdot as lists, as the closed
+    loop's stages pass them, and return a list then. A copy whose M, C, G or B
+    is replaced (by `dataclasses.replace`, say) must drop it (accel=None) or
+    supply a matching one.
     """
 
     n: int
@@ -75,15 +77,20 @@ def solve_accel(sys: MechanicalSystem, q: Array, qdot: Array, u: Array) -> Array
 
     q, qdot and u must be float arrays of the shapes `eval_accel` accepts, and
     q, qdot finite; a caller that checks them once for many calls (the
-    closed-loop simulation) calls this directly. A model's closed-form `accel`
-    replaces the solve; otherwise raises ModelInvariantError when the mass
-    matrix is not finite or not positive definite.
+    closed-loop simulation) calls this directly. One point's q and qdot may
+    also be lists of floats, and the acceleration is then a list. A model's
+    closed-form `accel` replaces the solve; otherwise raises
+    ModelInvariantError when the mass matrix is not finite or not positive
+    definite.
     """
     if sys.accel is not None:
         return sys.accel(q, qdot, u)
+    as_list = isinstance(q, list)
+    q, qdot, u = (np.asarray(a, dtype=float) for a in (q, qdot, u))
     M = np.asarray(sys.mass_matrix(q), dtype=float)
     rhs = matvec(sys.input_map(q), u) - matvec(sys.coriolis(q, qdot), qdot) - sys.gravity(q)
-    return _spd_solve(M, rhs)
+    a = _spd_solve(M, rhs)
+    return a.tolist() if as_list else a
 
 
 def _spd_solve(M: Array, rhs: Array) -> Array:
@@ -170,7 +177,8 @@ def pvtol_model() -> MechanicalSystem:
     def accel(q: Array, qdot: Array, u: Array) -> Array:
         m, (_, _, psi) = point_or_batch(q)
         _, (u1, u2) = point_or_batch(u)
-        return np.array([0.0 - u1 * m.sin(psi), u1 * m.cos(psi) - 1.0, 0.0 + u2]).T
+        a = [0.0 - u1 * m.sin(psi), u1 * m.cos(psi) - 1.0, 0.0 + u2]
+        return a if isinstance(q, list) else np.array(a).T
 
     return MechanicalSystem(
         n=3,

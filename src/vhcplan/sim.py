@@ -1,8 +1,9 @@
 """Closed-loop simulation of the full nonlinear plant under the orbital feedback.
 
-Dormand-Prince steps (`singular_solver.rk45_steps`) at rtol = atol = SIM_TOL,
-read off each step's quartic at the output times k dt; the control u = u*(tau)
-+ K(tau) rho is recomputed at every stage. The transverse coordinates of each
+Dormand-Prince steps (`singular_solver.rk45_steps`) at rtol = atol = SIM_TOL;
+the control u = u*(tau) + K(tau) rho is recomputed at every stage, on Python
+floats. The loop keeps each accepted step's quartic, and the output rows at the
+times k dt are read off them after the loop. The transverse coordinates of each
 output row are logged, so convergence into the orbit can be read off directly.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ModelInvariantError
 from .mech import MechanicalSystem, solve_accel
 from .numdiff import matvec
-from .singular_solver import rk45_dense, rk45_steps
+from .singular_solver import rk45_steps
 from .transverse import GainSchedule
 
 Array = np.ndarray
@@ -36,6 +37,8 @@ SIM_MIN_STEP = 1e-5
 # horizon/dt must stay below SIM_MAX_ROWS, which caps the rows at about 120 MB.
 # The largest documented run, the README's 20-period family run, logs 4,242.
 SIM_MAX_ROWS = 1_000_000
+# A state with an entry beyond SIM_MAX_STATE counts as divergence.
+SIM_MAX_STATE = 1e6
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,8 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
     Raises DomainError for a bad output grid (`output_steps`), and ValueError,
     before the first step, when u at the initial state does not have shape (n-1,).
     Raises ConvergenceError with diagnostics (time, final_state, rhs_evals) on
-    divergence, when an initial or stage state has an entry beyond 1e6 (also a
-    non-finite initial state) or a step falls below SIM_MIN_STEP; when the run
+    divergence, when an initial or stage state has an entry beyond SIM_MAX_STATE
+    (also a non-finite initial state) or a step falls below SIM_MIN_STEP; when the run
     spends its budget of right-hand sides (SIM_RHS_PER_SECOND, SIM_RHS_PER_RUN);
     or when the step size collapses. A non-finite stage state raises
     ModelInvariantError.
@@ -90,9 +93,8 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
         raise ModelInvariantError(f"q0 and qd0 must both have shape ({n},)")
     n_steps = output_steps(dt, horizon)
     ts = dt * np.arange(n_steps + 1)
-    ys = np.empty((n_steps + 1, 2 * n))
-    ys[0] = np.concatenate([q0, qd0])
-    evals = steps = 0
+    y0 = np.concatenate([q0, qd0])
+    evals = 0
 
     def stop(message: str, t: float, y: Array):
         raise ConvergenceError(f"simulation {message} at t = {t:.3f}", {
@@ -104,43 +106,58 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
             u = u + matvec(gains.k_of(tau), rho)
         return u
 
+    # A stage runs on Python floats: the chart and the dynamics take the point
+    # as lists and return rho and q'' as lists.
     def rhs(t: float, y: Array) -> Array:
         nonlocal evals
         evals += 1
         if evals > budget:
             stop(f"spent its budget of {budget} right-hand sides", t, y)
-        peak = np.abs(y).max()
-        if not peak <= 1e6:
-            if not math.isfinite(peak):
+        x = y.tolist()
+        if not all(map(SIM_MAX_STATE.__ge__, map(abs, x))):
+            if not all(map(math.isfinite, x)):
                 raise ModelInvariantError("phase state must be finite")
             stop("diverged", t, y)
-        q, qd = y[:n], y[n:]
-        return np.concatenate([qd, solve_accel(sys, q, qd, feedback(*chart.forward(q, qd)))])
+        q, qd = x[:n], x[n:]
+        tau, rho = chart.forward(q, qd)
+        u = chart.reference_input(tau)
+        if gains is not None:
+            u = u + np.dot(gains.k_of(tau), rho)   # takes rho as a list; matvec's bits
+        return np.array([*qd, *solve_accel(sys, q, qd, u)])
 
-    if not np.abs(ys[0]).max() <= 1e6:
-        stop("diverged", 0.0, ys[0])
+    if not np.abs(y0).max() <= SIM_MAX_STATE:
+        stop("diverged", 0.0, y0)
     if feedback(*chart.forward(q0, qd0)).shape != (n - 1,):
         raise ValueError(f"u must have shape {(n - 1,)}")
     budget = SIM_RHS_PER_RUN + math.ceil(SIM_RHS_PER_SECOND * ts[-1])
-    t, y, row = 0.0, ys[0], 1
-    for t_old, h, y_old, Q, t, y in rk45_steps(rhs, y, ts[-1], SIM_TOL):
-        steps += 1
+    steps = ([], [], [], [])   # t_old, h, y_old and Q of each accepted step
+    t, y = 0.0, y0
+    for t_old, h, y_old, Q, t, y in rk45_steps(rhs, y0, ts[-1], SIM_TOL):
         if h < SIM_MIN_STEP and t < ts[-1]:
             stop(f"diverged (a step of {h:.2e} under {SIM_MIN_STEP:g})", t, y)
-        end = np.searchsorted(ts, t, side="right")
-        ys[row:end] = rk45_dense(t_old, h, y_old, Q, ts[row:end])
-        row = end
-    if row <= n_steps:
+        for column, value in zip(steps, (t_old, h, y_old, Q)):
+            column.append(value)
+    if t < ts[-1]:
         stop("step size collapsed", t, y)
+    t_old, h, y_old, Q = map(np.array, steps)
+    ends = np.append(t_old[1:], t)
 
-    # tau, rho and u of the rows, 256 at a time: one batch of all rows left
-    # temporaries of about 0.6 MiB and raised the peak resident memory.
+    # The rows, and their tau, rho and u, 256 at a time: one batch of all rows
+    # left temporaries of about 0.6 MiB and raised the peak resident memory.
+    # Row k > 0 lies on the first step that ends at or after k dt and is read
+    # off that step's quartic, as `rk45_dense` reads it.
+    ys = np.empty((len(ts), 2 * n))
+    ys[0] = y0
     taus, rhos, us = np.empty(len(ts)), np.empty((len(ts), 5)), np.empty((len(ts), n - 1))
     for i in range(0, len(ts), 256):
-        b = slice(i, i + 256)
+        b, r = slice(i, i + 256), slice(max(i, 1), i + 256)
+        if n_steps:
+            j = np.searchsorted(ends, ts[r])
+            p = np.cumprod(np.multiply.outer((ts[r] - t_old[j]) / h[j], np.ones(4)), axis=1)
+            ys[r] = h[j, None] * matvec(Q[j], p) + y_old[j]
         taus[b], rhos[b] = chart.forward(ys[b, :n], ys[b, n:])
         us[b] = feedback(taus[b], rhos[b])
     return SimulationResult(t=ts, q=ys[:, :n], qdot=ys[:, n:], u=us, tau=taus, rho=rhos,
                             dt=dt, metadata={"open_loop": gains is None, "horizon": float(horizon),
-                                             "rhs_evals": evals, "integrator_steps": steps,
+                                             "rhs_evals": evals, "integrator_steps": len(h),
                                              "tol": SIM_TOL})

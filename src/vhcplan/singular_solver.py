@@ -199,7 +199,8 @@ class RkSteps:
 
 
 def _rms(x: Array) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    # The sum np.linalg.norm takes for a vector, so scipy's RK45 norm bit for bit.
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
@@ -215,7 +216,7 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
     """
     if t_bound == 0.0:
         return
-    direction = np.sign(t_bound)
+    direction = math.copysign(1.0, t_bound)
     y = np.asarray(y0, dtype=float)
     t, f = 0.0, fun(0.0, y)
     # Initial step (Hairer, Norsett & Wanner, II.4), scipy's select_initial_step.
@@ -229,7 +230,7 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
     h_abs = min(100 * h0, h1, abs(t_bound))
     K = np.empty((7, y.size))
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -240,7 +241,7 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
             for s in range(1, 6):
                 K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)

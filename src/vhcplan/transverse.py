@@ -94,7 +94,8 @@ class FamilyChart:
     the time of the phase, which one cubic Hermite interpolant of t over the
     phase gives. Methods take one point or a batch along a leading axis; a
     point whose curve values are Python floats runs on `math` (the closed
-    loop calls `forward` at every stage). `invert_guess` is the exact inverse
+    loop calls `forward` at every stage, with the point as two lists, and
+    gets rho as a list). `invert_guess` is the exact inverse
     of `forward` inside the tube of radius `tube_radius` in rho, and
     `chart_invert` only checks its residual. Raises ConditionCheckError for a
     constraint without a read-back, or a phase that does not wind once,
@@ -149,6 +150,7 @@ class FamilyChart:
         return np, a.T, b.T
 
     def forward(self, q: Array, qd: Array):
+        as_list = isinstance(q, list)
         _, q = point_or_batch(q)
         _, qd = point_or_batch(qd)
         i, c, k = self.vhc.readback
@@ -164,7 +166,7 @@ class FamilyChart:
         for j in others:
             rho.append(qd[j] - dphi[j] * dth)
         rho.append(m.hypot(p, v) - self._orbit_radial(tau)[0])
-        return tau, np.array(rho).T
+        return tau, rho if as_list else np.array(rho).T
 
     def jacobian(self, q: Array, qd: Array) -> Array:
         n = q.shape[-1]

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vhcplan as vp
-from vhcplan.mech import tic_toc_input
+from vhcplan.mech import solve_accel, tic_toc_input
+from vhcplan.numdiff import point_or_batch
 
 TOL = 1e-13
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -43,6 +44,10 @@ def _check_chart(chart, tau, rho):
     tau_b, rho_b = chart.forward(q, qd)
     singles = [chart.forward(a, b) for a, b in zip(q, qd)]
     assert _close(tau_b, [s[0] for s in singles]) and _close(rho_b, [s[1] for s in singles])
+    # A point given as lists, as the closed loop passes it, gives rho as a list.
+    for a, b, (tau_i, rho_i) in zip(q, qd, singles):
+        tau_l, rho_l = chart.forward(a.tolist(), b.tolist())
+        assert type(rho_l) is list and tau_l == tau_i and rho_l == rho_i.tolist()
     assert _close(chart.jacobian(q, qd), [chart.jacobian(a, b) for a, b in zip(q, qd)])
     assert _close(chart.reference_input(tau), [chart.reference_input(t) for t in tau])
 
@@ -118,6 +123,21 @@ def test_model_batch(pvtol, points):
     u_b, res_b = vp.inverse_input(pvtol, q, qd, qdd + 0.1)
     singles = [vp.inverse_input(pvtol, *p) for p in zip(q, qd, qdd + 0.1)]
     assert _close(u_b, [s[0] for s in singles]) and _close(res_b, [s[1] for s in singles])
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    _batch(k, 3, -2.0, 2.0), _batch(k, 3, -2.0, 2.0), _batch(k, 2, -3.0, 3.0))))
+def test_one_point_as_lists_gives_lists(pvtol, points):
+    # `point_or_batch` takes a list as one point; PVTOL's closed-form accel and
+    # the generic solve (a model without accel) then return lists equal to
+    # their results for arrays.
+    m, x = point_or_batch([1.0, 2.0, 3.0])
+    assert m is math and x == [1.0, 2.0, 3.0]
+    for model in (pvtol, coupled_model()):
+        for p in zip(*points):
+            qdd = solve_accel(model, *(a.tolist() for a in p))
+            assert type(qdd) is list and qdd == solve_accel(model, *p).tolist()
 
 
 @SETTINGS

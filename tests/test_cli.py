@@ -440,6 +440,18 @@ def test_exit_code_usage_errors(tmp_path):
                  "--set", "vhc.k1=1"]) == 64   # partial family parameters
 
 
+def test_sweep_refuses_angles_that_share_a_directory(tmp_path, capsys):
+    # psi_{psi:.6g} names both angles psi_1.5708: the second run would
+    # overwrite the first, so the sweep stops before either starts.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out),
+                 "--set", "sweep.psi_values=[1.5707963, 1.5707964]"]) == 64
+    err = capsys.readouterr().err
+    assert "1.5707963" in err and "1.5707964" in err and "psi_1.5708" in err
+    assert not list(out.glob("psi_*"))
+    assert json.loads((out / "error.json").read_text())["error"] == "UsageError"
+
+
 def test_usage_error_on_unwritable_out(tmp_path, capsys):
     # An --out that names a file, or lies under one, cannot be created.
     taken = tmp_path / "taken"

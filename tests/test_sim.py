@@ -11,7 +11,7 @@ import vhcplan as vp
 import vhcplan.sim
 from vhcplan.cli import main
 from vhcplan.mech import MechanicalSystem
-from vhcplan.singular_solver import rk45_steps
+from vhcplan.singular_solver import rk45_dense, rk45_steps
 
 
 def test_orbit_error_at_perturbed_start(tictoc_chart):
@@ -150,6 +150,7 @@ def test_single_point_path_follows_the_batch_path(pvtol, tictoc_chart, tictoc_ga
     # Python floats; here each goes through the batch path as a batch of one.
     class BatchOfOneChart(vp.TicTocChart):
         def forward(self, q, qd):
+            q, qd = np.asarray(q), np.asarray(qd)
             if q.ndim == 2:
                 return super().forward(q, qd)
             tau, rho = super().forward(q[None], qd[None])
@@ -160,8 +161,10 @@ def test_single_point_path_follows_the_batch_path(pvtol, tictoc_chart, tictoc_ga
                 return super().reference_input(tau)
             return super().reference_input(np.array([tau]))[0]
 
-    batch_of_one = dataclasses.replace(
-        pvtol, accel=lambda q, qd, u: pvtol.accel(q[None], qd[None], u[None])[0])
+    def accel(q, qd, u):
+        return pvtol.accel(*(np.asarray(a)[None] for a in (q, qd, u)))[0]
+
+    batch_of_one = dataclasses.replace(pvtol, accel=accel)
     q0 = np.array([0.1, -0.5, 0.0])
     a = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3),
                            horizon=2.0 * math.pi)
@@ -189,23 +192,67 @@ def test_closed_loop_matches_solve_ivp_on_eval_accel(pvtol, tictoc_chart, tictoc
     assert np.abs(res.q - ref.y[:3].T).max() <= 1e-7
 
 
-def test_last_row_is_read_inside_the_last_step(monkeypatch, pvtol, tictoc_chart, tictoc_gains):
-    # 6 pi is not a multiple of dt: the rows end at 1885 dt, where the last step ends.
-    spans = []
+def _recorded_steps(monkeypatch):
+    """A list that collects (fun, t_bound, tol, steps) of each `rk45_steps` run in sim."""
+    runs = []
 
-    def recording(*args):
-        for step in rk45_steps(*args):
-            spans.append((step[0], step[4]))
+    def recording(fun, y0, t_bound, tol):
+        steps = []
+        runs.append((fun, t_bound, tol, steps))
+        for step in rk45_steps(fun, y0, t_bound, tol):
+            steps.append(step)
             yield step
 
     monkeypatch.setattr(vhcplan.sim, "rk45_steps", recording)
+    return runs
+
+
+def test_last_row_is_read_inside_the_last_step(monkeypatch, pvtol, tictoc_chart, tictoc_gains):
+    # 6 pi is not a multiple of dt: the rows end at 1885 dt, where the last step ends.
+    runs = _recorded_steps(monkeypatch)
     dt = 0.01
     res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, np.array([0.1, -0.5, 0.0]),
                              np.zeros(3), dt=dt, horizon=6.0 * math.pi)
     assert res.t.size == 1886 and res.t[-1] == 1885 * dt
-    t_old, t_end = spans[-1]
+    (_, _, _, steps), = runs
+    t_old, _, _, _, t_end, _ = steps[-1]
     assert t_old < res.t[-1] <= t_end == 1885 * dt
-    assert res.metadata["integrator_steps"] == len(spans)
+    assert res.metadata["integrator_steps"] == len(steps)
+    # The rows, read in batches after the loop, against each step's own
+    # quartic at the rows it covers.
+    rows, start = [np.r_[res.q[0], res.qdot[0]]], 0.0
+    for t_old, h, y_old, Q, t_end, _ in steps:
+        times = res.t[(res.t > start) & (res.t <= t_end)]
+        rows.extend(rk45_dense(t_old, h, y_old, Q, times))
+        start = t_end
+    rows = np.array(rows)
+    assert np.abs(np.c_[res.q, res.qdot] - rows).max() <= 1e-15 * np.abs(rows).max()
+
+
+def test_rk45_steps_match_solve_ivp_on_the_closed_loop(monkeypatch, pvtol, tictoc_chart,
+                                                       tictoc_gains):
+    # The 6-D closed loop over one period: every step's (t_old, h, y_old, Q)
+    # equals scipy's RK45 dense output bit for bit.
+    runs = _recorded_steps(monkeypatch)
+    q0 = np.array([0.1, -0.5, 0.0])
+    vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3),
+                       horizon=2.0 * math.pi)
+    (rhs, t_bound, tol, steps), = runs
+    ref = solve_ivp(rhs, (0.0, t_bound), np.r_[q0, np.zeros(3)], method="RK45", rtol=tol,
+                    atol=tol, dense_output=True)
+    dense = ref.sol.interpolants
+    assert len(steps) == len(dense) > 100
+    for k, name in enumerate(("t_old", "h", "y_old", "Q")):
+        assert np.array_equal([step[k] for step in steps], [getattr(d, name) for d in dense])
+
+
+def test_zero_horizon_gives_the_initial_row(pvtol, tictoc_chart, tictoc_gains):
+    q0 = np.array([0.1, -0.5, 0.0])
+    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3), horizon=0.0)
+    assert res.t.tolist() == [0.0]
+    assert np.array_equal(res.q, [q0]) and np.array_equal(res.qdot, [np.zeros(3)])
+    assert res.u.shape == (1, 2) and res.rho.shape == (1, 5)
+    assert res.metadata["rhs_evals"] == res.metadata["integrator_steps"] == 0
 
 
 def test_spent_budget_and_short_run_raise(monkeypatch, tmp_path, pvtol, tictoc_chart,
@@ -239,13 +286,15 @@ def test_spent_budget_and_short_run_raise(monkeypatch, tmp_path, pvtol, tictoc_c
 
 def test_closed_loop_keeps_the_model_checks(monkeypatch, pvtol, tictoc_chart):
     q0, qd0 = np.array([0.1, -0.5, 0.0]), np.zeros(3)
-    # Infinite gravity: the first stage is finite, its acceleration is not, so
-    # the second stage state is not finite.
-    unbounded = MechanicalSystem(n=3, mass_matrix=pvtol.mass_matrix, coriolis=pvtol.coriolis,
-                                 gravity=lambda q: np.array([0.0, np.inf, 0.0]),
-                                 input_map=pvtol.input_map, name="unbounded")
-    with pytest.raises(vp.ModelInvariantError, match="finite"):
-        vp.run_closed_loop(unbounded, tictoc_chart, None, q0, qd0)
+    # Infinite or NaN gravity: the first stage is finite, its acceleration is
+    # not, so the second stage state is not finite.
+    for g in (np.inf, np.nan):
+        unbounded = MechanicalSystem(n=3, mass_matrix=pvtol.mass_matrix,
+                                     coriolis=pvtol.coriolis,
+                                     gravity=lambda q, g=g: np.array([0.0, g, 0.0]),
+                                     input_map=pvtol.input_map, name="unbounded")
+        with pytest.raises(vp.ModelInvariantError, match="finite"):
+            vp.run_closed_loop(unbounded, tictoc_chart, None, q0, qd0)
     with pytest.raises(vp.ModelInvariantError, match="shape"):
         vp.run_closed_loop(pvtol, tictoc_chart, None, q0[:2], qd0)
     # A mass matrix with a NaN entry: the model error, not a LAPACK warning.

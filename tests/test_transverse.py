@@ -49,6 +49,25 @@ def test_periodic_matrix_spline_wraps():
         assert np.abs(value - scipy_spline(vp.wrap_angle(t))).max() < 1e-13
 
 
+@pytest.mark.parametrize("which", ["k_of", "a_of", "b_of", "time_of_phase", "orbit_table"])
+def test_one_time_equals_its_row_of_an_array_of_times(which, tictoc_ltv, tictoc_gains,
+                                                       family_pack):
+    # Every value shape the package builds: K (2, 5), A (5, 5), B (5, 2), the
+    # family chart's scalar phase-to-time map and the orbit's 4-column quartic
+    # table. A float takes the scalar branch, an array the array branch; they
+    # agree bit for bit at every knot and across the wrap.
+    spline = {"k_of": tictoc_gains.k_of, "a_of": tictoc_ltv.a_of, "b_of": tictoc_ltv.b_of,
+              "time_of_phase": family_pack["chart"]._time_of_phase,
+              "orbit_table": family_pack["per"].table}[which]
+    x = spline.breaks
+    span = x[-1] - x[0]
+    times = np.concatenate([x, x + span, x - span,
+                            [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]])
+    for t, row in zip(times, spline(times)):
+        value = spline(float(t))
+        assert value.shape == row.shape and value.tobytes() == row.tobytes()
+
+
 @pytest.mark.parametrize("n_grid", [1, 2, 3, 4, 48, 512])
 def test_cubic_coefficients_equal_scipy(n_grid):
     # The periodic spline's values against scipy's to rounding, for every
