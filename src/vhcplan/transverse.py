@@ -54,7 +54,7 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
     turns values and slopes into the cubics that the parent class evaluates,
     for one tau or an array of them. Values agree with scipy's periodic
     `CubicSpline` to rounding (tests bound the gap by 1e-13 of max|y|).
-    Raises ValueError for taus that are not such a grid.
+    Raises ValueError for taus that are not such a grid or a non-finite sample.
     """
 
     def __init__(self, taus: Array, values: Array):
@@ -63,6 +63,8 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
         h = TWO_PI / n
         if np.abs(taus - (taus[0] + h * np.arange(n))).max() > 1e-12 * max(1.0, abs(taus[0])):
             raise ValueError("taus must be n uniform knots over one period 2 pi")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("spline samples must be finite")
         eig = 4.0 + 2.0 * np.cos(TWO_PI * np.arange(n // 2 + 1) / n)
         rhs = (3.0 / h) * (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0))
         s = np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig.reshape((-1,) + (1,) * (y.ndim - 1)),
@@ -291,8 +293,9 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     w at rho = 0, w = 0, by `central_derivative` (1 + 4 (n_rho + n_w) points
     per grid node); the stencils of LINEARIZE_BLOCK nodes go through the
     chart, the model and the chart Jacobian as one batch. The chart/trajectory
-    pair is validated first (on-orbit states must map to rho ~ 0) and the
-    on-orbit vector field f(0, tau, 0) must vanish to 1e-9 at every grid node.
+    pair is validated first (on-orbit states must map to rho ~ 0), A and B
+    must be finite, and the on-orbit vector field f(0, tau, 0) must vanish to
+    1e-9 at every grid node.
     """
     q, qd = traj.state_at(traj.t0 + traj.period * np.arange(8) / 8.0)
     _, rho = chart.forward(q, qd)
@@ -316,58 +319,22 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     taus = -math.pi + TWO_PI * np.arange(n_grid) / n_grid
     blocks = [central_derivative(functools.partial(transverse_field, taus[i:i + LINEARIZE_BLOCK]),
                                  np.zeros(n_rho + n_w)) for i in range(0, n_grid, LINEARIZE_BLOCK)]
-    f0_max = max(float(np.max(np.abs(f0))) for f0, _ in blocks)
+    f0 = np.concatenate([block_f0 for block_f0, _ in blocks])
+    jac = np.concatenate([block_jac for _, block_jac in blocks])
+    bad = np.flatnonzero(~(np.isfinite(f0).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))))
+    if bad.size:
+        raise ConvergenceError(f"linearization is not finite at tau = {taus[bad[0]]:.6f}")
+    f0_max = float(np.max(np.abs(f0)))
     if f0_max > 1e-9:
         raise ConditionCheckError(f"on-orbit transverse field does not vanish: {f0_max:.3e}")
-    jac = np.concatenate([block_jac for _, block_jac in blocks])
     return LtvModel(taus=taus, A=jac[:, :, :n_rho], B=jac[:, :, n_rho:], f0_max=f0_max)
 
 
-# Longest Magnus step: at 2 pi/1024 the tic-toc P(0) is 5e-9 (relative) off the
-# spline's exact flow, 3e-10 at half the step, while the 512-knot spline itself
-# moves P(0) by 7e-8 against a 1024-knot one.
-MAGNUS_STEP = TWO_PI / 1024
-MAGNUS_BLOCK = 128              # Magnus steps per batched `_expm` call
-_GAUSS = math.sqrt(3.0) / 6.0   # Gauss-Legendre nodes sit at 1/2 -+ _GAUSS of a step
-_TAYLOR_MAX_DEGREE = 12         # highest degree of `_expm`; above 1-norm 0.34 it halves first
-
-
-def _taylor_degree(norm: float) -> int | None:
-    """Smallest Taylor degree m <= _TAYLOR_MAX_DEGREE whose remainder bound at 1-norm
-    `norm`, norm^(m+1)/(m+1)! / (1 - norm/(m+2)), is at most 2^-53, or None."""
-    term = norm                                  # norm^(m+1)/(m+1)! for m = 0
-    for m in range(1, _TAYLOR_MAX_DEGREE + 1):
-        term *= norm / (m + 1)
-        if norm < m + 2 and term <= 2.0 ** -53 * (1.0 - norm / (m + 2)):
-            return m
-    return None
-
-
-def _expm(a: Array) -> Array:
-    """exp of every matrix of a (k, d, d) stack by one truncated Taylor series.
-
-    One 1-norm bounds the whole stack and fixes the degree by `_taylor_degree`;
-    where no degree is accurate the stack is halved s times and the result
-    squared s times. The polynomial runs as batched Horner matmuls, so a stack
-    costs a few matmuls instead of one scaling-and-squaring per matrix (Moler &
-    Van Loan, SIAM Rev. 2003).
-    """
-    norm = float(np.abs(a).sum(axis=-2).max())
-    if not math.isfinite(norm):
-        raise ConvergenceError("matrix exponential of a non-finite exponent")
-    s = 0
-    while (m := _taylor_degree(math.ldexp(norm, -s))) is None:
-        s += 1
-    a = a * math.ldexp(1.0, -s)
-    eye = np.eye(a.shape[-1])
-    r = eye + a / m
-    for j in range(m - 1, 0, -1):
-        r = eye + (a @ r) / j
-    # Squaring a huge exponent overflows; the caller's finiteness gate decides.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            r = r @ r
-    return r
+# Longest step of the interval maps: at 2 pi/1024 the tic-toc P(0) is 2.9e-9
+# (relative) off the spline's exact flow, 1.8e-10 at half the step, while the
+# 512-knot spline itself moves P(0) by 7e-8 against a 1024-knot one.
+INTERVAL_STEP = TWO_PI / 1024
+INTERVAL_BLOCK = 128            # steps per batched evaluation of the coefficient
 
 
 def _ordered_product(maps: Array) -> Array:
@@ -382,21 +349,28 @@ def _interval_maps(coefficient: Callable[[Array], Array], t0: float, n_intervals
     """Transition maps of Phi' = M(s) Phi across n equal intervals of one period from t0.
 
     `coefficient` gives M at an array of phases. An interval takes the fewest
-    equal steps h <= MAGNUS_STEP, each the fourth-order Magnus map
-    exp(h/2 (M1 + M2) + sqrt(3)/12 h^2 [M2, M1]) of M at the step's Gauss
-    points (Blanes, Casas, Oteo & Ros, Phys. Rep. 2009). The exponents of
-    MAGNUS_BLOCK steps go through one batched Taylor exponential `_expm`.
+    equal steps h <= INTERVAL_STEP, each the classical Runge-Kutta map of the
+    linear system, I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = M0,
+    K2 = Mh (I + h/2 K1), K3 = Mh (I + h/2 K2) and K4 = M1 (I + h K3) from M
+    at the step's start, middle and end. M is evaluated for INTERVAL_BLOCK
+    steps at a time.
     """
-    sub = math.ceil(round(TWO_PI / (n_intervals * MAGNUS_STEP), 9))
+    sub = math.ceil(round(TWO_PI / (n_intervals * INTERVAL_STEP), 9))
     h = TWO_PI / (n_intervals * sub)
-    per_block = max(1, MAGNUS_BLOCK // sub)
+    per_block = max(1, INTERVAL_BLOCK // sub)
     maps = []
-    for start in range(0, n_intervals, per_block):
-        k = min(per_block, n_intervals - start)
-        mid = t0 + h * (start * sub + np.arange(k * sub) + 0.5)
-        M1, M2 = coefficient(mid - _GAUSS * h), coefficient(mid + _GAUSS * h)
-        omega = 0.5 * h * (M1 + M2) + 0.5 * _GAUSS * h * h * (M2 @ M1 - M1 @ M2)
-        maps.append(_ordered_product(_expm(omega).reshape(k, sub, *omega.shape[1:])))
+    # An overflow leaves inf or nan behind, which the finiteness gate reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_intervals, per_block):
+            k = min(per_block, n_intervals - start)
+            steps = start * sub + np.arange(k * sub + 1)
+            M = coefficient(t0 + h * steps)
+            M0, M1, Mh = M[:-1], M[1:], coefficient(t0 + h * (steps[:-1] + 0.5))
+            K2 = Mh + 0.5 * h * (Mh @ M0)
+            K3 = Mh + 0.5 * h * (Mh @ K2)
+            K4 = M1 + h * (M1 @ K3)
+            step_maps = np.eye(M.shape[-1]) + (h / 6.0) * (M0 + 2.0 * (K2 + K3) + K4)
+            maps.append(_ordered_product(step_maps.reshape(k, sub, *M.shape[1:])))
     maps = np.concatenate(maps)
     if not np.all(np.isfinite(maps)):
         raise ConvergenceError("interval maps of the periodic linear system are not finite")
@@ -501,12 +475,14 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     Nicolao 1991). A sweep carries the graph P backward through the inverted
     interval maps, where it attracts: [X; Y] = map^{-1} [I; P(next node)]
     gives P at each node of the uniform grid. At most `max_sweeps` sweeps run
-    until P(0) comes back within RICCATI_GAP_RTOL. R must be symmetric
-    positive definite.
+    until P(0) comes back within RICCATI_GAP_RTOL. Q must be a finite
+    symmetric matrix and R a symmetric positive definite one.
     """
     n, m = model.B.shape[1:]
     Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)
     R = np.eye(m) if R is None else np.asarray(R, dtype=float)
+    if Q.shape != (n, n) or not (np.all(np.isfinite(Q)) and np.array_equal(Q, Q.T)):
+        raise DomainError(f"Q must be a finite symmetric {n}x{n} matrix")
     if R.shape != (m, m) or not (np.array_equal(R, R.T) and np.all(np.linalg.eigvalsh(R) > 0.0)):
         raise DomainError(f"R must be a symmetric positive definite {m}x{m} matrix")
     Rinv = np.linalg.inv(R)

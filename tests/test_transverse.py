@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.linalg import expm, schur, solve_continuous_lyapunov
+from scipy.linalg import schur, solve_continuous_lyapunov
 
 import vhcplan as vp
 import vhcplan.numdiff
@@ -105,6 +106,16 @@ def test_periodic_spline_slopes_solve_the_circulant_system():
 def test_periodic_spline_rejects_nonuniform_taus(taus):
     with pytest.raises(ValueError, match="uniform"):
         vp.PeriodicMatrixSpline(taus, np.ones((len(taus), 2)))
+
+
+def test_periodic_spline_rejects_a_non_finite_sample(tictoc_ltv):
+    for bad in (math.nan, math.inf):
+        A = tictoc_ltv.A.copy()
+        A[7, 1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                dataclasses.replace(tictoc_ltv, A=A)
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +336,20 @@ def test_linearize_rejects_mismatched_chart(pvtol, family_pack, tictoc_trajector
         vp.linearize(family_pack["chart"], pvtol, tictoc_trajectory, n_grid=8)
 
 
+def test_linearize_rejects_a_non_finite_jacobian(pvtol, tictoc_chart, tictoc_trajectory):
+    # NaN in one stencil row of the second node (29 rows a node) leaves
+    # f(0, tau, 0) finite and small but a column of A at that node NaN.
+    def accel(q, qd, u):
+        qdd = pvtol.accel(q, qd, u)
+        if np.ndim(qdd) == 2 and len(qdd) > 40:
+            qdd[40] = math.nan
+        return qdd
+
+    broken = dataclasses.replace(pvtol, accel=accel)
+    with pytest.raises(vp.ConvergenceError, match=r"not finite at tau = -2\.356194"):
+        vp.linearize(tictoc_chart, broken, tictoc_trajectory, n_grid=8)
+
+
 def test_gramian_symmetric_positive_definite(tictoc_gramian):
     W = tictoc_gramian
     assert np.abs(W - W.T).max() < 1e-10
@@ -437,16 +462,28 @@ def test_periodic_lqr_rejects_a_multiplier_on_the_unit_circle():
 
 
 def test_periodic_lqr_rejects_an_overflowing_weight(tictoc_ltv):
-    # The squaring in `_expm` overflows on the Hamiltonian's huge exponents;
-    # the interval maps' finiteness gate raises, not a floating-point warning.
-    with pytest.raises(vp.ConvergenceError, match="not finite"):
-        vp.periodic_lqr(tictoc_ltv, Q=1e300 * np.eye(5))
+    # A huge weight, or a huge model in the other period integrals, overflows
+    # the Runge-Kutta products of the interval maps; their finiteness gate
+    # raises, not a floating-point warning.
+    cases = [lambda: vp.periodic_lqr(tictoc_ltv, Q=1e300 * np.eye(5)),
+             lambda: vp.gramian(dataclasses.replace(tictoc_ltv, B=1e200 * tictoc_ltv.B)),
+             lambda: vp.monodromy(dataclasses.replace(tictoc_ltv, A=1e300 * tictoc_ltv.A))]
+    for period_integral in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(vp.ConvergenceError, match="not finite"):
+                period_integral()
 
 
-@pytest.mark.parametrize("R", [np.zeros((2, 2)), -np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
-def test_periodic_lqr_rejects_r_that_is_not_spd(tictoc_ltv, R):
-    with pytest.raises(vp.DomainError):
-        vp.periodic_lqr(tictoc_ltv, R=R)
+@pytest.mark.parametrize("weight", [
+    {"R": np.zeros((2, 2))}, {"R": -np.eye(2)}, {"R": np.array([[1.0, 0.5], [0.0, 1.0]])},
+    {"Q": np.eye(3)}, {"Q": np.triu(np.ones((5, 5)))}, {"Q": np.full((5, 5), np.nan)},
+], ids=["R0", "R1", "R2", "Q0", "Q1", "Q2"])
+def test_periodic_lqr_rejects_r_that_is_not_spd(tictoc_ltv, weight):
+    # R must be symmetric positive definite, and Q finite and symmetric, each
+    # of the model's size.
+    with pytest.raises(vp.DomainError, match=f"{next(iter(weight))} must be"):
+        vp.periodic_lqr(tictoc_ltv, **weight)
 
 
 def test_riccati_residual_on_grid(tictoc_ltv, tictoc_gains):
@@ -506,7 +543,7 @@ def test_family_gramian_nonsingular(family_pack):
     assert np.linalg.eigvalsh(W).min() > 1e-6
 
 
-# -- the Magnus interval maps against an independent RK45 oracle --------------
+# -- the Runge-Kutta interval maps against an independent RK45 oracle ---------
 
 
 def _rk45_period_map(coefficient, t0, n):
@@ -582,8 +619,8 @@ def test_interval_maps_fourth_order(tictoc_ltv, monkeypatch):
     # fourth-order method cuts it 16-fold.
     reference = _rk45_riccati_p0(tictoc_ltv)
     errors = []
-    for step in (vp.transverse.MAGNUS_STEP, 0.5 * vp.transverse.MAGNUS_STEP):
-        monkeypatch.setattr(vp.transverse, "MAGNUS_STEP", step)
+    for step in (vp.transverse.INTERVAL_STEP, 0.5 * vp.transverse.INTERVAL_STEP):
+        monkeypatch.setattr(vp.transverse, "INTERVAL_STEP", step)
         errors.append(_relative(vp.periodic_lqr(tictoc_ltv).P[0], reference))
     assert errors[1] * 8.0 <= errors[0]
 
@@ -597,32 +634,7 @@ def test_monodromy_off_knot_start(orbit_reference):
     assert np.abs(np.sort(np.abs(eig_knot)) - np.sort(np.abs(eig_off))).max() < 1e-8
 
 
-# -- the batched Taylor exponential and the graph-form Riccati sweep ----------
-
-
-def test_expm_matches_scipy_per_matrix():
-    # The 1-norms reach degrees 4, 8 and 11 and, from 0.9 on, the halving and
-    # squaring branch. At 1-norm 50 scipy's own expm can be 8e-13 off a
-    # 40-digit reference on 5 x 5 Gaussian matrices, so the bound there is 1e-12.
-    rng = np.random.default_rng(11)
-    norms = (1e-3, 0.05, 0.2, 0.9, 5.0, 50.0)
-    assert [vp.transverse._taylor_degree(t) for t in norms] == [4, 8, 11, None, None, None]
-    for d in (5, 10):
-        base = rng.standard_normal((8, d, d))
-        for norm in norms:
-            a = base * (norm / np.abs(base).sum(axis=-2).max())
-            tol = 1e-13 if norm <= 5.0 else 1e-12
-            for got, x in zip(vp.transverse._expm(a), a):
-                assert _relative(got, expm(x)) < tol
-
-
-def test_expm_zero_and_non_finite():
-    assert np.array_equal(vp.transverse._expm(np.zeros((3, 4, 4))), np.tile(np.eye(4), (3, 1, 1)))
-    for bad in (math.nan, math.inf):
-        a = np.full((4, 5, 5), 0.01)
-        a[2, 1, 3] = bad
-        with pytest.raises(vp.ConvergenceError):
-            vp.transverse._expm(a)
+# -- the graph-form Riccati sweep ----------------------------------------------
 
 
 def test_riccati_graph_matches_period_map_from_each_node(orbit_reference):
