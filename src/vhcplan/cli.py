@@ -4,11 +4,14 @@ Every command reads an optional JSON config (defaults below), applies dotted
 `--set key=value` overrides, and writes its artifacts into `--out`:
 
   plan       trajectory.csv, report.json
-  certify    certificate.json, accessibility.csv (family: plan artifacts too)
-  stabilize  plan artifacts + ltv.csv, gains.csv, spectra.json
+  certify    certificate.json, accessibility.csv (family: report.json too)
+  stabilize  report.json, ltv.csv, gains.csv, spectra.json
   simulate   stabilize artifacts + simulation.csv
   sweep      psi_<value>/ sub-runs (stabilize each) + sweep_summary.json;
              two angles with one psi_<value> name are a usage error
+
+Only `plan` writes the orbit table: `plan --config <run>/config.resolved.json`
+rebuilds any run's trajectory.csv byte for byte.
 
 The stages only compute and write their own tables; one runner, `_run`, writes
 the run files of `main` and of every sweep sub-run: config.resolved.json,
@@ -185,11 +188,11 @@ def _load_config(args) -> dict:
     return cfg
 
 
-# -- pipeline stages: each fills the run context and writes its own tables ----
+# -- pipeline stages: each fills the run context; _stabilize writes its tables -
 
 
-def _plan(cfg: dict, out: Path, ctx: dict) -> None:
-    """Plan the orbit into ctx (sys, params, traj, report_json); writes trajectory.csv."""
+def _plan(cfg: dict, ctx: dict) -> None:
+    """Plan the orbit into ctx (sys, params, traj, report_json); writes no table."""
     sys_ = pvtol_model()
     vcfg = cfg["vhc"]
     kind = vcfg["kind"]
@@ -230,12 +233,6 @@ def _plan(cfg: dict, out: Path, ctx: dict) -> None:
                                     (1.0, cfg["boundary"]["theta2"])))
     sol = make_periodic(solve_boundary(model, report, th1, 0.0, th2, 0.0))
     traj = lift(vhc, sol, sys_)
-
-    th, dth, _ = traj.scalar.eval(traj.t)
-    write_csv(out / "trajectory.csv",
-              ["t", "theta", "thetadot", "x", "z", "psi",
-               "xdot", "zdot", "psidot", "u1", "u2"],
-              np.column_stack([traj.t, th, dth, traj.q, traj.qdot, traj.u]))
 
     report_json.update({
         "singular_acceleration": sol.a_s,
@@ -302,12 +299,22 @@ def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
 # -- commands: each runs its stages on one context; `_run` writes the run files
 
 
+def _cmd_plan(cfg: dict, out: Path, ctx: dict) -> None:
+    _plan(cfg, ctx)
+    traj = ctx["traj"]
+    th, dth, _ = traj.scalar.eval(traj.t)
+    write_csv(out / "trajectory.csv",
+              ["t", "theta", "thetadot", "x", "z", "psi",
+               "xdot", "zdot", "psidot", "u1", "u2"],
+              np.column_stack([traj.t, th, dth, traj.q, traj.qdot, traj.u]))
+
+
 def _cmd_certify(cfg: dict, out: Path, ctx: dict) -> None:
     sys_ = pvtol_model()
     if cfg["vhc"]["kind"] == "tictoc":
         orbit = tic_toc_orbit()
     else:
-        _plan(cfg, out, ctx)
+        _plan(cfg, ctx)
         orbit = ctx["traj"]
     cert = certify_no_regular_vhc(sys_, orbit)
     write_json(out / "certificate.json", cert.to_json_dict())
@@ -322,12 +329,12 @@ def _cmd_certify(cfg: dict, out: Path, ctx: dict) -> None:
 
 
 def _cmd_stabilize(cfg: dict, out: Path, ctx: dict) -> None:
-    _plan(cfg, out, ctx)
+    _plan(cfg, ctx)
     _stabilize(cfg, out, ctx)
 
 
 def _cmd_simulate(cfg: dict, out: Path, ctx: dict) -> None:
-    _plan(cfg, out, ctx)
+    _plan(cfg, ctx)
     mcfg = cfg["simulate"]
     horizon = float(mcfg["periods"]) * ctx["traj"].period
     output_steps(float(mcfg["dt"]), horizon)   # a bad output grid fails before stabilizing
@@ -384,7 +391,7 @@ def _cmd_sweep(cfg: dict, out: Path, ctx: dict) -> None:
 
 
 _COMMANDS = {
-    "plan": _plan,
+    "plan": _cmd_plan,
     "certify": _cmd_certify,
     "stabilize": _cmd_stabilize,
     "simulate": _cmd_simulate,

@@ -35,13 +35,13 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.ndarray, np.generic)):
         return _jsonable(obj.tolist())
-    if isinstance(obj, float):
-        return "nan" if math.isnan(obj) else obj
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)   # "nan", "inf" or "-inf": strict JSON has no non-finite number
     return obj
 
 
 def write_json(path: Path, payload: dict) -> None:
     path = Path(path)
     with path.open("w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

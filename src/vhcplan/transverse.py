@@ -537,8 +537,10 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
 def monodromy(model: LtvModel, gains: GainSchedule | None = None, t0: float = 0.0):
     """Period map of the (closed-loop) transverse linearization from phase t0.
 
-    Returns (F, eigenvalues); gains=None gives the open-loop map.
+    Returns (F, eigenvalues); gains=None gives the open-loop map. t0 must be finite.
     """
+    if not math.isfinite(t0):
+        raise DomainError(f"monodromy start phase t0 must be finite, got {t0!r}")
 
     def closed_loop(s):
         A = model.a_of(s)

@@ -54,6 +54,22 @@ def test_write_csv_matches_csv_module(tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def test_write_json_writes_strict_json(tmp_path):
+    # Non-finite floats become strings, so a strict reader (one that refuses
+    # the NaN and Infinity tokens) reads every file write_json writes.
+    from vhcplan.io_utils import write_json
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = {"a": math.inf, "b": [-math.inf, math.nan, np.float64(-math.inf)],
+               "c": {"d": np.array([1.5, math.inf])}, "e": 0.1}
+    write_json(tmp_path / "x.json", payload)
+    loaded = json.loads((tmp_path / "x.json").read_text(), parse_constant=refuse)
+    assert loaded == {"a": "inf", "b": ["-inf", "nan", "-inf"],
+                      "c": {"d": [1.5, "inf"]}, "e": 0.1}
+
+
 def test_plan_artifacts(tmp_path):
     out = tmp_path / "plan"
     proc = run_cli("plan", "--out", str(out))
@@ -224,8 +240,8 @@ def test_stabilize_artifacts(tmp_path):
     assert spectra["gramian_gate_margin"] > 1.0
     assert spectra["gramian_eigenvalue_ratio"] == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
     assert spectra["riccati_multiplier_gap"] < 1e-6
-    # stabilize keeps the upstream planning artifacts alongside its own
-    assert (out / "trajectory.csv").is_file()
+    # stabilize writes the plan's report but not its orbit table: only plan does.
+    assert not (out / "trajectory.csv").exists()
     assert (out / "report.json").is_file()
 
 
@@ -245,16 +261,34 @@ def test_simulate_artifacts(tmp_path):
     # Fewer right-hand sides than the 4 per row interval RK4 spent.
     assert {"rhs_evals", "integrator_steps", "tol"} <= report["simulation"].keys()
     assert report["simulation"]["rhs_evals"] < 4 * (len(rows) - 2)
+    assert not (out / "trajectory.csv").exists()
 
 
-def test_family_certify_writes_plan_artifacts(tmp_path):
-    # certify plans a family orbit first, and keeps the plan's artifacts.
+def test_family_certify_writes_report_not_orbit(tmp_path):
+    # certify plans a family orbit first and keeps its report; the orbit table
+    # is plan's alone.
     out = tmp_path / "fam_cert"
     assert main(["certify", "--out", str(out), "--set", "vhc.kind=family"]) == 0
-    for name in ("certificate.json", "accessibility.csv", "trajectory.csv", "report.json"):
+    for name in ("certificate.json", "accessibility.csv", "report.json"):
         assert (out / name).is_file(), name
+    assert not (out / "trajectory.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["check"]["overall"] is True and "family_parameters" in report
+
+
+@pytest.mark.parametrize("kind", ["tictoc", "family"])
+def test_resolved_config_rebuilds_the_orbit(tmp_path, kind):
+    # A stabilize run writes no orbit table; plan on its resolved config
+    # rebuilds the one a plain plan run with the same overrides writes.
+    overrides = ["--set", f"vhc.kind={kind}", *FAST_STABILIZE]
+    stab, rebuilt, plain = tmp_path / "stab", tmp_path / "rebuilt", tmp_path / "plain"
+    assert main(["stabilize", "--out", str(stab), *overrides]) == 0
+    assert not (stab / "trajectory.csv").exists()
+    assert main(["plan", "--config", str(stab / "config.resolved.json"),
+                 "--out", str(rebuilt)]) == 0
+    assert main(["plan", "--out", str(plain), *overrides]) == 0
+    for name in ("trajectory.csv", "report.json"):
+        assert (rebuilt / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("n_grid", [1, 2, 3])
@@ -314,6 +348,7 @@ def test_sweep(tmp_path):
     for sub in out.glob("psi_*"):
         meta = json.loads((sub / "metadata.json").read_text())
         assert meta["command"] == "stabilize" and meta["exit_code"] == 0
+        assert not (sub / "trajectory.csv").exists()
 
 
 @pytest.fixture(scope="module")

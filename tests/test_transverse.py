@@ -521,6 +521,16 @@ def test_monodromy_start_point_invariance(tictoc_ltv, tictoc_gains):
     assert np.abs(np.sort(np.abs(eig_a)) - np.sort(np.abs(eig_b))).max() < 1e-6
 
 
+def test_monodromy_rejects_a_non_finite_start(tictoc_ltv, tictoc_gains):
+    # The argument is at fault, not the period integral: a DomainError naming
+    # t0, raised before the interval maps run.
+    for bad in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(vp.DomainError, match="t0"):
+                vp.monodromy(tictoc_ltv, tictoc_gains, t0=bad)
+
+
 def test_monodromy_cocycle(tictoc_ltv, tictoc_gains):
     # Phi(0 -> 2pi) = Phi(pi -> 2pi) Phi(0 -> pi) for the closed-loop flow.
     def rhs(s, y):
