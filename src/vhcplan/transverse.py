@@ -99,9 +99,11 @@ class FamilyChart:
     loop calls `forward` at every stage, with the point as two lists, and
     gets rho as a list). `invert_guess` is the exact inverse
     of `forward` inside the tube of radius `tube_radius` in rho, and
-    `chart_invert` only checks its residual. Raises ConditionCheckError for a
-    constraint without a read-back, or a phase that does not wind once,
-    monotonically, along the orbit.
+    `chart_invert` only checks its residual. One lookup of r* serves each
+    point: `invert_guess` looks it up once per distinct phase of a batch,
+    and `forward_jacobian` gives `forward` and `jacobian` from one lookup.
+    Raises ConditionCheckError for a constraint without a read-back, or a
+    phase that does not wind once, monotonically, along the orbit.
     """
 
     tube_radius = 1.0
@@ -143,6 +145,11 @@ class FamilyChart:
         r, taudot, rdot = self._phase_rates(*self.traj.scalar.eval(self._time_of_phase(tau)))
         return r, rdot / taudot
 
+    def _orbit_radius(self, tau):
+        """r*(tau), looked up once per distinct phase: the stencil points of a node share one."""
+        taus, where = np.unique(tau, return_inverse=True)
+        return self._orbit_radial(taus)[0][where]
+
     def _on_curve(self, theta, curve, derivative):
         """`math` for Python floats of one point, else numpy (whose arctan2 and hypot
         can differ from `math`'s in the last bit), and two curves' values by coordinate."""
@@ -171,6 +178,11 @@ class FamilyChart:
         return tau, rho if as_list else np.array(rho).T
 
     def jacobian(self, q: Array, qd: Array) -> Array:
+        return self.forward_jacobian(q, qd)[2]
+
+    def forward_jacobian(self, q: Array, qd: Array):
+        """`forward` and `jacobian` of arrays from one orbit lookup. Its rho repeats
+        `forward`'s arithmetic: `forward` keeps its own body for the closed loop's stages."""
         n = q.shape[-1]
         i, c, k = self.vhc.readback
         th, dth = (q.T[i] - c) / k, qd.T[i] / k
@@ -179,22 +191,29 @@ class FamilyChart:
         if np.any(D == 0.0):
             raise OutsideTubeError("chart differential undefined at the reduced-plane origin")
         r = np.sqrt(D)
-        _, dr_star = self._orbit_radial(wrap_angle(np.arctan2(p, v)))
-        _, dphi, ddphi = self._on_curve(th, self.vhc.dphi, self.vhc.ddphi)
+        # J before the smaller arrays below: the other order raised the peak RSS.
+        J = np.zeros(np.shape(th) + (2 * n, 2 * n))
+        tau = wrap_angle(np.arctan2(p, v))
+        r_star, dr_star = self._orbit_radial(tau)
+        phi, dphi, ddphi = (np.asarray(f(th)).T for f in (self.vhc.phi, self.vhc.dphi,
+                                                          self.vhc.ddphi))
         cp = 1.0 / (k * self.theta_scale)                 # dp/dq[i]
         cv = 1.0 / (k * self.omega * self.theta_scale)   # dv/dqd[i]
-        J = np.zeros(np.shape(th) + (2 * n, 2 * n))
+        rho = np.empty(np.shape(th) + (2 * n - 1,))
         J[..., 0, i] = (v / D) * cp
         J[..., 0, n + i] = -(p / D) * cv
         for row, j in enumerate(_other_coordinates(n, i), start=1):
+            rho[..., row - 1] = q[..., j] - phi[j]
+            rho[..., row + n - 2] = qd[..., j] - dphi[j] * dth
             J[..., row, j] = 1.0
             J[..., row, i] = -dphi[j] / k
             J[..., row + n - 1, i] = -ddphi[j] * dth / k
             J[..., row + n - 1, n + j] = 1.0
             J[..., row + n - 1, n + i] = -dphi[j] / k
+        rho[..., -1] = np.hypot(p, v) - r_star
         J[..., -1, i] = (p / r) * cp - dr_star * (v / D) * cp
         J[..., -1, n + i] = (v / r) * cv + dr_star * (p / D) * cv
-        return J
+        return tau, rho, J
 
     def reference_input(self, tau) -> Array:
         return self.traj.full_state_at(self._time_of_phase(tau))[3]
@@ -203,7 +222,7 @@ class FamilyChart:
         rho = rho.T
         n = (len(rho) + 1) // 2
         i, c, k = self.vhc.readback
-        r = self._orbit_radial(tau)[0] + rho[-1]
+        r = self._orbit_radius(tau) + rho[-1]
         p, v = r * np.sin(tau), r * np.cos(tau)
         th, dth = self.theta_scale * p, self.omega * self.theta_scale * v
         _, phi, dphi = self._on_curve(th, self.vhc.phi, self.vhc.dphi)
@@ -228,6 +247,9 @@ class TicTocChart(FamilyChart):
     def _orbit_radial(self, tau):
         return 1.0, 0.0
 
+    def _orbit_radius(self, tau):
+        return 1.0
+
     def reference_input(self, tau) -> Array:
         return tic_toc_input(tau)
 
@@ -245,18 +267,24 @@ def chart_invert(chart, tau, rho: Array):
     OutsideTubeError if any rho leaves the tube or any point's forward-map
     residual is not below CHART_INVERT_TOL.
     """
+    return _checked_inverse(chart, tau, rho, chart.forward)
+
+
+def _checked_inverse(chart, tau, rho: Array, forward):
+    """`chart_invert` with `forward(q, qd)` as its forward map: (q, qd), then any
+    values `forward` returns after (tau, rho)."""
     rho = np.asarray(rho, dtype=float)
     if np.any(np.linalg.norm(rho, axis=-1) > chart.tube_radius):
         raise OutsideTubeError(f"requested rho leaves the chart tube (radius {chart.tube_radius})")
     tau = wrap_angle(np.broadcast_to(np.asarray(tau, dtype=float), rho.shape[:-1]))
     q, qd = chart.invert_guess(tau, rho)
-    tau_b, rho_b = chart.forward(q, qd)
+    tau_b, rho_b, *more = forward(q, qd)
     residual = max(float(np.max(np.abs(wrap_angle(tau_b - tau)))),
                    float(np.max(np.abs(rho_b - rho))))
     if not residual < CHART_INVERT_TOL:
         raise OutsideTubeError(f"chart inverse misses its coordinates by {residual:.3e} "
                                f"(tolerance {CHART_INVERT_TOL:.1e})")
-    return q, qd
+    return (q, qd, *more)
 
 
 @dataclass
@@ -279,6 +307,12 @@ class LtvModel:
         self.b_of = PeriodicMatrixSpline(self.taus, self.B)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise DomainError unless value is a positive integer (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+
+
 # Grid nodes whose stencils `linearize` evaluates in one batched call: 64
 # nodes make 1,856 points, enough to amortize the per-call overhead while the
 # working arrays stay near 1 MB.
@@ -292,11 +326,14 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     A and B are the Jacobians of f(rho, tau, w) in rho and in the input offset
     w at rho = 0, w = 0, by `central_derivative` (1 + 4 (n_rho + n_w) points
     per grid node); the stencils of LINEARIZE_BLOCK nodes go through the
-    chart, the model and the chart Jacobian as one batch. The chart/trajectory
+    chart's inverse, the model and `forward_jacobian` (the forward check and
+    the chart Jacobian) as one batch, and the reference input is taken once
+    for all nodes. n_grid must be a positive integer. The chart/trajectory
     pair is validated first (on-orbit states must map to rho ~ 0), A and B
     must be finite, and the on-orbit vector field f(0, tau, 0) must vanish to
     1e-9 at every grid node.
     """
+    _check_count("n_grid", n_grid)
     q, qd = traj.state_at(traj.t0 + traj.period * np.arange(8) / 8.0)
     _, rho = chart.forward(q, qd)
     if float(np.max(np.abs(rho))) > 1e-8:
@@ -304,12 +341,14 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
 
     n_rho, n_w = 5, sys.n - 1
 
-    def transverse_field(node_tau: Array, points: Array) -> Array:   # (nodes, n_rho, points)
+    # f at the stencil `points` around each node, shape (nodes, n_rho, points).
+    def transverse_field(node_tau: Array, node_u: Array, points: Array) -> Array:
         tau = np.repeat(node_tau, len(points))
-        q, qd = chart_invert(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)))
-        u = chart.reference_input(node_tau)[:, None, :] + points[:, n_rho:]
+        q, qd, J = _checked_inverse(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)),
+                                    chart.forward_jacobian)
+        u = node_u[:, None, :] + points[:, n_rho:]
         qdd = eval_accel(sys, q, qd, u.reshape(-1, n_w))
-        rates = matvec(chart.jacobian(q, qd), np.concatenate([qd, qdd], axis=1))
+        rates = matvec(J, np.concatenate([qd, qdd], axis=1))
         taudot = rates[:, 0]
         if np.any(taudot <= 0.0):
             raise ConditionCheckError(f"phase rate is not positive at tau={tau[taudot <= 0.0][0]}")
@@ -317,7 +356,9 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
         return f.transpose(0, 2, 1)
 
     taus = -math.pi + TWO_PI * np.arange(n_grid) / n_grid
-    blocks = [central_derivative(functools.partial(transverse_field, taus[i:i + LINEARIZE_BLOCK]),
+    u_star = chart.reference_input(taus)
+    blocks = [central_derivative(functools.partial(transverse_field, taus[i:i + LINEARIZE_BLOCK],
+                                                   u_star[i:i + LINEARIZE_BLOCK]),
                                  np.zeros(n_rho + n_w)) for i in range(0, n_grid, LINEARIZE_BLOCK)]
     f0 = np.concatenate([block_f0 for block_f0, _ in blocks])
     jac = np.concatenate([block_jac for _, block_jac in blocks])
@@ -418,6 +459,8 @@ class GainSchedule:
 # A backward sweep has reached the periodic solution when max|P(0) - P(2 pi)| is
 # below this fraction of max|P(0)| (about 500 on the family orbit, 20 on the tic-toc).
 RICCATI_GAP_RTOL = 1e-8
+# Grid nodes whose graph P one batched solve gives in `periodic_lqr`.
+RICCATI_BLOCK = 64
 
 
 # Newton's iteration for the matrix sign function has converged once a step
@@ -474,10 +517,13 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     gives their subspace [X; Y], and P = Y X^{-1} (Bittanti, Colaneri & De
     Nicolao 1991). A sweep carries the graph P backward through the inverted
     interval maps, where it attracts: [X; Y] = map^{-1} [I; P(next node)]
-    gives P at each node of the uniform grid. At most `max_sweeps` sweeps run
-    until P(0) comes back within RICCATI_GAP_RTOL. Q must be a finite
-    symmetric matrix and R a symmetric positive definite one.
+    gives P at each node of the uniform grid, one batched solve for each
+    block of RICCATI_BLOCK nodes from the end of the period. At most
+    `max_sweeps` (a positive integer) sweeps run until P(0) comes back within
+    RICCATI_GAP_RTOL. Q must be a finite symmetric matrix and R a symmetric
+    positive definite one.
     """
+    _check_count("max_sweeps", max_sweeps)
     n, m = model.B.shape[1:]
     Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)
     R = np.eye(m) if R is None else np.asarray(R, dtype=float)
@@ -507,19 +553,37 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
         back = np.linalg.inv(maps)      # node i+1 -> node i
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("an interval map of the Hamiltonian system is singular") from exc
-    back_x, back_y = back[:, :, :n], back[:, :, n:]
+    # Block b carries the graph from its end node to each of its nodes i at
+    # once, by the suffix product back[i] @ ... @ back[end - 1]. Identity maps
+    # in front fill the first block, and the nodes they add are dropped.
+    pad = -taus.size % RICCATI_BLOCK
+    if pad:
+        back = np.concatenate([np.broadcast_to(np.eye(2 * n), (pad, 2 * n, 2 * n)), back])
+    carry = back.reshape(-1, RICCATI_BLOCK, 2 * n, 2 * n)
+    for block in carry:     # one block at a time keeps the temporaries small
+        span = 1
+        while span < RICCATI_BLOCK:     # a doubling scan: each product spans twice the nodes
+            block[:-span] = block[:-span] @ block[span:]
+            span *= 2
+    carry_x, carry_y = carry[..., :n], carry[..., n:]
     P_end = np.linalg.solve(Z[:n].T, Z[n:].T)
     P_end, gap = 0.5 * (P_end + P_end.T), math.inf
     for sweep in range(1, max_sweeps + 1):
-        P, P_next = np.empty((taus.size, n, n)), P_end
-        try:
-            for i in reversed(range(taus.size)):
-                V = back_x[i] + back_y[i] @ P_next
+        P, P_next = np.empty(carry_x.shape[:2] + (n, n)), P_end
+        for b in reversed(range(len(P))):
+            V = carry_x[b] + carry_y[b] @ P_next
+            XT = V[:, :n].swapaxes(1, 2)
+            try:
                 # X^{-T} Y^T = (Y X^{-1})^T, which is P: the graph is symmetric.
-                P_next = P[i] = np.linalg.solve(V[:n].T, V[n:].T)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"Riccati sweep meets a singular X at tau = {taus[i]:.6f}") \
-                from exc
+                P[b] = np.linalg.solve(XT, V[:, n:].swapaxes(1, 2))
+            except np.linalg.LinAlgError as exc:
+                # det factors each X^T as solve does, so it is 0 exactly where solve
+                # failed; the backward walk meets the last such node first.
+                i = b * RICCATI_BLOCK - pad + np.flatnonzero(np.linalg.det(XT) == 0.0)[-1]
+                raise ConvergenceError(f"Riccati sweep meets a singular X at tau = "
+                                       f"{taus[i]:.6f}") from exc
+            P_next = P[b, 0].copy()     # not a view: P's buffer goes once it is symmetrized
+        P = P.reshape(-1, n, n)[pad:]
         bad = np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))
         if bad.size:    # the backward walk left the finite numbers at the last bad node
             raise ConvergenceError(f"Riccati graph P is not finite at tau = {taus[bad[-1]]:.6f}")

@@ -49,6 +49,10 @@ def _check_chart(chart, tau, rho):
         tau_l, rho_l = chart.forward(a.tolist(), b.tolist())
         assert type(rho_l) is list and tau_l == tau_i and rho_l == rho_i.tolist()
     assert _close(chart.jacobian(q, qd), [chart.jacobian(a, b) for a, b in zip(q, qd)])
+    # `forward_jacobian` repeats forward's arithmetic on a batch, bit for bit.
+    tau_j, rho_j, J = chart.forward_jacobian(q, qd)
+    assert np.array_equal(tau_j, tau_b) and np.array_equal(rho_j, rho_b)
+    assert np.array_equal(J, chart.jacobian(q, qd))
     assert _close(chart.reference_input(tau), [chart.reference_input(t) for t in tau])
 
 

@@ -10,7 +10,7 @@ from scipy.linalg import schur, solve_continuous_lyapunov
 
 import vhcplan as vp
 import vhcplan.numdiff
-from vhcplan.numdiff import central_derivative, cubic_coefficients
+from vhcplan.numdiff import central_derivative, cubic_coefficients, matvec
 
 
 def test_wrap_angle():
@@ -350,6 +350,55 @@ def test_linearize_rejects_a_non_finite_jacobian(pvtol, tictoc_chart, tictoc_tra
         vp.linearize(tictoc_chart, broken, tictoc_trajectory, n_grid=8)
 
 
+@pytest.mark.parametrize("n_grid", [0, -4, 2.5, True, "64"])
+def test_linearize_rejects_a_grid_that_is_not_a_positive_integer(pvtol, tictoc_chart,
+                                                                 tictoc_trajectory, n_grid):
+    with pytest.raises(vp.DomainError, match="n_grid must be a positive integer"):
+        vp.linearize(tictoc_chart, pvtol, tictoc_trajectory, n_grid=n_grid)
+
+
+def _linearize_by_chart_invert(chart, sys, n_grid):
+    """A and B as `linearize` builds them, with the stencil points of each block of
+    LINEARIZE_BLOCK nodes through `chart_invert`, `reference_input` and `jacobian`."""
+    n_rho, n_w, block = 5, sys.n - 1, vp.transverse.LINEARIZE_BLOCK
+
+    def field(node_tau, points):
+        tau = np.repeat(node_tau, len(points))
+        q, qd = vp.chart_invert(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)))
+        u = chart.reference_input(node_tau)[:, None, :] + points[:, n_rho:]
+        qdd = vp.eval_accel(sys, q, qd, u.reshape(-1, n_w))
+        rates = matvec(chart.jacobian(q, qd), np.concatenate([qd, qdd], axis=1))
+        f = (rates[:, 1:] / rates[:, 0][:, None]).reshape(node_tau.size, len(points), n_rho)
+        return f.transpose(0, 2, 1)
+
+    taus = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
+    jac = np.concatenate([central_derivative(lambda points: field(taus[i:i + block], points),
+                                             np.zeros(n_rho + n_w))[1]
+                          for i in range(0, n_grid, block)])
+    return jac[:, :, :n_rho], jac[:, :, n_rho:]
+
+
+def test_family_linearize_looks_up_the_orbit_once(monkeypatch, pvtol, family_pack):
+    # The 29 stencil points of a node share one phase, so `invert_guess` looks
+    # up r* once per node; the chart's forward check and its Jacobian share one
+    # lookup per point; the chart check on the orbit takes 8 points.
+    chart = family_pack["chart"]
+    orbit_radial, looked_up = vp.FamilyChart._orbit_radial, []
+
+    def counting(self, tau):
+        looked_up.append(np.size(tau))
+        return orbit_radial(self, tau)
+
+    monkeypatch.setattr(vp.FamilyChart, "_orbit_radial", counting)
+    ltv = vp.linearize(chart, pvtol, family_pack["traj"], n_grid=64)
+    assert sum(looked_up) <= 64 * 29 + 64 + 8
+    monkeypatch.undo()
+    # Two blocks (64 + 32 nodes) at the fixture's n_grid of 96.
+    for model in (ltv, family_pack["ltv"]):
+        A, B = _linearize_by_chart_invert(chart, pvtol, model.taus.size)
+        assert np.array_equal(model.A, A) and np.array_equal(model.B, B)
+
+
 def test_gramian_symmetric_positive_definite(tictoc_gramian):
     W = tictoc_gramian
     assert np.abs(W - W.T).max() < 1e-10
@@ -656,3 +705,73 @@ def test_riccati_graph_matches_period_map_from_each_node(orbit_reference):
     for i in range(0, n_nodes, n_nodes // 4):   # tic-toc: nodes 0, 128, 256, 384
         period_map = vp.transverse._ordered_product(np.roll(maps, -i, axis=0))
         assert _relative(gains.P[i], _schur_graph(period_map)) < 1e-9
+
+
+def _node_by_node_sweep(model):
+    """P and K = -B^T P (Q = I, R = I) on the grid by one backward sweep that
+    walks the nodes one at a time: one inverted interval map and one 5 x 5
+    solve per node, from the stable-subspace graph at the first node."""
+    n = 5
+    maps = vp.transverse._interval_maps(_hamiltonian(model), float(model.taus[0]),
+                                        model.taus.size)
+    Z, _ = vp.transverse._stable_subspace(vp.transverse._ordered_product(maps))
+    back = np.linalg.inv(maps)
+    P_next = np.linalg.solve(Z[:n].T, Z[n:].T)
+    P_next = 0.5 * (P_next + P_next.T)
+    P = np.empty((model.taus.size, n, n))
+    for i in reversed(range(model.taus.size)):
+        V = back[i, :, :n] + back[i, :, n:] @ P_next
+        P_next = P[i] = np.linalg.solve(V[:n].T, V[n:].T)
+    P = 0.5 * (P + P.swapaxes(1, 2))
+    return P, -model.B.swapaxes(1, 2) @ P
+
+
+@pytest.mark.parametrize("orbit", ["tictoc", "family"])
+def test_periodic_lqr_matches_node_by_node_sweep(orbit, pvtol, tictoc_chart, tictoc_trajectory,
+                                                 family_pack):
+    chart, traj = ((tictoc_chart, tictoc_trajectory) if orbit == "tictoc"
+                   else (family_pack["chart"], family_pack["traj"]))
+    for n_grid in (64, 96, 512):     # 96: identity maps fill the first block of 64
+        ltv = vp.linearize(chart, pvtol, traj, n_grid=n_grid)
+        gains = vp.periodic_lqr(ltv)
+        assert gains.sweeps == 1
+        P, K = _node_by_node_sweep(ltv)
+        assert _relative(gains.P, P) <= 1e-13 and _relative(gains.K, K) <= 1e-13
+
+
+def _with_broken_interval_map(monkeypatch, node, rows, value):
+    """Make np.linalg.inv set the given rows of the inverse of interval map `node` to value."""
+    inv = np.linalg.inv
+
+    def broken(a):
+        out = inv(a)
+        if out.ndim == 3:
+            out[node, rows] = value
+        return out
+
+    monkeypatch.setattr(np.linalg, "inv", broken)
+
+
+@pytest.mark.parametrize("n_grid, node", [(512, 300), (512, 256), (512, 63), (96, 20)])
+def test_periodic_lqr_names_the_node_of_a_singular_x(monkeypatch, pvtol, tictoc_chart,
+                                                      tictoc_trajectory, tictoc_ltv, n_grid, node):
+    # Zero state rows of the inverted map at a node make X = 0 there; the
+    # backward sweep meets it before the nodes it reaches later.
+    ltv = (tictoc_ltv if n_grid == 512
+           else vp.linearize(tictoc_chart, pvtol, tictoc_trajectory, n_grid=n_grid))
+    _with_broken_interval_map(monkeypatch, node, slice(0, 5), 0.0)
+    with pytest.raises(vp.ConvergenceError, match=f"singular X at tau = {ltv.taus[node]:.6f}"):
+        vp.periodic_lqr(ltv)
+
+
+def test_periodic_lqr_names_the_last_node_of_a_non_finite_graph(monkeypatch, tictoc_ltv):
+    _with_broken_interval_map(monkeypatch, 300, slice(None), math.nan)
+    with pytest.raises(vp.ConvergenceError,
+                       match=f"P is not finite at tau = {tictoc_ltv.taus[300]:.6f}"):
+        vp.periodic_lqr(tictoc_ltv)
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -1, 2.5, True])
+def test_periodic_lqr_rejects_sweeps_that_are_not_a_positive_integer(tictoc_ltv, max_sweeps):
+    with pytest.raises(vp.DomainError, match="max_sweeps must be a positive integer"):
+        vp.periodic_lqr(tictoc_ltv, max_sweeps=max_sweeps)
