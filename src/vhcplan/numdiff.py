@@ -112,10 +112,11 @@ class PeriodicPiecewisePolynomial:
     power first, in powers of t - x[i] on piece i. A time wraps into the base
     period and its terms are summed as `PPoly` wraps and sums them, so values
     are bit-identical to scipy's. A float finds its piece by `bisect`, an
-    array by `searchsorted`; both add the same terms in the same order. A
-    float's terms go through one `np.add.accumulate`: a sum on Python floats
-    measured no faster, and the builtin `sum()` compensates float sums from
-    Python 3.12 on, which would change the bits.
+    array by `searchsorted`; both add the same terms in the same order.
+    `point` sums one time's terms on Python floats, which a Runge-Kutta stage
+    reads faster than any array; it writes the sum out term by term, because
+    the builtin `sum()` compensates float sums from Python 3.12 on, which
+    would change the bits. Pieces are at least cubic.
     """
 
     def __init__(self, breaks: Array, coeffs: Array):
@@ -124,21 +125,32 @@ class PeriodicPiecewisePolynomial:
             raise ValueError("breaks must be strictly increasing")
         self._breaks = self.breaks.tolist()
         self._x0, self._span = self._breaks[0], self._breaks[-1] - self._breaks[0]
-        self._c = np.array(coeffs[::-1], dtype=float)   # lowest power first
+        self._c = np.array(coeffs[::-1], dtype=float, order="C")   # lowest power first
+        if len(self._c) < 4:
+            raise ValueError("pieces must be at least cubic")
         self._c[0] += 0.0                                # PPoly's sum starts at 0.0: -0.0 -> +0.0
         self._value_axes = (...,) + (None,) * (self._c.ndim - 2)
+        self._rows = self._c.reshape(self._c.shape[:2] + (-1,))   # C order: a view, no copy
         self._last = len(self._breaks) - 2
+
+    def point(self, t: float) -> list[float]:
+        """The value at one time t, flattened, as a list of Python floats."""
+        t = self._x0 + (float(t) - self._x0) % self._span
+        i = min(bisect_right(self._breaks, t) - 1, self._last)
+        d = t - self._breaks[i]
+        d2 = d * d
+        z = d2 * d
+        c = self._rows[:, i].tolist()
+        value = [c0 + c1 * d + c2 * d2 + c3 * z for c0, c1, c2, c3 in zip(*c[:4])]
+        for ck in c[4:]:                                 # the orbit table's quartic term
+            z = z * d
+            value = [v + ckj * z for v, ckj in zip(value, ck)]
+        return value
 
     def __call__(self, t: float | Array) -> Array:
         if isinstance(t, float):
-            t = self._x0 + (t - self._x0) % self._span
-            i = min(bisect_right(self._breaks, t) - 1, self._last)
-            d = t - self._breaks[i]
-            powers = [1.0]
-            for _ in range(len(self._c) - 1):
-                powers.append(powers[-1] * d)
-            # One cumulative sum adds the terms in order at the cost of one call.
-            return np.add.accumulate(self._c[:, i] * np.array(powers)[self._value_axes])[-1]
+            # An array of the value's shape, or a numpy scalar for a scalar value.
+            return np.array(self.point(t)).reshape(self._c.shape[2:])[()]
         t = self._x0 + (np.asarray(t, dtype=float) - self._x0) % self._span
         i = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self._last)
         # The same sum term by term: a cumulative sum over the leading axis of a

@@ -2,7 +2,9 @@
 
 Dormand-Prince steps (`singular_solver.rk45_steps`) at rtol = atol = SIM_TOL;
 the control u = u*(tau) + K(tau) rho is recomputed at every stage, on Python
-floats. The loop keeps each accepted step's quartic, and the output rows at the
+floats: K comes from `GainSchedule.k_point`, and each entry of K rho is summed
+left to right in a loop, which costs less than a numpy call on five entries.
+The loop keeps each accepted step's quartic, and the output rows at the
 times k dt are read off them after the loop. The transverse coordinates of each
 output row are logged, so convergence into the orbit can be read off directly.
 """
@@ -107,8 +109,8 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
         return u
 
     # A stage runs on Python floats: the chart and the dynamics take the point
-    # as lists and return rho and q'' as lists.
-    def rhs(t: float, y: Array) -> Array:
+    # as lists and return rho and q'' as lists, and y' goes back as a list.
+    def rhs(t: float, y: Array) -> list[float]:
         nonlocal evals
         evals += 1
         if evals > budget:
@@ -120,10 +122,17 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
             stop("diverged", t, y)
         q, qd = x[:n], x[n:]
         tau, rho = chart.forward(q, qd)
-        u = chart.reference_input(tau)
+        u = chart.reference_input(tau).tolist()
         if gains is not None:
-            u = u + np.dot(gains.k_of(tau), rho)   # takes rho as a list; matvec's bits
-        return np.array([*qd, *solve_accel(sys, q, qd, u)])
+            # K row by row; zip takes rho first, so it ends a row before it
+            # takes an entry of the next.
+            K = iter(gains.k_point(tau))
+            for j in range(len(u)):
+                s = 0.0
+                for rho_m, k_jm in zip(rho, K):
+                    s += k_jm * rho_m
+                u[j] += s
+        return [*qd, *solve_accel(sys, q, qd, u)]
 
     if not np.abs(y0).max() <= SIM_MAX_STATE:
         stop("diverged", 0.0, y0)

@@ -154,8 +154,10 @@ def _pieces(coeffs: Array, x0: Array, rate: Array) -> Array:
 
 
 # The Dormand-Prince RK5(4) tableau, its error weights E (5th minus 4th order)
-# and the matrix P of the quartic dense output, as in scipy's RK45.
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+# and the matrix P of the quartic dense output, as in scipy's RK45. The nodes C
+# are Python floats and the rows A[s, :s] of stages 1-5 are split off once:
+# a stage then indexes no array.
+_C = [0, 1/5, 3/10, 4/5, 8/9, 1]
 _A = np.array([
     [0, 0, 0, 0, 0],
     [1/5, 0, 0, 0, 0],
@@ -164,6 +166,7 @@ _A = np.array([
     [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
     [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
 ])
+_A_ROWS = [_A[s, :s] for s in range(1, 6)]
 _B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 _P = np.array([
@@ -208,17 +211,21 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
 
     Repeats scipy's `solve_ivp(fun, (0, t_bound), y0, method="RK45",
     rtol=tol, atol=tol)`: its initial step choice, RMS error norm and step
-    control, FSAL stages, 10-ulp minimum step and t_bound clamp. Yields
+    control, FSAL stages, 10-ulp minimum step and t_bound clamp. fun(t, y)
+    returns y' as an array or as a list of floats. Yields
     (t_old, h, y_old, Q, t, y) per step: the `RkSteps` entries and the step's
     end, where y is the fifth-order solution. Ends at t_bound (at once if it is 0) or
     when the step falls below its minimum (a NaN right-hand side shrinks it
-    there); a caller sees the latter as a last t short of t_bound.
+    there); a caller sees the latter as a last t short of t_bound. A t_bound
+    of +-inf is valid; a NaN t_bound raises DomainError before the first step.
     """
+    if math.isnan(t_bound):
+        raise DomainError(f"t_bound must not be NaN, got {t_bound}")
     if t_bound == 0.0:
         return
     direction = math.copysign(1.0, t_bound)
     y = np.asarray(y0, dtype=float)
-    t, f = 0.0, fun(0.0, y)
+    t, f = 0.0, np.asarray(fun(0.0, y), dtype=float)
     # Initial step (Hairer, Norsett & Wanner, II.4), scipy's select_initial_step.
     scale = tol + np.abs(y) * tol
     d0, d1 = _rms(y / scale), _rms(f / scale)
@@ -229,6 +236,7 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
           else (0.01 / max(d1, d2)) ** (1 / 5))
     h_abs = min(100 * h0, h1, abs(t_bound))
     K = np.empty((7, y.size))
+    stages = [(s, c, K[:s].T, a) for s, c, a in zip(range(1, 6), _C[1:], _A_ROWS)]
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -243,8 +251,8 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            for s in range(1, 6):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            for s, c, K_s, a in stages:
+                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
             y_new = y + h * np.dot(K[:-1].T, _B)
             f_new = K[-1] = fun(t + h, y_new)
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
@@ -350,7 +358,7 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
     a_s = singular_acceleration(model, report)
 
     def accel(th, dth):
-        alpha, beta, gamma = model.coefficients(th)
+        alpha, beta, gamma = model.coefficients(th).tolist()
         return -(beta * dth * dth + gamma) / alpha
 
     def sweep(side, y0, t_bound, target):
@@ -364,7 +372,8 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
                     f"{side} sweep spent its budget of {RHS_BUDGET} right-hand sides "
                     "before reaching the singular crossing",
                     {"side": side, "final_state": y.tolist(), "time": float(t), "rhs_evals": count})
-            return np.array([y[1], accel(*y)])
+            th, dth = y.tolist()
+            return [dth, accel(th, dth)]
 
         steps = rk45_sweep(rhs, y0, t_bound, target, ODE_TOL)
         if not steps.reached:

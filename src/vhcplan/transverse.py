@@ -442,6 +442,11 @@ class GainSchedule:
 
     `multipliers` are the closed-loop Floquet multipliers the Riccati solve
     predicts: the eigenvalues of the stable block of the Hamiltonian period map.
+    `k_of` gives K at a phase or an array of phases; `k_point` is its `point`,
+    K at one phase flattened row by row into Python floats, which the
+    closed-loop stage reads. It is a field of its own, bound once, so that a
+    copy whose `k_of` is replaced by a plain function of one argument (a
+    counting wrapper, say) still runs the closed loop.
     """
 
     taus: Array
@@ -451,9 +456,11 @@ class GainSchedule:
     fixed_point_gap: float
     multipliers: Array
     k_of: PeriodicMatrixSpline = field(init=False, repr=False)
+    k_point: Callable[[float], list] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.k_of = PeriodicMatrixSpline(self.taus, self.K)
+        self.k_point = self.k_of.point
 
 
 # A backward sweep has reached the periodic solution when max|P(0) - P(2 pi)| is

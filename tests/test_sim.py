@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -172,6 +173,46 @@ def test_single_point_path_follows_the_batch_path(pvtol, tictoc_chart, tictoc_ga
                            horizon=2.0 * math.pi)
     for key in ("q", "u", "rho"):
         assert np.abs(getattr(a, key) - getattr(b, key)).max() <= 1e-10, key
+
+
+def test_stage_input_is_the_scheduled_feedback(pvtol, tictoc_chart, tictoc_gains):
+    # A stage forms u = u*(tau) + K(tau) rho on Python floats, from
+    # `k_point`; each stage's u against the same law on arrays.
+    stages = []
+
+    def accel(q, qd, u):
+        stages.append((q, qd, list(u)))
+        return pvtol.accel(q, qd, u)
+
+    recording = dataclasses.replace(pvtol, accel=accel)
+    res = vp.run_closed_loop(recording, tictoc_chart, tictoc_gains, np.array([0.1, -0.5, 0.0]),
+                             np.zeros(3), horizon=2.0 * math.pi)
+    assert len(stages) == res.metadata["rhs_evals"] > 500
+    for q, qd, u in stages:
+        tau, rho = tictoc_chart.forward(q, qd)
+        assert tictoc_gains.k_point(tau) == tictoc_gains.k_of(tau).ravel().tolist()
+        expected = tictoc_chart.reference_input(tau) + tictoc_gains.k_of(tau) @ np.array(rho)
+        assert np.abs(np.array(u) - expected).max() <= 1e-14 * (1.0 + np.abs(u).max())
+
+
+def test_gains_with_a_plain_k_of_run_the_same_closed_loop(pvtol, tictoc_chart, tictoc_gains):
+    # bench/tracing.py's count_gains swaps k_of for a plain function of one
+    # argument on a copy of the gains. The stage reads `k_point`, bound when
+    # the gains were built, and the rows after the loop call the function.
+    calls = []
+
+    def k_of(tau):
+        calls.append(tau)
+        return tictoc_gains.k_of(tau)
+
+    wrapped = copy.copy(tictoc_gains)
+    wrapped.k_of = k_of
+    q0 = np.array([0.1, -0.5, 0.0])
+    a, b = (vp.run_closed_loop(pvtol, tictoc_chart, gains, q0, np.zeros(3),
+                               horizon=2.0 * math.pi) for gains in (tictoc_gains, wrapped))
+    for key in ("q", "qdot", "u", "tau", "rho"):
+        assert np.array_equal(getattr(a, key), getattr(b, key)), key
+    assert calls
 
 
 def test_closed_loop_matches_solve_ivp_on_eval_accel(pvtol, tictoc_chart, tictoc_gains):

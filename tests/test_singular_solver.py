@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import vhcplan as vp
-from vhcplan.singular_solver import ODE_TOL, RHS_BUDGET, XI_CUT, rk45_sweep
+from vhcplan.singular_solver import ODE_TOL, RHS_BUDGET, XI_CUT, rk45_steps, rk45_sweep
 
 
 def test_singular_acceleration_tictoc_vanishes(tictoc_model, tictoc_report):
@@ -349,3 +349,22 @@ def test_rk45_sweep_matches_solve_ivp(orbit):
             assert np.array_equal(mine, np.array(theirs))
         assert abs(steps.t - ref.t_events[0][0]) <= 1e-15
         assert np.abs(steps.y - ref.y_events[0][0]).max() <= 1e-15
+
+
+def test_nan_t_bound_raises_before_the_first_step():
+    # Every comparison with NaN is false, so a NaN t_bound would never end
+    # the steps; +-inf stays valid, since solve_boundary sweeps toward it.
+    calls = []
+
+    def decay(t, y):
+        calls.append(t)
+        return -y
+
+    with pytest.raises(vp.DomainError, match="t_bound"):
+        next(rk45_steps(decay, [1.0], math.nan, 1e-8))
+    with pytest.raises(vp.DomainError, match="t_bound"):
+        rk45_sweep(decay, [1.0], math.nan, 0.5, 1e-8)
+    assert calls == []
+    for t_bound, target in ((math.inf, 0.5), (-math.inf, 2.0)):
+        steps = rk45_sweep(decay, [1.0], t_bound, target, 1e-8)
+        assert steps.reached and abs(abs(steps.t) - math.log(2.0)) < 1e-7

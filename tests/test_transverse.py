@@ -55,18 +55,27 @@ def test_one_time_equals_its_row_of_an_array_of_times(which, tictoc_ltv, tictoc_
                                                        family_pack):
     # Every value shape the package builds: K (2, 5), A (5, 5), B (5, 2), the
     # family chart's scalar phase-to-time map and the orbit's 4-column quartic
-    # table. A float takes the scalar branch, an array the array branch; they
-    # agree bit for bit at every knot and across the wrap.
+    # table. One time, a float or an np.float64, sums its terms on Python
+    # floats (`point`, a flat list); an array takes the array branch. They
+    # agree bit for bit at random times, at every knot and across the wrap,
+    # and a call at one time keeps the row's shape and numpy type.
     spline = {"k_of": tictoc_gains.k_of, "a_of": tictoc_ltv.a_of, "b_of": tictoc_ltv.b_of,
               "time_of_phase": family_pack["chart"]._time_of_phase,
               "orbit_table": family_pack["per"].table}[which]
     x = spline.breaks
-    span = x[-1] - x[0]
-    times = np.concatenate([x, x + span, x - span,
-                            [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]])
+    x0, span = x[0], x[-1] - x[0]
+    rng = np.random.default_rng(29)
+    times = np.concatenate([rng.uniform(x0 - span, x[-1] + span, 2000), x, x + span, x - span,
+                            [np.nextafter(x0, -np.inf), np.nextafter(x[-1], np.inf),
+                             3.0 * math.pi, -3.0 * math.pi]])
     for t, row in zip(times, spline(times)):
-        value = spline(float(t))
-        assert value.shape == row.shape and value.tobytes() == row.tobytes()
+        for at in (float(t), np.float64(t)):
+            value = spline.point(at)
+            assert all(type(v) is float for v in value)
+            assert np.array(value).tobytes() == row.tobytes()
+            called = spline(at)
+            assert type(called) is type(row) and called.shape == row.shape
+            assert called.tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("n_grid", [1, 2, 3, 4, 48, 512])
