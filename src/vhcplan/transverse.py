@@ -54,7 +54,9 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
     turns values and slopes into the cubics that the parent class evaluates,
     for one tau or an array of them. Values agree with scipy's periodic
     `CubicSpline` to rounding (tests bound the gap by 1e-13 of max|y|).
-    Raises ValueError for taus that are not such a grid or a non-finite sample.
+    `grid` samples the spline on a uniform grid of k points per knot interval,
+    for the period integrals. Raises ValueError for taus that are not such a
+    grid or a non-finite sample.
     """
 
     def __init__(self, taus: Array, values: Array):
@@ -72,6 +74,43 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
         knots = np.append(taus, taus[0] + TWO_PI)
         super().__init__(knots, cubic_coefficients(knots, np.concatenate([y, y[:1]]),
                                                    np.concatenate([s, s[:1]])))
+
+    def grid(self, t0: float, k: int, start: int = 0, stop: int | None = None) -> Array:
+        """Values at t0 + j 2 pi/(n k) for j = k start, ..., k stop (0, ..., n k by default).
+
+        The grid has k points in each knot interval, at the same k offsets
+        from the interval's knot, so each piece's cubic is evaluated at those
+        offsets by Horner's rule: no piece search and no gather. The sample at
+        j = n k is the one at j = 0, bit for bit, and a sample that two calls
+        share has the same bits in both. Raises DomainError for a non-finite t0.
+        """
+        if not math.isfinite(t0):
+            raise DomainError(f"spline grid start t0 must be finite, got {t0!r}")
+        n = self._last + 1
+        stop = n if stop is None else stop
+        step = TWO_PI / (n * k)
+        steps, offset = divmod(t0 - self._x0, step)
+        first, r = divmod(int(steps) % (n * k), k)     # sample 0 is r steps into piece `first`
+        # Row m of the table holds the pieces' values at offset + m step, so each
+        # Horner step runs on one contiguous run of pieces with a scalar offset.
+        table = np.empty((k, stop - start + 1) + self._c.shape[2:])
+        # The pieces first + start, ..., first + stop wrap at most once past the last.
+        lo = (first + start) % n
+        hi = lo + table.shape[1]
+        for a, b, row in ((lo, min(hi, n), 0), (0, hi - n, n - lo)):
+            if a >= b:
+                continue
+            c = self._c[:, a:b]
+            for m in range(k):
+                d = offset + m * step
+                out = table[m, row:row + b - a]
+                np.multiply(c[-1], d, out=out)
+                for ck in c[-2:0:-1]:
+                    out += ck
+                    out *= d
+                out += c[0]
+        samples = table.swapaxes(0, 1).reshape((-1,) + table.shape[2:])
+        return samples[r:r + k * (stop - start) + 1]
 
 
 @functools.cache
@@ -292,7 +331,11 @@ class LtvModel:
     """Periodic linearization drho/dtau = A(tau) rho + B(tau) w on [-pi, pi).
 
     A and B are sampled on the uniform grid `taus`; `a_of(tau)` and
-    `b_of(tau)` are their two `PeriodicMatrixSpline`s.
+    `b_of(tau)` are their two `PeriodicMatrixSpline`s. `a_grid` and `b_grid`
+    are the splines' `grid` samplers, which the period integrals read. They
+    are fields of their own, bound once, so that a copy whose `a_of` or
+    `b_of` is replaced by a plain function of one argument (a counting
+    wrapper, say) still runs the period integrals.
     """
 
     taus: Array
@@ -301,10 +344,13 @@ class LtvModel:
     f0_max: float
     a_of: PeriodicMatrixSpline = field(init=False, repr=False)
     b_of: PeriodicMatrixSpline = field(init=False, repr=False)
+    a_grid: Callable[..., Array] = field(init=False, repr=False)
+    b_grid: Callable[..., Array] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.a_of = PeriodicMatrixSpline(self.taus, self.A)
         self.b_of = PeriodicMatrixSpline(self.taus, self.B)
+        self.a_grid, self.b_grid = self.a_of.grid, self.b_of.grid
 
 
 def _check_count(name: str, value) -> None:
@@ -375,7 +421,11 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
 # (relative) off the spline's exact flow, 1.8e-10 at half the step, while the
 # 512-knot spline itself moves P(0) by 7e-8 against a 1024-knot one.
 INTERVAL_STEP = TWO_PI / 1024
-INTERVAL_BLOCK = 128            # steps per batched evaluation of the coefficient
+# Steps whose coefficient samples and Runge-Kutta maps one pass of the
+# interval maps holds. It bounds their working memory only: the maps do not
+# depend on it, bit for bit. At 256 the family `periodic_lqr` peaked at
+# 1.57 MiB (tracemalloc), against 1.04 MiB at 128.
+INTERVAL_BLOCK = 128
 
 
 def _ordered_product(maps: Array) -> Array:
@@ -386,33 +436,57 @@ def _ordered_product(maps: Array) -> Array:
     return maps[..., 0, :, :]
 
 
-def _interval_maps(coefficient: Callable[[Array], Array], t0: float, n_intervals: int) -> Array:
-    """Transition maps of Phi' = M(s) Phi across n equal intervals of one period from t0.
+def _runge_kutta_maps(M: Array, h: float, sub: int) -> Array:
+    """Maps across intervals of `sub` Runge-Kutta steps of h, from M at the steps'
+    starts, middles and ends (M[0], M[1], M[2], ... on the half-step grid)."""
+    M0, Mh, M1 = M[:-1:2], M[1::2], M[2::2]
+    K2 = Mh @ M0
+    K2 *= 0.5 * h
+    K2 += Mh
+    K3 = Mh @ K2
+    K3 *= 0.5 * h
+    K3 += Mh
+    K4 = M1 @ K3
+    K4 *= h
+    K4 += M1
+    # The step maps I + h/6 (M0 + 2 (K2 + K3) + K4), in K2's buffer.
+    K2 += K3
+    K2 *= 2.0
+    K2 += M0
+    K2 += K4
+    K2 *= h / 6.0
+    K2.reshape(len(K2), -1)[:, ::M.shape[-1] + 1] += 1.0
+    return _ordered_product(K2.reshape(-1, sub, *M.shape[1:]))
 
-    `coefficient` gives M at an array of phases. An interval takes the fewest
-    equal steps h <= INTERVAL_STEP, each the classical Runge-Kutta map of the
-    linear system, I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = M0,
-    K2 = Mh (I + h/2 K1), K3 = Mh (I + h/2 K2) and K4 = M1 (I + h K3) from M
-    at the step's start, middle and end. M is evaluated for INTERVAL_BLOCK
-    steps at a time.
+
+def _interval_maps(samplers, assemble: Callable[..., Array], t0: float,
+                   n_intervals: int) -> Array:
+    """Transition maps of Phi' = M(s) Phi across the n knot intervals of one period from t0.
+
+    `samplers` are the `grid` samplers of splines on n knots, and
+    `assemble(*values)` fills M at a batch of phases from the splines' values
+    there, by slice assignment. An interval takes the fewest equal steps
+    h <= INTERVAL_STEP, each the classical Runge-Kutta map of the linear
+    system, I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = M0, K2 = Mh (I + h/2 K1),
+    K3 = Mh (I + h/2 K2) and K4 = M1 (I + h K3) from M at the step's start,
+    middle and end. Each spline is sampled once on the half-step grid
+    t0 + j h/2, INTERVAL_BLOCK steps at a time; the Runge-Kutta arithmetic
+    runs in place, and the maps land in one array.
     """
     sub = math.ceil(round(TWO_PI / (n_intervals * INTERVAL_STEP), 9))
     h = TWO_PI / (n_intervals * sub)
     per_block = max(1, INTERVAL_BLOCK // sub)
-    maps = []
+    maps = None
     # An overflow leaves inf or nan behind, which the finiteness gate reports.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_intervals, per_block):
-            k = min(per_block, n_intervals - start)
-            steps = start * sub + np.arange(k * sub + 1)
-            M = coefficient(t0 + h * steps)
-            M0, M1, Mh = M[:-1], M[1:], coefficient(t0 + h * (steps[:-1] + 0.5))
-            K2 = Mh + 0.5 * h * (Mh @ M0)
-            K3 = Mh + 0.5 * h * (Mh @ K2)
-            K4 = M1 + h * (M1 @ K3)
-            step_maps = np.eye(M.shape[-1]) + (h / 6.0) * (M0 + 2.0 * (K2 + K3) + K4)
-            maps.append(_ordered_product(step_maps.reshape(k, sub, *M.shape[1:])))
-    maps = np.concatenate(maps)
+            stop = min(start + per_block, n_intervals)
+            # A helper, so the block's working arrays go before the next block's come.
+            block = _runge_kutta_maps(
+                assemble(*(sample(t0, 2 * sub, start, stop) for sample in samplers)), h, sub)
+            if maps is None:
+                maps = np.empty((n_intervals,) + block.shape[1:])
+            maps[start:stop] = block
     if not np.all(np.isfinite(maps)):
         raise ConvergenceError("interval maps of the periodic linear system are not finite")
     return maps
@@ -427,11 +501,15 @@ def gramian(model: LtvModel) -> Array:
     """
     n = model.A.shape[1]
 
-    def coefficient(s):
-        A, B = model.a_of(s), model.b_of(s)
-        return np.block([[-A.swapaxes(1, 2), np.zeros_like(A)], [B @ B.swapaxes(1, 2), A]])
+    def van_loan(A, B):
+        M = np.zeros((len(A), 2 * n, 2 * n))
+        M[:, :n, :n] = -A.swapaxes(1, 2)
+        M[:, n:, :n] = B @ B.swapaxes(1, 2)
+        M[:, n:, n:] = A
+        return M
 
-    F = _ordered_product(_interval_maps(coefficient, 0.0, model.taus.size))
+    F = _ordered_product(_interval_maps((model.a_grid, model.b_grid), van_loan, 0.0,
+                                        model.taus.size))
     W = F[n:, :n].T @ F[:n, :n]
     return 0.5 * (W + W.T)
 
@@ -444,9 +522,10 @@ class GainSchedule:
     predicts: the eigenvalues of the stable block of the Hamiltonian period map.
     `k_of` gives K at a phase or an array of phases; `k_point` is its `point`,
     K at one phase flattened row by row into Python floats, which the
-    closed-loop stage reads. It is a field of its own, bound once, so that a
-    copy whose `k_of` is replaced by a plain function of one argument (a
-    counting wrapper, say) still runs the closed loop.
+    closed-loop stage reads, and `k_grid` is its `grid` sampler, which the
+    closed-loop monodromy reads. They are fields of their own, bound once, so
+    that a copy whose `k_of` is replaced by a plain function of one argument
+    (a counting wrapper, say) still runs the closed loop and the monodromy.
     """
 
     taus: Array
@@ -457,10 +536,11 @@ class GainSchedule:
     multipliers: Array
     k_of: PeriodicMatrixSpline = field(init=False, repr=False)
     k_point: Callable[[float], list] = field(init=False, repr=False)
+    k_grid: Callable[..., Array] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.k_of = PeriodicMatrixSpline(self.taus, self.K)
-        self.k_point = self.k_of.point
+        self.k_point, self.k_grid = self.k_of.point, self.k_of.grid
 
 
 # A backward sweep has reached the periodic solution when max|P(0) - P(2 pi)| is
@@ -541,12 +621,15 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     Rinv = np.linalg.inv(R)
     taus = model.taus
 
-    def hamiltonian(s):
-        A, B = model.a_of(s), model.b_of(s)
-        return np.block([[A, -B @ Rinv @ B.swapaxes(1, 2)],
-                         [np.broadcast_to(-Q, A.shape), -A.swapaxes(1, 2)]])
+    def hamiltonian(A, B):
+        M = np.empty((len(A), 2 * n, 2 * n))
+        M[:, :n, :n] = A
+        M[:, :n, n:] = -B @ Rinv @ B.swapaxes(1, 2)
+        M[:, n:, :n] = -Q
+        M[:, n:, n:] = -A.swapaxes(1, 2)
+        return M
 
-    maps = _interval_maps(hamiltonian, float(taus[0]), taus.size)
+    maps = _interval_maps((model.a_grid, model.b_grid), hamiltonian, float(taus[0]), taus.size)
     period_map = _ordered_product(maps)
     Z, n_stable = _stable_subspace(period_map)
     if n_stable != n:
@@ -560,6 +643,7 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
         back = np.linalg.inv(maps)      # node i+1 -> node i
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("an interval map of the Hamiltonian system is singular") from exc
+    del maps    # the sweeps read only the inverses
     # Block b carries the graph from its end node to each of its nodes i at
     # once, by the suffix product back[i] @ ... @ back[end - 1]. Identity maps
     # in front fill the first block, and the nodes they add are dropped.
@@ -608,14 +692,18 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
 def monodromy(model: LtvModel, gains: GainSchedule | None = None, t0: float = 0.0):
     """Period map of the (closed-loop) transverse linearization from phase t0.
 
-    Returns (F, eigenvalues); gains=None gives the open-loop map. t0 must be finite.
+    Returns (F, eigenvalues); gains=None gives the open-loop map. t0 must be
+    finite, and the gains must sit on the model's grid `taus`.
     """
     if not math.isfinite(t0):
         raise DomainError(f"monodromy start phase t0 must be finite, got {t0!r}")
-
-    def closed_loop(s):
-        A = model.a_of(s)
-        return A if gains is None else A + model.b_of(s) @ gains.k_of(s)
-
-    F = _ordered_product(_interval_maps(closed_loop, t0, model.taus.size))
+    if gains is None:
+        samplers, assemble = (model.a_grid,), lambda A: A
+    elif np.array_equal(gains.taus, model.taus):
+        samplers = (model.a_grid, model.b_grid, gains.k_grid)
+        assemble = lambda A, B, K: np.add(A, B @ K, out=A)   # A is a fresh sample
+    else:
+        raise DomainError(f"gains on {gains.taus.size} grid nodes do not sit on the model's "
+                          f"grid of {model.taus.size} nodes")
+    F = _ordered_product(_interval_maps(samplers, assemble, t0, model.taus.size))
     return F, np.linalg.eigvals(F)

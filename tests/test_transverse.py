@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import warnings
@@ -482,7 +483,7 @@ def test_stable_subspace_matches_ordered_schur(request, orbit):
         ltv = request.getfixturevalue("family_pack")["ltv"]
     gains = request.getfixturevalue(f"{orbit}_gains")
     period_map = vp.transverse._ordered_product(
-        vp.transverse._interval_maps(_hamiltonian(ltv), float(ltv.taus[0]), ltv.taus.size))
+        vp.transverse._interval_maps(*_hamiltonian(ltv), float(ltv.taus[0]), ltv.taus.size))
     assert _relative(gains.P[0], _schur_graph(period_map)) < 1e-12
     T, _, _ = schur(period_map, output="real", sort="iuc")
     # The entries of a period map fix its multipliers to about eps |Phi|: the
@@ -581,12 +582,17 @@ def test_monodromy_start_point_invariance(tictoc_ltv, tictoc_gains):
 
 def test_monodromy_rejects_a_non_finite_start(tictoc_ltv, tictoc_gains):
     # The argument is at fault, not the period integral: a DomainError naming
-    # t0, raised before the interval maps run.
+    # t0, raised before any spline is sampled.
+    sampled = []
+    model, gains = copy.copy(tictoc_ltv), copy.copy(tictoc_gains)
+    model.a_grid = model.b_grid = gains.k_grid = lambda *args: sampled.append(args)
     for bad in (math.nan, math.inf, -math.inf):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(vp.DomainError, match="t0"):
-                vp.monodromy(tictoc_ltv, tictoc_gains, t0=bad)
+        for law in (None, gains):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(vp.DomainError, match="t0"):
+                    vp.monodromy(model, law, t0=bad)
+    assert sampled == []
 
 
 def test_monodromy_cocycle(tictoc_ltv, tictoc_gains):
@@ -611,6 +617,49 @@ def test_family_gramian_nonsingular(family_pack):
     assert np.linalg.eigvalsh(W).min() > 1e-6
 
 
+def _extended_grid_values(spline, t0, k):
+    """The spline at t0 + j 2 pi/(n k), j = 0, ..., n k, in extended precision: each
+    phase, its piece and its offset, and the piece's cubic in long double."""
+    ld = np.longdouble
+    x, c = spline.breaks.astype(ld), spline._c.astype(ld)
+    n = x.size - 1
+    t = ld(t0) + np.arange(n * k + 1, dtype=ld) * (ld(2.0 * math.pi) / (n * k))
+    t = x[0] + (t - x[0]) % (x[-1] - x[0])
+    piece = np.minimum(np.searchsorted(x, t, side="right") - 1, n - 1)
+    d = (t - x[piece]).reshape((-1,) + (1,) * (c.ndim - 2))
+    value = c[-1, piece]
+    for ck in c[-2::-1]:
+        value = value * d + ck[piece]
+    return value
+
+
+@pytest.mark.parametrize("which", ["a_of", "b_of", "k_of"])
+def test_spline_grid_matches_the_spline(which, tictoc_ltv, tictoc_gains):
+    # The period integrals read the splines through `grid`, which evaluates
+    # each piece at fixed in-piece offsets: it must give the spline's values
+    # at the grid phases, from knots and from between them, before the period
+    # and after it, for A (5, 5), B (5, 2) and K (2, 5). The 1e-14 bound holds
+    # against the cubic in extended precision. An array call rounds each phase
+    # a few times on its way into the base period, and A's slope (about
+    # 9 max|A| per radian) turns that alone into gaps of 1.2e-14 max|A| from
+    # the exact values (the grid's are 3.6e-15), so the call gets 3e-14.
+    spline = {"a_of": tictoc_ltv.a_of, "b_of": tictoc_ltv.b_of, "k_of": tictoc_gains.k_of}[which]
+    n = spline.breaks.size - 1
+    scale = np.abs(spline._c[0]).max()      # max|y|: the cubics' constant terms are the samples
+    for t0 in (-math.pi, 0.0, 1.0, -3.7, 7.0, -10.0):
+        for k in (1, 2, 4, 32):
+            values = spline.grid(t0, k)
+            assert values.shape == (n * k + 1,) + spline._c.shape[2:]
+            exact = _extended_grid_values(spline, t0, k)
+            assert np.abs(values - exact).max() <= 1e-14 * scale
+            call = spline(t0 + 2.0 * math.pi * np.arange(n * k + 1) / (n * k))
+            assert np.abs(values - call).max() <= 3e-14 * scale
+            assert values[-1].tobytes() == values[0].tobytes()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(vp.DomainError, match="t0"):
+            spline.grid(bad, 4)
+
+
 # -- the Runge-Kutta interval maps against an independent RK45 oracle ---------
 
 
@@ -623,13 +672,17 @@ def _rk45_period_map(coefficient, t0, n):
 
 
 def _hamiltonian(ltv):
-    """Coefficient of the LQR Hamiltonian system (Q = I, R = I) at a phase or an array of them."""
-    def coefficient(s):
-        A, B = ltv.a_of(s), ltv.b_of(s)
-        return np.block([[A, -B @ B.swapaxes(-1, -2)],
-                         [np.broadcast_to(-np.eye(5), A.shape), -A.swapaxes(-1, -2)]])
+    """The samplers and assembler of the LQR Hamiltonian system (Q = I, R = I) for
+    `_interval_maps`, with `periodic_lqr`'s arithmetic."""
+    def assemble(A, B):
+        M = np.empty((len(A), 10, 10))
+        M[:, :5, :5] = A
+        M[:, :5, 5:] = -B @ B.swapaxes(1, 2)
+        M[:, 5:, :5] = -np.eye(5)
+        M[:, 5:, 5:] = -A.swapaxes(1, 2)
+        return M
 
-    return coefficient
+    return (ltv.a_grid, ltv.b_grid), assemble
 
 
 def _schur_graph(period_map):
@@ -642,7 +695,9 @@ def _schur_graph(period_map):
 
 def _rk45_riccati_p0(ltv):
     """P at the first grid node from the stable Schur subspace of the RK45 Hamiltonian map."""
-    return _schur_graph(_rk45_period_map(_hamiltonian(ltv), float(ltv.taus[0]), 10))
+    _, assemble = _hamiltonian(ltv)
+    return _schur_graph(_rk45_period_map(
+        lambda s: assemble(ltv.a_of(s)[None], ltv.b_of(s)[None])[0], float(ltv.taus[0]), 10))
 
 
 def _rk45_gramian(ltv):
@@ -702,6 +757,58 @@ def test_monodromy_off_knot_start(orbit_reference):
     assert np.abs(np.sort(np.abs(eig_knot)) - np.sort(np.abs(eig_off))).max() < 1e-8
 
 
+def test_interval_maps_do_not_depend_on_the_block(orbit_reference, monkeypatch):
+    # INTERVAL_BLOCK bounds the working memory only: one step per block, the
+    # default and the whole period in one block give the same maps, bit for
+    # bit, from a knot and from between knots (where the grid wraps mid-block).
+    ltv, gains = orbit_reference["ltv"], orbit_reference["gains"]
+    cases = [(*_hamiltonian(ltv), float(ltv.taus[0])),
+             ((ltv.a_grid, ltv.b_grid, gains.k_grid), lambda A, B, K: A + B @ K, 1.0)]
+    for samplers, assemble, t0 in cases:
+        maps = []
+        for block in (1, 64, 4096):
+            monkeypatch.setattr(vp.transverse, "INTERVAL_BLOCK", block)
+            maps.append(vp.transverse._interval_maps(samplers, assemble, t0, ltv.taus.size))
+        assert np.array_equal(maps[0], maps[1]) and np.array_equal(maps[0], maps[2])
+
+
+@pytest.mark.parametrize("orbit", ["tictoc", "family"])
+def test_period_integrals_of_traced_copies(request, orbit):
+    # A benchmark tracer swaps a_of, b_of and k_of on copies of the model and
+    # the gains for plain counting functions of one argument. The period
+    # integrals read the samplers bound at construction, so the copies give
+    # the same results, bit for bit.
+    ltv = (request.getfixturevalue("tictoc_ltv") if orbit == "tictoc"
+           else request.getfixturevalue("family_pack")["ltv"])
+    gains = request.getfixturevalue(f"{orbit}_gains")
+
+    def plain(f):
+        return lambda tau: f(tau)
+
+    traced_ltv, traced_gains = copy.copy(ltv), copy.copy(gains)
+    traced_ltv.a_of, traced_ltv.b_of = plain(ltv.a_of), plain(ltv.b_of)
+    traced_gains.k_of = plain(gains.k_of)
+    assert np.array_equal(vp.gramian(traced_ltv), vp.gramian(ltv))
+    ours, theirs = vp.periodic_lqr(traced_ltv), vp.periodic_lqr(ltv)
+    for name in ("P", "K", "multipliers"):
+        assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+    for traced, original in ((None, None), (traced_gains, gains)):
+        for got, expected in zip(vp.monodromy(traced_ltv, traced), vp.monodromy(ltv, original)):
+            assert np.array_equal(got, expected)
+
+
+def test_monodromy_rejects_gains_on_another_grid(tictoc_ltv, tictoc_gains):
+    # Gains on a grid of their own would be read at the model's knots as if
+    # they were its own: a DomainError naming both sizes.
+    coarse = vp.LtvModel(taus=tictoc_ltv.taus[::8], A=tictoc_ltv.A[::8], B=tictoc_ltv.B[::8],
+                         f0_max=0.0)
+    with pytest.raises(vp.DomainError, match="64 grid nodes .* 512 nodes"):
+        vp.monodromy(tictoc_ltv, vp.periodic_lqr(coarse))
+    shifted = dataclasses.replace(tictoc_gains, taus=tictoc_gains.taus + 1e-3)
+    with pytest.raises(vp.DomainError, match="512 grid nodes .* 512 nodes"):
+        vp.monodromy(tictoc_ltv, shifted)
+
+
 # -- the graph-form Riccati sweep ----------------------------------------------
 
 
@@ -710,7 +817,7 @@ def test_riccati_graph_matches_period_map_from_each_node(orbit_reference):
     # without the backward recursion of `periodic_lqr`.
     ltv, gains = orbit_reference["ltv"], orbit_reference["gains"]
     n_nodes = ltv.taus.size
-    maps = vp.transverse._interval_maps(_hamiltonian(ltv), float(ltv.taus[0]), n_nodes)
+    maps = vp.transverse._interval_maps(*_hamiltonian(ltv), float(ltv.taus[0]), n_nodes)
     for i in range(0, n_nodes, n_nodes // 4):   # tic-toc: nodes 0, 128, 256, 384
         period_map = vp.transverse._ordered_product(np.roll(maps, -i, axis=0))
         assert _relative(gains.P[i], _schur_graph(period_map)) < 1e-9
@@ -721,7 +828,7 @@ def _node_by_node_sweep(model):
     walks the nodes one at a time: one inverted interval map and one 5 x 5
     solve per node, from the stable-subspace graph at the first node."""
     n = 5
-    maps = vp.transverse._interval_maps(_hamiltonian(model), float(model.taus[0]),
+    maps = vp.transverse._interval_maps(*_hamiltonian(model), float(model.taus[0]),
                                         model.taus.size)
     Z, _ = vp.transverse._stable_subspace(vp.transverse._ordered_product(maps))
     back = np.linalg.inv(maps)
