@@ -58,46 +58,31 @@ def central_derivative(f: Callable[[Array], Array], x: float | Array) -> tuple[A
     return values[..., 0], derivative[..., 0] if x.ndim == 0 else derivative
 
 
-def bisect(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
-           xtol: float) -> float:
-    """Bisection for a sign change of f on [a, b], to bracket width xtol.
-
-    The end values fa = f(a), fb = f(b) come from the caller's samples and are
-    not evaluated again: at a rest point f can be about 0 with a sign that
-    differs between an array evaluation and a scalar one.
-    """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ValueError("bisect requires a sign change on [a, b]")
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break  # interval below floating resolution
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
 def grid_roots(f: Callable[[float], float], grid: Array, values: Array,
                xtol: float) -> list[float]:
     """Sorted roots of f from its samples `values` on the increasing `grid`.
 
     Grid points where a sample is exactly zero are roots; every sign change
-    between neighbouring samples is bisected to `xtol` from the sampled end
-    values; roots closer than 1e-9 merge into the first of them.
+    between neighbouring samples is bisected to `xtol`. The end values of a
+    bracket are the samples, not evaluated again: at a rest point f can be
+    about 0 with a sign that differs between an array evaluation and a scalar
+    one. Roots closer than 1e-9 merge into the first of them.
     """
     roots = [float(x) for x in grid[values == 0.0]]
     for i in np.flatnonzero(values[:-1] * values[1:] < 0.0):
-        roots.append(bisect(f, float(grid[i]), float(grid[i + 1]),
-                            float(values[i]), float(values[i + 1]), xtol))
+        a, b, fa = float(grid[i]), float(grid[i + 1]), float(values[i])
+        while b - a > xtol:
+            m = 0.5 * (a + b)
+            if m <= a or m >= b:
+                break  # interval below floating resolution
+            fm = f(m)
+            if fm == 0.0:
+                a = b = m
+            elif fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        roots.append(0.5 * (a + b))
     merged: list[float] = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > 1e-9:
@@ -142,7 +127,7 @@ class PeriodicPiecewisePolynomial:
         z = d2 * d
         c = self._rows[:, i].tolist()
         value = [c0 + c1 * d + c2 * d2 + c3 * z for c0, c1, c2, c3 in zip(*c[:4])]
-        for ck in c[4:]:                                 # the orbit table's quartic term
+        for ck in c[4:]:                     # the orbit table's quartic and quintic terms
             z = z * d
             value = [v + ckj * z for v, ckj in zip(value, ck)]
         return value

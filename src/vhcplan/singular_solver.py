@@ -3,46 +3,35 @@
 The reduced equation alpha(theta) theta'' + beta(theta) theta'^2 + gamma = 0
 loses Lipschitz uniqueness where alpha vanishes: a one-parameter family of
 solutions passes through (theta_s, v_s) with the forced crossing velocity
-v_s = sqrt(-gamma/beta) and the forced crossing acceleration
+v_s = sqrt(-gamma/beta) and acceleration a_s = -(beta' v_s^2 + gamma') /
+(alpha' + 2 beta) at theta_s. Y = theta'^2 solves alpha Y' + 2 beta Y = -2 gamma
+in theta, theta'' = Y'/2 (Shiriaev, Perram & Canudas-de-Wit, IEEE TAC 50, 2005),
+and its row at theta_s forces Y = v_s^2. Near theta_s, Y = P + C |xi|^kappa g,
+xi = theta - theta_s, kappa = -2 beta_s/alpha' > 1, P and g smooth, g(theta_s) = 1;
+the boundary state picks C. `solve_boundary` collocates Y on each side, in that
+basis next to theta_s, for every kappa alike, and sums dtheta/sqrt(Y) for the
+times by Gauss-Legendre quadrature. The solution is one periodic table
+(`numdiff.PeriodicPiecewisePolynomial`) of quintic Hermite pieces in t through
+(xi, theta', theta''): both sides, then their mirror image about the far rest
+point, which closes the orbit.
 
-    a_s = -(beta' v_s^2 + gamma') / (alpha' + 2 beta)   at theta_s.
-
-Because the family's branches separate like |theta - theta_s|^kappa with
-kappa = -2 beta/alpha' > 1, integrating away from the crossing amplifies any
-seed error by 1/xi^kappa, while integrating from a boundary state toward the
-crossing contracts onto the branch the boundary data selects. The solver
-therefore integrates each side inward from its endpoint, stops a small
-distance XI_CUT before theta_s, and bridges the crossing with the series
-above; endpoint conditions hold by construction.
-
-Each side runs the Dormand-Prince RK5(4) pair (Dormand & Prince, J. Comput.
-Appl. Math. 6, 1980) with its quartic dense output and the step control of
-Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6. `rk45_steps` repeats scipy's
-`solve_ivp(method="RK45")` operation for operation without importing it,
-which keeps start-up short; tests check its steps bit for bit against
-scipy's.
-
-The solution is one periodic table of polynomial pieces
-(`numdiff.PeriodicPiecewisePolynomial`): the RK45 dense-output quartics of
-both sides, the bridge theta_s + v_s t + a_s t^2/2 across the window of
-|theta - theta_s| < XI_CUT, and the mirror image of all three about the far
-rest point, which closes the orbit. Outside the bridge theta'' is the model's
-quotient -(beta theta'^2 + gamma)/alpha; inside it, where that quotient is
-0/0, theta'' is the quadratic through a_s and the quotient at both edges.
+`rk45_steps`, which the closed loop runs, is scipy's `solve_ivp(method="RK45")`
+(Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner,
+Solving ODEs I, II.4-II.6) operation for operation, without its import cost;
+tests check its steps bit for bit against scipy's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import (BoundaryUnreachableError, ConditionCheckError,
                      ConvergenceError, DomainError)
 from .mech import MechanicalSystem, inverse_input
-from .numdiff import PeriodicPiecewisePolynomial, bisect
+from .numdiff import PeriodicPiecewisePolynomial
 from .vhc import ParametricVhc, ReducedModel, SingularityReport
 
 Array = np.ndarray
@@ -70,13 +59,16 @@ def singular_acceleration(model: ReducedModel, report: SingularityReport) -> flo
     return float(-(report.beta_slope * v2 + report.gamma_slope) / denom)
 
 
-# Each side of `solve_boundary` integrates with RK45 at rtol = atol = ODE_TOL
-# and stops XI_CUT from theta_s, where the series bridge takes over.
-XI_CUT = 1e-6
-ODE_TOL = 1e-10
-# RHS evaluations one side of `solve_boundary` may spend. The default tic-toc and
-# family runs take 758 to 914 per side, and RK45's count grows like ODE_TOL^(-1/5).
-RHS_BUDGET = 20_000
+# Nodes per Chebyshev-Lobatto panel: 24 hold theta'^2 to 4e-16 of a 30-digit solution on a
+# kappa = 8 test model; on kappa = 3 and 4 ones, 16 nodes land 12 and 30 times further off.
+COLLOCATION_NODES = 24
+# Table pieces per side uniform in sigma = sqrt|theta - theta_b|, then CROSSING_RUN[2]
+# nodes from CROSSING_RUN[0] sigma-steps out into theta_s, each CROSSING_RUN[1] times as
+# far from it in sigma as the last. The residual of the kappa = 8 and 4/3 family orbits
+# reads 2.1e-8 and 2.2e-9 at 64 steps, 1.3e-9 and 9.7e-10 at 128 (`lift`'s gate: 1e-8);
+# ratio 0.9 leaves 8e-9 at the 4/3 cusp, and 200 nodes 1.2e-8 within 1e-6 of theta_s.
+SIGMA_STEPS = 128
+CROSSING_RUN = (16, 0.95, 250)
 REST_TOL = 1e-8       # |dtheta| up to which an endpoint is a rest point
 LIFT_SAMPLES = 4096   # equal time samples of one period in `lift`
 
@@ -85,10 +77,10 @@ LIFT_SAMPLES = 4096   # equal time samples of one period in `lift`
 class ScalarSolution:
     """One boundary-to-boundary solution through the singular crossing (t_s = 0).
 
-    `table` holds (theta, theta', bridge weight, bridge theta'') over one
-    period from t1, the mirror half included (see `_orbit_table`). Between
-    rest endpoints that is a periodic orbit of period 2 (t2 - t1) from t0 = t1;
-    otherwise only [t1, t2] is a solution.
+    `table` holds (theta - theta_s, theta', theta'') over one period from t1,
+    the mirror half included (see `solve_boundary`). Between rest endpoints
+    that is a periodic orbit of period 2 (t2 - t1) from t0 = t1; otherwise
+    only [t1, t2] is a solution.
     """
 
     t1: float
@@ -97,7 +89,7 @@ class ScalarSolution:
     dtheta2: float
     v_s: float
     a_s: float
-    coefficients: Callable[[Array], Array] = field(repr=False)
+    theta_s: float
     table: PeriodicPiecewisePolynomial = field(repr=False)
 
     @property
@@ -121,36 +113,15 @@ class ScalarSolution:
         """(theta, theta', theta'') at time t; arrays for an array of t.
 
         Any t for rest endpoints, where the orbit is periodic; t in [t1, t2]
-        otherwise, else DomainError. theta'' is the model quotient, or the
-        bridge quadratic where the bridge weight w is 1: there (1 - w) drops
-        the quotient and alpha + w keeps its denominator off zero.
+        otherwise, else DomainError.
         """
         if not self.at_rest:
             t_arr = np.asarray(t)
             outside = t_arr[(t_arr < self.t1 - 1e-9) | (t_arr > self.t2 + 1e-9)]
             if outside.size:
                 raise DomainError(f"t={outside[0]} outside solution window [{self.t1}, {self.t2}]")
-        th, dth, w, bridge_acc = self.table(t).T
-        alpha, beta, gamma = self.coefficients(th)
-        return th, dth, (1.0 - w) * -(beta * dth * dth + gamma) / (alpha + w) + bridge_acc
-
-
-def _series_offset(xi: float, v_s: float, a_s: float, inward: int) -> float:
-    """Time to cover distance xi from the crossing along the series (inward=-1 left)."""
-    # Root d > 0 of v_s d + inward * a_s d^2 / 2 = xi, in the cancellation-free form.
-    return 2.0 * xi / (v_s + math.sqrt(v_s * v_s + 2.0 * inward * a_s * xi))
-
-
-def _pieces(coeffs: Array, x0: Array, rate: Array) -> Array:
-    """Coefficients of p_i(x0_i + rate_i d) in powers of d, from those of p_i in powers of x.
-
-    Both have the layout (piece, power, component).
-    """
-    k = np.arange(coeffs.shape[1])
-    # p(x0 + y) = sum_k y^k sum_{m >= k} C(m, k) x0^(m - k) c_m
-    shift = (np.array([[math.comb(m, j) for m in k] for j in k])
-             * x0[:, None, None] ** np.maximum(k - k[:, None], 0))
-    return np.einsum("ikm,imv->ikv", shift, coeffs) * (rate[:, None] ** k)[..., None]
+        xi, dth, ddth = self.table(t).T
+        return xi + self.theta_s, dth, ddth
 
 
 # The Dormand-Prince RK5(4) tableau, its error weights E (5th minus 4th order)
@@ -182,25 +153,6 @@ _P = np.array([
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 
 
-@dataclass
-class RkSteps:
-    """Accepted RK45 steps of one sweep, each with its dense-output quartic.
-
-    Step i starts at t_old[i] from y_old[i] and has signed length h[i]; its
-    quartic is y_old + h sum_k Q[:, k] x^(k+1), x = (s - t_old)/h (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.6). `t`, `y` are the last state: the
-    cut and the quartic's value there if `reached`, else the last step's end.
-    """
-
-    t_old: Array
-    h: Array
-    y_old: Array
-    Q: Array
-    t: float
-    y: Array
-    reached: bool
-
-
 def _rms(x: Array) -> float:
     # The sum np.linalg.norm takes for a vector, so scipy's RK45 norm bit for bit.
     return math.sqrt(x.dot(x)) / x.size ** 0.5
@@ -213,11 +165,12 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
     rtol=tol, atol=tol)`: its initial step choice, RMS error norm and step
     control, FSAL stages, 10-ulp minimum step and t_bound clamp. fun(t, y)
     returns y' as an array or as a list of floats. Yields
-    (t_old, h, y_old, Q, t, y) per step: the `RkSteps` entries and the step's
-    end, where y is the fifth-order solution. Ends at t_bound (at once if it is 0) or
-    when the step falls below its minimum (a NaN right-hand side shrinks it
-    there); a caller sees the latter as a last t short of t_bound. A t_bound
-    of +-inf is valid; a NaN t_bound raises DomainError before the first step.
+    (t_old, h, y_old, Q, t, y) per step, Q its quartic (`rk45_dense`) and y
+    the fifth-order solution at its end t. Ends at t_bound (at once if it is
+    0) or when the step falls below its minimum (a NaN right-hand side
+    shrinks it there); a caller sees the latter as a last t short of t_bound.
+    A t_bound of +-inf is valid; a NaN t_bound raises DomainError before the
+    first step.
     """
     if math.isnan(t_bound):
         raise DomainError(f"t_bound must not be NaN, got {t_bound}")
@@ -271,75 +224,181 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
 
 
 def rk45_dense(t_old: float, h: float, y_old: Array, Q: Array, s):
-    """One step's quartic (see `RkSteps`) at time s, or one row per entry of an array s."""
+    """A step's quartic y_old + h sum_k Q[:, k] x^(k+1), x = (s - t_old)/h, at time s
+    or one row per entry of an array s (Hairer, Norsett & Wanner, Solving ODEs I, II.6)."""
     p = np.cumprod(np.multiply.outer(np.ones(4), (np.asarray(s) - t_old) / h), axis=0)
     return (h * np.dot(Q, p)).T + y_old
 
 
-def rk45_sweep(fun, y0: Array, t_bound: float, target: float, tol: float) -> RkSteps:
-    """`rk45_steps` from t = 0 toward t_bound until y[0] crosses `target`.
-
-    Repeats `solve_ivp` with a terminal event y[0] - target: the event time
-    is bisected to full resolution on the last step's quartic, where scipy
-    runs brentq. Stops with `reached` False where `rk45_steps` ends.
-    """
-    steps = ([], [], [], [])   # t_old, h, y_old and Q of each accepted step
-    t, y = 0.0, np.asarray(y0, dtype=float)
-    g = y[0] - target
-    for t_old, h, y_old, Q, t, y in rk45_steps(fun, y, t_bound, tol):
-        for column, value in zip(steps, (t_old, h, y_old, Q)):
-            column.append(value)
-        g_old, g = g, y[0] - target
-        if (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0):
-            lo, hi, g_lo, g_hi = (t_old, t, g_old, g) if h > 0 else (t, t_old, g, g_old)
-            t = bisect(lambda s: rk45_dense(t_old, h, y_old, Q, s)[0] - target,
-                       lo, hi, g_lo, g_hi, 0.0)
-            return RkSteps(*map(np.array, steps), t, rk45_dense(t_old, h, y_old, Q, t), True)
-    return RkSteps(*map(np.array, steps), t, y, False)
+def _chebyshev_panel(n: int):
+    """Lobatto nodes r_j = sin^2(pi j/2n), j = 0..n, of [0, 1], their barycentric weights
+    and the differentiation matrix D, (D f)_i = f'(r_i)."""
+    j = np.arange(n + 1)
+    angle = 0.5 * math.pi / n * j
+    weights = np.where(j % 2, -1.0, 1.0) * np.where(j % n, 1.0, 0.5)
+    # r_i - r_j as a product of sines, free of a difference's cancellation.
+    gaps = np.sin(angle[:, None] + angle) * np.sin(angle[:, None] - angle) + np.eye(n + 1)
+    D = weights / weights[:, None] / gaps
+    D[j, j] = 0.0
+    D[j, j] = -D.sum(axis=1)
+    return np.sin(angle) ** 2, weights, D
 
 
-def _quartics(side: RkSteps):
-    """The quartics of `side` in powers of x for (theta, theta', 0, 0).
-
-    Returns the coefficients, x at both ends of each step (up to the cut on
-    the last one) and dx/ds.
-    """
-    ts = np.r_[side.t_old, side.t]
-    coeffs = np.zeros((len(side.h), 5, 4))
-    coeffs[:, 0, :2] = side.y_old
-    coeffs[:, 1:, :2] = side.h[:, None, None] * side.Q.transpose(0, 2, 1)
-    return coeffs, (ts[:-1] - side.t_old) / side.h, (ts[1:] - side.t_old) / side.h, 1.0 / side.h
+_PANEL = _chebyshev_panel(COLLOCATION_NODES - 1)
 
 
-def _orbit_table(left: RkSteps, right: RkSteps, t1: float, t2: float, bridge: Array,
-                 dt_left: float, dt_right: float) -> PeriodicPiecewisePolynomial:
-    """(theta, theta', bridge weight, bridge theta'') over one period from t1, as one table.
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1] (Golub & Welsch, Math. Comp. 23, 1969)."""
+    k = np.arange(1.0, n)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return 0.5 + 0.25 * (x - x[::-1]), 0.5 * (v[0] ** 2 + v[0, ::-1] ** 2)
 
-    [t1, t2] holds the left side's quartics, the bridge (`bridge` in powers of
-    t) on [-dt_left, dt_right] and the right side's quartics; [t2, t1 + period]
-    holds its mirror image theta(2 t2 - t), with theta' negated.
-    """
-    l_c, l_x0, l_x1, l_rate = _quartics(left)
-    r_c, r_x1, r_x0, r_rate = (a[::-1] for a in _quartics(right))   # time runs backward
-    coeffs = np.concatenate([l_c, bridge[None], r_c])
-    x0, x1 = np.r_[l_x0, -dt_left, r_x0], np.r_[l_x1, dt_right, r_x1]
-    rate = np.r_[l_rate, 1.0, r_rate]
-    breaks = np.r_[t1 + left.t_old, -dt_left, dt_right, t2 + right.t_old[:0:-1], t2]
-    mirrored = _pieces(coeffs[::-1], x1[::-1], -rate[::-1]) * [1.0, -1.0, 1.0, 1.0]
-    table = np.concatenate([_pieces(coeffs, x0, rate), mirrored])
-    breaks = np.r_[breaks[:-1], 2.0 * t2 - breaks[:0:-1], t1 + 2.0 * (t2 - t1)]
-    return PeriodicPiecewisePolynomial(breaks, table.transpose(1, 0, 2)[::-1])
+
+_GAUSS = _gauss_legendre(8)   # sums a piece's time to rounding: its integrand is smooth in sigma
+
+
+def _interpolate(x: Array, values: Array) -> Array:
+    """Panel node values (one row per node) at the points x of [0, 1], barycentric
+    (Berrut & Trefethen, SIAM Rev. 46, 2004); a point on a node takes its row."""
+    nodes, weights, _ = _PANEL
+    out = np.empty((x.size, values.shape[1]))
+    for start in range(0, x.size, 256):      # 256 points a pass bound the work arrays
+        gaps = x[start:start + 256, None] - nodes
+        hit = gaps == 0.0
+        gaps[hit] = 1.0
+        k = weights / gaps
+        out[start:start + 256] = (k @ values) / k.sum(axis=1)[:, None]
+        point, node = np.nonzero(hit)
+        out[start + point] = values[node]
+    return out
+
+
+def _solve(A: Array, b: Array, side: str, panel: str) -> Array:
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(f"{side} side: the {panel} panel's collocation system is singular",
+                               {"side": side, "panel": panel}) from None
+
+
+def _quintics(side: tuple, backward: bool, sign: float) -> Array:
+    """Quintic Hermite pieces in t along one side (`_side`) through xi, theta' and
+    theta'' at both ends of each piece, and their first two derivatives, as three
+    columns in `PeriodicPiecewisePolynomial`'s layout: from theta_s if backward, with
+    theta' times sign (-1 on the mirror half). A piece's lead and speed step keep their
+    digits on a piece far shorter than theta'/theta''; its lead from the far end is the
+    lead from its first node less step dt."""
+    y, dy, ddy, h, lead, step = side
+    if backward:
+        y, dy, ddy, h, lead, step = (y[::-1], dy[::-1], ddy[::-1], h[::-1],
+                                     (lead - step * h)[::-1], -step[::-1])
+    y0, v0, a0 = y[:-1], sign * dy[:-1], ddy[:-1]
+    gap, dv = sign * lead - 0.5 * a0 * h * h, h * (sign * step - a0 * h)
+    da = h * h * (ddy[1:] - a0)
+    c3 = (10.0 * gap - 4.0 * dv + 0.5 * da) / h ** 3
+    c4 = (-15.0 * gap + 7.0 * dv - da) / h ** 4
+    c5 = (6.0 * gap - 3.0 * dv + 0.5 * da) / h ** 5
+    return np.array([[c5, c4, c3, 0.5 * a0, v0, y0],
+                     [0.0 * h, 5.0 * c5, 4.0 * c4, 3.0 * c3, a0, v0],
+                     [0.0 * h, 0.0 * h, 20.0 * c5, 12.0 * c4, 6.0 * c3, a0]]).transpose(1, 2, 0)
+
+
+def _side(model: ReducedModel, side: str, theta_b: float, dtheta_b: float, theta_s: float,
+          kappa: float, v_s: float, a_s: float):
+    """From theta_b to theta_s: xi, the speed |theta'| and theta'' at the table nodes,
+    and the time, lead and speed step of each piece between them."""
+    nodes, _, D = _PANEL
+    n, r_D = nodes.size, nodes[:, None] * D
+    s = math.copysign(1.0, theta_s - theta_b)   # theta runs from theta_b toward theta_s
+    span, half = abs(theta_s - theta_b), 0.5 * abs(theta_s - theta_b)
+    # Boundary panel theta_b + s half r, crossing panel theta_s - s half r, r in [0, 1].
+    thetas = np.r_[theta_b + s * half * nodes, theta_s - s * half * nodes]
+    coeffs = np.asarray(model.coefficients(thetas), dtype=float)
+    if not np.isfinite(coeffs).all():
+        theta = float(thetas[~np.isfinite(coeffs).all(axis=0)][0])
+        raise BoundaryUnreachableError(
+            f"{side} side: the reduced model's coefficients are not finite at theta = {theta!r}",
+            {"side": side, "theta": theta})
+    (alpha_b, alpha_c), (beta_b, beta_c), (gamma_b, gamma_c) = coeffs.reshape(3, 2, n)
+
+    def operator(alpha, beta, sign):
+        # The part of alpha Y' + 2 beta Y that Y = Y(r = 0) + r X puts on X at the nodes.
+        return (sign / half) * alpha[:, None] * (np.eye(n) + r_D) + np.diag(2.0 * beta * nodes)
+
+    # Boundary panel: Y = Y_b + r Z with Y_b = theta_b'^2 keeps Y's relative accuracy next
+    # to a rest point; the equation holds at every node, r = 0 included.
+    y_b = dtheta_b * dtheta_b
+    Z = _solve(operator(alpha_b, beta_b, s), -2.0 * (gamma_b + beta_b * y_b), side, "boundary")
+    # Crossing panel: Y = v_s^2 + r Q + C |xi|^kappa g, xi = -s half r. g(theta_s) = 1 takes
+    # the degenerate row of alpha g' + (kappa alpha/xi + 2 beta) g = 0 there.
+    A = (-s / half) * alpha_c[:, None] * D + np.diag(np.r_[0.0, kappa * alpha_c[1:] / (
+        -s * half * nodes[1:]) + 2.0 * beta_c[1:]])
+    A[0] = np.eye(n)[0]
+    g = _solve(A, np.eye(n)[0], side, "crossing branch")
+    # For Q and C, P'(theta_s) = 2 a_s (Q(0) = -2 s half a_s) takes the degenerate row and a
+    # last one joins the boundary panel; |xi|^kappa g solves the equation without gamma.
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = operator(alpha_c, beta_c, -s)
+    A[0, :n], A[n, n - 1], A[n, n] = np.eye(n)[0], 1.0, half ** kappa * g[-1]
+    if not A[n, n] > 0.0:
+        raise ConvergenceError(f"{side} side: the crossing panel's collocation system is "
+                               f"singular: |xi|^kappa g reads {float(A[n, n])!r} at its end, "
+                               f"kappa = {kappa!r}", {"side": side, "panel": "crossing"})
+    b = np.r_[-2.0 * s * half * a_s, -2.0 * (gamma_c[1:] + beta_c[1:] * v_s * v_s),
+              y_b + Z[-1] - v_s * v_s]
+    # At a large or an integer kappa polynomials hold |xi|^kappa g to rounding: the system
+    # is singular along Q ~ r^(kappa - 1) g against C, a line on which Y does not change.
+    solution = np.linalg.lstsq(A, b, rcond=None)[0]
+    Q, C = solution[:n], solution[n] * half ** kappa   # C of r^kappa g from here on
+
+    # Table nodes, then quadrature points, as u = sigma/sigma_max and w = 1 - u, each exact
+    # where it is small: the boundary panel reads r = 2 u^2, the crossing one 2 w (2 - w).
+    steps, (out, ratio, count) = SIGMA_STEPS, CROSSING_RUN
+    k, run = np.arange(steps - out + 1), out / steps * ratio ** np.arange(1, count + 1)
+    u, w = np.r_[k / steps, 1.0 - run, 1.0], np.r_[(steps - k) / steps, run, 0.0]
+    h = np.where(u[1:] <= 0.5, np.diff(u), -np.diff(w))
+    m, (x, weights) = u.size, _GAUSS
+    u = np.r_[u, (u[:-1, None] + h[:, None] * x).ravel()]
+    w = np.r_[w, (w[1:, None] + h[:, None] * (1.0 - x)).ravel()]
+    near = u * u <= 0.5
+    Y, small, ddth = np.empty((3, u.size))
+    r = 2.0 * u[near] ** 2
+    Zr, dYr = _interpolate(r, np.column_stack([Z, Z + r_D @ Z])).T
+    Y[near], ddth[near] = y_b + r * Zr, (0.5 * s / half) * dYr
+    r = 2.0 * w[~near] * (2.0 - w[~near])
+    Qr, dQr, gr, dgr = _interpolate(r, np.column_stack([Q, Q + r_D @ Q, g, kappa * g + r_D @ g])).T
+    branch = C * r ** (kappa - 1.0)
+    excess = r * (Qr + branch * gr)              # Y - v_s^2, exact where it is small
+    Y[~near], ddth[~near] = v_s * v_s + excess, (-0.5 * s / half) * (dQr + branch * dgr)
+    if not np.all(Y[1:] > 0.0):
+        # A guard: where Y reaches 0 short of theta_s, a passing existence report makes
+        # gamma push it up, so only a forced report or broken coefficients get here.
+        theta = float(theta_b + s * span * u[1:][~(Y[1:] > 0.0)].min() ** 2)
+        raise BoundaryUnreachableError(f"{side} side: theta'^2 reaches 0 at theta = {theta!r} "
+                                       "short of the crossing", {"side": side, "theta": theta})
+    # The speed is base + small: sqrt(Y), or v_s plus what keeps the digits of Y - v_s^2. A
+    # piece takes dt = 2 span u du/speed; its lead, the distance beyond its first node's
+    # speed times t, is the integral of (speed - speed_0) dt.
+    base = np.where(near, 0.0, v_s)
+    small[near], small[~near] = np.sqrt(Y[near]), excess / (v_s + np.sqrt(Y[~near]))
+    small[0] = dtheta_b
+    dt_du = ((2.0 * span) * u[m:] / (base + small)[m:]).reshape(h.size, -1)
+    beyond = (base[m:].reshape(h.size, -1) - base[:m - 1, None]) + (
+        small[m:].reshape(h.size, -1) - small[:m - 1, None])
+    xi = -s * span * w[:m] * (2.0 - w[:m])
+    xi[0], xi[-1], ddth[m - 1] = theta_b - theta_s, 0.0, a_s
+    return (xi, (base + small)[:m], ddth[:m], h * (dt_du @ weights),
+            h * ((beyond * dt_du) @ weights), np.diff(base[:m]) + np.diff(small[:m]))
 
 
 def solve_boundary(model: ReducedModel, report: SingularityReport,
                    theta1: float, dtheta1: float, theta2: float, dtheta2: float) -> ScalarSolution:
     """Solution with theta(t1) = theta1, theta(t2) = theta2 crossing the singularity.
 
-    Endpoint velocities dtheta1, dtheta2 >= 0 select the branch on each side;
-    each side is integrated from its endpoint toward the crossing (RK45,
-    rtol = atol = ODE_TOL, no time bound but at most RHS_BUDGET right-hand
-    sides), stopped at |theta - theta_s| = XI_CUT, and joined by the
-    forced-velocity series. Time origin: the crossing happens at t = 0.
+    Endpoint velocities dtheta1, dtheta2 >= 0 select the branch on each side.
+    Each side solves for theta'^2 in theta by collocation, and its times come
+    from quadrature (see the module notes). Time origin: the crossing happens
+    at t = 0. The table's second half is the mirror image theta(2 t2 - t).
     """
     if not report.overall:
         raise ConditionCheckError("solve_boundary requires a passing existence report")
@@ -351,73 +410,28 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
     lo, hi = model.interval
     if theta1 < lo or theta2 > hi:
         raise DomainError("boundary positions must lie inside the model interval")
-    if min(th_s - theta1, theta2 - th_s) < 10.0 * XI_CUT:
-        raise DomainError("boundary positions too close to the singular point")
 
-    v_s = report.v_s
-    a_s = singular_acceleration(model, report)
+    v_s, a_s = report.v_s, singular_acceleration(model, report)
+    kappa = -2.0 * report.beta_s / report.alpha_slope
+    if not kappa > 1.0:
+        raise ConditionCheckError(f"crossing exponent kappa = {kappa!r} must exceed 1")
+    left = _side(model, "left", theta1, dtheta1, th_s, kappa, v_s, a_s)
+    right = _side(model, "right", theta2, dtheta2, th_s, kappa, v_s, a_s)
 
-    def accel(th, dth):
-        alpha, beta, gamma = model.coefficients(th).tolist()
-        return -(beta * dth * dth + gamma) / alpha
-
-    def sweep(side, y0, t_bound, target):
-        count = 0
-
-        def rhs(t, y):
-            nonlocal count
-            count += 1
-            if count > RHS_BUDGET:
-                raise BoundaryUnreachableError(
-                    f"{side} sweep spent its budget of {RHS_BUDGET} right-hand sides "
-                    "before reaching the singular crossing",
-                    {"side": side, "final_state": y.tolist(), "time": float(t), "rhs_evals": count})
-            th, dth = y.tolist()
-            return [dth, accel(th, dth)]
-
-        steps = rk45_sweep(rhs, y0, t_bound, target, ODE_TOL)
-        if not steps.reached:
-            raise BoundaryUnreachableError(
-                f"{side} boundary state cannot reach the singular crossing",
-                {"side": side, "final_state": steps.y.tolist(), "time": float(steps.t),
-                 "rhs_evals": count})
-        dth_cut = float(steps.y[1])
-        if abs(dth_cut - v_s) > 0.2 * v_s + 0.2:
-            raise ConvergenceError(
-                f"{side} sweep reached the cut with velocity {dth_cut:.6g}, "
-                f"far from the forced crossing velocity {v_s:.6g}")
-        return steps
-
-    # Left side forward in time from (theta1, dtheta1) up to theta_s - XI_CUT,
-    # right side backward in time from (theta2, dtheta2) down to theta_s + XI_CUT.
-    left = sweep("left", [theta1, dtheta1], math.inf, th_s - XI_CUT)
-    right = sweep("right", [theta2, dtheta2], -math.inf, th_s + XI_CUT)
-    T_left, T_right = abs(left.t), abs(right.t)
-
-    dt_left = _series_offset(XI_CUT, v_s, a_s, inward=-1)
-    dt_right = _series_offset(XI_CUT, v_s, a_s, inward=+1)
-    t1 = -(T_left + dt_left)
-    t2 = dt_right + T_right
-
-    # Inside the bridge theta and theta' follow the series, and theta'' is the
-    # quadratic through the crossing acceleration and the two safe edge values,
-    # which avoids the 0/0 quotient there.
-    bridge = np.zeros((5, 4))           # (theta, theta', weight, theta'') in powers of t
-    bridge[:3, 0] = th_s, v_s, 0.5 * a_s
-    bridge[:2, 1] = v_s, a_s
-    bridge[0, 2] = 1.0
-    bridge[:3, 3] = np.polyfit([-dt_left, 0.0, dt_right],
-                               [accel(*left.y), a_s, accel(*right.y)],
-                               2)[::-1]
+    # [t1, t2] runs up the left side and down the right one; then the mirror half.
+    pieces = np.concatenate([_quintics(left, False, 1.0), _quintics(right, True, 1.0),
+                             _quintics(right, False, -1.0), _quintics(left, True, -1.0)], axis=1)
+    breaks = np.r_[-np.cumsum(left[3][::-1])[::-1], 0.0, np.cumsum(right[3][::-1])]
+    t1, t2 = float(breaks[0]), float(breaks[-1])
+    breaks = np.r_[breaks[:-1], 2.0 * t2 - breaks[:0:-1], t1 + 2.0 * (t2 - t1)]
     return ScalarSolution(t1=t1, t2=t2, dtheta1=dtheta1, dtheta2=dtheta2, v_s=v_s, a_s=a_s,
-                          coefficients=model.coefficients,
-                          table=_orbit_table(left, right, t1, t2, bridge, dt_left, dt_right))
+                          theta_s=th_s, table=PeriodicPiecewisePolynomial(breaks, pieces))
 
 
 def make_periodic(sol: ScalarSolution) -> ScalarSolution:
     """`sol` itself, after checking that its endpoints are rest points.
 
-    The table already holds the mirror half (`_orbit_table`); rest endpoints
+    The table already holds the mirror half (`solve_boundary`); rest endpoints
     make its junctions C^2, so `sol` is a periodic orbit.
     """
     if not sol.at_rest:

@@ -249,11 +249,11 @@ def test_periodic_spline_batch(which, tictoc_ltv, tictoc_gains, family_pack, fam
 
 
 def _special_times(per):
-    """Times in the series bridge, at the mirror point, in the mirrored half and across wraps."""
-    bridge = [0.0, 1e-8, -1e-8]
+    """Times next to the crossing, at the mirror point, in the mirrored half and across wraps."""
+    crossing = [0.0, 1e-8, -1e-8]
     mirror = [per.t2, 2.0 * per.t2, 2.0 * per.t2 + 1e-8, per.t2 + 0.3]
     wraps = [per.t0, per.t0 + per.period, per.t0 - 0.4, per.t0 + 2.0 * per.period + 0.1]
-    return np.array(bridge + mirror + wraps)
+    return np.array(crossing + mirror + wraps)
 
 
 @pytest.mark.parametrize("which", ["tictoc", "family"])

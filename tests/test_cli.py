@@ -142,10 +142,11 @@ def test_config_keys_validated_alike_in_files_and_overrides(tmp_path):
     assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "o1")]) == 64
     for assignment in ("solver.n_samples=2001", "vhc.kind.name=1", "stabilize=1"):
         assert main(["plan", "--out", str(tmp_path / "o2"), "--set", assignment]) == 64
-    # Keys that became constants: the solver's, the chart's and the sampling
-    # tuning values, the boundary velocities, which a periodic orbit fixes at
-    # 0, and the sweep's time bound, which RHS_BUDGET replaces. Keys with one
-    # working value: the zero-order hold's switch and the system, always PVTOL.
+    # Keys that became constants or went: the solver's cut, tolerance and time
+    # bound (the solve through the crossing has none of them), the chart's and
+    # the sampling tuning values, and the boundary velocities, which a periodic
+    # orbit fixes at 0. Keys with one working value: the zero-order hold's
+    # switch and the system, always PVTOL.
     removed = {"solver": {"xi_cut": 1e-6, "tol": 1e-10, "t_max": 1000, "lift_samples": 4096},
                "check": {"n_grid": 2048},
                "certify": {"n_samples": 2048, "accessibility_samples": 64},
@@ -569,3 +570,17 @@ def test_public_names():
     from vhcplan import (NoVhcCertificate, ParametricVhc, PeriodicMatrixSpline,  # noqa: F401
                          SimulationResult, SingularityReport, SingularPass, family_vhc,
                          theorem2_scan, tic_toc_acceleration, wrap_angle)
+
+
+@pytest.mark.parametrize("k1, k2", [(0.25, 1.0), (0.25, 0.5), (0.5, 0.5)])
+def test_gramian_gate_rejects_three_explicit_family_orbits(tmp_path, k1, k2):
+    # (k1, k2, k3) = (0.25, 1, -0.1), (0.25, 0.5, -0.1) and (0.5, 0.5, -0.1), with
+    # kappa 4/3, 8 and 4/3, plan through the crossing, but their smallest Gramian
+    # eigenvalues, 7.4e-7, 5.7e-8 and 2.8e-7, sit below the gate of 1e-6: exit 3.
+    out = tmp_path / "gate"
+    assert main(["stabilize", "--out", str(out), "--set", "vhc.kind=family",
+                 "--set", f"vhc.k1={k1}", "--set", f"vhc.k2={k2}", "--set", "vhc.k3=-0.1",
+                 "--set", "vhc.theta_max=0.2"]) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConvergenceError" and "Gramian" in err["message"]
+    assert json.loads((out / "report.json").read_text())["max_input_residual"] < 1e-8

@@ -55,7 +55,7 @@ def test_periodic_matrix_spline_wraps():
 def test_one_time_equals_its_row_of_an_array_of_times(which, tictoc_ltv, tictoc_gains,
                                                        family_pack):
     # Every value shape the package builds: K (2, 5), A (5, 5), B (5, 2), the
-    # family chart's scalar phase-to-time map and the orbit's 4-column quartic
+    # family chart's scalar phase-to-time map and the orbit's 3-column quintic
     # table. One time, a float or an np.float64, sums its terms on Python
     # floats (`point`, a flat list); an array takes the array branch. They
     # agree bit for bit at random times, at every knot and across the wrap,
@@ -250,10 +250,8 @@ def test_family_chart_matches_tictoc_chart(tictoc_chart, tictoc_trajectory):
     gap = np.abs(chart.reference_input(tau) - tictoc_chart.reference_input(tau)).max(axis=1)
     far = np.minimum(np.abs(tau), math.pi - np.abs(tau)) > 0.05
     assert gap[far].max() < 5e-8
-    # Beside a crossing the planned orbit's theta'' is the reduced model's 0/0
-    # quotient -(beta theta'^2 + gamma)/alpha, off by up to about 9e-6 against
-    # -sin t at the edge of the series bridge (singular_solver). The planned
-    # reference input inherits that floor: the gap reads about 6e-7 there.
+    # The planned orbit's theta'' follows -sin t to 1e-11 next to the crossings
+    # as well (singular_solver); the gap reads about 1e-11 at every tau.
     assert gap.max() < 1e-5
 
 
