@@ -127,7 +127,7 @@ class PeriodicPiecewisePolynomial:
         z = d2 * d
         c = self._rows[:, i].tolist()
         value = [c0 + c1 * d + c2 * d2 + c3 * z for c0, c1, c2, c3 in zip(*c[:4])]
-        for ck in c[4:]:                     # the orbit table's quartic and quintic terms
+        for ck in c[4:]:                     # quartic and higher terms
             z = z * d
             value = [v + ckj * z for v, ckj in zip(value, ck)]
         return value
@@ -146,6 +146,21 @@ class PeriodicPiecewisePolynomial:
             value = value + ck[i] * z
             z = z * d
         return value
+
+    def derivatives(self, t: float | Array, count: int) -> Array:
+        """The value at time t or at an array of times and its first `count`
+        derivatives, stacked on a last axis; each by Horner's rule."""
+        t = self._x0 + (np.asarray(t, dtype=float) - self._x0) % self._span
+        i = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self._last)
+        d = (t - self.breaks[i])[self._value_axes]
+        c, out = self._c[:, i], []
+        for _ in range(count + 1):
+            value = c[-1]
+            for ck in c[-2::-1]:
+                value = value * d + ck
+            out.append(value)
+            c = c[1:] * np.arange(1.0, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+        return np.stack(out, axis=-1)
 
 
 def cubic_coefficients(x: Array, y: Array, dydx: Array) -> Array:

@@ -8,12 +8,14 @@ v_s = sqrt(-gamma/beta) and acceleration a_s = -(beta' v_s^2 + gamma') /
 in theta, theta'' = Y'/2 (Shiriaev, Perram & Canudas-de-Wit, IEEE TAC 50, 2005),
 and its row at theta_s forces Y = v_s^2. Near theta_s, Y = P + C |xi|^kappa g,
 xi = theta - theta_s, kappa = -2 beta_s/alpha' > 1, P and g smooth, g(theta_s) = 1;
-the boundary state picks C. `solve_boundary` collocates Y on each side, in that
-basis next to theta_s, for every kappa alike, and sums dtheta/sqrt(Y) for the
-times by Gauss-Legendre quadrature. The solution is one periodic table
+the boundary state picks C. At an integer kappa the series of P can meet a
+resonance, which puts xi^kappa log|xi| into Y unless it cancels. `solve_boundary`
+collocates Y on each side, in that basis and a member that becomes the log term
+at an integer kappa, for every kappa alike, and sums dtheta/sqrt(Y) for the times
+by Gauss-Legendre quadrature. The solution is one periodic table
 (`numdiff.PeriodicPiecewisePolynomial`) of quintic Hermite pieces in t through
-(xi, theta', theta''): both sides, then their mirror image about the far rest
-point, which closes the orbit.
+xi, read with its first two derivatives: both sides, then their mirror image
+about the far rest point, which closes the orbit.
 
 `rk45_steps`, which the closed loop runs, is scipy's `solve_ivp(method="RK45")`
 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner,
@@ -62,13 +64,14 @@ def singular_acceleration(model: ReducedModel, report: SingularityReport) -> flo
 # Nodes per Chebyshev-Lobatto panel: 24 hold theta'^2 to 4e-16 of a 30-digit solution on a
 # kappa = 8 test model; on kappa = 3 and 4 ones, 16 nodes land 12 and 30 times further off.
 COLLOCATION_NODES = 24
-# Table pieces per side uniform in sigma = sqrt|theta - theta_b|, then CROSSING_RUN[2]
-# nodes from CROSSING_RUN[0] sigma-steps out into theta_s, each CROSSING_RUN[1] times as
-# far from it in sigma as the last. The residual of the kappa = 8 and 4/3 family orbits
-# reads 2.1e-8 and 2.2e-9 at 64 steps, 1.3e-9 and 9.7e-10 at 128 (`lift`'s gate: 1e-8);
-# ratio 0.9 leaves 8e-9 at the 4/3 cusp, and 200 nodes 1.2e-8 within 1e-6 of theta_s.
+# Table pieces per side, uniform in sigma = sqrt|theta - theta_b| but for the last
+# CROSSING_STEPS of them, which give way to 4 CROSSING_STEPS pieces graded as the fourth
+# power toward theta_s (see `_side`). The reduced-equation residual of the kappa = 8 and
+# 4/3 family orbits reads 2.1e-8 and 1.7e-8 at (64, 8), 1.3e-9 and 7.1e-9 at (128, 8),
+# 1.3e-9 and 1.1e-9 at (128, 16) (`lift`'s gate: 1e-8); the first is set at theta_b,
+# the second where the graded run begins.
 SIGMA_STEPS = 128
-CROSSING_RUN = (16, 0.95, 250)
+CROSSING_STEPS = 16
 REST_TOL = 1e-8       # |dtheta| up to which an endpoint is a rest point
 LIFT_SAMPLES = 4096   # equal time samples of one period in `lift`
 
@@ -77,10 +80,10 @@ LIFT_SAMPLES = 4096   # equal time samples of one period in `lift`
 class ScalarSolution:
     """One boundary-to-boundary solution through the singular crossing (t_s = 0).
 
-    `table` holds (theta - theta_s, theta', theta'') over one period from t1,
-    the mirror half included (see `solve_boundary`). Between rest endpoints
-    that is a periodic orbit of period 2 (t2 - t1) from t0 = t1; otherwise
-    only [t1, t2] is a solution.
+    `table` holds theta - theta_s over one period from t1, the mirror half
+    included (see `solve_boundary`); its derivatives are theta' and theta''.
+    Between rest endpoints that is a periodic orbit of period 2 (t2 - t1) from
+    t0 = t1; otherwise only [t1, t2] is a solution.
     """
 
     t1: float
@@ -120,7 +123,7 @@ class ScalarSolution:
             outside = t_arr[(t_arr < self.t1 - 1e-9) | (t_arr > self.t2 + 1e-9)]
             if outside.size:
                 raise DomainError(f"t={outside[0]} outside solution window [{self.t1}, {self.t2}]")
-        xi, dth, ddth = self.table(t).T
+        xi, dth, ddth = np.moveaxis(self.table.derivatives(t, 2), -1, 0)
         return xi + self.theta_s, dth, ddth
 
 
@@ -282,12 +285,11 @@ def _solve(A: Array, b: Array, side: str, panel: str) -> Array:
 
 
 def _quintics(side: tuple, backward: bool, sign: float) -> Array:
-    """Quintic Hermite pieces in t along one side (`_side`) through xi, theta' and
-    theta'' at both ends of each piece, and their first two derivatives, as three
-    columns in `PeriodicPiecewisePolynomial`'s layout: from theta_s if backward, with
-    theta' times sign (-1 on the mirror half). A piece's lead and speed step keep their
-    digits on a piece far shorter than theta'/theta''; its lead from the far end is the
-    lead from its first node less step dt."""
+    """Quintic Hermite pieces in t of xi along one side (`_side`) through xi, theta'
+    and theta'' at both ends of each piece, in `PeriodicPiecewisePolynomial`'s layout:
+    from theta_s if backward, with theta' times sign (-1 on the mirror half). A piece's
+    lead and speed step keep their digits on a piece far shorter than theta'/theta'';
+    its lead from the far end is the lead from its first node less step dt."""
     y, dy, ddy, h, lead, step = side
     if backward:
         y, dy, ddy, h, lead, step = (y[::-1], dy[::-1], ddy[::-1], h[::-1],
@@ -298,9 +300,7 @@ def _quintics(side: tuple, backward: bool, sign: float) -> Array:
     c3 = (10.0 * gap - 4.0 * dv + 0.5 * da) / h ** 3
     c4 = (-15.0 * gap + 7.0 * dv - da) / h ** 4
     c5 = (6.0 * gap - 3.0 * dv + 0.5 * da) / h ** 5
-    return np.array([[c5, c4, c3, 0.5 * a0, v0, y0],
-                     [0.0 * h, 5.0 * c5, 4.0 * c4, 3.0 * c3, a0, v0],
-                     [0.0 * h, 0.0 * h, 20.0 * c5, 12.0 * c4, 6.0 * c3, a0]]).transpose(1, 2, 0)
+    return np.array([c5, c4, c3, 0.5 * a0, v0, y0])
 
 
 def _side(model: ReducedModel, side: str, theta_b: float, dtheta_b: float, theta_s: float,
@@ -335,26 +335,38 @@ def _side(model: ReducedModel, side: str, theta_b: float, dtheta_b: float, theta
         -s * half * nodes[1:]) + 2.0 * beta_c[1:]])
     A[0] = np.eye(n)[0]
     g = _solve(A, np.eye(n)[0], side, "crossing branch")
-    # For Q and C, P'(theta_s) = 2 a_s (Q(0) = -2 s half a_s) takes the degenerate row and a
-    # last one joins the boundary panel; |xi|^kappa g solves the equation without gamma.
-    A = np.zeros((n + 1, n + 1))
+    # For Q, C and L, P'(theta_s) = 2 a_s (Q(0) = -2 s half a_s) takes the degenerate row and
+    # a last one joins the boundary panel; |xi|^kappa g solves the equation without gamma.
+    # L weighs r^kappa g psi, psi = (1 - r^-d)/d, d = kappa - m for the integer m >= 2
+    # nearest kappa: the equation takes (-s/half) alpha g r^(m-1) from it, for every kappa,
+    # and it is 0 at both ends. At d = 0, psi = log r carries the xi^m log|xi| term of an
+    # integer kappa whose resonance does not cancel; elsewhere it adds a line of solutions
+    # along which Y does not change, and near an integer it keeps Q and C small.
+    order = max(2, round(kappa))
+    d = kappa - order
+    A = np.zeros((n + 1, n + 2))
     A[:n, :n] = operator(alpha_c, beta_c, -s)
     A[0, :n], A[n, n - 1], A[n, n] = np.eye(n)[0], 1.0, half ** kappa * g[-1]
+    A[1:n, n + 1] = (-s / half) * alpha_c[1:] * g[1:] * nodes[1:] ** (order - 1)
     if not A[n, n] > 0.0:
         raise ConvergenceError(f"{side} side: the crossing panel's collocation system is "
                                f"singular: |xi|^kappa g reads {float(A[n, n])!r} at its end, "
                                f"kappa = {kappa!r}", {"side": side, "panel": "crossing"})
     b = np.r_[-2.0 * s * half * a_s, -2.0 * (gamma_c[1:] + beta_c[1:] * v_s * v_s),
               y_b + Z[-1] - v_s * v_s]
-    # At a large or an integer kappa polynomials hold |xi|^kappa g to rounding: the system
-    # is singular along Q ~ r^(kappa - 1) g against C, a line on which Y does not change.
+    # At a large or an integer kappa polynomials hold |xi|^kappa g to rounding, and off an
+    # integer psi adds another such line: the system is singular along them: lstsq.
     solution = np.linalg.lstsq(A, b, rcond=None)[0]
-    Q, C = solution[:n], solution[n] * half ** kappa   # C of r^kappa g from here on
+    Q, C, L = solution[:n], solution[n] * half ** kappa, solution[n + 1]   # C of r^kappa g
 
     # Table nodes, then quadrature points, as u = sigma/sigma_max and w = 1 - u, each exact
     # where it is small: the boundary panel reads r = 2 u^2, the crossing one 2 w (2 - w).
-    steps, (out, ratio, count) = SIGMA_STEPS, CROSSING_RUN
-    k, run = np.arange(steps - out + 1), out / steps * ratio ** np.arange(1, count + 1)
+    # The last `out` uniform steps give way to w = w0 (j/J)^4, w0 = out/steps, J = 4 out,
+    # whose first step matches theirs: a quintic's theta'' is off by (h/xi)^4 |xi|^kappa
+    # there, level for kappa near 1 and falling toward theta_s for larger kappa.
+    steps, out = SIGMA_STEPS, CROSSING_STEPS
+    k, j = np.arange(steps - out + 1), np.arange(4 * out - 1, 0, -1)
+    run = out / steps * (j / (4 * out)) ** 4
     u, w = np.r_[k / steps, 1.0 - run, 1.0], np.r_[(steps - k) / steps, run, 0.0]
     h = np.where(u[1:] <= 0.5, np.diff(u), -np.diff(w))
     m, (x, weights) = u.size, _GAUSS
@@ -367,9 +379,13 @@ def _side(model: ReducedModel, side: str, theta_b: float, dtheta_b: float, theta
     Y[near], ddth[near] = y_b + r * Zr, (0.5 * s / half) * dYr
     r = 2.0 * w[~near] * (2.0 - w[~near])
     Qr, dQr, gr, dgr = _interpolate(r, np.column_stack([Q, Q + r_D @ Q, g, kappa * g + r_D @ g])).T
-    branch = C * r ** (kappa - 1.0)
-    excess = r * (Qr + branch * gr)              # Y - v_s^2, exact where it is small
-    Y[~near], ddth[~near] = v_s * v_s + excess, (-0.5 * s / half) * (dQr + branch * dgr)
+    log_r = np.log(r, out=np.zeros_like(r), where=r > 0.0)   # r = 0 only at theta_s
+    z = -d * log_r                                            # r^-d = e^z
+    psi = np.divide(np.expm1(z), -d, out=log_r, where=z != 0.0)   # log r where d = 0
+    amplitude, branch = C + L * psi, r ** (kappa - 1.0)
+    excess = r * (Qr + branch * gr * amplitude)  # Y - v_s^2, exact where it is small
+    Y[~near] = v_s * v_s + excess
+    ddth[~near] = (-0.5 * s / half) * (dQr + branch * (dgr * amplitude + L * gr * np.exp(z)))
     if not np.all(Y[1:] > 0.0):
         # A guard: where Y reaches 0 short of theta_s, a passing existence report makes
         # gamma push it up, so only a forced report or broken coefficients get here.
@@ -413,8 +429,8 @@ def solve_boundary(model: ReducedModel, report: SingularityReport,
 
     v_s, a_s = report.v_s, singular_acceleration(model, report)
     kappa = -2.0 * report.beta_s / report.alpha_slope
-    if not kappa > 1.0:
-        raise ConditionCheckError(f"crossing exponent kappa = {kappa!r} must exceed 1")
+    if not 1.0 < kappa < math.inf:
+        raise ConditionCheckError(f"crossing exponent kappa = {kappa!r} must be finite, above 1")
     left = _side(model, "left", theta1, dtheta1, th_s, kappa, v_s, a_s)
     right = _side(model, "right", theta2, dtheta2, th_s, kappa, v_s, a_s)
 

@@ -140,6 +140,14 @@ def test_degenerate_crossing_raises_a_typed_error():
     assert exc.value.diagnostics == {"side": "left", "panel": "crossing"}
 
 
+def test_infinite_crossing_exponent_raises_a_typed_error(tictoc_model, tictoc_report):
+    # A forced report whose alpha' underflows makes kappa = -2 beta/alpha' infinite;
+    # the crossing panel cannot take its nearest integer.
+    forced = dataclasses.replace(tictoc_report, alpha_slope=1e-320)
+    with pytest.raises(vp.ConditionCheckError, match="kappa = inf"):
+        vp.solve_boundary(tictoc_model, forced, -1.0, 0.0, 1.0, 0.0)
+
+
 def test_singular_boundary_panel_raises_a_typed_error(tictoc_model, tictoc_report):
     # All three coefficients vanish on theta < -0.5: the boundary panel's rows
     # there read 0 = 0, and np.linalg.solve's LinAlgError comes out typed.
@@ -262,10 +270,12 @@ def test_lift_closure_check_sees_a_perturbed_mirror_half(tictoc_model, tictoc_pe
     # still holds there, so only the closure check can see it.
     per = tictoc_periodic
 
-    def table(t):                  # `lift` reads times of [t0, t0 + period) only
-        return per.table(np.where(np.asarray(t) > 2.0 * per.t2 + 1e-3, t + 1e-3, t))
+    class Table:                   # `lift` reads times of [t0, t0 + period) only
+        def derivatives(self, t, count):
+            return per.table.derivatives(
+                np.where(np.asarray(t) > 2.0 * per.t2 + 1e-3, t + 1e-3, t), count)
 
-    bad = dataclasses.replace(per, table=table)
+    bad = dataclasses.replace(per, table=Table())
     with pytest.raises(vp.ConvergenceError, match="closure"):
         vp.lift(tictoc_model.vhc, bad, vp.pvtol_model())
 
@@ -327,7 +337,8 @@ def test_table_is_continuous_at_its_breaks(orbit):
     # last float before a break reads the piece that ends there.
     _, _, _, per = orbit
     breaks = per.table.breaks[1:-1]
-    jumps = np.abs(per.table(breaks) - per.table(np.nextafter(breaks, -np.inf)))
+    jumps = np.abs(per.table.derivatives(breaks, 2)
+                   - per.table.derivatives(np.nextafter(breaks, -np.inf), 2))
     print(f"jumps: theta {jumps[:, 0].max():.1e}, theta' {jumps[:, 1].max():.1e}, "
           f"theta'' {jumps[:, 2].max():.1e}")
     assert np.all(jumps.max(axis=0) <= [1e-14, 1e-13, 1e-11])
@@ -379,14 +390,20 @@ def test_atlas_is_every_admissible_explicit_orbit():
         vp.family_reduced(0.5 * math.pi, *k, (-0.2, 0.2))).overall]
 
 
-@pytest.mark.parametrize("orbit", [(0.5 * math.pi, k) for k in ATLAS]
+# Integer kappa off psi_s = pi/2, where gamma is no longer even: kappa 2 and 8.
+OFF_AXIS = [(1.2, (0.25, 2.0, -0.25)), (1.0, (0.25, 0.5, -0.1))]
+
+
+@pytest.mark.parametrize("orbit", [(0.5 * math.pi, k) for k in ATLAS] + OFF_AXIS
                          + [(psi_s, None) for psi_s in (0.2, 1.4, 3.0)],
                          ids=[f"{k1}-{k2}-{k3}" for k1, k2, k3 in ATLAS]
+                         + [f"psi_s-{psi_s}-{k1}-{k2}-{k3}" for psi_s, (k1, k2, k3) in OFF_AXIS]
                          + ["psi_s-0.2", "psi_s-1.4", "psi_s-3.0"])
 def test_atlas_orbit_plans_and_linearizes(pvtol, orbit):
-    # Every explicit orbit, integer kappa or not, and three searched ones: the
-    # table meets the independent theta'^2 check, the lift its residual gate,
-    # and the linearization its on-orbit gate f0_max <= 1e-9.
+    # Every explicit orbit, integer kappa or not, two integer-kappa ones off
+    # pi/2 and three searched ones: the table meets the independent theta'^2
+    # check, the lift its residual gate, and the linearization its on-orbit
+    # gate f0_max <= 1e-9.
     psi_s, k = orbit
     if k is None:
         params = vp.find_family_parameters(psi_s)
@@ -400,3 +417,30 @@ def test_atlas_orbit_plans_and_linearizes(pvtol, orbit):
     traj = vp.lift(model.vhc, sol, pvtol)
     ltv = vp.linearize(vp.FamilyChart(traj), pvtol, traj, n_grid=128)
     assert ltv.f0_max < 1e-9
+
+
+def _resonant_model(kappa):
+    """alpha = sin(theta)(1 + theta/5), beta = -(kappa/2) cos(theta) + theta/10,
+    gamma = 1 + 0.3 theta + 0.2 theta^2: theta_s = 0 with crossing exponent kappa.
+    At an integer kappa the series of theta'^2 in theta meets a resonance that,
+    unlike the family's, does not cancel: theta'^2 carries theta^kappa log|theta|."""
+    def coefficients(th):
+        th = np.asarray(th, dtype=float)
+        return np.array([np.sin(th) * (1.0 + 0.2 * th), -0.5 * kappa * np.cos(th) + 0.1 * th,
+                         1.0 + 0.3 * th + 0.2 * th * th])
+
+    return vp.ReducedModel(coefficients=coefficients, interval=(-0.6, 0.6))
+
+
+@pytest.mark.parametrize("kappa", [2.0, 2.001, 3.0])
+def test_integer_kappa_resonance_is_resolved(kappa):
+    # theta'^2 against the independent DOP853 solution, and the reduced
+    # equation's residual over one period within `lift`'s 1e-8 gate.
+    model = _resonant_model(kappa)
+    report = vp.check_theorem1(model)
+    assert abs(-2.0 * report.beta_s / report.alpha_slope - kappa) < 1e-12
+    sol = vp.solve_boundary(model, report, -0.5, 0.0, 0.5, 0.0)
+    assert _theta_dot_squared_gap(model, report.theta_s, sol, -0.5, 0.5) <= 1e-10
+    th, dth, ddth = sol.eval(sol.t0 + sol.period * np.arange(4096) / 4096)
+    alpha, beta, gamma = model.coefficients(th)
+    assert np.abs(alpha * ddth + beta * dth * dth + gamma).max() <= 1e-8

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 import vhcplan as vp
@@ -55,7 +55,7 @@ def test_periodic_matrix_spline_wraps():
 def test_one_time_equals_its_row_of_an_array_of_times(which, tictoc_ltv, tictoc_gains,
                                                        family_pack):
     # Every value shape the package builds: K (2, 5), A (5, 5), B (5, 2), the
-    # family chart's scalar phase-to-time map and the orbit's 3-column quintic
+    # family chart's scalar phase-to-time map and the orbit's scalar quintic
     # table. One time, a float or an np.float64, sums its terms on Python
     # floats (`point`, a flat list); an array takes the array branch. They
     # agree bit for bit at random times, at every knot and across the wrap,
@@ -94,6 +94,23 @@ def test_cubic_coefficients_equal_scipy(n_grid):
     x = np.cumsum(rng.uniform(0.1, 1.0, n_grid + 1))
     y, dydx = rng.normal(size=(2, n_grid + 1))
     assert np.array_equal(cubic_coefficients(x, y, dydx), CubicHermiteSpline(x, y, dydx).c)
+
+
+def test_piecewise_polynomial_derivatives_match_scipy():
+    # Value and first two derivatives of quintic pieces, scalar and vector
+    # values, against scipy's periodic PPoly, across the wrap; one time keeps
+    # the row's shape.
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 9))
+    t = np.concatenate([x, rng.uniform(x[0] - 5.0, x[-1] + 5.0, 300)])
+    for shape in ((), (3,)):
+        c = rng.normal(size=(6, 8) + shape)
+        table = vhcplan.numdiff.PeriodicPiecewisePolynomial(x, c)
+        got = table.derivatives(t, 2)
+        for nu in range(3):
+            expected = PPoly(c, x, extrapolate="periodic")(t, nu)
+            assert np.abs(got[..., nu] - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(table.derivatives(float(t[5]), 2), got[5])
 
 
 def test_periodic_spline_slopes_solve_the_circulant_system():
