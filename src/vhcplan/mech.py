@@ -178,7 +178,7 @@ def pvtol_model() -> MechanicalSystem:
         m, (_, _, psi) = point_or_batch(q)
         _, (u1, u2) = point_or_batch(u)
         a = [0.0 - u1 * m.sin(psi), u1 * m.cos(psi) - 1.0, 0.0 + u2]
-        return a if isinstance(q, list) else np.array(a).T
+        return a if type(q) is list else np.array(a).T
 
     return MechanicalSystem(
         n=3,
@@ -210,10 +210,14 @@ def tic_toc_reference(t: float):
 
 def tic_toc_input(t: float) -> Array:
     """Reference input u of tic_toc_reference alone: shape (2,) at one time, (k, 2) at k times."""
-    m, t = point_or_batch(t, point_ndim=0)
+    return np.array(tic_toc_input_terms(*point_or_batch(t, point_ndim=0))).T
+
+
+def tic_toc_input_terms(m, t) -> list:
+    """[u1, u2] of `tic_toc_input` on `m`: `math` and one time t give Python floats."""
     st = m.sin(t)
     u2 = (12.0 * st + 2.0 * m.sin(3.0 * t)) / (3.0 - 2.0 * m.cos(2.0 * t)) ** 2
-    return np.array([st * m.sqrt(1.0 + 4.0 * st * st), u2]).T
+    return [st * m.sqrt(1.0 + 4.0 * st * st), u2]
 
 
 def tic_toc_orbit() -> SimpleNamespace:

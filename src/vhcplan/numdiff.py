@@ -20,11 +20,11 @@ def point_or_batch(a, point_ndim: int = 1):
     """`math` and one point's entries as Python floats, or numpy and a batch's columns `a.T`.
 
     A point has `point_ndim` dimensions: a vector (1) gives a list, a scalar
-    (0: a float, np.float64 or 0-d array) one float. A list is one point
-    already and comes back as it is. numpy's ufuncs share the names of `math`
-    (atan2, atan, hypot, sin, cos, sqrt), so one body serves both.
+    (0: a float, np.float64 or 0-d array) one float. A list or a Python float
+    is one point already and comes back as it is. numpy's ufuncs share the
+    names of `math` (atan2, atan, hypot, sin, cos, sqrt), so one body serves both.
     """
-    if isinstance(a, list):
+    if type(a) is list or type(a) is float:
         return math, a
     if getattr(a, "ndim", 0) == point_ndim:
         return math, (a.tolist() if point_ndim else float(a))
@@ -115,17 +115,24 @@ class PeriodicPiecewisePolynomial:
             raise ValueError("pieces must be at least cubic")
         self._c[0] += 0.0                                # PPoly's sum starts at 0.0: -0.0 -> +0.0
         self._value_axes = (...,) + (None,) * (self._c.ndim - 2)
-        self._rows = self._c.reshape(self._c.shape[:2] + (-1,))   # C order: a view, no copy
+        self._pieces = self._c.reshape(self._c.shape[:2] + (-1,)).swapaxes(0, 1)   # a view
         self._last = len(self._breaks) - 2
+        self._held = (-1, None)   # the last piece `_piece` read: neighbouring stages share one
+
+    def _piece(self, t: float):
+        """t's piece as flattened coefficient lists, lowest power first, and d, d^2, d^3."""
+        t = self._x0 + (float(t) - self._x0) % self._span
+        i = min(bisect_right(self._breaks, t) - 1, self._last)
+        held = self._held   # read once: another thread may replace it
+        if held[0] != i:
+            held = self._held = (i, self._pieces[i].tolist())
+        d = t - self._breaks[i]
+        d2 = d * d
+        return held[1], d, d2, d2 * d
 
     def point(self, t: float) -> list[float]:
         """The value at one time t, flattened, as a list of Python floats."""
-        t = self._x0 + (float(t) - self._x0) % self._span
-        i = min(bisect_right(self._breaks, t) - 1, self._last)
-        d = t - self._breaks[i]
-        d2 = d * d
-        z = d2 * d
-        c = self._rows[:, i].tolist()
+        c, d, d2, z = self._piece(t)
         value = [c0 + c1 * d + c2 * d2 + c3 * z for c0, c1, c2, c3 in zip(*c[:4])]
         for ck in c[4:]:                     # quartic and higher terms
             z = z * d

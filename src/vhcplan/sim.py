@@ -2,8 +2,9 @@
 
 Dormand-Prince steps (`singular_solver.rk45_steps`) at rtol = atol = SIM_TOL;
 the control u = u*(tau) + K(tau) rho is recomputed at every stage, on Python
-floats: K comes from `GainSchedule.k_point`, and each entry of K rho is summed
-left to right in a loop, which costs less than a numpy call on five entries.
+floats: the chart's `reference_input` gives u*(tau) as a list (about 0.5 us)
+and `GainSchedule.k_rho` gives K(tau) rho in one pass over the spline's piece
+(3.1-4.0 us, against 4.6-4.7 us for K as a list and a loop over its rows).
 The loop keeps each accepted step's quartic, and the output rows at the
 times k dt are read off them after the loop. The transverse coordinates of each
 output row are logged, so convergence into the orbit can be read off directly.
@@ -103,7 +104,7 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
             "time": float(t), "final_state": y.tolist(), "rhs_evals": evals})
 
     def feedback(tau, rho: Array) -> Array:
-        u = chart.reference_input(tau)
+        u = np.asarray(chart.reference_input(tau))
         if gains is not None:
             u = u + matvec(gains.k_of(tau), rho)
         return u
@@ -122,16 +123,9 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
             stop("diverged", t, y)
         q, qd = x[:n], x[n:]
         tau, rho = chart.forward(q, qd)
-        u = chart.reference_input(tau).tolist()
+        u = chart.reference_input(tau)
         if gains is not None:
-            # K row by row; zip takes rho first, so it ends a row before it
-            # takes an entry of the next.
-            K = iter(gains.k_point(tau))
-            for j in range(len(u)):
-                s = 0.0
-                for rho_m, k_jm in zip(rho, K):
-                    s += k_jm * rho_m
-                u[j] += s
+            u = [u_j + k_rho_j for u_j, k_rho_j in zip(u, gains.k_rho(tau, rho))]
         return [*qd, *solve_accel(sys, q, qd, u)]
 
     if not np.abs(y0).max() <= SIM_MAX_STATE:
@@ -157,7 +151,7 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
     # off that step's quartic, as `rk45_dense` reads it.
     ys = np.empty((len(ts), 2 * n))
     ys[0] = y0
-    taus, rhos, us = np.empty(len(ts)), np.empty((len(ts), 5)), np.empty((len(ts), n - 1))
+    taus, rhos, us = np.empty(len(ts)), np.empty((len(ts), 2 * n - 1)), np.empty((len(ts), n - 1))
     for i in range(0, len(ts), 256):
         b, r = slice(i, i + 256), slice(max(i, 1), i + 256)
         if n_steps:

@@ -166,8 +166,9 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
 
     Repeats scipy's `solve_ivp(fun, (0, t_bound), y0, method="RK45",
     rtol=tol, atol=tol)`: its initial step choice, RMS error norm and step
-    control, FSAL stages, 10-ulp minimum step and t_bound clamp. fun(t, y)
-    returns y' as an array or as a list of floats. Yields
+    control, FSAL stages, 10-ulp minimum step and t_bound clamp, operation for
+    operation. fun(t, y) returns y' as an array or as a list of floats, and must
+    not keep its y: every stage state is written into one buffer. Yields
     (t_old, h, y_old, Q, t, y) per step, Q its quartic (`rk45_dense`) and y
     the fifth-order solution at its end t. Ends at t_bound (at once if it is
     0) or when the step falls below its minimum (a NaN right-hand side
@@ -193,6 +194,9 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
     h_abs = min(100 * h0, h1, abs(t_bound))
     K = np.empty((7, y.size))
     stages = [(s, c, K[:s].T, a) for s, c, a in zip(range(1, 6), _C[1:], _A_ROWS)]
+    # The stage state, the error scale and the error, each in one buffer.
+    y_stage, scale, error = np.empty(y.size), np.empty(y.size), np.empty(y.size)
+    K[0] = f   # first same as last: an accepted step's last stage starts the next
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -206,13 +210,21 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
             for s, c, K_s, a in stages:
-                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            f_new = K[-1] = fun(t + h, y_new)
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+                np.dot(K_s, a, out=y_stage)
+                y_stage *= h
+                y_stage += y
+                K[s] = fun(t + c * h, y_stage)
+            y_new = np.dot(K[:-1].T, _B) * h   # a fresh array: it is yielded and kept
+            y_new += y
+            K[-1] = fun(t + h, y_new)
+            np.maximum(np.abs(y, out=scale), np.abs(y_new, out=error), out=scale)
+            scale *= tol
+            scale += tol
+            np.dot(K.T, _E, out=error)
+            error *= h
+            error /= scale
+            error_norm = _rms(error)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0
                           else min(MAX_FACTOR, SAFETY * error_norm ** -0.2))
@@ -221,7 +233,7 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
             rejected = True
         yield t, h, y, K.T.dot(_P), t_new, y_new
-        t, y, f = t_new, y_new, f_new
+        t, y, K[0] = t_new, y_new, K[-1]
         if direction * (t - t_bound) >= 0:
             return
 

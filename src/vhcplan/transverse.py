@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideTubeError
-from .mech import MechanicalSystem, eval_accel, tic_toc_input
+from .mech import MechanicalSystem, eval_accel, tic_toc_input, tic_toc_input_terms
 from .numdiff import (PeriodicPiecewisePolynomial, central_derivative, cubic_coefficients,
                       matvec, point_or_batch)
 from .singular_solver import PeriodicTrajectory
@@ -55,8 +55,9 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
     for one tau or an array of them. Values agree with scipy's periodic
     `CubicSpline` to rounding (tests bound the gap by 1e-13 of max|y|).
     `grid` samples the spline on a uniform grid of k points per knot interval,
-    for the period integrals. Raises ValueError for taus that are not such a
-    grid or a non-finite sample.
+    for the period integrals, and `matvec_point` multiplies the value at one
+    tau into a vector on Python floats. Raises ValueError for taus that are
+    not such a grid or a non-finite sample.
     """
 
     def __init__(self, taus: Array, values: Array):
@@ -74,6 +75,20 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
         knots = np.append(taus, taus[0] + TWO_PI)
         super().__init__(knots, cubic_coefficients(knots, np.concatenate([y, y[:1]]),
                                                    np.concatenate([s, s[:1]])))
+
+    def matvec_point(self, t: float, x: list[float]) -> list[float]:
+        """The matrix at one time t times the vector x, as a list, in one pass: each
+        entry c0 + c1 d + c2 d^2 + c3 d^3 as `point` sums it, each row's products
+        summed left to right from 0.0."""
+        c, d, d2, z = self._piece(t)
+        c0, c1, c2, c3 = map(iter, c)   # row by row: zip takes x first, so stops at a row's end
+        out = []
+        for _ in range(self._c.shape[2]):
+            s = 0.0
+            for x_m, a0, a1, a2, a3 in zip(x, c0, c1, c2, c3):
+                s += (a0 + a1 * d + a2 * d2 + a3 * z) * x_m
+            out.append(s)
+        return out
 
     def grid(self, t0: float, k: int, start: int = 0, stop: int | None = None) -> Array:
         """Values at t0 + j 2 pi/(n k) for j = k start, ..., k stop (0, ..., n k by default).
@@ -113,12 +128,6 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
         return samples[r:r + k * (stop - start) + 1]
 
 
-@functools.cache
-def _other_coordinates(n: int, i: int) -> tuple[int, ...]:
-    """0, ..., n - 1 without the read-back coordinate i."""
-    return tuple(j for j in range(n) if j != i)
-
-
 # Equal time intervals over one period at which `FamilyChart` samples the
 # orbit for its phase-to-time interpolant.
 FAMILY_CHART_SAMPLES = 8192
@@ -153,6 +162,8 @@ class FamilyChart:
                                       f"of theta (ParametricVhc.readback is None)")
         self.traj = traj
         self.vhc = traj.vhc
+        # The coordinates other than the read-back one, which rho holds.
+        self._others = tuple(j for j in range(traj.system.n) if j != traj.vhc.readback[0])
         scalar = traj.scalar
         self.omega = TWO_PI / scalar.period
         n = FAMILY_CHART_SAMPLES
@@ -207,11 +218,10 @@ class FamilyChart:
         p, v = self._pv(th, dth)
         tau = wrap_angle(m.atan2(p, v))
         # Loops, not comprehensions: this runs at every closed-loop stage.
-        others = _other_coordinates(len(q), i)
         rho = []
-        for j in others:
+        for j in self._others:
             rho.append(q[j] - phi[j])
-        for j in others:
+        for j in self._others:
             rho.append(qd[j] - dphi[j] * dth)
         rho.append(m.hypot(p, v) - self._orbit_radial(tau)[0])
         return tau, rho if as_list else np.array(rho).T
@@ -241,7 +251,7 @@ class FamilyChart:
         rho = np.empty(np.shape(th) + (2 * n - 1,))
         J[..., 0, i] = (v / D) * cp
         J[..., 0, n + i] = -(p / D) * cv
-        for row, j in enumerate(_other_coordinates(n, i), start=1):
+        for row, j in enumerate(self._others, start=1):
             rho[..., row - 1] = q[..., j] - phi[j]
             rho[..., row + n - 2] = qd[..., j] - dphi[j] * dth
             J[..., row, j] = 1.0
@@ -255,7 +265,9 @@ class FamilyChart:
         return tau, rho, J
 
     def reference_input(self, tau) -> Array:
-        return self.traj.full_state_at(self._time_of_phase(tau))[3]
+        """u*(tau), a list at one float tau (the closed loop's stages pass one)."""
+        u = self.traj.full_state_at(self._time_of_phase(tau))[3]
+        return u.tolist() if isinstance(tau, float) else u
 
     def invert_guess(self, tau, rho: Array):
         rho = rho.T
@@ -266,7 +278,7 @@ class FamilyChart:
         th, dth = self.theta_scale * p, self.omega * self.theta_scale * v
         _, phi, dphi = self._on_curve(th, self.vhc.phi, self.vhc.dphi)
         q, qd = [c + k * th] * n, [k * dth] * n     # slot i keeps the read-back coordinate
-        for row, j in enumerate(_other_coordinates(n, i)):
+        for row, j in enumerate(self._others):
             q[j] = rho[row] + phi[j]
             qd[j] = rho[n - 1 + row] + dphi[j] * dth
         return np.array(q).T, np.array(qd).T
@@ -282,6 +294,7 @@ class TicTocChart(FamilyChart):
     def __init__(self):
         self.vhc = tic_toc_vhc()
         self.theta_scale = self.omega = 1.0
+        self._others = (1, 2)   # z and psi: x reads back theta
 
     def _orbit_radial(self, tau):
         return 1.0, 0.0
@@ -290,7 +303,7 @@ class TicTocChart(FamilyChart):
         return 1.0
 
     def reference_input(self, tau) -> Array:
-        return tic_toc_input(tau)
+        return tic_toc_input_terms(math, tau) if isinstance(tau, float) else tic_toc_input(tau)
 
 
 # Largest forward-map residual that `chart_invert` accepts.
@@ -385,7 +398,7 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     if float(np.max(np.abs(rho))) > 1e-8:
         raise ConditionCheckError("chart does not vanish on the supplied trajectory")
 
-    n_rho, n_w = 5, sys.n - 1
+    n_rho, n_w = 2 * sys.n - 1, sys.n - 1
 
     # f at the stencil `points` around each node, shape (nodes, n_rho, points).
     def transverse_field(node_tau: Array, node_u: Array, points: Array) -> Array:
@@ -520,8 +533,8 @@ class GainSchedule:
 
     `multipliers` are the closed-loop Floquet multipliers the Riccati solve
     predicts: the eigenvalues of the stable block of the Hamiltonian period map.
-    `k_of` gives K at a phase or an array of phases; `k_point` is its `point`,
-    K at one phase flattened row by row into Python floats, which the
+    `k_of` gives K at a phase or an array of phases; `k_rho(tau, rho)` is its
+    `matvec_point`, K(tau) rho at one phase on Python floats, which the
     closed-loop stage reads, and `k_grid` is its `grid` sampler, which the
     closed-loop monodromy reads. They are fields of their own, bound once, so
     that a copy whose `k_of` is replaced by a plain function of one argument
@@ -535,12 +548,12 @@ class GainSchedule:
     fixed_point_gap: float
     multipliers: Array
     k_of: PeriodicMatrixSpline = field(init=False, repr=False)
-    k_point: Callable[[float], list] = field(init=False, repr=False)
+    k_rho: Callable[[float, list], list] = field(init=False, repr=False)
     k_grid: Callable[..., Array] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.k_of = PeriodicMatrixSpline(self.taus, self.K)
-        self.k_point, self.k_grid = self.k_of.point, self.k_of.grid
+        self.k_rho, self.k_grid = self.k_of.matvec_point, self.k_of.grid
 
 
 # A backward sweep has reached the periodic solution when max|P(0) - P(2 pi)| is

@@ -146,38 +146,56 @@ def test_closed_form_dynamics_give_the_rows_of_the_mass_solve(pvtol, tictoc_char
         assert a.metadata == b.metadata
 
 
-def test_single_point_path_follows_the_batch_path(pvtol, tictoc_chart, tictoc_gains):
+class BatchOfOneChart:
+    """A chart whose one-point `forward` and `reference_input` go through its
+    batch path as a batch of one."""
+
+    def __init__(self, chart):
+        self.chart = chart
+
+    def forward(self, q, qd):
+        q, qd = np.asarray(q), np.asarray(qd)
+        if q.ndim == 2:
+            return self.chart.forward(q, qd)
+        tau, rho = self.chart.forward(q[None], qd[None])
+        return tau[0], rho[0]
+
+    def reference_input(self, tau):
+        if np.ndim(tau):
+            return self.chart.reference_input(tau)
+        return self.chart.reference_input(np.array([tau]))[0]
+
+
+def _check_single_point_path(pvtol, chart, gains, q0, qd0, horizon):
     # The stage points of the chart, reference input and dynamics run on
     # Python floats; here each goes through the batch path as a batch of one.
-    class BatchOfOneChart(vp.TicTocChart):
-        def forward(self, q, qd):
-            q, qd = np.asarray(q), np.asarray(qd)
-            if q.ndim == 2:
-                return super().forward(q, qd)
-            tau, rho = super().forward(q[None], qd[None])
-            return tau[0], rho[0]
-
-        def reference_input(self, tau):
-            if np.ndim(tau):
-                return super().reference_input(tau)
-            return super().reference_input(np.array([tau]))[0]
-
     def accel(q, qd, u):
         return pvtol.accel(*(np.asarray(a)[None] for a in (q, qd, u)))[0]
 
     batch_of_one = dataclasses.replace(pvtol, accel=accel)
-    q0 = np.array([0.1, -0.5, 0.0])
-    a = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3),
-                           horizon=2.0 * math.pi)
-    b = vp.run_closed_loop(batch_of_one, BatchOfOneChart(), tictoc_gains, q0, np.zeros(3),
-                           horizon=2.0 * math.pi)
+    a = vp.run_closed_loop(pvtol, chart, gains, q0, qd0, horizon=horizon)
+    b = vp.run_closed_loop(batch_of_one, BatchOfOneChart(chart), gains, q0, qd0,
+                           horizon=horizon)
     for key in ("q", "u", "rho"):
         assert np.abs(getattr(a, key) - getattr(b, key)).max() <= 1e-10, key
 
 
+def test_single_point_path_follows_the_batch_path(pvtol, tictoc_chart, tictoc_gains):
+    _check_single_point_path(pvtol, tictoc_chart, tictoc_gains, np.array([0.1, -0.5, 0.0]),
+                             np.zeros(3), 2.0 * math.pi)
+
+
+def test_family_single_point_path_follows_the_batch_path(pvtol, family_pack, family_gains):
+    # A family point keeps numpy's atan2 and hypot on its stage floats.
+    traj = family_pack["traj"]
+    q0, qd0 = traj.state_at(0.1)
+    _check_single_point_path(pvtol, family_pack["chart"], family_gains,
+                             q0 + np.array([0.01, -0.01, 0.0]), qd0, traj.period)
+
+
 def test_stage_input_is_the_scheduled_feedback(pvtol, tictoc_chart, tictoc_gains):
     # A stage forms u = u*(tau) + K(tau) rho on Python floats, from
-    # `k_point`; each stage's u against the same law on arrays.
+    # `reference_input` and `k_rho`; each stage's u against the same law on arrays.
     stages = []
 
     def accel(q, qd, u):
@@ -190,14 +208,40 @@ def test_stage_input_is_the_scheduled_feedback(pvtol, tictoc_chart, tictoc_gains
     assert len(stages) == res.metadata["rhs_evals"] > 500
     for q, qd, u in stages:
         tau, rho = tictoc_chart.forward(q, qd)
-        assert tictoc_gains.k_point(tau) == tictoc_gains.k_of(tau).ravel().tolist()
-        expected = tictoc_chart.reference_input(tau) + tictoc_gains.k_of(tau) @ np.array(rho)
+        u_star = tictoc_chart.reference_input(tau)
+        assert u == [a + b for a, b in zip(u_star, tictoc_gains.k_rho(tau, rho))]
+        expected = np.array(u_star) + tictoc_gains.k_of(tau) @ np.array(rho)
         assert np.abs(np.array(u) - expected).max() <= 1e-14 * (1.0 + np.abs(u).max())
+
+
+def test_k_rho_sums_each_row_of_k_of_left_to_right(tictoc_gains):
+    # `k_rho` forms K(tau) rho in one pass; bit for bit the sum, left to right
+    # from 0.0, of each row of `k_of(tau)` times rho. The phases hold the
+    # knots (half of them a period on), +-pi, and phases up to two periods off
+    # [-pi, pi), each followed by the phase 1e-3 later: neighbouring stages
+    # mostly share a piece, which the spline keeps from one call to the next.
+    rng = np.random.default_rng(32)
+    knots = tictoc_gains.taus
+    far = rng.uniform(-5.0 * math.pi, 5.0 * math.pi, (1000 - knots.size - 2) // 2)
+    taus = np.concatenate([knots[::2], knots[1::2] + 2.0 * math.pi, [-math.pi, math.pi],
+                           np.c_[far, far + 1e-3].ravel()])
+    K = tictoc_gains.k_of(taus)
+    assert taus.size == 1000 and K.shape == (1000, 2, 5)
+    for tau, K_tau in zip(taus.tolist(), K):
+        rho = rng.normal(size=5).tolist()
+        entries = iter(K_tau.ravel().tolist())
+        expected = []
+        for _ in range(2):
+            s = 0.0
+            for rho_m in rho:
+                s += next(entries) * rho_m
+            expected.append(s)
+        assert tictoc_gains.k_rho(tau, rho) == expected
 
 
 def test_gains_with_a_plain_k_of_run_the_same_closed_loop(pvtol, tictoc_chart, tictoc_gains):
     # bench/tracing.py's count_gains swaps k_of for a plain function of one
-    # argument on a copy of the gains. The stage reads `k_point`, bound when
+    # argument on a copy of the gains. The stage reads `k_rho`, bound when
     # the gains were built, and the rows after the loop call the function.
     calls = []
 
@@ -273,12 +317,15 @@ def test_last_row_is_read_inside_the_last_step(monkeypatch, pvtol, tictoc_chart,
 def test_rk45_steps_match_solve_ivp_on_the_closed_loop(monkeypatch, pvtol, tictoc_chart,
                                                        tictoc_gains):
     # The 6-D closed loop over one period: every step's (t_old, h, y_old, Q)
-    # equals scipy's RK45 dense output bit for bit.
+    # equals scipy's RK45 dense output bit for bit. The run rejects a step
+    # (two right-hand sides to start, six per try of a step), so a retry's
+    # stages are compared too.
     runs = _recorded_steps(monkeypatch)
     q0 = np.array([0.1, -0.5, 0.0])
-    vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3),
-                       horizon=2.0 * math.pi)
+    res = vp.run_closed_loop(pvtol, tictoc_chart, tictoc_gains, q0, np.zeros(3),
+                             horizon=2.0 * math.pi)
     (rhs, t_bound, tol, steps), = runs
+    assert res.metadata["rhs_evals"] > 6 * len(steps) + 2
     ref = solve_ivp(rhs, (0.0, t_bound), np.r_[q0, np.zeros(3)], method="RK45", rtol=tol,
                     atol=tol, dense_output=True)
     dense = ref.sol.interpolants
