@@ -43,11 +43,9 @@ class SingularPass:
 
 
 def _gravity_distance(sys: MechanicalSystem, q: Array) -> float:
-    """Distance of the gravity vector from the actuated force subspace Im B(q)."""
-    B = np.asarray(sys.input_map(q), dtype=float)
-    G = np.asarray(sys.gravity(q), dtype=float)
-    coeff, *_ = np.linalg.lstsq(B, G, rcond=None)
-    return float(np.linalg.norm(G - B @ coeff))
+    """Distance |B_perp(q) G(q)| of the gravity vector from the actuated force
+    subspace Im B(q): the unit left annihilator spans its complement."""
+    return abs(float(left_annihilator(sys, q) @ np.asarray(sys.gravity(q), dtype=float)))
 
 
 def theorem2_scan(sys: MechanicalSystem, traj) -> list[SingularPass]:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_input, tic_toc_input_terms
 from .numdiff import (PeriodicPiecewisePolynomial, central_derivative, cubic_coefficients,
-                      matvec, point_or_batch)
+                      point_or_batch)
 from .singular_solver import PeriodicTrajectory
 from .vhc import tic_toc_vhc
 
@@ -149,7 +149,7 @@ class FamilyChart:
     of `forward` inside the tube of radius `tube_radius` in rho, and
     `chart_invert` only checks its residual. One lookup of r* serves each
     point: `invert_guess` looks it up once per distinct phase of a batch,
-    and `forward_jacobian` gives `forward` and `jacobian` from one lookup.
+    and `forward_rates` gives `forward` and the rates of a motion from one.
     Raises ConditionCheckError for a constraint without a read-back, or a
     phase that does not wind once, monotonically, along the orbit.
     """
@@ -226,43 +226,31 @@ class FamilyChart:
         rho.append(m.hypot(p, v) - self._orbit_radial(tau)[0])
         return tau, rho if as_list else np.array(rho).T
 
-    def jacobian(self, q: Array, qd: Array) -> Array:
-        return self.forward_jacobian(q, qd)[2]
-
-    def forward_jacobian(self, q: Array, qd: Array):
-        """`forward` and `jacobian` of arrays from one orbit lookup. Its rho repeats
-        `forward`'s arithmetic: `forward` keeps its own body for the closed loop's stages."""
-        n = q.shape[-1]
+    def forward_rates(self, q: Array, qd: Array, qdd: Array):
+        """`forward`'s tau and rho of arrays, bit for bit, and the rates (taudot, rhodot)
+        of the motion with acceleration qdd, from one orbit lookup and `_phase_rates`.
+        rho repeats `forward`'s arithmetic, which keeps its own body for the closed
+        loop's stages. Raises OutsideTubeError at the reduced-plane origin."""
         i, c, k = self.vhc.readback
-        th, dth = (q.T[i] - c) / k, qd.T[i] / k
+        th, dth, ddth = (q.T[i] - c) / k, qd.T[i] / k, qdd.T[i] / k
         p, v = self._pv(th, dth)
-        D = p * p + v * v
-        if np.any(D == 0.0):
-            raise OutsideTubeError("chart differential undefined at the reduced-plane origin")
-        r = np.sqrt(D)
-        # J before the smaller arrays below: the other order raised the peak RSS.
-        J = np.zeros(np.shape(th) + (2 * n, 2 * n))
+        if np.any(p * p + v * v == 0.0):
+            raise OutsideTubeError("phase rate undefined at the reduced-plane origin")
         tau = wrap_angle(np.arctan2(p, v))
         r_star, dr_star = self._orbit_radial(tau)
+        r, taudot, rdot = self._phase_rates(th, dth, ddth)
         phi, dphi, ddphi = (np.asarray(f(th)).T for f in (self.vhc.phi, self.vhc.dphi,
                                                           self.vhc.ddphi))
-        cp = 1.0 / (k * self.theta_scale)                 # dp/dq[i]
-        cv = 1.0 / (k * self.omega * self.theta_scale)   # dv/dqd[i]
-        rho = np.empty(np.shape(th) + (2 * n - 1,))
-        J[..., 0, i] = (v / D) * cp
-        J[..., 0, n + i] = -(p / D) * cv
-        for row, j in enumerate(self._others, start=1):
-            rho[..., row - 1] = q[..., j] - phi[j]
-            rho[..., row + n - 2] = qd[..., j] - dphi[j] * dth
-            J[..., row, j] = 1.0
-            J[..., row, i] = -dphi[j] / k
-            J[..., row + n - 1, i] = -ddphi[j] * dth / k
-            J[..., row + n - 1, n + j] = 1.0
-            J[..., row + n - 1, n + i] = -dphi[j] / k
-        rho[..., -1] = np.hypot(p, v) - r_star
-        J[..., -1, i] = (p / r) * cp - dr_star * (v / D) * cp
-        J[..., -1, n + i] = (v / r) * cv + dr_star * (p / D) * cv
-        return tau, rho, J
+        n = len(self._others)
+        rho = np.empty(np.shape(th) + (2 * n + 1,))
+        rates = np.empty(np.shape(th) + (2 * n + 2,))
+        for row, j in enumerate(self._others):
+            rho[..., row] = q[..., j] - phi[j]
+            rho[..., row + n] = rates[..., row + 1] = qd[..., j] - dphi[j] * dth
+            rates[..., row + n + 1] = qdd[..., j] - ddphi[j] * dth * dth - dphi[j] * ddth
+        rho[..., -1] = r - r_star
+        rates[..., 0], rates[..., -1] = taudot, rdot - dr_star * taudot
+        return tau, rho, rates
 
     def reference_input(self, tau) -> Array:
         """u*(tau), a list at one float tau (the closed loop's stages pass one)."""
@@ -385,12 +373,12 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     A and B are the Jacobians of f(rho, tau, w) in rho and in the input offset
     w at rho = 0, w = 0, by `central_derivative` (1 + 4 (n_rho + n_w) points
     per grid node); the stencils of LINEARIZE_BLOCK nodes go through the
-    chart's inverse, the model and `forward_jacobian` (the forward check and
-    the chart Jacobian) as one batch, and the reference input is taken once
-    for all nodes. n_grid must be a positive integer. The chart/trajectory
-    pair is validated first (on-orbit states must map to rho ~ 0), A and B
-    must be finite, and the on-orbit vector field f(0, tau, 0) must vanish to
-    1e-9 at every grid node.
+    chart's inverse, the model and `forward_rates` (the forward check and the
+    rates taudot, rhodot along the motion, f = rhodot/taudot) as one batch,
+    and the reference input is taken once for all nodes. n_grid must be a
+    positive integer. The chart/trajectory pair is validated first (on-orbit
+    states must map to rho ~ 0), A and B must be finite, and the on-orbit
+    vector field f(0, tau, 0) must vanish to 1e-9 at every grid node.
     """
     _check_count("n_grid", n_grid)
     q, qd = traj.state_at(traj.t0 + traj.period * np.arange(8) / 8.0)
@@ -403,11 +391,10 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     # f at the stencil `points` around each node, shape (nodes, n_rho, points).
     def transverse_field(node_tau: Array, node_u: Array, points: Array) -> Array:
         tau = np.repeat(node_tau, len(points))
-        q, qd, J = _checked_inverse(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)),
-                                    chart.forward_jacobian)
-        u = node_u[:, None, :] + points[:, n_rho:]
-        qdd = eval_accel(sys, q, qd, u.reshape(-1, n_w))
-        rates = matvec(J, np.concatenate([qd, qdd], axis=1))
+        u = (node_u[:, None, :] + points[:, n_rho:]).reshape(-1, n_w)
+        rho = np.tile(points[:, :n_rho], (node_tau.size, 1))
+        *_, rates = _checked_inverse(
+            chart, tau, rho, lambda q, qd: chart.forward_rates(q, qd, eval_accel(sys, q, qd, u)))
         taudot = rates[:, 0]
         if np.any(taudot <= 0.0):
             raise ConditionCheckError(f"phase rate is not positive at tau={tau[taudot <= 0.0][0]}")

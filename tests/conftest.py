@@ -105,6 +105,50 @@ def family_pack(pvtol):
             "per": per, "traj": traj, "chart": chart, "ltv": ltv}
 
 
+def _chart_points(chart, rng, k, radius):
+    """k points of the chart at uniform phases and rho uniform in a box inside the tube."""
+    tau = rng.uniform(-math.pi, math.pi, 4 * k)
+    rho = rng.uniform(-radius, radius, (4 * k, 5))
+    inside = np.linalg.norm(rho, axis=1) <= chart.tube_radius
+    return tau[inside][:k], rho[inside][:k]
+
+
+def _check_round_trip(chart, rng, k):
+    for tau, rho in zip(*_chart_points(chart, rng, k, 0.4)):
+        q, qd = vp.chart_invert(chart, tau, rho)
+        tau_b, rho_b = chart.forward(q, qd)
+        assert abs(vp.wrap_angle(tau_b - tau)) < 1e-10
+        assert np.abs(rho_b - rho).max() < 1e-10
+
+
+def _check_rates(chart, rng, k, tol):
+    # At each point, with a random q'', against central differences of `forward`
+    # along the motion: forward(q +- h q', q' +- h q'').
+    h = 1e-7
+    for tau, rho in zip(*_chart_points(chart, rng, k, 0.4)):
+        q, qd = chart.invert_guess(tau, rho)
+        qdd = rng.uniform(-1.0, 1.0, 3)
+        rates = chart.forward_rates(q, qd, qdd)[2]
+        tp, rp = chart.forward(q + h * qd, qd + h * qdd)
+        tm, rm = chart.forward(q - h * qd, qd - h * qdd)
+        fd = np.concatenate([[vp.wrap_angle(tp - tm)], rp - rm]) / (2.0 * h)
+        assert np.abs(rates - fd).max() < tol
+
+
+@pytest.fixture(scope="session")
+def check_round_trip():
+    """`check_round_trip(chart, rng, k)`: k points in the tube come back through
+    `chart_invert` and `forward` within 1e-10."""
+    return _check_round_trip
+
+
+@pytest.fixture(scope="session")
+def check_rates():
+    """`check_rates(chart, rng, k, tol)`: `forward_rates` at k points in the tube
+    agrees with central differences of `forward` along the motion within tol."""
+    return _check_rates
+
+
 @pytest.fixture(scope="session")
 def family_gains(family_pack):
     return vp.periodic_lqr(family_pack["ltv"])

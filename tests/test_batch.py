@@ -48,11 +48,13 @@ def _check_chart(chart, tau, rho):
     for a, b, (tau_i, rho_i) in zip(q, qd, singles):
         tau_l, rho_l = chart.forward(a.tolist(), b.tolist())
         assert type(rho_l) is list and tau_l == tau_i and rho_l == rho_i.tolist()
-    assert _close(chart.jacobian(q, qd), [chart.jacobian(a, b) for a, b in zip(q, qd)])
-    # `forward_jacobian` repeats forward's arithmetic on a batch, bit for bit.
-    tau_j, rho_j, J = chart.forward_jacobian(q, qd)
-    assert np.array_equal(tau_j, tau_b) and np.array_equal(rho_j, rho_b)
-    assert np.array_equal(J, chart.jacobian(q, qd))
+    # `forward_rates` repeats forward's arithmetic on a batch, bit for bit.
+    qdd = q - qd    # any acceleration
+    tau_r, rho_r, rates = chart.forward_rates(q, qd, qdd)
+    assert np.array_equal(tau_r, tau_b) and np.array_equal(rho_r, rho_b)
+    singles = [chart.forward_rates(*p) for p in zip(q, qd, qdd)]
+    for m, batched in enumerate((tau_r, rho_r, rates)):
+        assert _close(batched, [s[m] for s in singles])
     assert _close(chart.reference_input(tau), [chart.reference_input(t) for t in tau])
 
 
@@ -313,7 +315,7 @@ def _stencil_free_columns(chart, sys, tau, rho_step=1e-5, w_step=1e-4):
     def f(rho, w):
         q, qd = vp.chart_invert(chart, tau, rho)
         qdd = vp.eval_accel(sys, q, qd, chart.reference_input(tau) + w)
-        rates = chart.jacobian(q, qd) @ np.concatenate([qd, qdd])
+        rates = chart.forward_rates(q, qd, qdd)[2]
         return rates[1:] / rates[0]
 
     def column(j, h, n):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import vhcplan as vp
+from vhcplan.feasibility import _gravity_distance
 
 
 # The constraint candidate h(q) = (z + x^2/2, psi - pi/2 + arctan 2x) is rho0 and
-# rho1 of the tic-toc chart; dh(q) qdot is rho2 and rho3, and dh(q) is rows 1-2,
-# columns 0-2, of the chart Jacobian.
+# rho1 of the tic-toc chart; dh(q) qdot is rho2 and rho3, and the rates of rho0
+# and rho1 that `forward_rates` returns.
 
 
 def test_candidate_constraint_vanishes_on_orbit(tictoc_chart):
@@ -26,14 +27,12 @@ def test_candidate_jacobian_matches_finite_differences(tictoc_chart):
     for _ in range(10):
         q = rng.uniform(-1.5, 1.5, 3)
         qd = rng.uniform(-1.5, 1.5, 3)
-        J = tictoc_chart.jacobian(q, qd)[1:3, 0:3]
+        _, rho, rates = tictoc_chart.forward_rates(q, qd, rng.uniform(-1.5, 1.5, 3))
         h = 1e-7
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            fd = (tictoc_chart.forward(q + e, qd)[1][:2]
-                  - tictoc_chart.forward(q - e, qd)[1][:2]) / (2.0 * h)
-            assert np.abs(J[:, j] - fd).max() < 1e-7
+        fd = (tictoc_chart.forward(q + h * qd, qd)[1][:2]
+              - tictoc_chart.forward(q - h * qd, qd)[1][:2]) / (2.0 * h)
+        assert np.abs(rates[1:3] - fd).max() < 1e-7
+        assert np.abs(rho[2:4] - fd).max() < 1e-7
 
 
 def test_accessibility_determinant_at_crossing(pvtol):
@@ -90,6 +89,18 @@ def test_certificate_generic_annihilator_matches_closed_form(pvtol, reference_or
         assert abs(p.time - c.time) < 1e-8
         assert abs(p.speed - math.sqrt(5.0)) < 1e-12
         assert abs(p.gravity_distance - 1.0) < 1e-12
+
+
+def test_gravity_distance_is_the_least_squares_residual(pvtol):
+    # The reference: G's residual off Im B by least squares, for gravity in any
+    # direction, with the closed-form annihilator and with the cofactor one.
+    rng = np.random.default_rng(5)
+    for q, g in zip(rng.uniform(-3.0, 3.0, (20, 3)), rng.normal(size=(20, 3))):
+        for annihilator in (pvtol.annihilator, None):
+            sys = dataclasses.replace(pvtol, annihilator=annihilator, gravity=lambda q: g)
+            B = sys.input_map(q)
+            coeff, *_ = np.linalg.lstsq(B, g, rcond=None)
+            assert abs(_gravity_distance(sys, q) - np.linalg.norm(g - B @ coeff)) < 1e-14
 
 
 @pytest.mark.parametrize("t0", [0.0, math.pi + 1e-3])

@@ -399,11 +399,11 @@ OFF_AXIS = [(1.2, (0.25, 2.0, -0.25)), (1.0, (0.25, 0.5, -0.1))]
                          ids=[f"{k1}-{k2}-{k3}" for k1, k2, k3 in ATLAS]
                          + [f"psi_s-{psi_s}-{k1}-{k2}-{k3}" for psi_s, (k1, k2, k3) in OFF_AXIS]
                          + ["psi_s-0.2", "psi_s-1.4", "psi_s-3.0"])
-def test_atlas_orbit_plans_and_linearizes(pvtol, orbit):
+def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_rates):
     # Every explicit orbit, integer kappa or not, two integer-kappa ones off
     # pi/2 and three searched ones: the table meets the independent theta'^2
-    # check, the lift its residual gate, and the linearization its on-orbit
-    # gate f0_max <= 1e-9.
+    # check, the lift its residual gate, the chart its round trip and its rates
+    # at 10 points, and the linearization its on-orbit gate f0_max <= 1e-9.
     psi_s, k = orbit
     if k is None:
         params = vp.find_family_parameters(psi_s)
@@ -415,7 +415,10 @@ def test_atlas_orbit_plans_and_linearizes(pvtol, orbit):
     sol = vp.solve_boundary(model, report, -0.8 * tmax, 0.0, 0.8 * tmax, 0.0)
     assert _theta_dot_squared_gap(model, report.theta_s, sol, -0.8 * tmax, 0.8 * tmax) <= 1e-10
     traj = vp.lift(model.vhc, sol, pvtol)
-    ltv = vp.linearize(vp.FamilyChart(traj), pvtol, traj, n_grid=128)
+    chart = vp.FamilyChart(traj)
+    check_round_trip(chart, np.random.default_rng(43), 10)
+    check_rates(chart, np.random.default_rng(47), 10, 5e-6)
+    ltv = vp.linearize(chart, pvtol, traj, n_grid=128)
     assert ltv.f0_max < 1e-9
 
 

@@ -11,7 +11,7 @@ from scipy.linalg import schur, solve_continuous_lyapunov
 
 import vhcplan as vp
 import vhcplan.numdiff
-from vhcplan.numdiff import central_derivative, cubic_coefficients, matvec
+from vhcplan.numdiff import central_derivative, cubic_coefficients
 
 
 def test_wrap_angle():
@@ -150,14 +150,6 @@ def chart_cases(tictoc_chart, family_pack):
     return {"tictoc": tictoc_chart, "family": family_pack["chart"]}
 
 
-def _chart_points(chart, rng, k, radius):
-    """k points of the chart at uniform phases and rho uniform in a box inside the tube."""
-    tau = rng.uniform(-math.pi, math.pi, 4 * k)
-    rho = rng.uniform(-radius, radius, (4 * k, 5))
-    inside = np.linalg.norm(rho, axis=1) <= chart.tube_radius
-    return tau[inside][:k], rho[inside][:k]
-
-
 def _check_on_orbit(chart, orbit):
     taus = []
     for t in np.linspace(orbit.t0, orbit.t0 + orbit.period, 37, endpoint=False):
@@ -165,28 +157,6 @@ def _check_on_orbit(chart, orbit):
         assert np.abs(rho).max() < 1e-10
         taus.append(tau)
     assert np.all(np.diff(np.unwrap(taus)) > 0.0)
-
-
-def _check_round_trip(chart, rng, k):
-    for tau, rho in zip(*_chart_points(chart, rng, k, 0.4)):
-        q, qd = vp.chart_invert(chart, tau, rho)
-        tau_b, rho_b = chart.forward(q, qd)
-        assert abs(vp.wrap_angle(tau_b - tau)) < 1e-10
-        assert np.abs(rho_b - rho).max() < 1e-10
-
-
-def _check_jacobian(chart, rng, tol):
-    h = 1e-7
-    for tau, rho in zip(*_chart_points(chart, rng, 10, 0.4)):
-        y = np.concatenate(chart.invert_guess(tau, rho))
-        J = chart.jacobian(y[:3], y[3:])
-        for j in range(6):
-            e = np.zeros(6)
-            e[j] = h
-            tp, rp = chart.forward((y + e)[:3], (y + e)[3:])
-            tm, rm = chart.forward((y - e)[:3], (y - e)[3:])
-            fd = np.concatenate([[vp.wrap_angle(tp - tm)], rp - rm]) / (2.0 * h)
-            assert np.abs(J[:, j] - fd).max() < tol
 
 
 def test_tictoc_chart_on_orbit(tictoc_chart):
@@ -211,12 +181,12 @@ def test_tictoc_chart_known_offset(tictoc_chart):
     assert np.abs(rho - expected).max() < 1e-15
 
 
-def test_chart_round_trip(tictoc_chart):
-    _check_round_trip(tictoc_chart, np.random.default_rng(17), 50)
+def test_chart_round_trip(tictoc_chart, check_round_trip):
+    check_round_trip(tictoc_chart, np.random.default_rng(17), 50)
 
 
-def test_family_chart_round_trip(family_pack):
-    _check_round_trip(family_pack["chart"], np.random.default_rng(29), 30)
+def test_family_chart_round_trip(family_pack, check_round_trip):
+    check_round_trip(family_pack["chart"], np.random.default_rng(29), 30)
 
 
 def test_chart_guess_is_exact_inverse(chart_cases):
@@ -228,14 +198,24 @@ def test_chart_guess_is_exact_inverse(chart_cases):
         assert np.abs(rho_b - rho).max() < 1e-14, name
 
 
-def test_chart_jacobian_matches_finite_differences(tictoc_chart):
-    _check_jacobian(tictoc_chart, np.random.default_rng(23), 1e-6)
+def test_chart_rates_match_finite_differences(tictoc_chart, check_rates):
+    check_rates(tictoc_chart, np.random.default_rng(23), 10, 1e-6)
 
 
-def test_family_chart_jacobian(family_pack):
+def test_family_chart_rates(family_pack, check_rates):
     # The family chart's r*(tau) comes through the orbit's interpolated time of
     # a phase, whose slope noise bounds the achievable agreement.
-    _check_jacobian(family_pack["chart"], np.random.default_rng(31), 5e-6)
+    check_rates(family_pack["chart"], np.random.default_rng(31), 10, 5e-6)
+
+
+def test_chart_rates_reject_the_reduced_plane_origin(chart_cases):
+    # The phase and its rate are undefined where theta = theta' = 0.
+    for chart in chart_cases.values():
+        i, c, _ = chart.vhc.readback
+        q, qd = np.full((2, 3), 0.3), np.full((2, 3), 0.1)
+        q[1, i], qd[1, i] = c, 0.0
+        with pytest.raises(vp.OutsideTubeError, match="origin"):
+            chart.forward_rates(q, qd, np.zeros((2, 3)))
 
 
 def test_chart_invert_rejects_points_outside_tube(chart_cases):
@@ -384,7 +364,7 @@ def test_linearize_rejects_a_grid_that_is_not_a_positive_integer(pvtol, tictoc_c
 
 def _linearize_by_chart_invert(chart, sys, n_grid):
     """A and B as `linearize` builds them, with the stencil points of each block of
-    LINEARIZE_BLOCK nodes through `chart_invert`, `reference_input` and `jacobian`."""
+    LINEARIZE_BLOCK nodes through `chart_invert`, `reference_input` and `forward_rates`."""
     n_rho, n_w, block = 5, sys.n - 1, vp.transverse.LINEARIZE_BLOCK
 
     def field(node_tau, points):
@@ -392,7 +372,7 @@ def _linearize_by_chart_invert(chart, sys, n_grid):
         q, qd = vp.chart_invert(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)))
         u = chart.reference_input(node_tau)[:, None, :] + points[:, n_rho:]
         qdd = vp.eval_accel(sys, q, qd, u.reshape(-1, n_w))
-        rates = matvec(chart.jacobian(q, qd), np.concatenate([qd, qdd], axis=1))
+        rates = chart.forward_rates(q, qd, qdd)[2]
         f = (rates[:, 1:] / rates[:, 0][:, None]).reshape(node_tau.size, len(points), n_rho)
         return f.transpose(0, 2, 1)
 
@@ -405,7 +385,7 @@ def _linearize_by_chart_invert(chart, sys, n_grid):
 
 def test_family_linearize_looks_up_the_orbit_once(monkeypatch, pvtol, family_pack):
     # The 29 stencil points of a node share one phase, so `invert_guess` looks
-    # up r* once per node; the chart's forward check and its Jacobian share one
+    # up r* once per node; the chart's forward check and its rates share one
     # lookup per point; the chart check on the orbit takes 8 points.
     chart = family_pack["chart"]
     orbit_radial, looked_up = vp.FamilyChart._orbit_radial, []
