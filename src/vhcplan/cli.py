@@ -253,9 +253,10 @@ def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
     kcfg = cfg["stabilize"]
     chart = TicTocChart() if cfg["vhc"]["kind"] == "tictoc" else FamilyChart(ctx["traj"])
     ltv = linearize(chart, ctx["sys"], ctx["traj"], n_grid=int(kcfg["n_grid"]))
+    n_rho, n_w = ltv.B.shape[1:]
     write_csv(out / "ltv.csv",
-              ["tau"] + [f"a{i}{j}" for i in range(1, 6) for j in range(1, 6)]
-              + [f"b{i}{j}" for i in range(1, 6) for j in range(1, 3)],
+              ["tau"] + [f"a{i}{j}" for i in range(1, n_rho + 1) for j in range(1, n_rho + 1)]
+              + [f"b{i}{j}" for i in range(1, n_rho + 1) for j in range(1, n_w + 1)],
               np.column_stack([ltv.taus, ltv.A.reshape(ltv.taus.size, -1),
                                ltv.B.reshape(ltv.taus.size, -1)]))
 
@@ -265,11 +266,11 @@ def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
         raise ConvergenceError(
             f"controllability Gramian nearly singular: min eigenvalue {w_eigs.min():.3e}")
 
-    gains = periodic_lqr(ltv, Q=float(kcfg["q_weight"]) * np.eye(5),
-                         R=float(kcfg["r_weight"]) * np.eye(2),
+    gains = periodic_lqr(ltv, Q=float(kcfg["q_weight"]) * np.eye(n_rho),
+                         R=float(kcfg["r_weight"]) * np.eye(n_w),
                          max_sweeps=int(kcfg["max_sweeps"]))
     write_csv(out / "gains.csv",
-              ["tau"] + [f"k{i}{j}" for i in range(1, 3) for j in range(1, 6)],
+              ["tau"] + [f"k{i}{j}" for i in range(1, n_w + 1) for j in range(1, n_rho + 1)],
               np.column_stack([gains.taus, gains.K.reshape(gains.taus.size, -1)]))
 
     _, eig_open = monodromy(ltv, None)
@@ -344,7 +345,7 @@ def _cmd_simulate(cfg: dict, out: Path, ctx: dict) -> None:
                           dt=float(mcfg["dt"]), horizon=horizon)
     write_csv(out / "simulation.csv",
               ["t", "x", "z", "psi", "xdot", "zdot", "psidot", "u1", "u2",
-               "tau", "rho1", "rho2", "rho3", "rho4", "rho5"],
+               "tau"] + [f"rho{i}" for i in range(1, res.rho.shape[1] + 1)],
               np.column_stack([res.t, res.q, res.qdot, res.u, res.tau, res.rho]))
     final_error = float(np.linalg.norm(res.rho[-1]))
     ctx["report_json"]["simulation"] = {

@@ -95,13 +95,11 @@ class PeriodicPiecewisePolynomial:
 
     `coeffs` has scipy's `PPoly` layout (degree + 1, n, *value_shape), highest
     power first, in powers of t - x[i] on piece i. A time wraps into the base
-    period and its terms are summed as `PPoly` wraps and sums them, so values
-    are bit-identical to scipy's. A float finds its piece by `bisect`, an
-    array by `searchsorted`; both add the same terms in the same order.
-    `point` sums one time's terms on Python floats, which a Runge-Kutta stage
-    reads faster than any array; it writes the sum out term by term, because
-    the builtin `sum()` compensates float sums from Python 3.12 on, which
-    would change the bits. Pieces are at least cubic.
+    period, and every reader sums its piece by Horner's rule: `derivatives` at
+    a time or an array of times, and `point` at one time on Python floats,
+    which a Runge-Kutta stage reads faster than any array. A float finds its
+    piece by `bisect`, an array by `searchsorted`; both take the same steps in
+    the same order, so one time and its row of an array agree bit for bit.
     """
 
     def __init__(self, breaks: Array, coeffs: Array):
@@ -111,62 +109,47 @@ class PeriodicPiecewisePolynomial:
         self._breaks = self.breaks.tolist()
         self._x0, self._span = self._breaks[0], self._breaks[-1] - self._breaks[0]
         self._c = np.array(coeffs[::-1], dtype=float, order="C")   # lowest power first
-        if len(self._c) < 4:
-            raise ValueError("pieces must be at least cubic")
-        self._c[0] += 0.0                                # PPoly's sum starts at 0.0: -0.0 -> +0.0
-        self._value_axes = (...,) + (None,) * (self._c.ndim - 2)
         self._pieces = self._c.reshape(self._c.shape[:2] + (-1,)).swapaxes(0, 1)   # a view
         self._last = len(self._breaks) - 2
         self._held = (-1, None)   # the last piece `_piece` read: neighbouring stages share one
 
     def _piece(self, t: float):
-        """t's piece as flattened coefficient lists, lowest power first, and d, d^2, d^3."""
+        """t's piece as flattened coefficient lists, lowest power first, and d = t - its break."""
         t = self._x0 + (float(t) - self._x0) % self._span
         i = min(bisect_right(self._breaks, t) - 1, self._last)
         held = self._held   # read once: another thread may replace it
         if held[0] != i:
             held = self._held = (i, self._pieces[i].tolist())
-        d = t - self._breaks[i]
-        d2 = d * d
-        return held[1], d, d2, d2 * d
+        return held[1], t - self._breaks[i]
 
     def point(self, t: float) -> list[float]:
         """The value at one time t, flattened, as a list of Python floats."""
-        c, d, d2, z = self._piece(t)
-        value = [c0 + c1 * d + c2 * d2 + c3 * z for c0, c1, c2, c3 in zip(*c[:4])]
-        for ck in c[4:]:                     # quartic and higher terms
-            z = z * d
-            value = [v + ckj * z for v, ckj in zip(value, ck)]
+        c, d = self._piece(t)
+        value = c[-1][:]   # a copy: a constant piece returns it, and the held lists are shared
+        for ck in c[-2::-1]:
+            value = [v * d + a for v, a in zip(value, ck)]
         return value
 
     def __call__(self, t: float | Array) -> Array:
         if isinstance(t, float):
             # An array of the value's shape, or a numpy scalar for a scalar value.
             return np.array(self.point(t)).reshape(self._c.shape[2:])[()]
-        t = self._x0 + (np.asarray(t, dtype=float) - self._x0) % self._span
-        i = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self._last)
-        # The same sum term by term: a cumulative sum over the leading axis of a
-        # large array loops per element and is many times slower.
-        d = (t - self.breaks[i])[self._value_axes]
-        value, z = self._c[0, i], d
-        for ck in self._c[1:]:
-            value = value + ck[i] * z
-            z = z * d
-        return value
+        return self.derivatives(t, 0)[..., 0]
 
     def derivatives(self, t: float | Array, count: int) -> Array:
         """The value at time t or at an array of times and its first `count`
         derivatives, stacked on a last axis; each by Horner's rule."""
         t = self._x0 + (np.asarray(t, dtype=float) - self._x0) % self._span
         i = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self._last)
-        d = (t - self.breaks[i])[self._value_axes]
+        d = (t - self.breaks[i])[(...,) + (None,) * (self._c.ndim - 2)]
         c, out = self._c[:, i], []
-        for _ in range(count + 1):
+        for nu in range(count + 1):
+            if nu:   # the coefficients of the next derivative
+                c = c[1:] * np.arange(1.0, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
             value = c[-1]
             for ck in c[-2::-1]:
                 value = value * d + ck
             out.append(value)
-            c = c[1:] * np.arange(1.0, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
         return np.stack(out, axis=-1)
 
 

@@ -16,11 +16,6 @@ by Gauss-Legendre quadrature. The solution is one periodic table
 (`numdiff.PeriodicPiecewisePolynomial`) of quintic Hermite pieces in t through
 xi, read with its first two derivatives: both sides, then their mirror image
 about the far rest point, which closes the orbit.
-
-`rk45_steps`, which the closed loop runs, is scipy's `solve_ivp(method="RK45")`
-(Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner,
-Solving ODEs I, II.4-II.6) operation for operation, without its import cost;
-tests check its steps bit for bit against scipy's.
 """
 
 from __future__ import annotations
@@ -125,124 +120,6 @@ class ScalarSolution:
                 raise DomainError(f"t={outside[0]} outside solution window [{self.t1}, {self.t2}]")
         xi, dth, ddth = np.moveaxis(self.table.derivatives(t, 2), -1, 0)
         return xi + self.theta_s, dth, ddth
-
-
-# The Dormand-Prince RK5(4) tableau, its error weights E (5th minus 4th order)
-# and the matrix P of the quartic dense output, as in scipy's RK45. The nodes C
-# are Python floats and the rows A[s, :s] of stages 1-5 are split off once:
-# a stage then indexes no array.
-_C = [0, 1/5, 3/10, 4/5, 8/9, 1]
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_A_ROWS = [_A[s, :s] for s in range(1, 6)]
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
-# Step-size control: safety factor and bounds on one step's change of h.
-SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
-
-
-def _rms(x: Array) -> float:
-    # The sum np.linalg.norm takes for a vector, so scipy's RK45 norm bit for bit.
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
-
-
-def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
-    """Accepted RK45 steps from t = 0 toward t_bound, one at a time.
-
-    Repeats scipy's `solve_ivp(fun, (0, t_bound), y0, method="RK45",
-    rtol=tol, atol=tol)`: its initial step choice, RMS error norm and step
-    control, FSAL stages, 10-ulp minimum step and t_bound clamp, operation for
-    operation. fun(t, y) returns y' as an array or as a list of floats, and must
-    not keep its y: every stage state is written into one buffer. Yields
-    (t_old, h, y_old, Q, t, y) per step, Q its quartic (`rk45_dense`) and y
-    the fifth-order solution at its end t. Ends at t_bound (at once if it is
-    0) or when the step falls below its minimum (a NaN right-hand side
-    shrinks it there); a caller sees the latter as a last t short of t_bound.
-    A t_bound of +-inf is valid; a NaN t_bound raises DomainError before the
-    first step.
-    """
-    if math.isnan(t_bound):
-        raise DomainError(f"t_bound must not be NaN, got {t_bound}")
-    if t_bound == 0.0:
-        return
-    direction = math.copysign(1.0, t_bound)
-    y = np.asarray(y0, dtype=float)
-    t, f = 0.0, np.asarray(fun(0.0, y), dtype=float)
-    # Initial step (Hairer, Norsett & Wanner, II.4), scipy's select_initial_step.
-    scale = tol + np.abs(y) * tol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, abs(t_bound))
-    d2 = _rms((fun(h0 * direction, y + h0 * direction * f) - f) / scale) / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1 / 5))
-    h_abs = min(100 * h0, h1, abs(t_bound))
-    K = np.empty((7, y.size))
-    stages = [(s, c, K[:s].T, a) for s, c, a in zip(range(1, 6), _C[1:], _A_ROWS)]
-    # The stage state, the error scale and the error, each in one buffer.
-    y_stage, scale, error = np.empty(y.size), np.empty(y.size), np.empty(y.size)
-    K[0] = f   # first same as last: an accepted step's last stage starts the next
-    while True:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            for s, c, K_s, a in stages:
-                np.dot(K_s, a, out=y_stage)
-                y_stage *= h
-                y_stage += y
-                K[s] = fun(t + c * h, y_stage)
-            y_new = np.dot(K[:-1].T, _B) * h   # a fresh array: it is yielded and kept
-            y_new += y
-            K[-1] = fun(t + h, y_new)
-            np.maximum(np.abs(y, out=scale), np.abs(y_new, out=error), out=scale)
-            scale *= tol
-            scale += tol
-            np.dot(K.T, _E, out=error)
-            error *= h
-            error /= scale
-            error_norm = _rms(error)
-            if error_norm < 1:
-                factor = (MAX_FACTOR if error_norm == 0
-                          else min(MAX_FACTOR, SAFETY * error_norm ** -0.2))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
-            rejected = True
-        yield t, h, y, K.T.dot(_P), t_new, y_new
-        t, y, K[0] = t_new, y_new, K[-1]
-        if direction * (t - t_bound) >= 0:
-            return
-
-
-def rk45_dense(t_old: float, h: float, y_old: Array, Q: Array, s):
-    """A step's quartic y_old + h sum_k Q[:, k] x^(k+1), x = (s - t_old)/h, at time s
-    or one row per entry of an array s (Hairer, Norsett & Wanner, Solving ODEs I, II.6)."""
-    p = np.cumprod(np.multiply.outer(np.ones(4), (np.asarray(s) - t_old) / h), axis=0)
-    return (h * np.dot(Q, p)).T + y_old
 
 
 def _chebyshev_panel(n: int):

@@ -56,8 +56,9 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
     `CubicSpline` to rounding (tests bound the gap by 1e-13 of max|y|).
     `grid` samples the spline on a uniform grid of k points per knot interval,
     for the period integrals, and `matvec_point` multiplies the value at one
-    tau into a vector on Python floats. Raises ValueError for taus that are
-    not such a grid or a non-finite sample.
+    tau into a vector on Python floats; both sum a piece by Horner's rule, as
+    the parent class's readers do. Raises ValueError for taus that are not
+    such a grid or a non-finite sample.
     """
 
     def __init__(self, taus: Array, values: Array):
@@ -78,15 +79,15 @@ class PeriodicMatrixSpline(PeriodicPiecewisePolynomial):
 
     def matvec_point(self, t: float, x: list[float]) -> list[float]:
         """The matrix at one time t times the vector x, as a list, in one pass: each
-        entry c0 + c1 d + c2 d^2 + c3 d^3 as `point` sums it, each row's products
-        summed left to right from 0.0."""
-        c, d, d2, z = self._piece(t)
+        entry ((a3 d + a2) d + a1) d + a0 by Horner's rule, as `point` sums it, each
+        row's products summed left to right from 0.0."""
+        c, d = self._piece(t)
         c0, c1, c2, c3 = map(iter, c)   # row by row: zip takes x first, so stops at a row's end
         out = []
         for _ in range(self._c.shape[2]):
             s = 0.0
             for x_m, a0, a1, a2, a3 in zip(x, c0, c1, c2, c3):
-                s += (a0 + a1 * d + a2 * d2 + a3 * z) * x_m
+                s += (((a3 * d + a2) * d + a1) * d + a0) * x_m
             out.append(s)
         return out
 

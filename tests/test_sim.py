@@ -12,7 +12,7 @@ import vhcplan as vp
 import vhcplan.sim
 from vhcplan.cli import main
 from vhcplan.mech import MechanicalSystem
-from vhcplan.singular_solver import rk45_dense, rk45_steps
+from vhcplan.sim import rk45_dense, rk45_steps
 
 
 def test_orbit_error_at_perturbed_start(tictoc_chart):
@@ -277,6 +277,27 @@ def test_closed_loop_matches_solve_ivp_on_eval_accel(pvtol, tictoc_chart, tictoc
     assert np.abs(res.q - ref.y[:3].T).max() <= 1e-7
 
 
+def test_nan_t_bound_raises_before_the_first_step():
+    # Every comparison with NaN is false, so a NaN t_bound would never end
+    # the steps; +-inf stays valid, and the closed loop's steps run toward a
+    # finite one.
+    calls = []
+
+    def decay(t, y):
+        calls.append(t)
+        return -y
+
+    with pytest.raises(vp.DomainError, match="t_bound"):
+        next(rk45_steps(decay, [1.0], math.nan, 1e-8))
+    assert calls == []
+    for t_bound, target in ((math.inf, 0.5), (-math.inf, 2.0)):
+        for t_old, h, y_old, Q, t, y in rk45_steps(decay, [1.0], t_bound, 1e-8):
+            if (y[0] - target) * (y_old[0] - target) <= 0.0:
+                break
+        at = math.copysign(math.log(2.0), t_bound)
+        assert abs(rk45_dense(t_old, h, y_old, Q, at)[0] - target) < 1e-7
+
+
 def _recorded_steps(monkeypatch):
     """A list that collects (fun, t_bound, tol, steps) of each `rk45_steps` run in sim."""
     runs = []
@@ -311,7 +332,7 @@ def test_last_row_is_read_inside_the_last_step(monkeypatch, pvtol, tictoc_chart,
         rows.extend(rk45_dense(t_old, h, y_old, Q, times))
         start = t_end
     rows = np.array(rows)
-    assert np.abs(np.c_[res.q, res.qdot] - rows).max() <= 1e-15 * np.abs(rows).max()
+    assert np.array_equal(np.c_[res.q, res.qdot], rows)
 
 
 def test_rk45_steps_match_solve_ivp_on_the_closed_loop(monkeypatch, pvtol, tictoc_chart,

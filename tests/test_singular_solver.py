@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import vhcplan as vp
-from vhcplan.singular_solver import rk45_dense, rk45_steps
+from vhcplan.cli import GRAMIAN_GATE
 
 
 def test_singular_acceleration_tictoc_vanishes(tictoc_model, tictoc_report):
@@ -354,27 +356,6 @@ def test_eval_at_the_crossings_raises_no_warning(orbit):
         per.eval(np.array([0.0, 2.0 * per.t2]))
 
 
-def test_nan_t_bound_raises_before_the_first_step():
-    # Every comparison with NaN is false, so a NaN t_bound would never end
-    # the steps; +-inf stays valid, and the closed loop's steps run toward a
-    # finite one.
-    calls = []
-
-    def decay(t, y):
-        calls.append(t)
-        return -y
-
-    with pytest.raises(vp.DomainError, match="t_bound"):
-        next(rk45_steps(decay, [1.0], math.nan, 1e-8))
-    assert calls == []
-    for t_bound, target in ((math.inf, 0.5), (-math.inf, 2.0)):
-        for t_old, h, y_old, Q, t, y in rk45_steps(decay, [1.0], t_bound, 1e-8):
-            if (y[0] - target) * (y_old[0] - target) <= 0.0:
-                break
-        at = math.copysign(math.log(2.0), t_bound)
-        assert abs(rk45_dense(t_old, h, y_old, Q, at)[0] - target) < 1e-7
-
-
 # The explicit family parameters (k1, k2, k3) at psi_s = pi/2 and theta_max 0.2 in
 # {0.25, 0.5, 0.75} x {0.5, 1, 1.5, 2} x {-0.5, -0.25, -0.1} that pass the existence
 # check, with kappa = -2 beta_s/alpha' of 8, 4/3, 4, 2, 4/3, 2, 4, 2, 4, 4 and 1.6.
@@ -392,6 +373,12 @@ def test_atlas_is_every_admissible_explicit_orbit():
 
 # Integer kappa off psi_s = pi/2, where gamma is no longer even: kappa 2 and 8.
 OFF_AXIS = [(1.2, (0.25, 2.0, -0.25)), (1.0, (0.25, 0.5, -0.1))]
+# The atlas orbits whose controllability Gramian falls below the CLI's absolute gate
+# at n_grid 128, though periodic LQR stabilizes them: kappa 8 (minimum 5.7e-8), 4/3
+# (7.4e-7), 4/3 (2.8e-7) and, off pi/2, kappa 8 (8.0e-8). The other atlas orbits clear
+# it, the nearest by 1.13 times, on (0.75, 0.5, -0.25).
+BELOW_GRAMIAN_GATE = [(0.5 * math.pi, (0.25, 0.5, -0.1)), (0.5 * math.pi, (0.25, 1.0, -0.1)),
+                      (0.5 * math.pi, (0.5, 0.5, -0.1)), (1.0, (0.25, 0.5, -0.1))]
 
 
 @pytest.mark.parametrize("orbit", [(0.5 * math.pi, k) for k in ATLAS] + OFF_AXIS
@@ -404,6 +391,9 @@ def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_
     # pi/2 and three searched ones: the table meets the independent theta'^2
     # check, the lift its residual gate, the chart its round trip and its rates
     # at 10 points, and the linearization its on-orbit gate f0_max <= 1e-9.
+    # The orbit is certified to admit no regular constraint, periodic LQR
+    # stabilizes it, its Riccati multipliers match the closed-loop period map's,
+    # and its Gramian clears the CLI's gate unless BELOW_GRAMIAN_GATE names it.
     psi_s, k = orbit
     if k is None:
         params = vp.find_family_parameters(psi_s)
@@ -420,6 +410,49 @@ def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_
     check_rates(chart, np.random.default_rng(47), 10, 5e-6)
     ltv = vp.linearize(chart, pvtol, traj, n_grid=128)
     assert ltv.f0_max < 1e-9
+    assert vp.certify_no_regular_vhc(pvtol, traj).verdict
+    gains = vp.periodic_lqr(ltv)
+    multipliers = np.abs(vp.monodromy(ltv, gains)[1])
+    assert multipliers.max() < 1.0
+    assert np.abs(np.sort(np.abs(gains.multipliers)) - np.sort(multipliers)).max() <= 1e-7
+    w_min = np.linalg.eigvalsh(vp.gramian(ltv)).min()
+    print(f"closed-loop radius {multipliers.max():.3f}, Gramian minimum {w_min:.2e}, "
+          f"gate margin {w_min / GRAMIAN_GATE:.3f}")
+    assert (w_min > GRAMIAN_GATE) == (orbit not in BELOW_GRAMIAN_GATE)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.1, math.pi - 0.1), st.floats(0.25, 2.0), st.floats(0.5, 4.0),
+       st.floats(1.0 / 3.0, 1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from((0.2, 0.35, 0.5)))
+def test_admissible_family_orbits_plan_and_lift(pvtol, psi_s, k1, k2, ratio, tmax):
+    # k3 = -ratio k1 k2 lies in (-k1 k2, -k1 k2/3), where alpha' = k1 k2 + k3 > 0 and
+    # beta/alpha' < -1/2 at theta_s = 0, with kappa = 2 ratio/(1 - ratio): most draws
+    # pass the existence check, and each that does plans and lifts or raises a typed
+    # error. For kappa in [1 + 1e-4, 16] every one plans and lifts. From about 22 up
+    # the lift residual can exceed its gate and the crossing panel can turn singular;
+    # next to kappa = 1 the crossing acceleration, over alpha' + 2 beta = alpha' (1 -
+    # kappa), grows without bound, and draws up to 1 + 7e-6 were seen to fail.
+    model = vp.family_reduced(psi_s, k1, k2, -ratio * k1 * k2, (-tmax, tmax))
+    report = vp.check_theorem1(model)
+    assume(report.overall)
+    kappa = -2.0 * report.beta_s / report.alpha_slope
+    try:
+        vp.lift(model.vhc, vp.solve_boundary(model, report, -0.8 * tmax, 0.0, 0.8 * tmax, 0.0),
+                pvtol)
+    except vp.VhcplanError:
+        assert not 1.0 + 1e-4 <= kappa <= 16.0
+
+
+@pytest.mark.xfail(strict=True, raises=vp.VhcplanError,
+                   reason="next to kappa = 1 the crossing acceleration is out of reach")
+def test_family_orbit_next_to_kappa_one_plans_and_lifts(pvtol):
+    # The draw of the test above at the least ratio it can draw: kappa = 1 + 2.2e-16 passes the
+    # existence check, and the solve finds theta'^2 reaching 0 short of the crossing.
+    model = vp.family_reduced(1.0, 1.0, 1.0, -math.nextafter(1.0 / 3.0, 1.0), (-0.2, 0.2))
+    report = vp.check_theorem1(model)
+    assert report.overall
+    vp.lift(model.vhc, vp.solve_boundary(model, report, -0.16, 0.0, 0.16, 0.0), pvtol)
 
 
 def _resonant_model(kappa):

@@ -113,6 +113,18 @@ def test_piecewise_polynomial_derivatives_match_scipy():
         assert np.array_equal(table.derivatives(float(t[5]), 2), got[5])
 
 
+def test_point_of_a_constant_piece_is_a_list_of_its_own():
+    # A degree-0 piece leaves Horner's rule nothing to sum; `point` still
+    # returns a new list, because the table holds the piece's lists for the
+    # next call.
+    table = vhcplan.numdiff.PeriodicPiecewisePolynomial(
+        np.array([0.0, 1.0, 2.0]), np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+    value = table.point(0.5)
+    value[0] = 9.0
+    assert table.point(0.5) == [1.0, 2.0]
+    assert np.array_equal(table(np.array([0.5, 1.5, 2.5])), [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
+
+
 def test_periodic_spline_slopes_solve_the_circulant_system():
     # For y = sin(k tau) on n uniform knots the spline's knot slopes are
     # 3 sin(kh) / (h (2 + cos kh)) cos(k tau): the slope equations' circulant
