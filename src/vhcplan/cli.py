@@ -6,14 +6,14 @@ Every command reads an optional JSON config (defaults below), applies dotted
   plan       trajectory.csv, report.json
   certify    certificate.json, accessibility.csv (family: report.json too)
   stabilize  report.json, ltv.csv, gains.csv, spectra.json
-  simulate   stabilize artifacts + simulation.csv
+  simulate   report.json, spectra.json, simulation.csv
   sweep      psi_<value>/ sub-runs (stabilize each) + sweep_summary.json;
              two angles with one psi_<value> name are a usage error
 
-Only `plan` writes the orbit table: `plan --config <run>/config.resolved.json`
-rebuilds any run's trajectory.csv byte for byte.
+Only `plan` writes the orbit table, and only `stabilize` the controller tables: `plan`
+or `stabilize --config <run>/config.resolved.json` rebuilds them byte for byte.
 
-The stages only compute and write their own tables; one runner, `_run`, writes
+The commands compute and write their own tables; one runner, `_run`, writes
 the run files of `main` and of every sweep sub-run: config.resolved.json,
 report.json whenever the existence check ran (on failure too), error.json on
 failure and metadata.json (the only file with timestamps). Exit codes: 0
@@ -181,14 +181,13 @@ def _load_config(args) -> dict:
     if dom is not None and (not isinstance(dom, list) or len(dom) != 2
                             or not all(map(_is_number, dom))):
         raise UsageError("vhc.domain must be a [lo, hi] pair of numbers")
-    for key in ("q0", "qd0"):
-        vec = cfg["simulate"][key]
-        if not isinstance(vec, list) or len(vec) != 3:
+    for key in ("q0", "qd0"):   # a list, as _merge_config checked
+        if len(cfg["simulate"][key]) != 3:
             raise UsageError(f"simulate.{key} must be a 3-vector")
     return cfg
 
 
-# -- pipeline stages: each fills the run context; _stabilize writes its tables -
+# -- pipeline stages: each fills the run context; _stabilize writes spectra.json
 
 
 def _plan(cfg: dict, ctx: dict) -> None:
@@ -216,12 +215,10 @@ def _plan(cfg: dict, ctx: dict) -> None:
                 raise ConditionCheckError(
                     f"no admissible family parameters found for psi_s = {psi_s}")
             model = family_reduced(psi_s, params.k1, params.k2, params.k3, params.interval)
-    vhc = model.vhc
     report = check_theorem1(model) if params is None else params.report
-    report_json: dict = {"kind": kind, "check": report.to_json_dict()}
+    report_json = ctx["report_json"] = {"kind": kind, "check": report.to_json_dict()}
     if params is not None:
         report_json["family_parameters"] = params.to_json_dict()
-    ctx["report_json"] = report_json
     if not report.overall:
         raise ConditionCheckError("existence conditions failed; see report.json")
 
@@ -232,7 +229,7 @@ def _plan(cfg: dict, ctx: dict) -> None:
                 for sign, value in ((-1.0, cfg["boundary"]["theta1"]),
                                     (1.0, cfg["boundary"]["theta2"])))
     sol = make_periodic(solve_boundary(model, report, th1, 0.0, th2, 0.0))
-    traj = lift(vhc, sol, sys_)
+    traj = lift(model.vhc, sol, sys_)
 
     report_json.update({
         "singular_acceleration": sol.a_s,
@@ -249,29 +246,20 @@ def _plan(cfg: dict, ctx: dict) -> None:
 
 
 def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
-    """Stabilize the orbit `_plan` put in ctx (chart, gains, spectra); writes its tables."""
+    """Stabilize ctx's orbit: adds ltv, gains (as made), chart, spectra; writes spectra.json."""
     kcfg = cfg["stabilize"]
     chart = TicTocChart() if cfg["vhc"]["kind"] == "tictoc" else FamilyChart(ctx["traj"])
-    ltv = linearize(chart, ctx["sys"], ctx["traj"], n_grid=int(kcfg["n_grid"]))
+    ltv = ctx["ltv"] = linearize(chart, ctx["sys"], ctx["traj"], n_grid=int(kcfg["n_grid"]))
     n_rho, n_w = ltv.B.shape[1:]
-    write_csv(out / "ltv.csv",
-              ["tau"] + [f"a{i}{j}" for i in range(1, n_rho + 1) for j in range(1, n_rho + 1)]
-              + [f"b{i}{j}" for i in range(1, n_rho + 1) for j in range(1, n_w + 1)],
-              np.column_stack([ltv.taus, ltv.A.reshape(ltv.taus.size, -1),
-                               ltv.B.reshape(ltv.taus.size, -1)]))
 
-    W = gramian(ltv)
-    w_eigs = np.linalg.eigvalsh(W)
+    w_eigs = np.linalg.eigvalsh(gramian(ltv))
     if float(w_eigs.min()) <= GRAMIAN_GATE:
         raise ConvergenceError(
             f"controllability Gramian nearly singular: min eigenvalue {w_eigs.min():.3e}")
 
-    gains = periodic_lqr(ltv, Q=float(kcfg["q_weight"]) * np.eye(n_rho),
-                         R=float(kcfg["r_weight"]) * np.eye(n_w),
-                         max_sweeps=int(kcfg["max_sweeps"]))
-    write_csv(out / "gains.csv",
-              ["tau"] + [f"k{i}{j}" for i in range(1, n_w + 1) for j in range(1, n_rho + 1)],
-              np.column_stack([gains.taus, gains.K.reshape(gains.taus.size, -1)]))
+    gains = ctx["gains"] = periodic_lqr(ltv, Q=float(kcfg["q_weight"]) * np.eye(n_rho),
+                                        R=float(kcfg["r_weight"]) * np.eye(n_w),
+                                        max_sweeps=int(kcfg["max_sweeps"]))
 
     _, eig_open = monodromy(ltv, None)
     _, eig_closed = monodromy(ltv, gains)
@@ -294,7 +282,7 @@ def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
     if closed_max >= 1.0:
         raise ConditionCheckError(
             f"closed-loop multipliers not inside the unit circle (max {closed_max:.4f})")
-    ctx.update({"chart": chart, "gains": gains, "spectra": spectra})
+    ctx.update({"chart": chart, "spectra": spectra})
 
 
 # -- commands: each runs its stages on one context; `_run` writes the run files
@@ -330,8 +318,22 @@ def _cmd_certify(cfg: dict, out: Path, ctx: dict) -> None:
 
 
 def _cmd_stabilize(cfg: dict, out: Path, ctx: dict) -> None:
+    """`_stabilize`, then the tables it computed: ltv.csv alone if the Gramian or Riccati fails."""
     _plan(cfg, ctx)
-    _stabilize(cfg, out, ctx)
+    try:
+        _stabilize(cfg, out, ctx)
+    finally:
+        if "ltv" in ctx:
+            ltv = ctx["ltv"]
+            n, n_rho, n_w = ltv.B.shape
+            write_csv(out / "ltv.csv",
+                      ["tau"] + [f"a{i + 1}{j + 1}" for i, j in np.ndindex(n_rho, n_rho)]
+                      + [f"b{i + 1}{j + 1}" for i, j in np.ndindex(n_rho, n_w)],
+                      np.column_stack([ltv.taus, ltv.A.reshape(n, -1), ltv.B.reshape(n, -1)]))
+        if "gains" in ctx:
+            write_csv(out / "gains.csv",
+                      ["tau"] + [f"k{i + 1}{j + 1}" for i, j in np.ndindex(n_w, n_rho)],
+                      np.column_stack([ctx["gains"].taus, ctx["gains"].K.reshape(n, -1)]))
 
 
 def _cmd_simulate(cfg: dict, out: Path, ctx: dict) -> None:
@@ -351,9 +353,8 @@ def _cmd_simulate(cfg: dict, out: Path, ctx: dict) -> None:
     ctx["report_json"]["simulation"] = {
         "final_orbit_error": final_error,
         "converged": bool(np.isfinite(final_error) and final_error < 1e-3),
-        "horizon": horizon,
-        "dt": float(mcfg["dt"]),
-        **{key: res.metadata[key] for key in ("rhs_evals", "integrator_steps", "tol")},
+        "dt": res.dt,
+        **{key: res.metadata[key] for key in ("horizon", "rhs_evals", "integrator_steps", "tol")},
     }
 
 
@@ -385,8 +386,7 @@ def _cmd_sweep(cfg: dict, out: Path, ctx: dict) -> None:
         results.append(row)
     n_failed = sum(1 for r in results if not r["ok"])
     write_json(out / "sweep_summary.json",
-               {"results": results, "n_ok": len(results) - n_failed,
-                "n_failed": n_failed})
+               {"results": results, "n_ok": len(results) - n_failed, "n_failed": n_failed})
     if n_failed:
         raise ConditionCheckError(f"{n_failed} of {len(results)} sweep runs failed")
 

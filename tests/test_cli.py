@@ -262,7 +262,10 @@ def test_simulate_artifacts(tmp_path):
     # Fewer right-hand sides than the 4 per row interval RK4 spent.
     assert {"rhs_evals", "integrator_steps", "tol"} <= report["simulation"].keys()
     assert report["simulation"]["rhs_evals"] < 4 * (len(rows) - 2)
-    assert not (out / "trajectory.csv").exists()
+    # simulate writes the controller's spectra but not its tables: only stabilize does.
+    assert (out / "spectra.json").is_file()
+    for name in ("trajectory.csv", "ltv.csv", "gains.csv"):
+        assert not (out / name).exists(), name
 
 
 def test_family_certify_writes_report_not_orbit(tmp_path):
@@ -290,6 +293,24 @@ def test_resolved_config_rebuilds_the_orbit(tmp_path, kind):
     assert main(["plan", "--out", str(plain), *overrides]) == 0
     for name in ("trajectory.csv", "report.json"):
         assert (rebuilt / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("kind", ["tictoc", "family"])
+def test_resolved_config_rebuilds_the_controller(tmp_path, kind):
+    # A simulate run writes no controller table; stabilize on its resolved
+    # config rebuilds the ones a plain stabilize run with the same overrides
+    # writes, and all three runs write one spectra.json.
+    overrides = ["--set", f"vhc.kind={kind}", *FAST_STABILIZE]
+    sim, rebuilt, plain = tmp_path / "sim", tmp_path / "rebuilt", tmp_path / "plain"
+    assert main(["simulate", "--out", str(sim), *overrides, "--set", "simulate.periods=1"]) == 0
+    for name in ("ltv.csv", "gains.csv"):
+        assert not (sim / name).exists(), name
+    assert main(["stabilize", "--config", str(sim / "config.resolved.json"),
+                 "--out", str(rebuilt)]) == 0
+    assert main(["stabilize", "--out", str(plain), *overrides]) == 0
+    for name in ("ltv.csv", "gains.csv", "spectra.json"):
+        assert (rebuilt / name).read_bytes() == (plain / name).read_bytes(), name
+    assert (sim / "spectra.json").read_bytes() == (plain / "spectra.json").read_bytes()
 
 
 @pytest.mark.parametrize("n_grid", [1, 2, 3])
@@ -402,8 +423,11 @@ def test_exit_code_numerical_failure(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ConvergenceError"
     assert json.loads((out / "metadata.json").read_text())["exit_code"] == 3
-    # The plan before the failing stage passed, and its report is kept.
+    # The plan before the failing stage passed, and its report is kept; so is
+    # the linearization, which the Riccati solve failed on.
     assert json.loads((out / "report.json").read_text())["check"]["overall"] is True
+    assert (out / "ltv.csv").is_file()
+    assert not (out / "gains.csv").exists()
 
 
 def test_tiny_output_spacing_is_a_numerical_failure(tmp_path, capsys):
@@ -584,3 +608,19 @@ def test_gramian_gate_rejects_three_explicit_family_orbits(tmp_path, k1, k2):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ConvergenceError" and "Gramian" in err["message"]
     assert json.loads((out / "report.json").read_text())["max_input_residual"] < 1e-8
+    # The linearization the gate judged is kept; no controller was designed.
+    assert (out / "ltv.csv").is_file()
+    for name in ("gains.csv", "spectra.json"):
+        assert not (out / name).exists(), name
+
+
+def test_simulate_at_the_gramian_gate_writes_no_controller_file(tmp_path):
+    # The kappa 4/3 orbit above fails the gate in simulate too, which writes
+    # none of the controller's files.
+    out = tmp_path / "gate_sim"
+    assert main(["simulate", "--out", str(out), "--set", "vhc.kind=family",
+                 "--set", "vhc.k1=0.25", "--set", "vhc.k2=1.0", "--set", "vhc.k3=-0.1",
+                 "--set", "vhc.theta_max=0.2", *FAST_STABILIZE]) == 3
+    assert "Gramian" in json.loads((out / "error.json").read_text())["message"]
+    for name in ("ltv.csv", "gains.csv", "spectra.json"):
+        assert not (out / name).exists(), name
