@@ -55,7 +55,8 @@ from .io_utils import write_csv, write_json
 from .mech import pvtol_model, tic_toc_orbit
 from .sim import output_steps, run_closed_loop
 from .singular_solver import lift, make_periodic, solve_boundary
-from .transverse import FamilyChart, TicTocChart, gramian, linearize, monodromy, periodic_lqr
+from .transverse import (REVERSAL_TOL, FamilyChart, TicTocChart, gramian, linearize, monodromy,
+                         periodic_lqr)
 from .vhc import (
     FamilyParameters,
     check_theorem1,
@@ -277,6 +278,9 @@ def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
         "riccati_fixed_point_gap": gains.fixed_point_gap,
         "riccati_multiplier_gap": float(np.max(np.abs(
             np.sort(np.abs(gains.multipliers)) - np.sort(np.abs(eig_closed))))),
+        "reversal_gap": None if ltv.reversal_gap is None else {
+            "value": ltv.reversal_gap, "threshold": REVERSAL_TOL,
+            "margin": REVERSAL_TOL / ltv.reversal_gap},
     }
     write_json(out / "spectra.json", spectra)
     if closed_max >= 1.0:

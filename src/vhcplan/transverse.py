@@ -15,6 +15,15 @@ drho/dtau = f(rho, tau, w) with input deviation w = u - u*(tau); finite
 differences of f give the periodic pair A(tau), B(tau) used for the
 controllability Gramian, the periodic LQR gain schedule and the monodromy
 (period map) spectrum.
+
+Time reversal t -> -t, qdot -> -qdot maps a planned orbit onto itself (its
+second half mirrors its first) with tau -> pi - tau and rho -> R rho, R =
+diag(I, -I, 1) (`_reversal_signs`), so A(pi - tau) = -R A(tau) R and B(pi -
+tau) = -R B(tau) (Lamb & Roberts, Physica D 112, 1998). The mirror rule: on
+n % 4 == 0 nodes from -pi, node k mirrors node (n/2 - k) mod n and interval i
+mirrors interval (n/2 - i - 1) mod n, whose map is S Phi^{-1} S of Phi, with
+S = diag(R, -R), in the block systems of the period integrals. Where it
+holds, `linearize` and the period integrals compute |tau| <= pi/2 only.
 """
 
 from __future__ import annotations
@@ -151,8 +160,10 @@ class FamilyChart:
     `chart_invert` only checks its residual. One lookup of r* serves each
     point: `invert_guess` looks it up once per distinct phase of a batch,
     and `forward_rates` gives `forward` and the rates of a motion from one.
-    Raises ConditionCheckError for a constraint without a read-back, or a
-    phase that does not wind once, monotonically, along the orbit.
+    The interpolant samples the first half of the orbit and mirrors it (sample
+    k and N - k share 1/taudot; tau goes to pi - tau). Raises
+    ConditionCheckError for a constraint without a read-back, or a phase that
+    does not run monotonically through half a turn, pi, on that half.
     """
 
     tube_radius = 1.0
@@ -169,18 +180,19 @@ class FamilyChart:
         self.omega = TWO_PI / scalar.period
         n = FAMILY_CHART_SAMPLES
         ts = scalar.t0 + scalar.period * np.arange(n + 1) / n
-        thetas, dthetas, ddthetas = scalar.eval(ts)
+        thetas, dthetas, ddthetas = scalar.eval(ts[:n // 2 + 1])
         self.theta_scale = float(np.max(np.abs(thetas)))
         p, v = self._pv(thetas, dthetas)
         tau_raw = np.unwrap(np.arctan2(p, v))
         if np.any(np.diff(tau_raw) <= 0.0):
             raise ConditionCheckError("phase is not monotone along the orbit")
-        if abs((tau_raw[-1] - tau_raw[0]) - TWO_PI) > 1e-6:
+        if abs((tau_raw[-1] - tau_raw[0]) - math.pi) > 1e-6:
             raise ConditionCheckError("phase winding along the orbit is not one turn")
         # t over the unwrapped phase, with the exact slope dt/dtau = 1/taudot.
-        _, taudot, _ = self._phase_rates(thetas, dthetas, ddthetas)
+        slope = 1.0 / self._phase_rates(thetas, dthetas, ddthetas)[1]
+        tau_raw = np.r_[tau_raw, 2.0 * tau_raw[-1] - tau_raw[-2::-1]]
         self._time_of_phase = PeriodicPiecewisePolynomial(
-            tau_raw, cubic_coefficients(tau_raw, ts, 1.0 / taudot))
+            tau_raw, cubic_coefficients(tau_raw, ts, np.r_[slope, slope[-2::-1]]))
 
     def _pv(self, theta, dtheta):
         return theta / self.theta_scale, dtheta / (self.omega * self.theta_scale)
@@ -337,13 +349,15 @@ class LtvModel:
     are the splines' `grid` samplers, which the period integrals read. They
     are fields of their own, bound once, so that a copy whose `a_of` or
     `b_of` is replaced by a plain function of one argument (a counting
-    wrapper, say) still runs the period integrals.
+    wrapper, say) still runs the period integrals. `reversal_gap` checks
+    `linearize`'s mirror fill: None where it computed every node.
     """
 
     taus: Array
     A: Array
     B: Array
     f0_max: float
+    reversal_gap: float | None = None
     a_of: PeriodicMatrixSpline = field(init=False, repr=False)
     b_of: PeriodicMatrixSpline = field(init=False, repr=False)
     a_grid: Callable[..., Array] = field(init=False, repr=False)
@@ -365,6 +379,14 @@ def _check_count(name: str, value) -> None:
 # nodes make 1,856 points, enough to amortize the per-call overhead while the
 # working arrays stay near 1 MB.
 LINEARIZE_BLOCK = 64
+# Largest gap of `linearize`'s mirror fill from nodes computed in full, relative
+# to max|A| and max|B| (9e-11 on the atlas orbits, 5e-12 on the tic-toc).
+REVERSAL_TOL = 1e-8
+
+
+def _reversal_signs(n_rho: int) -> Array:
+    """Diagonal of R: reversal flips the rates in rho, not the errors or the radius."""
+    return np.r_[np.ones(n_rho // 2), -np.ones(n_rho // 2), 1.0]
 
 
 def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
@@ -379,7 +401,12 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     and the reference input is taken once for all nodes. n_grid must be a
     positive integer. The chart/trajectory pair is validated first (on-orbit
     states must map to rho ~ 0), A and B must be finite, and the on-orbit
-    vector field f(0, tau, 0) must vanish to 1e-9 at every grid node.
+    vector field f(0, tau, 0) must vanish to 1e-9 at every node computed.
+    If n_grid % 4 == 0 the nodes with |tau| > pi/2 are filled by the mirror
+    rule (module notes) and those at +-pi/2 keep their symmetric part, so A
+    and B are mirror images bit for bit; four filled nodes computed in full
+    give `reversal_gap`, and one above REVERSAL_TOL raises ConditionCheckError.
+    Other grids compute every node.
     """
     _check_count("n_grid", n_grid)
     q, qd = traj.state_at(traj.t0 + traj.period * np.arange(8) / 8.0)
@@ -403,19 +430,41 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
         return f.transpose(0, 2, 1)
 
     taus = -math.pi + TWO_PI * np.arange(n_grid) / n_grid
-    u_star = chart.reference_input(taus)
-    blocks = [central_derivative(functools.partial(transverse_field, taus[i:i + LINEARIZE_BLOCK],
-                                                   u_star[i:i + LINEARIZE_BLOCK]),
-                                 np.zeros(n_rho + n_w)) for i in range(0, n_grid, LINEARIZE_BLOCK)]
+    quarter = n_grid // 4 if n_grid % 4 == 0 else 0
+    rest = np.r_[n_grid - quarter + 1:n_grid, :quarter]   # the nodes the mirror fills
+    controls = rest[::max(1, rest.size // 4)][:4]
+    todo = np.sort(np.r_[np.delete(np.arange(n_grid), rest), controls])
+    node_taus = taus[todo]
+    u_star = chart.reference_input(node_taus)
+    blocks = [central_derivative(
+        functools.partial(transverse_field, node_taus[i:i + LINEARIZE_BLOCK],
+                          u_star[i:i + LINEARIZE_BLOCK]), np.zeros(n_rho + n_w))
+        for i in range(0, todo.size, LINEARIZE_BLOCK)]
     f0 = np.concatenate([block_f0 for block_f0, _ in blocks])
     jac = np.concatenate([block_jac for _, block_jac in blocks])
     bad = np.flatnonzero(~(np.isfinite(f0).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))))
     if bad.size:
-        raise ConvergenceError(f"linearization is not finite at tau = {taus[bad[0]]:.6f}")
+        raise ConvergenceError(f"linearization is not finite at tau = {node_taus[bad[0]]:.6f}")
     f0_max = float(np.max(np.abs(f0)))
     if f0_max > 1e-9:
         raise ConditionCheckError(f"on-orbit transverse field does not vanish: {f0_max:.3e}")
-    return LtvModel(taus=taus, A=jac[:, :, :n_rho], B=jac[:, :, n_rho:], f0_max=f0_max)
+    J, gap = np.empty((n_grid, n_rho, n_rho + n_w)), None
+    J[todo] = jac
+    if quarter:
+        rev = _reversal_signs(n_rho)
+        flip = -rev[:, None] * np.r_[rev, np.ones(n_w)]     # -R A R beside -R B
+        ends = [quarter, n_grid - quarter]
+        full = J[np.r_[ends, controls]]
+        J[ends] *= flip > 0.0
+        J[rest] = flip * J[(n_grid // 2 - rest) % n_grid]
+        miss = np.abs(full - J[np.r_[ends, controls]])
+        gap = max(float(miss[..., :n_rho].max() / np.abs(J[..., :n_rho]).max()),
+                  float(miss[..., n_rho:].max() / np.abs(J[..., n_rho:]).max()))
+        if not gap <= REVERSAL_TOL:
+            raise ConditionCheckError(f"reversal_gap {gap:.3e} exceeds {REVERSAL_TOL:.0e}: A and B "
+                                      f"are not mirror images under tau -> pi - tau")
+    return LtvModel(taus=taus, A=J[..., :n_rho], B=J[..., n_rho:], f0_max=f0_max,
+                    reversal_gap=gap)
 
 
 # Longest step of the interval maps: at 2 pi/1024 the tic-toc P(0) is 2.9e-9
@@ -460,9 +509,11 @@ def _runge_kutta_maps(M: Array, h: float, sub: int) -> Array:
     return _ordered_product(K2.reshape(-1, sub, *M.shape[1:]))
 
 
-def _interval_maps(samplers, assemble: Callable[..., Array], t0: float,
-                   n_intervals: int) -> Array:
-    """Transition maps of Phi' = M(s) Phi across the n knot intervals of one period from t0.
+def _interval_maps(samplers, assemble: Callable[..., Array], t0: float, n_intervals: int,
+                   start: int = 0, stop: int | None = None, out: Array | None = None) -> Array:
+    """Transition maps of Phi' = M(s) Phi across the n knot intervals of one period from t0,
+    or across intervals start, ..., stop - 1 of them (a negative start counts back from
+    t0), into `out` if given.
 
     `samplers` are the `grid` samplers of splines on n knots, and
     `assemble(*values)` fills M at a batch of phases from the splines' values
@@ -477,20 +528,34 @@ def _interval_maps(samplers, assemble: Callable[..., Array], t0: float,
     sub = math.ceil(round(TWO_PI / (n_intervals * INTERVAL_STEP), 9))
     h = TWO_PI / (n_intervals * sub)
     per_block = max(1, INTERVAL_BLOCK // sub)
-    maps = None
+    stop = n_intervals if stop is None else stop
+    maps = out
     # An overflow leaves inf or nan behind, which the finiteness gate reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_intervals, per_block):
-            stop = min(start + per_block, n_intervals)
+        for first in range(start, stop, per_block):
+            last = min(first + per_block, stop)
             # A helper, so the block's working arrays go before the next block's come.
             block = _runge_kutta_maps(
-                assemble(*(sample(t0, 2 * sub, start, stop) for sample in samplers)), h, sub)
+                assemble(*(sample(t0, 2 * sub, first, last) for sample in samplers)), h, sub)
             if maps is None:
-                maps = np.empty((n_intervals,) + block.shape[1:])
-            maps[start:stop] = block
+                maps = np.empty((stop - start,) + block.shape[1:])
+            maps[first - start:last - start] = block
     if not np.all(np.isfinite(maps)):
         raise ConvergenceError("interval maps of the periodic linear system are not finite")
     return maps
+
+
+def _mirror_signs(model: LtvModel, Q: Array | None = None) -> Array | None:
+    """Diagonal of S = diag(R, -R) if the model's samples obey the mirror rule (module
+    notes) exactly, on n % 4 == 0 nodes from -pi, and R Q R = Q for a given Q; else None."""
+    n, rev = model.taus.size, _reversal_signs(model.A.shape[1])
+    k = (n // 2 - np.arange(n)) % n
+    if (n % 4 == 0 and model.taus[0] == -math.pi
+            and np.array_equal(model.A[k], -np.outer(rev, rev) * model.A)
+            and np.array_equal(model.B[k], -rev[:, None] * model.B)
+            and (Q is None or np.array_equal(np.outer(rev, rev) * Q, Q))):
+        return np.r_[rev, -rev]
+    return None
 
 
 def gramian(model: LtvModel) -> Array:
@@ -498,7 +563,9 @@ def gramian(model: LtvModel) -> Array:
 
     W = integral of Phi(0,s) B B^T Phi(0,s)^T ds over [0, 2 pi] is M X^T at 2 pi for
     [X M]' = [X M] [[-A, B B^T], [0, A^T]], X(0) = I, M(0) = 0: one period map of
-    the transposed block system (Van Loan, IEEE TAC 1978).
+    the transposed block system (Van Loan, IEEE TAC 1978). A mirror-symmetric
+    model (`_mirror_signs`) integrates G_a from -pi/2 to 0 and G_b from 0 to
+    pi/2 only: F = G_a S (G_b G_a)^{-1} S G_b. Others take the whole period.
     """
     n = model.A.shape[1]
 
@@ -509,8 +576,14 @@ def gramian(model: LtvModel) -> Array:
         M[:, n:, n:] = A
         return M
 
-    F = _ordered_product(_interval_maps((model.a_grid, model.b_grid), van_loan, 0.0,
-                                        model.taus.size))
+    signs, n_int = _mirror_signs(model), model.taus.size
+    q = 0 if signs is None else n_int // 4
+    maps = _interval_maps((model.a_grid, model.b_grid), van_loan, 0.0, n_int, -q, q or None)
+    if signs is None:
+        F = _ordered_product(maps)
+    else:
+        G_a, G_b = _ordered_product(maps[:q]), _ordered_product(maps[q:])
+        F = G_a @ (np.linalg.inv(G_b @ G_a) * np.outer(signs, signs)) @ G_b
     W = F[n:, :n].T @ F[:n, :n]
     return 0.5 * (W + W.T)
 
@@ -595,6 +668,28 @@ def _stable_subspace(F: Array) -> tuple[Array, int]:
     return np.linalg.svd(projector)[0][:, :k], k
 
 
+def _period_and_inverses(samplers, assemble: Callable[..., Array], t0: float, maps: Array,
+                         signs: Array | None) -> tuple[Array, Array]:
+    """The period map from the first node t0 and the inverted interval maps (node i+1 ->
+    node i), in the empty buffer `maps`. Given S's `signs`, only intervals n/4 to 3n/4 - 1
+    are integrated and inverted, and the mirror rule fills the rest in place."""
+    n_intervals = len(maps)
+    lo = 0 if signs is None else n_intervals // 4
+    hi, half = n_intervals - lo, n_intervals // 2
+    _interval_maps(samplers, assemble, t0, n_intervals, lo, hi, out=maps[lo:hi])
+    back = np.empty_like(maps)
+    try:
+        back[lo:hi] = np.linalg.inv(maps[lo:hi])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("an interval map of the Hamiltonian system is singular") from exc
+    if lo:
+        flip = np.outer(signs, signs)
+        for dst, src in ((maps, back), (back, maps)):   # lo..half-1 mirror lo-1..0, and so on
+            np.multiply(src[lo:half][::-1], flip, out=dst[:lo])
+            np.multiply(src[half:hi][::-1], flip, out=dst[hi:])
+    return _ordered_product(maps), back
+
+
 def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None,
                  max_sweeps: int = 50) -> GainSchedule:
     """Periodic LQR from the stable subspace of the Hamiltonian period map.
@@ -609,7 +704,8 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     block of RICCATI_BLOCK nodes from the end of the period. At most
     `max_sweeps` (a positive integer) sweeps run until P(0) comes back within
     RICCATI_GAP_RTOL. Q must be a finite symmetric matrix and R a symmetric
-    positive definite one.
+    positive definite one. A mirror-symmetric model whose Q commutes with the
+    reversal's R (`_mirror_signs`) integrates only |tau| <= pi/2; others all.
     """
     _check_count("max_sweeps", max_sweeps)
     n, m = model.B.shape[1:]
@@ -630,8 +726,9 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
         M[:, n:, n:] = -A.swapaxes(1, 2)
         return M
 
-    maps = _interval_maps((model.a_grid, model.b_grid), hamiltonian, float(taus[0]), taus.size)
-    period_map = _ordered_product(maps)
+    period_map, back = _period_and_inverses((model.a_grid, model.b_grid), hamiltonian, taus[0],
+                                            np.empty((taus.size, 2 * n, 2 * n)),
+                                            _mirror_signs(model, Q))
     Z, n_stable = _stable_subspace(period_map)
     if n_stable != n:
         raise ConvergenceError(f"Hamiltonian period map has {n_stable} stable multipliers, "
@@ -640,11 +737,6 @@ def periodic_lqr(model: LtvModel, Q: Array | None = None, R: Array | None = None
     if not cond <= 1e12:
         raise ConvergenceError(f"stable subspace of the Hamiltonian period map is not a graph "
                                f"over the state (cond X = {cond:.3e})")
-    try:
-        back = np.linalg.inv(maps)      # node i+1 -> node i
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("an interval map of the Hamiltonian system is singular") from exc
-    del maps    # the sweeps read only the inverses
     # Block b carries the graph from its end node to each of its nodes i at
     # once, by the suffix product back[i] @ ... @ back[end - 1]. Identity maps
     # in front fill the first block, and the nodes they add are dropped.
@@ -694,7 +786,8 @@ def monodromy(model: LtvModel, gains: GainSchedule | None = None, t0: float = 0.
     """Period map of the (closed-loop) transverse linearization from phase t0.
 
     Returns (F, eigenvalues); gains=None gives the open-loop map. t0 must be
-    finite, and the gains must sit on the model's grid `taus`.
+    finite, and the gains must sit on the model's grid `taus`. No mirror rule:
+    K has none, and a half-period open loop moves the tic-toc moduli by 1e-9.
     """
     if not math.isfinite(t0):
         raise DomainError(f"monodromy start phase t0 must be finite, got {t0!r}")

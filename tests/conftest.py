@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vhcplan as vp
+from vhcplan.numdiff import central_derivative
 
 
 @pytest.fixture(scope="session")
@@ -152,3 +153,60 @@ def check_rates():
 @pytest.fixture(scope="session")
 def family_gains(family_pack):
     return vp.periodic_lqr(family_pack["ltv"])
+
+
+def _linearize_by_chart_invert(chart, sys, n_grid):
+    """A and B as `linearize` builds them at every grid node, with no mirror: the
+    stencil points of each block of LINEARIZE_BLOCK nodes through `chart_invert`,
+    `reference_input` and `forward_rates`."""
+    n_rho, n_w, block = 5, sys.n - 1, vp.transverse.LINEARIZE_BLOCK
+
+    def field(node_tau, points):
+        tau = np.repeat(node_tau, len(points))
+        q, qd = vp.chart_invert(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)))
+        u = chart.reference_input(node_tau)[:, None, :] + points[:, n_rho:]
+        qdd = vp.eval_accel(sys, q, qd, u.reshape(-1, n_w))
+        rates = chart.forward_rates(q, qd, qdd)[2]
+        f = (rates[:, 1:] / rates[:, 0][:, None]).reshape(node_tau.size, len(points), n_rho)
+        return f.transpose(0, 2, 1)
+
+    taus = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
+    jac = np.concatenate([central_derivative(lambda points: field(taus[i:i + block], points),
+                                             np.zeros(n_rho + n_w))[1]
+                          for i in range(0, n_grid, block)])
+    return jac[:, :, :n_rho], jac[:, :, n_rho:]
+
+
+@pytest.fixture(scope="session")
+def linearize_by_chart_invert():
+    """`linearize_by_chart_invert(chart, sys, n_grid)`: A and B at every grid node,
+    computed in full, as a reference for `linearize`'s mirror fill."""
+    return _linearize_by_chart_invert
+
+
+def _check_mirror(chart, sys, ltv):
+    """`ltv` (from `linearize` on a grid of n % 4 == 0 nodes) against the full-grid
+    reference: its Floquet moduli, open and closed loop, within 1e-10 relative,
+    its Gramian eigenvalues within 1e-10 of the largest and K within 1e-9 of
+    max|K|. The reference is not bit symmetric, so its period integrals take
+    the whole period."""
+    assert ltv.reversal_gap <= vp.transverse.REVERSAL_TOL
+    A, B = _linearize_by_chart_invert(chart, sys, ltv.taus.size)
+    full = vp.LtvModel(taus=ltv.taus, A=A, B=B, f0_max=0.0)
+    assert vp.transverse._mirror_signs(ltv) is not None
+    assert vp.transverse._mirror_signs(full) is None
+    gains, full_gains = vp.periodic_lqr(ltv), vp.periodic_lqr(full)
+    for ours, theirs in ((vp.monodromy(ltv)[1], vp.monodromy(full)[1]),
+                         (vp.monodromy(ltv, gains)[1], vp.monodromy(full, full_gains)[1])):
+        moduli = np.sort(np.abs(theirs))
+        assert np.max(np.abs(np.sort(np.abs(ours)) - moduli) / moduli) <= 1e-10
+    w, w_full = (np.linalg.eigvalsh(vp.gramian(model)) for model in (ltv, full))
+    assert np.abs(w - w_full).max() <= 1e-10 * w_full.max()
+    assert np.abs(gains.K - full_gains.K).max() <= 1e-9 * np.abs(full_gains.K).max()
+
+
+@pytest.fixture(scope="session")
+def check_mirror():
+    """`check_mirror(chart, sys, ltv)`: the mirrored linearization and its period
+    integrals agree with those of the full grid (see `_check_mirror`)."""
+    return _check_mirror

@@ -241,6 +241,9 @@ def test_stabilize_artifacts(tmp_path):
     assert spectra["gramian_gate_margin"] > 1.0
     assert spectra["gramian_eigenvalue_ratio"] == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
     assert spectra["riccati_multiplier_gap"] < 1e-6
+    gap = spectra["reversal_gap"]       # n_grid 64: linearize fills half the nodes
+    assert gap["threshold"] == vhcplan.transverse.REVERSAL_TOL and gap["value"] < gap["threshold"]
+    assert gap["margin"] == pytest.approx(gap["threshold"] / gap["value"], rel=1e-12)
     # stabilize writes the plan's report but not its orbit table: only plan does.
     assert not (out / "trajectory.csv").exists()
     assert (out / "report.json").is_file()
@@ -316,9 +319,10 @@ def test_resolved_config_rebuilds_the_controller(tmp_path, kind):
 @pytest.mark.parametrize("n_grid", [1, 2, 3])
 def test_stabilize_on_the_smallest_grids(tmp_path, n_grid):
     # The periodic spline's branches for 2 and 3 knots and its smallest
-    # condensed system.
+    # condensed system. Off a grid of 4k nodes linearize computes every node.
     assert main(["stabilize", "--out", str(tmp_path / "s"),
                  "--set", f"stabilize.n_grid={n_grid}"]) == 0
+    assert json.loads((tmp_path / "s" / "spectra.json").read_text())["reversal_gap"] is None
 
 
 # Runs every command a fresh interpreter would, then lists the scipy modules

@@ -266,6 +266,33 @@ def test_lift_state_interpolation(tictoc_trajectory):
         assert np.abs(qdd - vp.tic_toc_acceleration(t)).max() < 1e-6
 
 
+def test_lift_mirrors_the_second_half(tictoc_trajectory):
+    # Samples k and N - k, 0 < k < N/2, share q and u and have opposite q', bit
+    # for bit, and each sample is its own evaluation to rounding.
+    traj, n = tictoc_trajectory, tictoc_trajectory.t.size
+    k = np.arange(1, n // 2)
+    assert np.array_equal(traj.q[n - k], traj.q[k]) and np.array_equal(traj.u[n - k], traj.u[k])
+    assert np.array_equal(traj.qdot[n - k], -traj.qdot[k])
+    q, qd, _, u = traj.full_state_at(traj.t)
+    assert np.abs(traj.q - q).max() <= 1e-14 and np.abs(traj.qdot - qd).max() <= 1e-14
+    assert np.abs(traj.u - u).max() <= 1e-12 * np.abs(u).max()
+
+
+def test_lift_evaluates_every_sample_of_a_dissipative_model(pvtol, tictoc_model, tictoc_periodic):
+    # A damping force B(q) D q' inside the actuated subspace leaves the orbit's
+    # residual alone but makes u*(-t) differ from u*(t): the control samples
+    # see it, and `lift` evaluates every sample.
+    D = np.array([[0.3, 0.0, 0.0], [0.0, 0.0, 0.2]])
+    damped = dataclasses.replace(
+        pvtol, accel=None,
+        coriolis=lambda q, qd: pvtol.coriolis(q, qd) + np.asarray(pvtol.input_map(q)) @ D)
+    traj = vp.lift(tictoc_model.vhc, tictoc_periodic, damped)
+    q, qd, _, u = traj.full_state_at(traj.t)
+    assert np.array_equal(traj.q, q) and np.array_equal(traj.qdot, qd)
+    assert np.array_equal(traj.u, u)
+    assert np.abs(u - u[(traj.t.size - np.arange(traj.t.size)) % traj.t.size]).max() > 0.1
+
+
 def test_lift_closure_check_sees_a_perturbed_mirror_half(tictoc_model, tictoc_periodic):
     # The mirror half runs 1e-3 ahead after its crossing, so the end of the
     # period no longer meets its start; the reduced equation is autonomous and
@@ -386,14 +413,17 @@ BELOW_GRAMIAN_GATE = [(0.5 * math.pi, (0.25, 0.5, -0.1)), (0.5 * math.pi, (0.25,
                          ids=[f"{k1}-{k2}-{k3}" for k1, k2, k3 in ATLAS]
                          + [f"psi_s-{psi_s}-{k1}-{k2}-{k3}" for psi_s, (k1, k2, k3) in OFF_AXIS]
                          + ["psi_s-0.2", "psi_s-1.4", "psi_s-3.0"])
-def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_rates):
+def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_rates,
+                                          check_mirror):
     # Every explicit orbit, integer kappa or not, two integer-kappa ones off
     # pi/2 and three searched ones: the table meets the independent theta'^2
     # check, the lift its residual gate, the chart its round trip and its rates
     # at 10 points, and the linearization its on-orbit gate f0_max <= 1e-9.
-    # The orbit is certified to admit no regular constraint, periodic LQR
-    # stabilizes it, its Riccati multipliers match the closed-loop period map's,
-    # and its Gramian clears the CLI's gate unless BELOW_GRAMIAN_GATE names it.
+    # The orbit is certified to admit no regular constraint, with its singular
+    # passes at the planner's crossing times; periodic LQR stabilizes it, its
+    # Riccati multipliers match the closed-loop period map's, its Gramian
+    # clears the CLI's gate unless BELOW_GRAMIAN_GATE names it, and the mirror
+    # fill and half-period integrals agree with the full grid (`check_mirror`).
     psi_s, k = orbit
     if k is None:
         params = vp.find_family_parameters(psi_s)
@@ -410,7 +440,10 @@ def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_
     check_rates(chart, np.random.default_rng(47), 10, 5e-6)
     ltv = vp.linearize(chart, pvtol, traj, n_grid=128)
     assert ltv.f0_max < 1e-9
-    assert vp.certify_no_regular_vhc(pvtol, traj).verdict
+    certificate = vp.certify_no_regular_vhc(pvtol, traj)
+    assert certificate.verdict
+    assert np.allclose([p.time for p in certificate.passes],
+                       [c[0] for c in traj.scalar.crossings], rtol=0.0, atol=1e-9)
     gains = vp.periodic_lqr(ltv)
     multipliers = np.abs(vp.monodromy(ltv, gains)[1])
     assert multipliers.max() < 1.0
@@ -419,6 +452,7 @@ def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_
     print(f"closed-loop radius {multipliers.max():.3f}, Gramian minimum {w_min:.2e}, "
           f"gate margin {w_min / GRAMIAN_GATE:.3f}")
     assert (w_min > GRAMIAN_GATE) == (orbit not in BELOW_GRAMIAN_GATE)
+    check_mirror(chart, pvtol, ltv)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

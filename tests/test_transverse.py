@@ -374,28 +374,8 @@ def test_linearize_rejects_a_grid_that_is_not_a_positive_integer(pvtol, tictoc_c
         vp.linearize(tictoc_chart, pvtol, tictoc_trajectory, n_grid=n_grid)
 
 
-def _linearize_by_chart_invert(chart, sys, n_grid):
-    """A and B as `linearize` builds them, with the stencil points of each block of
-    LINEARIZE_BLOCK nodes through `chart_invert`, `reference_input` and `forward_rates`."""
-    n_rho, n_w, block = 5, sys.n - 1, vp.transverse.LINEARIZE_BLOCK
-
-    def field(node_tau, points):
-        tau = np.repeat(node_tau, len(points))
-        q, qd = vp.chart_invert(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)))
-        u = chart.reference_input(node_tau)[:, None, :] + points[:, n_rho:]
-        qdd = vp.eval_accel(sys, q, qd, u.reshape(-1, n_w))
-        rates = chart.forward_rates(q, qd, qdd)[2]
-        f = (rates[:, 1:] / rates[:, 0][:, None]).reshape(node_tau.size, len(points), n_rho)
-        return f.transpose(0, 2, 1)
-
-    taus = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
-    jac = np.concatenate([central_derivative(lambda points: field(taus[i:i + block], points),
-                                             np.zeros(n_rho + n_w))[1]
-                          for i in range(0, n_grid, block)])
-    return jac[:, :, :n_rho], jac[:, :, n_rho:]
-
-
-def test_family_linearize_looks_up_the_orbit_once(monkeypatch, pvtol, family_pack):
+def test_family_linearize_looks_up_the_orbit_once(monkeypatch, pvtol, family_pack,
+                                                 linearize_by_chart_invert):
     # The 29 stencil points of a node share one phase, so `invert_guess` looks
     # up r* once per node; the chart's forward check and its rates share one
     # lookup per point; the chart check on the orbit takes 8 points.
@@ -410,10 +390,74 @@ def test_family_linearize_looks_up_the_orbit_once(monkeypatch, pvtol, family_pac
     ltv = vp.linearize(chart, pvtol, family_pack["traj"], n_grid=64)
     assert sum(looked_up) <= 64 * 29 + 64 + 8
     monkeypatch.undo()
-    # Two blocks (64 + 32 nodes) at the fixture's n_grid of 96.
+    # The nodes with |tau| <= pi/2 are computed as the full path computes them,
+    # bit for bit (the self-mirror ones less their antisymmetric part), and the
+    # others are their exact mirror images -R A R and -R B.
     for model in (ltv, family_pack["ltv"]):
-        A, B = _linearize_by_chart_invert(chart, pvtol, model.taus.size)
-        assert np.array_equal(model.A, A) and np.array_equal(model.B, B)
+        n = model.taus.size
+        A, B = linearize_by_chart_invert(chart, pvtol, n)
+        inner = np.arange(n // 4 + 1, 3 * n // 4)
+        assert np.array_equal(model.A[inner], A[inner]) and np.array_equal(model.B[inner], B[inner])
+        rev = vp.transverse._reversal_signs(5)
+        mirror = (n // 2 - np.arange(n)) % n
+        assert np.array_equal(model.A[mirror], -np.outer(rev, rev) * model.A)
+        assert np.array_equal(model.B[mirror], -rev[:, None] * model.B)
+        for k in (n // 4, 3 * n // 4):
+            assert np.array_equal(model.A[k], np.where(np.outer(rev, rev) < 0, A[k], 0.0))
+            assert np.array_equal(model.B[k], np.where(rev[:, None] < 0, B[k], 0.0))
+
+
+@pytest.mark.parametrize("orbit", ["tictoc", "family"])
+def test_mirror_matches_the_full_grid(orbit, pvtol, tictoc_chart, tictoc_ltv, family_pack,
+                                      check_mirror):
+    # At the CLI's n_grid of 512: the mirror-filled linearization and its
+    # half-period integrals against every node computed and the whole period.
+    if orbit == "tictoc":
+        check_mirror(tictoc_chart, pvtol, tictoc_ltv)
+    else:
+        chart = family_pack["chart"]
+        check_mirror(chart, pvtol, vp.linearize(chart, pvtol, family_pack["traj"], n_grid=512))
+
+
+def test_linearize_rejects_a_broken_mirror(monkeypatch, pvtol, tictoc_chart, tictoc_trajectory):
+    # With one sign of R flipped the filled nodes are no mirror images of the
+    # computed ones: the control nodes computed in full catch it.
+    signs = vp.transverse._reversal_signs
+
+    def broken(n_rho):
+        out = signs(n_rho)
+        out[0] = -out[0]
+        return out
+
+    monkeypatch.setattr(vp.transverse, "_reversal_signs", broken)
+    with pytest.raises(vp.ConditionCheckError, match="reversal_gap"):
+        vp.linearize(tictoc_chart, pvtol, tictoc_trajectory, n_grid=64)
+
+
+def test_period_integrals_mirror_only_exact_images(tictoc_ltv):
+    # The period integrals take the mirror rule only where the samples are
+    # exact mirror images and, for the LQR, R Q R = Q; one ulp off, a constant
+    # A that is not reversible, or Q coupling an error to a rate: the whole period.
+    signs = vp.transverse._mirror_signs
+    assert np.array_equal(signs(tictoc_ltv, 2.0 * np.eye(5)), [1, 1, -1, -1, 1, -1, -1, 1, 1, -1])
+    A = tictoc_ltv.A.copy()
+    A[3, 0, 0] = np.nextafter(A[3, 0, 0], math.inf)
+    assert signs(dataclasses.replace(tictoc_ltv, A=A)) is None
+    jordan = np.tile(-np.eye(5) + np.eye(5, k=1), (512, 1, 1))
+    constant = vp.LtvModel(taus=tictoc_ltv.taus, A=jordan, B=np.zeros((512, 5, 2)), f0_max=0.0)
+    assert signs(constant) is None
+    coupled = np.eye(5)
+    coupled[0, 2] = coupled[2, 0] = 0.1
+    assert signs(tictoc_ltv, coupled) is None
+    gains = vp.periodic_lqr(tictoc_ltv, Q=coupled)
+    assert gains.sweeps == 1 and np.abs(vp.monodromy(tictoc_ltv, gains)[1]).max() < 1.0
+
+
+@pytest.mark.parametrize("n_grid", [1, 2, 3, 6, 10])
+def test_linearize_computes_every_node_off_a_grid_of_four(n_grid, pvtol, tictoc_chart,
+                                                          tictoc_trajectory):
+    ltv = vp.linearize(tictoc_chart, pvtol, tictoc_trajectory, n_grid=n_grid)
+    assert ltv.reversal_gap is None and vp.transverse._mirror_signs(ltv) is None
 
 
 def test_gramian_symmetric_positive_definite(tictoc_gramian):
@@ -833,12 +877,13 @@ def test_riccati_graph_matches_period_map_from_each_node(orbit_reference):
 def _node_by_node_sweep(model):
     """P and K = -B^T P (Q = I, R = I) on the grid by one backward sweep that
     walks the nodes one at a time: one inverted interval map and one 5 x 5
-    solve per node, from the stable-subspace graph at the first node."""
+    solve per node, from the stable-subspace graph at the first node. The maps
+    are those `periodic_lqr` sweeps, mirror-filled on a mirror-symmetric model."""
     n = 5
-    maps = vp.transverse._interval_maps(*_hamiltonian(model), float(model.taus[0]),
-                                        model.taus.size)
-    Z, _ = vp.transverse._stable_subspace(vp.transverse._ordered_product(maps))
-    back = np.linalg.inv(maps)
+    period_map, back = vp.transverse._period_and_inverses(
+        *_hamiltonian(model), float(model.taus[0]), np.empty((model.taus.size, 10, 10)),
+        vp.transverse._mirror_signs(model))
+    Z, _ = vp.transverse._stable_subspace(period_map)
     P_next = np.linalg.solve(Z[:n].T, Z[n:].T)
     P_next = 0.5 * (P_next + P_next.T)
     P = np.empty((model.taus.size, n, n))
@@ -863,18 +908,20 @@ def test_periodic_lqr_matches_node_by_node_sweep(orbit, pvtol, tictoc_chart, tic
 
 
 def _with_broken_interval_map(monkeypatch, node, rows, value):
-    """Make np.linalg.inv set the given rows of the inverse of interval map `node` to value."""
-    inv = np.linalg.inv
+    """Set the given rows of the inverted interval map `node` to value once
+    `_period_and_inverses` has filled them, computed or mirrored, before the sweeps."""
+    period_and_inverses = vp.transverse._period_and_inverses
 
-    def broken(a):
-        out = inv(a)
-        if out.ndim == 3:
-            out[node, rows] = value
-        return out
+    def broken(*args):
+        period_map, back = period_and_inverses(*args)
+        back[node, rows] = value
+        return period_map, back
 
-    monkeypatch.setattr(np.linalg, "inv", broken)
+    monkeypatch.setattr(vp.transverse, "_period_and_inverses", broken)
 
 
+# The nodes with |tau| <= pi/2 (128 to 384 of 512, 24 to 72 of 96) are computed,
+# the others filled by the mirror: 300 and 256 are computed, 63 and 20 filled.
 @pytest.mark.parametrize("n_grid, node", [(512, 300), (512, 256), (512, 63), (96, 20)])
 def test_periodic_lqr_names_the_node_of_a_singular_x(monkeypatch, pvtol, tictoc_chart,
                                                       tictoc_trajectory, tictoc_ltv, n_grid, node):
@@ -888,10 +935,12 @@ def test_periodic_lqr_names_the_node_of_a_singular_x(monkeypatch, pvtol, tictoc_
 
 
 def test_periodic_lqr_names_the_last_node_of_a_non_finite_graph(monkeypatch, tictoc_ltv):
-    _with_broken_interval_map(monkeypatch, 300, slice(None), math.nan)
-    with pytest.raises(vp.ConvergenceError,
-                       match=f"P is not finite at tau = {tictoc_ltv.taus[300]:.6f}"):
-        vp.periodic_lqr(tictoc_ltv)
+    for node in (300, 63):      # computed, then filled by the mirror
+        with monkeypatch.context() as patch:
+            _with_broken_interval_map(patch, node, slice(None), math.nan)
+            with pytest.raises(vp.ConvergenceError,
+                               match=f"P is not finite at tau = {tictoc_ltv.taus[node]:.6f}"):
+                vp.periodic_lqr(tictoc_ltv)
 
 
 @pytest.mark.parametrize("max_sweeps", [0, -1, 2.5, True])
