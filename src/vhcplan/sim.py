@@ -4,14 +4,18 @@ The loop takes Dormand-Prince steps at rtol = atol = SIM_TOL by `rk45_steps`,
 which is scipy's `solve_ivp(method="RK45")` (Dormand & Prince, J. Comput. Appl.
 Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6) operation
 for operation, without its import cost; tests check its steps bit for bit
-against scipy's. The control u = u*(tau) + K(tau) rho is recomputed at every
-stage, on Python floats: the chart's `reference_input` gives u*(tau) as a list
-(about 0.5 us) and `GainSchedule.k_rho` gives K(tau) rho in one pass over the
-spline's piece (3.1-4.0 us, against 4.6-4.7 us for K as a list and a loop over
-its rows). The loop keeps each accepted step's quartic, and the output rows at
-the times k dt are read off them after the loop (`rk45_dense`). The transverse
-coordinates of each output row are logged, so convergence into the orbit can
-be read off directly.
+against scipy's. A step keeps on numpy only the sums scipy takes with np.dot
+and the error norm, and runs the rest on Python floats: about 19-20 us per
+accepted step on a trivial 6-D right-hand side, against 22-24 us with that
+arithmetic on 6-entry arrays. The control u = u*(tau) + K(tau) rho is
+recomputed at every stage, on Python floats: the chart's `reference_input`
+gives u*(tau) as a list (about 0.5 us) and `GainSchedule.k_rho` gives K(tau)
+rho from the spline's table of rows (about 2.7 us, against 3.7-3.9 us with the
+piece converted to lists when it changed). A tic-toc stage costs about 7.7 us
+and, with its share of the step, 12.8 us. The loop keeps each accepted step's
+quartic, and the output rows at the times k dt are read off them after the
+loop (`rk45_dense`). The transverse coordinates of each output row are logged,
+so convergence into the orbit can be read off directly.
 """
 
 from __future__ import annotations
@@ -87,14 +91,16 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
     Repeats scipy's `solve_ivp(fun, (0, t_bound), y0, method="RK45",
     rtol=tol, atol=tol)`: its initial step choice, RMS error norm and step
     control, FSAL stages, 10-ulp minimum step and t_bound clamp, operation for
-    operation. fun(t, y) returns y' as an array or as a list of floats, and must
-    not keep its y: every stage state is written into one buffer. Yields
-    (t_old, h, y_old, Q, t, y) per step, Q its quartic (`rk45_dense`) and y
-    the fifth-order solution at its end t. Ends at t_bound (at once if it is
-    0) or when the step falls below its minimum (a NaN right-hand side
-    shrinks it there); a caller sees the latter as a last t short of t_bound.
-    A t_bound of +-inf is valid; a NaN t_bound raises DomainError before the
-    first step.
+    operation. The sums scipy takes with np.dot, and the norm, stay on numpy;
+    the elementwise rest of a step runs on Python floats, whose IEEE arithmetic
+    gives the same bits. fun(t, y) gets y as a list of floats and returns y' as
+    an array or as a list of floats. Yields (t_old, h, y_old, Q, t, y) per
+    step, Q its quartic (`rk45_dense`) and y the fifth-order solution at its
+    end t, y_old and y as lists. Ends at t_bound (at once if it is 0) or when
+    the step falls below its minimum or is NaN (a NaN right-hand side shrinks
+    it there, or at the first call makes it NaN); a caller sees the latter as a
+    last t short of t_bound. A t_bound of +-inf is valid; a NaN t_bound raises
+    DomainError before the first step.
     """
     if math.isnan(t_bound):
         raise DomainError(f"t_bound must not be NaN, got {t_bound}")
@@ -102,28 +108,27 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
         return
     direction = math.copysign(1.0, t_bound)
     y = np.asarray(y0, dtype=float)
-    t, f = 0.0, np.asarray(fun(0.0, y), dtype=float)
+    t, f = 0.0, np.asarray(fun(0.0, y.tolist()), dtype=float)
     # Initial step (Hairer, Norsett & Wanner, II.4), scipy's select_initial_step.
     scale = tol + np.abs(y) * tol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, abs(t_bound))
-    d2 = _rms((fun(h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    d2 = _rms((fun(h0 * direction, (y + h0 * direction * f).tolist()) - f) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 5))
     h_abs = min(100 * h0, h1, abs(t_bound))
     K = np.empty((7, y.size))
     stages = [(s, c, K[:s].T, a) for s, c, a in zip(range(1, 6), _C[1:], _A_ROWS)]
-    # The stage state, the error scale and the error, each in one buffer.
-    y_stage, scale, error = np.empty(y.size), np.empty(y.size), np.empty(y.size)
     K[0] = f   # first same as last: an accepted step's last stage starts the next
+    y = y.tolist()
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:   # a NaN h_abs too, which scipy's loop never leaves
                 return
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
@@ -131,20 +136,15 @@ def rk45_steps(fun, y0: Array, t_bound: float, tol: float):
             h = t_new - t
             h_abs = abs(h)
             for s, c, K_s, a in stages:
-                np.dot(K_s, a, out=y_stage)
-                y_stage *= h
-                y_stage += y
-                K[s] = fun(t + c * h, y_stage)
-            y_new = np.dot(K[:-1].T, _B) * h   # a fresh array: it is yielded and kept
-            y_new += y
+                K[s] = fun(t + c * h, [y_m + dy * h for y_m, dy in zip(y, K_s.dot(a).tolist())])
+            y_new = [y_m + h * dy for y_m, dy in zip(y, K[:-1].T.dot(_B).tolist())]
             K[-1] = fun(t + h, y_new)
-            np.maximum(np.abs(y, out=scale), np.abs(y_new, out=error), out=scale)
-            scale *= tol
-            scale += tol
-            np.dot(K.T, _E, out=error)
-            error *= h
-            error /= scale
-            error_norm = _rms(error)
+            # scipy's scale tol + max(|y|, |y_new|) tol, y_new first: max keeps its
+            # first argument against a NaN, and y_new is NaN wherever y is, so a
+            # NaN reaches the norm as np.maximum carries it.
+            error_norm = _rms(np.array([
+                e * h / (tol + max(abs(b), abs(a)) * tol)
+                for e, a, b in zip(K.T.dot(_E).tolist(), y, y_new)]))
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0
                           else min(MAX_FACTOR, SAFETY * error_norm ** -0.2))
@@ -220,9 +220,9 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
     y0 = np.concatenate([q0, qd0])
     evals = 0
 
-    def stop(message: str, t: float, y: Array):
+    def stop(message: str, t: float, y: Array | list[float]):
         raise ConvergenceError(f"simulation {message} at t = {t:.3f}", {
-            "time": float(t), "final_state": y.tolist(), "rhs_evals": evals})
+            "time": float(t), "final_state": list(map(float, y)), "rhs_evals": evals})
 
     def feedback(tau, rho: Array) -> Array:
         u = np.asarray(chart.reference_input(tau))
@@ -232,16 +232,16 @@ def run_closed_loop(sys: MechanicalSystem, chart, gains: GainSchedule | None,
 
     # A stage runs on Python floats: the chart and the dynamics take the point
     # as lists and return rho and q'' as lists, and y' goes back as a list.
-    def rhs(t: float, y: Array) -> list[float]:
+    def rhs(t: float, x: list[float]) -> list[float]:
         nonlocal evals
         evals += 1
         if evals > budget:
-            stop(f"spent its budget of {budget} right-hand sides", t, y)
-        x = y.tolist()
-        if not all(map(SIM_MAX_STATE.__ge__, map(abs, x))):
+            stop(f"spent its budget of {budget} right-hand sides", t, x)
+        # max and min skip a NaN that is not first; the sum does not.
+        if not (max(x) <= SIM_MAX_STATE and -SIM_MAX_STATE <= min(x) and math.isfinite(sum(x))):
             if not all(map(math.isfinite, x)):
                 raise ModelInvariantError("phase state must be finite")
-            stop("diverged", t, y)
+            stop("diverged", t, x)
         q, qd = x[:n], x[n:]
         tau, rho = chart.forward(q, qd)
         u = chart.reference_input(tau)

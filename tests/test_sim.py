@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -99,6 +100,37 @@ def test_divergence_guard(pvtol, tictoc_chart, tictoc_ltv):
         with pytest.raises(vp.ConvergenceError, match=r"t = 0\.000"):
             vp.run_closed_loop(pvtol, tictoc_chart, None, np.zeros(3),
                                np.array([0.0, 0.0, bad]))
+
+
+@pytest.mark.parametrize("position", range(6))
+def test_stage_state_bound_at_every_position(monkeypatch, pvtol, tictoc_chart, tictoc_gains,
+                                             position):
+    # The right-hand side tests its state in one pass of max, min and sum;
+    # max and min skip a NaN that is not first, which the sum catches. One
+    # stage state per value, the value at `position` of the initial state.
+    y0 = [0.1, -0.5, 0.0, 0.0, 0.0, 0.0]
+    expected = [(math.nan, vp.ModelInvariantError, "finite"),
+                (math.inf, vp.ModelInvariantError, "finite"),
+                (-math.inf, vp.ModelInvariantError, "finite"),
+                (2e6, vp.ConvergenceError, "diverged"), (-2e6, vp.ConvergenceError, "diverged"),
+                (1e6, None, None), (-1e6, None, None)]
+    run = functools.partial(vp.run_closed_loop, pvtol, tictoc_chart, tictoc_gains,
+                            np.array(y0[:3]), np.zeros(3), horizon=0.0)
+    for value, error, match in expected:
+        state = y0[:position] + [value] + y0[position + 1:]
+        calls = []
+
+        def one_stage(fun, *args):
+            calls.append(fun(0.0, state))
+            return iter(())
+
+        monkeypatch.setattr(vhcplan.sim, "rk45_steps", one_stage)
+        if error is None:
+            run()
+            assert len(calls) == 1
+        else:
+            with pytest.raises(error, match=match):
+                run()
 
 
 def test_coarse_output_spacing_is_no_divergence(pvtol, tictoc_chart, tictoc_gains):
@@ -285,7 +317,7 @@ def test_nan_t_bound_raises_before_the_first_step():
 
     def decay(t, y):
         calls.append(t)
-        return -y
+        return [-y_m for y_m in y]
 
     with pytest.raises(vp.DomainError, match="t_bound"):
         next(rk45_steps(decay, [1.0], math.nan, 1e-8))
@@ -296,6 +328,22 @@ def test_nan_t_bound_raises_before_the_first_step():
                 break
         at = math.copysign(math.log(2.0), t_bound)
         assert abs(rk45_dense(t_old, h, y_old, Q, at)[0] - target) < 1e-7
+
+
+def test_a_nan_right_hand_side_ends_the_steps_short():
+    # A NaN in one entry of y' fails every error test from its onset on, so
+    # the step shrinks below its minimum and the steps end short of t_bound.
+    # At the first call it makes the initial step NaN, and no step is taken.
+    for onset in (0.5, 0.0):
+        def fun(t, y):
+            return [-y[0], math.nan if t >= onset else -y[1]]
+
+        steps = list(rk45_steps(fun, [1.0, 1.0], 1.0, 1e-8))
+        if onset:
+            assert 0.4 < steps[-1][4] < onset
+            assert all(math.isfinite(v) for step in steps for v in step[5])
+        else:
+            assert steps == []
 
 
 def _recorded_steps(monkeypatch):

@@ -413,10 +413,14 @@ def test_mirror_matches_the_full_grid(orbit, pvtol, tictoc_chart, tictoc_ltv, fa
     # At the CLI's n_grid of 512: the mirror-filled linearization and its
     # half-period integrals against every node computed and the whole period.
     if orbit == "tictoc":
-        check_mirror(tictoc_chart, pvtol, tictoc_ltv)
+        chart, ltv = tictoc_chart, tictoc_ltv
     else:
         chart = family_pack["chart"]
-        check_mirror(chart, pvtol, vp.linearize(chart, pvtol, family_pack["traj"], n_grid=512))
+        ltv = vp.linearize(chart, pvtol, family_pack["traj"], n_grid=512)
+    check_mirror(chart, pvtol, ltv)
+    # A zero the fill multiplies by -1 is +0.0, as on the full grid: ltv.csv prints no "-0".
+    for M in (ltv.A, ltv.B):
+        assert not np.signbit(M[M == 0.0]).any()
 
 
 def test_linearize_rejects_a_broken_mirror(monkeypatch, pvtol, tictoc_chart, tictoc_trajectory):
