@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from typing import Callable
@@ -95,10 +96,11 @@ class PeriodicPiecewisePolynomial:
 
     `coeffs` has scipy's `PPoly` layout (degree + 1, n, *value_shape), highest
     power first, in powers of t - x[i] on piece i. A time wraps into the base
-    period, and every reader sums its piece by Horner's rule: `derivatives` at
-    a time or an array of times, and `point` at one time on Python floats,
-    which a Runge-Kutta stage reads faster than any array. A float finds its
-    piece by `bisect`, an array by `searchsorted`; both take the same steps in
+    period, and `derivatives` sums its piece by Horner's rule. An array of
+    times finds its pieces by `searchsorted` and sums on numpy. One float
+    time, which a Runge-Kutta stage reads faster than any array, finds its
+    piece by `bisect` and sums on Python floats from `_rows`, a list table
+    of every piece that its first read builds. Both take the same steps in
     the same order, so one time and its row of an array agree bit for bit.
     """
 
@@ -109,48 +111,47 @@ class PeriodicPiecewisePolynomial:
         self._breaks = self.breaks.tolist()
         self._x0, self._span = self._breaks[0], self._breaks[-1] - self._breaks[0]
         self._c = np.array(coeffs[::-1], dtype=float, order="C")   # lowest power first
-        self._pieces = self._c.reshape(self._c.shape[:2] + (-1,)).swapaxes(0, 1)   # a view
         self._last = len(self._breaks) - 2
-        self._held = (-1, None)   # the last piece `_piece` read: neighbouring stages share one
 
-    def _piece(self, t: float):
-        """t's piece as flattened coefficient lists, lowest power first, and d = t - its break."""
-        t = self._x0 + (float(t) - self._x0) % self._span
-        i = min(bisect_right(self._breaks, t) - 1, self._last)
-        held = self._held   # read once: another thread may replace it
-        if held[0] != i:
-            held = self._held = (i, self._pieces[i].tolist())
-        return held[1], t - self._breaks[i]
-
-    def point(self, t: float) -> list[float]:
-        """The value at one time t, flattened, as a list of Python floats."""
-        c, d = self._piece(t)
-        value = c[-1][:]   # a copy: a constant piece returns it, and the held lists are shared
-        for ck in c[-2::-1]:
-            value = [v * d + a for v, a in zip(value, ck)]
-        return value
+    @functools.cached_property
+    def _rows(self) -> list:
+        """Per piece, each entry's coefficients [a0, a1, ...] as Python floats, nested
+        as the value's shape."""
+        return np.moveaxis(self._c, 0, -1).tolist()
 
     def __call__(self, t: float | Array) -> Array:
-        if isinstance(t, float):
-            # An array of the value's shape, or a numpy scalar for a scalar value.
-            return np.array(self.point(t)).reshape(self._c.shape[2:])[()]
-        return self.derivatives(t, 0)[..., 0]
+        value = np.asarray(self.derivatives(t, 0))[..., 0]
+        return value[()] if isinstance(t, float) else value   # a numpy scalar at one float
 
-    def derivatives(self, t: float | Array, count: int) -> Array:
+    def derivatives(self, t: float | Array, count: int) -> Array | list:
         """The value at time t or at an array of times and its first `count`
-        derivatives, stacked on a last axis; each by Horner's rule."""
+        derivatives, stacked on a last axis; one float t (an np.float64 too)
+        gives nested lists of Python floats."""
+        if isinstance(t, float):
+            t = self._x0 + (float(t) - self._x0) % self._span
+            i = min(bisect_right(self._breaks, t) - 1, self._last)
+            return _horner(self._rows[i], t - self._breaks[i], count)
         t = self._x0 + (np.asarray(t, dtype=float) - self._x0) % self._span
         i = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self._last)
         d = (t - self.breaks[i])[(...,) + (None,) * (self._c.ndim - 2)]
-        c, out = self._c[:, i], []
-        for nu in range(count + 1):
-            if nu:   # the coefficients of the next derivative
-                c = c[1:] * np.arange(1.0, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
-            value = c[-1]
-            for ck in c[-2::-1]:
-                value = value * d + ck
-            out.append(value)
-        return np.stack(out, axis=-1)
+        return np.stack(_horner(self._c[:, i], d, count), axis=-1)
+
+
+def _horner(c, d, count: int) -> list:
+    """A piece and its first `count` derivatives at offset d by Horner's rule, from its
+    coefficients c, lowest power first: arrays, or one float read's row of `_rows`,
+    which holds each entry's list of floats nested as the value's shape."""
+    if type(c[0]) is list:
+        return [_horner(entry, d, count) for entry in c]
+    out = []
+    for nu in range(count + 1):
+        if nu:   # the coefficients of the next derivative
+            c = [a * j for j, a in enumerate(c[1:], 1)]
+        value = c[-1]
+        for a in c[-2::-1]:
+            value = value * d + a
+        out.append(value)
+    return out
 
 
 def cubic_coefficients(x: Array, y: Array, dydx: Array) -> Array:

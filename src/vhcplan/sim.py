@@ -10,8 +10,8 @@ accepted step on a trivial 6-D right-hand side, against 22-24 us with that
 arithmetic on 6-entry arrays. The control u = u*(tau) + K(tau) rho is
 recomputed at every stage, on Python floats: the chart's `reference_input`
 gives u*(tau) as a list (about 0.5 us) and `GainSchedule.k_rho` gives K(tau)
-rho from the spline's table of rows (about 2.7 us, against 3.7-3.9 us with the
-piece converted to lists when it changed). A tic-toc stage costs about 7.7 us
+rho (about 2.7 us) from the list table that every one-float read of a
+`PeriodicPiecewisePolynomial` sums. A tic-toc stage costs about 7.7 us
 and, with its share of the step, 12.8 us. The loop keeps each accepted step's
 quartic, and the output rows at the times k dt are read off them after the
 loop (`rk45_dense`). The transverse coordinates of each output row are logged,

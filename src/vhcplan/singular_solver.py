@@ -109,7 +109,8 @@ class ScalarSolution:
         return ((0.0, self.v_s, self.a_s), (2.0 * self.t2, -self.v_s, self.a_s))
 
     def eval(self, t):
-        """(theta, theta', theta'') at time t; arrays for an array of t.
+        """(theta, theta', theta'') at time t; Python floats for one float t, arrays
+        for an array of t.
 
         Any t for rest endpoints, where the orbit is periodic; t in [t1, t2]
         otherwise, else DomainError.
@@ -119,7 +120,8 @@ class ScalarSolution:
             outside = t_arr[(t_arr < self.t1 - 1e-9) | (t_arr > self.t2 + 1e-9)]
             if outside.size:
                 raise DomainError(f"t={outside[0]} outside solution window [{self.t1}, {self.t2}]")
-        xi, dth, ddth = np.moveaxis(self.table.derivatives(t, 2), -1, 0)
+        values = self.table.derivatives(t, 2)
+        xi, dth, ddth = values if isinstance(t, float) else np.moveaxis(values, -1, 0)
         return xi + self.theta_s, dth, ddth
 
 

@@ -57,9 +57,10 @@ def test_one_time_equals_its_row_of_an_array_of_times(which, tictoc_ltv, tictoc_
     # Every value shape the package builds: K (2, 5), A (5, 5), B (5, 2), the
     # family chart's scalar phase-to-time map and the orbit's scalar quintic
     # table. One time, a float or an np.float64, sums its terms on Python
-    # floats (`point`, a flat list); an array takes the array branch. They
-    # agree bit for bit at random times, at every knot and across the wrap,
-    # and a call at one time keeps the row's shape and numpy type.
+    # floats (`derivatives` at one float, nested lists); an array takes the
+    # array branch. The value and its first two derivatives agree bit for bit
+    # at random times, at every knot and across the wrap, and a call at one
+    # time keeps the row's shape and numpy type.
     spline = {"k_of": tictoc_gains.k_of, "a_of": tictoc_ltv.a_of, "b_of": tictoc_ltv.b_of,
               "time_of_phase": family_pack["chart"]._time_of_phase,
               "orbit_table": family_pack["per"].table}[which]
@@ -69,11 +70,15 @@ def test_one_time_equals_its_row_of_an_array_of_times(which, tictoc_ltv, tictoc_
     times = np.concatenate([rng.uniform(x0 - span, x[-1] + span, 2000), x, x + span, x - span,
                             [np.nextafter(x0, -np.inf), np.nextafter(x[-1], np.inf),
                              3.0 * math.pi, -3.0 * math.pi]])
-    for t, row in zip(times, spline(times)):
+    rows = {count: spline.derivatives(times, count) for count in (0, 2)}
+    for m, (t, row) in enumerate(zip(times, spline(times))):
         for at in (float(t), np.float64(t)):
-            value = spline.point(at)
-            assert all(type(v) is float for v in value)
-            assert np.array(value).tobytes() == row.tobytes()
+            for count, expected in rows.items():
+                value = spline.derivatives(at, count)
+                assert type(value) is list
+                assert all(type(v) is float for v in np.array(value, dtype=object).flat)
+                assert np.array(value).shape == expected[m].shape
+                assert np.array(value).tobytes() == expected[m].tobytes()
             called = spline(at)
             assert type(called) is type(row) and called.shape == row.shape
             assert called.tobytes() == row.tobytes()
@@ -113,15 +118,16 @@ def test_piecewise_polynomial_derivatives_match_scipy():
         assert np.array_equal(table.derivatives(float(t[5]), 2), got[5])
 
 
-def test_point_of_a_constant_piece_is_a_list_of_its_own():
-    # A degree-0 piece leaves Horner's rule nothing to sum; `point` still
-    # returns a new list, because the table holds the piece's lists for the
-    # next call.
+def test_one_float_read_of_a_constant_piece_is_a_list_of_its_own():
+    # A degree-0 piece leaves Horner's rule nothing to sum; a read at one float
+    # still returns new lists, because the table keeps its rows for the next read.
     table = vhcplan.numdiff.PeriodicPiecewisePolynomial(
         np.array([0.0, 1.0, 2.0]), np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    value = table.point(0.5)
-    value[0] = 9.0
-    assert table.point(0.5) == [1.0, 2.0]
+    value = table.derivatives(0.5, 0)
+    value[0][0] = 9.0
+    value[1] = [9.0]
+    assert table.derivatives(0.5, 0) == [[1.0], [2.0]]
+    assert np.array_equal(table(0.5), [1.0, 2.0])
     assert np.array_equal(table(np.array([0.5, 1.5, 2.5])), [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
 
 
