@@ -409,7 +409,8 @@ def lift(vhc: ParametricVhc, sol: ScalarSolution, sys: MechanicalSystem) -> Peri
     if float(np.max(res)) > 1e-8:
         raise ConvergenceError(f"lift residual {np.max(res):.3e} exceeds 1e-8")
     # Closure: the end of the table's last piece, just short of the wrap, against the start.
-    t_end = float(np.nextafter(times[0] + sol.period, -np.inf))
+    # One time as an array: a float read builds the table's list rows, which the trajectory keeps.
+    t_end = np.nextafter(times[:1] + sol.period, -np.inf)
     q_end, qd_end, _ = _constrained_motion(vhc, *sol.eval(t_end))
     gap = max(float(np.max(np.abs(q_end - q[0]))), float(np.max(np.abs(qd_end - qd[0]))))
     if gap > 1e-6:

@@ -157,10 +157,10 @@ class FamilyChart:
     q[j] - phi_j(theta) of the other n - 1 coordinates, their rates, and the
     radial deviation from r*(tau). r* and dr*/dtau are exact on the orbit at
     the time of the phase, which one cubic Hermite interpolant of t over the
-    phase gives. Methods take one point or a batch along a leading axis; a
-    point whose curve values are Python floats runs on `math` (the closed
-    loop calls `forward` at every stage, with the point as two lists, and
-    gets rho as a list). `invert_guess` is the exact inverse
+    phase gives. Methods take one point or a batch along a leading axis; one
+    point runs on `math` (the closed loop calls `forward` at every stage, with
+    the point as two lists, and gets tau and rho on Python floats, rho as a
+    list). `invert_guess` is the exact inverse
     of `forward` inside the tube of radius `tube_radius` in rho, and
     `chart_invert` only checks its residual. One lookup of r* serves each
     point: `invert_guess` looks it up once per distinct phase of a batch,
@@ -206,7 +206,7 @@ class FamilyChart:
     def _phase_rates(self, theta, dtheta, ddtheta):
         """Radius r in the scaled reduced plane and the rates taudot, rdot along the orbit."""
         (p, v), (pdot, vdot) = self._pv(theta, dtheta), self._pv(dtheta, ddtheta)
-        r = np.hypot(p, v)
+        r = point_or_batch(p, point_ndim=0)[0].hypot(p, v)
         return r, (v * pdot - p * vdot) / (r * r), (p * pdot + v * vdot) / r
 
     def _orbit_radial(self, tau):
@@ -219,24 +219,18 @@ class FamilyChart:
         taus, where = np.unique(tau, return_inverse=True)
         return self._orbit_radial(taus)[0][where]
 
-    def _on_curve(self, theta, curve, derivative):
-        """`math` for Python floats of one point, else numpy (whose arctan2 and hypot
-        can differ from `math`'s in the last bit), and two curves' values by coordinate."""
-        a, b = curve(theta), derivative(theta)
-        if isinstance(a, tuple):
-            return math, a, b
-        return np, a.T, b.T
-
     def forward(self, q: Array, qd: Array, qdd: Array | None = None):
         """tau and rho, a list for a point given as lists; with the acceleration qdd,
         also the rates (taudot, rhodot) of the motion, from the same orbit lookup.
         Raises OutsideTubeError at the reduced-plane origin when rates are asked."""
         as_list = isinstance(q, list)
-        _, q = point_or_batch(q)
+        m, q = point_or_batch(q)
         _, qd = point_or_batch(qd)
         i, c, k = self.vhc.readback
         th, dth = (q[i] - c) / k, qd[i] / k
-        m, phi, dphi = self._on_curve(th, self.vhc.phi, self.vhc.dphi)
+        phi, dphi = self.vhc.phi(th), self.vhc.dphi(th)
+        if m is np:     # a batch's curve values by coordinate
+            phi, dphi = phi.T, dphi.T
         p, v = self._pv(th, dth)
         tau = wrap_angle(m.atan2(p, v))
         r_star, dr_star = self._orbit_radial(tau)
@@ -276,7 +270,7 @@ class FamilyChart:
         r = self._orbit_radius(tau) + rho[-1]
         p, v = r * np.sin(tau), r * np.cos(tau)
         th, dth = self.theta_scale * p, self.omega * self.theta_scale * v
-        _, phi, dphi = self._on_curve(th, self.vhc.phi, self.vhc.dphi)
+        phi, dphi = np.transpose(self.vhc.phi(th)), np.transpose(self.vhc.dphi(th))
         q, qd = [c + k * th] * n, [k * dth] * n     # slot i keeps the read-back coordinate
         for row, j in enumerate(self._others):
             q[j] = rho[row] + phi[j]

@@ -37,8 +37,8 @@ class ParametricVhc:
     """Smooth curve theta -> phi(theta) in configuration space with two derivatives.
 
     The curve functions map a 1-D array of k values of theta to shape (k, n),
-    and one theta to n values: an array, or Python floats in a tuple
-    (`tic_toc_vhc`), which keep one point off numpy's per-call overhead.
+    and one theta to a tuple of n Python floats, which keeps one point off
+    numpy's per-call overhead.
     `readback = (i, c, k)` says that coordinate i is affine in theta,
     phi_i = c + k theta, so theta = (q[i] - c)/k; the transverse chart needs it.
     """
@@ -139,23 +139,24 @@ def reduce(sys: MechanicalSystem, vhc: ParametricVhc,
                         interval=vhc.domain if interval is None else interval, vhc=vhc)
 
 
+def _curve(values: Callable) -> Callable:
+    """A curve from its entries `values(m, th)` on module m: one theta (a float, np.float64
+    or 0-d array) gives a tuple of Python floats from `math`, k thetas a (k, n) array."""
+    def evaluate(th):
+        m, th = point_or_batch(th, point_ndim=0)
+        out = values(m, th)
+        return out if m is math else np.array(np.broadcast_arrays(*out)).T
+    return evaluate
+
+
 def tic_toc_vhc(domain: tuple[float, float] = (-2.0, 2.0)) -> ParametricVhc:
     """Constraint curve of the tic-toc motion: (theta, -theta^2/2, pi/2 - arctan 2 theta).
 
-    theta reads back as the first coordinate. One theta (a float, np.float64
-    or 0-d array) gives Python floats from `math`, an array the same on numpy.
+    theta reads back as the first coordinate.
     """
-
-    def curve(values):
-        def evaluate(th):
-            m, th = point_or_batch(th, point_ndim=0)
-            out = values(m, th)
-            return out if m is math else np.array(np.broadcast_arrays(*out)).T
-        return evaluate
-
-    phi = curve(lambda m, th: (th, -0.5 * th * th, 0.5 * m.pi - m.atan(2.0 * th)))
-    dphi = curve(lambda m, th: (1.0, -th, -2.0 / (1.0 + 4.0 * th * th)))
-    ddphi = curve(lambda m, th: (0.0, -1.0, 16.0 * th / (1.0 + 4.0 * th * th) ** 2))
+    phi = _curve(lambda m, th: (th, -0.5 * th * th, 0.5 * m.pi - m.atan(2.0 * th)))
+    dphi = _curve(lambda m, th: (1.0, -th, -2.0 / (1.0 + 4.0 * th * th)))
+    ddphi = _curve(lambda m, th: (0.0, -1.0, 16.0 * th / (1.0 + 4.0 * th * th) ** 2))
     return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="tictoc",
                          readback=(0, 0.0, 1.0))
 
@@ -182,6 +183,7 @@ def family_vhc(sys: MechanicalSystem, q_s: Array, k1: float, k2: float, k3: floa
 
     phi(theta) = q_s + B(q_s) (k1, k2) theta + (k3/2) B_perp(q_s)^T theta^2. theta reads
     back from the first coordinate without curvature, for PVTOL (psi - psi_s)/k2.
+    Each entry takes that expression's steps in order: a point equals its batch row bit for bit.
     """
     if k1 == 0.0 and k2 == 0.0:
         raise DomainError("degenerate family parameters: dphi(0) = 0")
@@ -192,18 +194,11 @@ def family_vhc(sys: MechanicalSystem, q_s: Array, k1: float, k2: float, k3: floa
     i = next((j for j in range(q_s.size) if k3 * w_s[j] == 0.0 and lin[j] != 0.0), None)
     readback = None if i is None else (i, float(q_s[i]), float(lin[i]))
 
-    def phi(th: float) -> Array:
-        th = np.asarray(th, dtype=float)[..., None]
-        return q_s + lin * th + 0.5 * k3 * w_s * th * th
-
-    def dphi(th: float) -> Array:
-        th = np.asarray(th, dtype=float)[..., None]
-        return lin + k3 * w_s * th
-
-    def ddphi(th: float) -> Array:
-        th = np.asarray(th, dtype=float)[..., None]
-        return k3 * w_s + 0.0 * th
-
+    q_s, lin, w_s = q_s.tolist(), lin.tolist(), w_s.tolist()
+    phi = _curve(lambda m, th: tuple(q + a * th + 0.5 * k3 * w * th * th
+                                    for q, a, w in zip(q_s, lin, w_s)))
+    dphi = _curve(lambda m, th: tuple(a + k3 * w * th for a, w in zip(lin, w_s)))
+    ddphi = _curve(lambda m, th: tuple(k3 * w + 0.0 * th for w in w_s))
     return ParametricVhc(phi=phi, dphi=dphi, ddphi=ddphi, domain=domain, name="family",
                          readback=readback)
 

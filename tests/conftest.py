@@ -115,11 +115,23 @@ def _chart_points(chart, rng, k, radius):
 
 
 def _check_round_trip(chart, rng, k):
-    for tau, rho in zip(*_chart_points(chart, rng, k, 0.4)):
+    taus, rhos = _chart_points(chart, rng, k, 0.4)
+    for tau, rho in zip(taus, rhos):
         q, qd = vp.chart_invert(chart, tau, rho)
         tau_b, rho_b = chart.forward(q, qd)
         assert abs(vp.wrap_angle(tau_b - tau)) < 1e-10
         assert np.abs(rho_b - rho).max() < 1e-10
+    # One point given as lists, as the closed loop passes it, and the reference
+    # input at one float against their batch rows.
+    q, qd = vp.chart_invert(chart, taus, rhos)
+    tau_b, rho_b = chart.forward(q, qd)
+    u_b = chart.reference_input(tau_b)
+    singles = [chart.forward(a.tolist(), b.tolist()) for a, b in zip(q, qd)]
+    u = [chart.reference_input(float(t)) for t in tau_b]
+    for gap, rows in ((vp.wrap_angle(np.array([s[0] for s in singles]) - tau_b), tau_b),
+                      (np.array([s[1] for s in singles]) - rho_b, rho_b),
+                      (np.array(u) - u_b, u_b)):
+        assert np.abs(gap).max() <= 1e-13 * np.abs(rows).max()
 
 
 def _check_rates(chart, rng, k, tol):
@@ -139,7 +151,9 @@ def _check_rates(chart, rng, k, tol):
 @pytest.fixture(scope="session")
 def check_round_trip():
     """`check_round_trip(chart, rng, k)`: k points in the tube come back through
-    `chart_invert` and `forward` within 1e-10."""
+    `chart_invert` and `forward` within 1e-10, and one point's `forward` on
+    lists and `reference_input` at one float match their batch rows within
+    1e-13 of the rows' largest entry."""
     return _check_round_trip
 
 

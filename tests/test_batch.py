@@ -44,10 +44,12 @@ def _check_chart(chart, tau, rho):
     tau_b, rho_b = chart.forward(q, qd)
     singles = [chart.forward(a, b) for a, b in zip(q, qd)]
     assert _close(tau_b, [s[0] for s in singles]) and _close(rho_b, [s[1] for s in singles])
-    # A point given as lists, as the closed loop passes it, gives rho as a list.
+    # A point given as lists, as the closed loop passes it, gives tau and rho
+    # on Python floats, rho as a list.
     for a, b, (tau_i, rho_i) in zip(q, qd, singles):
         tau_l, rho_l = chart.forward(a.tolist(), b.tolist())
         assert type(rho_l) is list and tau_l == tau_i and rho_l == rho_i.tolist()
+        assert type(tau_l) is float and all(type(r) is float for r in rho_l)
     # `forward_rates` repeats forward's arithmetic on a batch, bit for bit.
     qdd = q - qd    # any acceleration
     tau_r, rho_r, rates = chart.forward_rates(q, qd, qdd)
@@ -204,10 +206,13 @@ def test_vhc_batch(family_pack, thetas):
             assert _close(curve(thetas), [curve(th) for th in thetas])
 
 
+@pytest.mark.parametrize("which", ["tictoc", "family"])
 @SETTINGS
 @given(st.integers(1, 6).flatmap(lambda k: _batch(k, None, -2.0, 2.0)))
-def test_tictoc_curves_give_one_point_as_python_floats(thetas):
-    vhc = vp.tic_toc_vhc()
+def test_curves_give_one_point_as_python_floats(which, family_pack, thetas):
+    # The family's entries are polynomials, whose rows keep their bits; the
+    # tic-toc's arctan on `math` may differ from numpy's by an ulp.
+    vhc = vp.tic_toc_vhc() if which == "tictoc" else family_pack["model"].vhc
     for curve in (vhc.phi, vhc.dphi, vhc.ddphi):
         rows = curve(thetas)
         assert rows.shape == (thetas.size, 3)
@@ -215,7 +220,7 @@ def test_tictoc_curves_give_one_point_as_python_floats(thetas):
             for point in (float(th), np.float64(th), np.array(th)):
                 value = curve(point)
                 assert type(value) is tuple and all(type(v) is float for v in value)
-                assert _close(row, value)
+                assert _close(row, value) if which == "tictoc" else row.tolist() == list(value)
 
 
 def test_trajectory_state_at_one_time(tictoc_trajectory):

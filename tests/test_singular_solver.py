@@ -309,6 +309,14 @@ def test_lift_closure_check_sees_a_perturbed_mirror_half(tictoc_model, tictoc_pe
         vp.lift(tictoc_model.vhc, bad, vp.pvtol_model())
 
 
+def test_lift_keeps_no_list_table(pvtol, tictoc_model, tictoc_report):
+    # The closure check reads an array of one time: one float would build the
+    # table's list rows of every piece (`_rows`), which the trajectory would keep.
+    sol = vp.make_periodic(vp.solve_boundary(tictoc_model, tictoc_report, -1.0, 0.0, 1.0, 0.0))
+    traj = vp.lift(tictoc_model.vhc, sol, pvtol)
+    assert "_rows" not in traj.scalar.table.__dict__
+
+
 def test_time_reversal_symmetry(tictoc_periodic):
     # theta(2 t2 - t) = theta(t), thetadot(2 t2 - t) = -thetadot(t).
     per = tictoc_periodic

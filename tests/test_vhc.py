@@ -177,11 +177,12 @@ def test_family_vhc_rejects_degenerate_direction():
 def test_family_vhc_geometry(pvtol):
     q_s = np.array([0.0, 0.0, 0.5 * math.pi])
     vhc = vp.family_vhc(pvtol, q_s, 0.25, 1.5, -0.25, domain=(-0.2, 0.2))
-    assert np.abs(vhc.phi(0.0) - q_s).max() < 1e-15
+    # One theta gives a tuple of Python floats.
+    assert np.abs(np.asarray(vhc.phi(0.0)) - q_s).max() < 1e-15
     # dphi(0) = B(q_s) (k1, k2); psi_s = pi/2 makes that (-0.25, 0, 1.5).
-    assert np.abs(vhc.dphi(0.0) - [-0.25, 0.0, 1.5]).max() < 1e-15
+    assert np.abs(np.asarray(vhc.dphi(0.0)) - [-0.25, 0.0, 1.5]).max() < 1e-15
     # ddphi is constant along the annihilator direction.
-    assert np.abs(vhc.ddphi(0.1) - vhc.ddphi(-0.1)).max() < 1e-15
+    assert np.abs(np.asarray(vhc.ddphi(0.1)) - vhc.ddphi(-0.1)).max() < 1e-15
 
 
 def test_find_family_parameters_known_solution():
