@@ -35,9 +35,11 @@ class MechanicalSystem:
     `solve_accel` returns instead of its mass solve. It must equal
     M^{-1}(B u - C q' - G) of this model's own fields, for one point or a
     batch. It must also take one point's q and qdot as lists, as the closed
-    loop's stages pass them, and return a list then. A copy whose M, C, G or B
-    is replaced (by `dataclasses.replace`, say) must drop it (accel=None) or
-    supply a matching one.
+    loop's stages pass them, and return a list then. The optional
+    `inverse(q, qdot, qddot) -> (u, residual)` is likewise a closed-form
+    `inverse_input`, for one point's arrays or a batch's. A copy whose M, C, G
+    or B is replaced (by `dataclasses.replace`, say) must drop both
+    (accel=None, inverse=None) or supply matching ones.
     """
 
     n: int
@@ -49,6 +51,7 @@ class MechanicalSystem:
     # replaces the cofactor vector of `left_annihilator` (same orientation expected).
     annihilator: Callable[[Array], Array] | None = None
     accel: Callable[[Array, Array, Array], Array] | None = None
+    inverse: Callable[[Array, Array, Array], tuple] | None = None
     name: str = "generic"
 
 
@@ -113,11 +116,14 @@ def inverse_input(sys: MechanicalSystem, q: Array, qdot: Array, qddot: Array):
     Returns (u, residual) where residual = |B_perp (M q'' + C q' + G)| measures
     the component of the required generalized force outside the actuated
     subspace (B_perp has unit norm, so the residual is scale-free). Accepts a
-    single point or a batch along a leading axis, like `eval_accel`.
+    single point or a batch along a leading axis, like `eval_accel`. A model's
+    closed-form `inverse` replaces the solve.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     qddot = np.asarray(qddot, dtype=float)
+    if sys.inverse is not None:
+        return sys.inverse(q, qdot, qddot)
     force = (matvec(sys.mass_matrix(q), qddot) + matvec(sys.coriolis(q, qdot), qdot)
              + sys.gravity(q))
     B = np.asarray(sys.input_map(q), dtype=float)
@@ -180,6 +186,15 @@ def pvtol_model() -> MechanicalSystem:
         a = [0.0 - u1 * m.sin(psi), u1 * m.cos(psi) - 1.0, 0.0 + u2]
         return a if type(q) is list else np.array(a).T
 
+    # B^T B = I: u = B^T f for the force f = q'' + G, +0.0 where the generic sums give it;
+    # the residual |B_perp f| normalizes B_perp = (cos psi, sin psi, 0) as `left_annihilator`.
+    def inverse(q: Array, qdot: Array, qddot: Array):
+        m, (_, _, psi) = point_or_batch(q)
+        _, (fx, zdd, psidd) = point_or_batch(qddot)
+        s, c, fx, fz = m.sin(psi), m.cos(psi), fx + 0.0, zdd + 1.0
+        norm = m.sqrt(c * c + s * s)
+        return np.array([c * fz - s * fx + 0.0, psidd + 0.0]).T, abs(c / norm * fx + s / norm * fz)
+
     return MechanicalSystem(
         n=3,
         mass_matrix=lambda q: eye,
@@ -188,6 +203,7 @@ def pvtol_model() -> MechanicalSystem:
         input_map=input_map,
         annihilator=annihilator,
         accel=accel,
+        inverse=inverse,
         name="pvtol",
     )
 

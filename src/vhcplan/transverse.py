@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import numdiff
 from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideTubeError
 from .mech import MechanicalSystem, eval_accel, tic_toc_input, tic_toc_input_terms
 from .numdiff import (PeriodicPiecewisePolynomial, central_derivative, cubic_coefficients,
@@ -209,9 +210,14 @@ class FamilyChart:
         r = point_or_batch(p, point_ndim=0)[0].hypot(p, v)
         return r, (v * pdot - p * vdot) / (r * r), (p * pdot + v * vdot) / r
 
+    def _time(self, tau):
+        """The orbit's time at phase tau; one float tau reads a float by `derivatives`."""
+        return (self._time_of_phase.derivatives(tau, 0)[0] if isinstance(tau, float)
+                else self._time_of_phase(tau))
+
     def _orbit_radial(self, tau):
         """r*(tau) and dr*/dtau on the orbit."""
-        r, taudot, rdot = self._phase_rates(*self.traj.scalar.eval(self._time_of_phase(tau)))
+        r, taudot, rdot = self._phase_rates(*self.traj.scalar.eval(self._time(tau)))
         return r, rdot / taudot
 
     def _orbit_radius(self, tau):
@@ -260,7 +266,7 @@ class FamilyChart:
 
     def reference_input(self, tau) -> Array:
         """u*(tau), a list at one float tau (the closed loop's stages pass one)."""
-        u = self.traj.full_state_at(self._time_of_phase(tau))[3]
+        u = self.traj.full_state_at(self._time(tau))[3]
         return u.tolist() if isinstance(tau, float) else u
 
     def invert_guess(self, tau, rho: Array):
@@ -365,10 +371,10 @@ def _check_count(name: str, value) -> None:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
-# Grid nodes whose stencils `linearize` evaluates in one batched call: 64
-# nodes make 1,856 points, enough to amortize the per-call overhead while the
-# working arrays stay near 1 MB.
-LINEARIZE_BLOCK = 64
+# Most stencil points that `linearize` evaluates in one batched call, its nodes
+# split evenly under it: 1,856 points (64 nodes of 29) amortize the per-call
+# overhead while the working arrays stay near 1 MB.
+LINEARIZE_POINTS = 1856
 # Largest gap of `linearize`'s mirror fill from nodes computed in full, relative
 # to max|A| and max|B| (9e-11 on the atlas orbits, 5e-12 on the tic-toc).
 REVERSAL_TOL = 1e-8
@@ -383,11 +389,13 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
               n_grid: int = 512) -> LtvModel:
     """Finite-difference periodic linearization of the transverse dynamics.
 
-    A and B are the Jacobians of f(rho, tau, w) in rho and in the input offset
-    w at rho = 0, w = 0, by `central_derivative` (1 + 4 (n_rho + n_w) points
-    per grid node); the stencils of LINEARIZE_BLOCK nodes go through
-    `chart_invert` with the model's acceleration (its forward check gives the
-    rates taudot, rhodot along the motion, f = rhodot/taudot) as one batch,
+    A and B are the Jacobians of f(rho, tau, w) = rhodot/taudot in rho and in
+    the input offset w at rho = 0, w = 0; A is by `central_derivative`. At
+    rho = 0 the state does not depend on w and taudot, rhodot are affine in u,
+    so B_j = (f(h e_j) - f(0))/h taudot(h e_j)/taudot(0) is exact for any step
+    h (`numdiff.DIFF_STEP`). The 1 + 4 n_rho + n_w points of each node, in even
+    blocks of at most LINEARIZE_POINTS, go through `chart_invert` with the
+    model's acceleration (its forward check gives the rates) as one batch,
     and the reference input is taken once for all nodes. n_grid must be a
     positive integer. The chart/trajectory pair is validated first (on-orbit
     states must map to rho ~ 0), A and B must be finite, and the on-orbit
@@ -405,9 +413,13 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
         raise ConditionCheckError("chart does not vanish on the supplied trajectory")
 
     n_rho, n_w = 2 * sys.n - 1, sys.n - 1
+    h = numdiff.DIFF_STEP
+    steps = np.c_[np.zeros((n_w, n_rho)), h * np.eye(n_w)]   # the input points h e_j
 
-    # f at the stencil `points` around each node, shape (nodes, n_rho, points).
-    def transverse_field(node_tau: Array, node_u: Array, points: Array) -> Array:
+    # f at the rho stencil around each node, shape (nodes, n_rho, points); the
+    # input points h e_j join the batch, and their columns of B go onto `B`.
+    def transverse_field(node_tau: Array, node_u: Array, B: list, rho_points: Array) -> Array:
+        points = np.r_[np.c_[rho_points, np.zeros((len(rho_points), n_w))], steps]
         tau = np.repeat(node_tau, len(points))
         u = (node_u[:, None, :] + points[:, n_rho:]).reshape(-1, n_w)
         rho = np.tile(points[:, :n_rho], (node_tau.size, 1))
@@ -415,8 +427,10 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
         taudot = rates[:, 0]
         if np.any(taudot <= 0.0):
             raise ConditionCheckError(f"phase rate is not positive at tau={tau[taudot <= 0.0][0]}")
-        f = (rates[:, 1:] / taudot[:, None]).reshape(node_tau.size, len(points), n_rho)
-        return f.transpose(0, 2, 1)
+        rates = rates.reshape(node_tau.size, len(points), n_rho + 1).transpose(0, 2, 1)
+        taudot, f = rates[:, :1], rates[:, 1:] / rates[:, :1]
+        B.append((f[..., -n_w:] - f[..., :1]) / h * taudot[..., -n_w:] / taudot[..., :1])
+        return f[..., :-n_w]
 
     taus = -math.pi + TWO_PI * np.arange(n_grid) / n_grid
     quarter = n_grid // 4 if n_grid % 4 == 0 else 0
@@ -425,12 +439,12 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     todo = np.sort(np.r_[np.delete(np.arange(n_grid), rest), controls])
     node_taus = taus[todo]
     u_star = chart.reference_input(node_taus)
-    blocks = [central_derivative(
-        functools.partial(transverse_field, node_taus[i:i + LINEARIZE_BLOCK],
-                          u_star[i:i + LINEARIZE_BLOCK]), np.zeros(n_rho + n_w))
-        for i in range(0, todo.size, LINEARIZE_BLOCK)]
+    per_block, B = LINEARIZE_POINTS // (1 + 4 * n_rho + n_w), []
+    blocks = [central_derivative(functools.partial(transverse_field, node_taus[i], u_star[i], B),
+                                 np.zeros(n_rho))
+              for i in np.array_split(np.arange(todo.size), -(-todo.size // per_block))]
     f0 = np.concatenate([block_f0 for block_f0, _ in blocks])
-    jac = np.concatenate([block_jac for _, block_jac in blocks])
+    jac = np.concatenate([np.concatenate([A for _, A in blocks]), np.concatenate(B)], axis=-1)
     bad = np.flatnonzero(~(np.isfinite(f0).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))))
     if bad.size:
         raise ConvergenceError(f"linearization is not finite at tau = {node_taus[bad[0]]:.6f}")

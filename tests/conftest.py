@@ -171,24 +171,32 @@ def family_gains(family_pack):
 
 def _linearize_by_chart_invert(chart, sys, n_grid):
     """A and B as `linearize` builds them at every grid node, with no mirror: the
-    stencil points of each block of LINEARIZE_BLOCK nodes through `chart_invert`,
-    `reference_input` and `forward_rates`."""
-    n_rho, n_w, block = 5, sys.n - 1, vp.transverse.LINEARIZE_BLOCK
+    stencil points of each block of nodes through `chart_invert`, `reference_input`
+    and `forward_rates`, A by `central_derivative` in rho and B by `linearize`'s
+    input rule, the one-sided slope at h e_j times the ratio of taudot."""
+    n_rho, n_w = 5, sys.n - 1
+    h = vp.numdiff.DIFF_STEP
+    block = vp.transverse.LINEARIZE_POINTS // (1 + 4 * n_rho + n_w)
 
-    def field(node_tau, points):
+    def field(node_tau, rho_points, inputs):
+        points = np.r_[np.c_[rho_points, np.zeros((len(rho_points), n_w))],
+                       np.c_[np.zeros((n_w, n_rho)), h * np.eye(n_w)]]
         tau = np.repeat(node_tau, len(points))
         q, qd = vp.chart_invert(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)))
         u = chart.reference_input(node_tau)[:, None, :] + points[:, n_rho:]
         qdd = vp.eval_accel(sys, q, qd, u.reshape(-1, n_w))
         rates = chart.forward_rates(q, qd, qdd)[2]
         f = (rates[:, 1:] / rates[:, 0][:, None]).reshape(node_tau.size, len(points), n_rho)
-        return f.transpose(0, 2, 1)
+        f, taudot = f.transpose(0, 2, 1), rates[:, 0].reshape(node_tau.size, 1, len(points))
+        inputs.append((f[..., -n_w:] - f[..., :1]) / h * taudot[..., -n_w:] / taudot[..., :1])
+        return f[..., :-n_w]
 
     taus = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
-    jac = np.concatenate([central_derivative(lambda points: field(taus[i:i + block], points),
-                                             np.zeros(n_rho + n_w))[1]
-                          for i in range(0, n_grid, block)])
-    return jac[:, :, :n_rho], jac[:, :, n_rho:]
+    A, B = [], []
+    for i in range(0, n_grid, block):
+        A.append(central_derivative(lambda points: field(taus[i:i + block], points, B),
+                                    np.zeros(n_rho))[1])
+    return np.concatenate(A), np.concatenate(B)
 
 
 @pytest.fixture(scope="session")
@@ -217,6 +225,36 @@ def _check_mirror(chart, sys, ltv):
     w, w_full = (np.linalg.eigvalsh(vp.gramian(model)) for model in (ltv, full))
     assert np.abs(w - w_full).max() <= 1e-10 * w_full.max()
     assert np.abs(gains.K - full_gains.K).max() <= 1e-9 * np.abs(full_gains.K).max()
+
+
+def _check_input_columns(chart, sys, traj, ltv):
+    """B of `ltv` against the 4-point central stencil in w at every node within
+    1e-9 of max|B|, and against `linearize` with ten times the step within 1e-10:
+    the input rule holds for any step."""
+    n_rho, n_w = ltv.A.shape[1], ltv.B.shape[2]
+    q, qd = vp.chart_invert(chart, ltv.taus, np.zeros((ltv.taus.size, n_rho)))
+    u_star = chart.reference_input(ltv.taus)
+
+    def field(w):   # f at the input offsets w of each node, shape (nodes, n_rho, offsets)
+        qs, qds = np.repeat(q, len(w), axis=0), np.repeat(qd, len(w), axis=0)
+        qdd = vp.eval_accel(sys, qs, qds, (u_star[:, None, :] + w).reshape(-1, n_w))
+        rates = chart.forward_rates(qs, qds, qdd)[2]
+        f = (rates[:, 1:] / rates[:, :1]).reshape(ltv.taus.size, len(w), n_rho)
+        return f.transpose(0, 2, 1)
+
+    B = central_derivative(field, np.zeros(n_w))[1]
+    assert np.abs(ltv.B - B).max() <= 1e-9 * np.abs(B).max()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vp.numdiff, "DIFF_STEP", 10.0 * vp.numdiff.DIFF_STEP)
+        coarse = vp.linearize(chart, sys, traj, n_grid=ltv.taus.size)
+    assert np.abs(coarse.B - ltv.B).max() <= 1e-10 * np.abs(ltv.B).max()
+
+
+@pytest.fixture(scope="session")
+def check_input_columns():
+    """`check_input_columns(chart, sys, traj, ltv)`: `linearize`'s input columns
+    match the old stencil's and do not depend on the step (`_check_input_columns`)."""
+    return _check_input_columns
 
 
 @pytest.fixture(scope="session")

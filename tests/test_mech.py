@@ -92,6 +92,35 @@ def test_pvtol_closed_form_accel_equals_the_generic_solve(pvtol):
         vp.eval_accel(nan_mass, q[0], qd[0], u[0])
 
 
+def test_pvtol_closed_form_inverse_matches_the_generic_least_squares(pvtol):
+    # B^T B = I holds only to rounding (sin^2 + cos^2), so u agrees with the
+    # generic normal equations within 4 eps of max|u|, and the residual within
+    # 1e-15; a zero comes out with the generic solve's sign, and each row of a
+    # batch has the bits of its point alone.
+    generic = dataclasses.replace(pvtol, inverse=None)
+    rng = np.random.default_rng(14)
+    q = rng.uniform(-4.0, 4.0, (10000, 3))
+    qd = rng.uniform(-3.0, 3.0, (10000, 3))
+    qdd = rng.uniform(-3.0, 3.0, (10000, 3))
+    corners = list(itertools.product((0.0, -0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi),
+                                     (0.0, -0.0, 1.0, -1.0), (0.0, -0.0, -1.0, 1.0),
+                                     (0.0, -0.0, 1.0, -1.0)))
+    q[:len(corners), 2] = [c[0] for c in corners]
+    qdd[:len(corners)] = [c[1:] for c in corners]   # q'' = 0, and z'' = -1 (no vertical force)
+    qd[:len(corners):2] = -0.0
+    u, residual = vp.inverse_input(pvtol, q, qd, qdd)
+    u_lsq, residual_lsq = vp.inverse_input(generic, q, qd, qdd)
+    assert np.abs(u - u_lsq).max() <= 4.0 * np.finfo(float).eps * np.abs(u_lsq).max()
+    assert np.abs(residual - residual_lsq).max() <= 1e-15
+    zero = u_lsq == 0.0
+    assert zero.sum() >= 100 and np.array_equal(u == 0.0, zero)
+    assert np.array_equal(np.signbit(u[zero]), np.signbit(u_lsq[zero]))
+    singles = [vp.inverse_input(pvtol, *point) for point in zip(q, qd, qdd)]
+    u_one = np.array([one[0] for one in singles])
+    assert np.array_equal(u_one, u) and np.array_equal(np.signbit(u_one), np.signbit(u))
+    assert np.array_equal([one[1] for one in singles], residual)
+
+
 def test_eval_accel_rejects_non_spd_mass():
     bad = MechanicalSystem(
         n=2,

@@ -284,7 +284,7 @@ def test_lift_evaluates_every_sample_of_a_dissipative_model(pvtol, tictoc_model,
     # see it, and `lift` evaluates every sample.
     D = np.array([[0.3, 0.0, 0.0], [0.0, 0.0, 0.2]])
     damped = dataclasses.replace(
-        pvtol, accel=None,
+        pvtol, accel=None, inverse=None,
         coriolis=lambda q, qd: pvtol.coriolis(q, qd) + np.asarray(pvtol.input_map(q)) @ D)
     traj = vp.lift(tictoc_model.vhc, tictoc_periodic, damped)
     q, qd, _, u = traj.full_state_at(traj.t)
@@ -422,11 +422,13 @@ BELOW_GRAMIAN_GATE = [(0.5 * math.pi, (0.25, 0.5, -0.1)), (0.5 * math.pi, (0.25,
                          + [f"psi_s-{psi_s}-{k1}-{k2}-{k3}" for psi_s, (k1, k2, k3) in OFF_AXIS]
                          + ["psi_s-0.2", "psi_s-1.4", "psi_s-3.0"])
 def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_rates,
-                                          check_mirror):
+                                          check_mirror, check_input_columns):
     # Every explicit orbit, integer kappa or not, two integer-kappa ones off
     # pi/2 and three searched ones: the table meets the independent theta'^2
     # check, the lift its residual gate, the chart its round trip and its rates
-    # at 10 points, and the linearization its on-orbit gate f0_max <= 1e-9.
+    # at 10 points, and the linearization its on-orbit gate f0_max <= 1e-9 and
+    # `check_input_columns`; the closed-form inverse input's residuals are the
+    # generic least squares' within 1e-15.
     # The orbit is certified to admit no regular constraint, with its singular
     # passes at the planner's crossing times; periodic LQR stabilizes it, its
     # Riccati multipliers match the closed-loop period map's, its Gramian
@@ -448,6 +450,9 @@ def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_
     check_rates(chart, np.random.default_rng(47), 10, 5e-6)
     ltv = vp.linearize(chart, pvtol, traj, n_grid=128)
     assert ltv.f0_max < 1e-9
+    check_input_columns(chart, pvtol, traj, ltv)
+    generic = vp.lift(model.vhc, sol, dataclasses.replace(pvtol, inverse=None))
+    assert np.abs(generic.residuals - traj.residuals).max() <= 1e-15
     certificate = vp.certify_no_regular_vhc(pvtol, traj)
     assert certificate.verdict
     assert np.allclose([p.time for p in certificate.passes],

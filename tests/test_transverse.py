@@ -307,6 +307,23 @@ def test_family_chart_time_of_phase(family_pack):
     assert np.abs(rho).max() < 1e-11
 
 
+def test_family_chart_reads_one_phase_time_as_a_float(family_pack):
+    # One float phase reads the orbit's time by the list read of `derivatives`,
+    # a Python float, while `__call__` keeps its np.float64; the closed loop's
+    # tau, rho and u* then have the bits the `__call__` path gives.
+    chart = family_pack["chart"]
+    by_call = copy.copy(chart)
+    by_call._time = chart._time_of_phase
+    assert type(chart._time(0.3)) is float and type(by_call._time(0.3)) is np.float64
+    rng = np.random.default_rng(59)
+    taus = rng.uniform(-math.pi, math.pi, 1000)
+    q, qd = vp.chart_invert(chart, taus, rng.uniform(-0.05, 0.05, (1000, 5)))
+    for point in zip(q.tolist(), qd.tolist()):
+        tau, rho = chart.forward(*point)
+        assert (tau, rho) == by_call.forward(*point)
+        assert chart.reference_input(tau) == by_call.reference_input(tau)
+
+
 def test_linearize_shapes_and_on_orbit_field(tictoc_ltv):
     assert tictoc_ltv.A.shape == (512, 5, 5)
     assert tictoc_ltv.B.shape == (512, 5, 2)
@@ -360,7 +377,7 @@ def test_linearize_rejects_mismatched_chart(pvtol, family_pack, tictoc_trajector
 
 
 def test_linearize_rejects_a_non_finite_jacobian(pvtol, tictoc_chart, tictoc_trajectory):
-    # NaN in one stencil row of the second node (29 rows a node) leaves
+    # NaN in one stencil row of the second node (23 rows a node) leaves
     # f(0, tau, 0) finite and small but a column of A at that node NaN.
     def accel(q, qd, u):
         qdd = pvtol.accel(q, qd, u)
@@ -380,9 +397,23 @@ def test_linearize_rejects_a_grid_that_is_not_a_positive_integer(pvtol, tictoc_c
         vp.linearize(tictoc_chart, pvtol, tictoc_trajectory, n_grid=n_grid)
 
 
+@pytest.mark.parametrize("orbit", ["tictoc", "family"])
+def test_linearize_input_columns_are_exact_in_the_step(orbit, pvtol, tictoc_chart,
+                                                       tictoc_trajectory, tictoc_ltv,
+                                                       family_pack, check_input_columns):
+    # The tic-toc and the default family orbit at n_grid 512, as the atlas
+    # orbits at 128: B by the input rule is the old stencil's within 1e-9 and
+    # the same at h and 10 h within 1e-10, relative to max|B|.
+    if orbit == "tictoc":
+        check_input_columns(tictoc_chart, pvtol, tictoc_trajectory, tictoc_ltv)
+    else:
+        chart, traj = family_pack["chart"], family_pack["traj"]
+        check_input_columns(chart, pvtol, traj, vp.linearize(chart, pvtol, traj, n_grid=512))
+
+
 def test_family_linearize_looks_up_the_orbit_once(monkeypatch, pvtol, family_pack,
                                                  linearize_by_chart_invert):
-    # The 29 stencil points of a node share one phase, so `invert_guess` looks
+    # The 23 stencil points of a node share one phase, so `invert_guess` looks
     # up r* once per node; the chart's forward check and its rates share one
     # lookup per point; the chart check on the orbit takes 8 points.
     chart = family_pack["chart"]
@@ -394,7 +425,7 @@ def test_family_linearize_looks_up_the_orbit_once(monkeypatch, pvtol, family_pac
 
     monkeypatch.setattr(vp.FamilyChart, "_orbit_radial", counting)
     ltv = vp.linearize(chart, pvtol, family_pack["traj"], n_grid=64)
-    assert sum(looked_up) <= 64 * 29 + 64 + 8
+    assert sum(looked_up) <= 64 * 23 + 64 + 8
     monkeypatch.undo()
     # The nodes with |tau| <= pi/2 are computed as the full path computes them,
     # bit for bit (the self-mirror ones less their antisymmetric part), and the
