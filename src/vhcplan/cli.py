@@ -16,9 +16,12 @@ or `stabilize --config <run>/config.resolved.json` rebuilds them byte for byte.
 The commands compute and write their own tables; one runner, `_run`, writes
 the run files of `main` and of every sweep sub-run: config.resolved.json,
 report.json whenever the existence check ran (on failure too), error.json on
-failure and metadata.json (the only file with timestamps). Exit codes: 0
-success, 2 a checked condition failed, 3 a numerical procedure failed, 64
-usage error (an `--out` that cannot be written included).
+failure and metadata.json (the only file with timestamps). `--out` holds the
+files above of the last run only: `_run` first removes every one of them that
+an earlier run left there, and no other file or directory. Exit codes, read
+from the error's `exit_code`: 0 success, 2 a checked condition failed, 3 a
+numerical procedure failed, 64 usage error (an `--out` that cannot be written
+included).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import copy
 import functools
 import json
 import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -36,16 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BoundaryUnreachableError,
-    ConditionCheckError,
-    ConvergenceError,
-    DomainError,
-    ModelInvariantError,
-    OutsideTubeError,
-    UsageError,
-    VhcplanError,
-)
+from .errors import ConditionCheckError, ConvergenceError, UsageError, VhcplanError
 from .feasibility import (
     accessibility_det_closed_form,
     accessibility_det_numeric,
@@ -65,16 +60,12 @@ from .vhc import (
     tic_toc_reduced,
 )
 
-EXIT_OK = 0
-EXIT_CONDITION = 2
-EXIT_NUMERIC = 3
-EXIT_USAGE = 64
-
 GRAMIAN_GATE = 1e-6   # the controllability Gramian's smallest eigenvalue must exceed this
 ACCESSIBILITY_SAMPLES = 64   # equal time samples of accessibility.csv over one period
-
-_NUMERIC_ERRORS = (BoundaryUnreachableError, ConvergenceError, ModelInvariantError,
-                   DomainError, OutsideTubeError)
+# Every file a run writes into --out: the run files, then the commands' tables.
+OUT_FILES = ("config.resolved.json", "report.json", "error.json", "metadata.json",
+             "trajectory.csv", "certificate.json", "accessibility.csv", "ltv.csv", "gains.csv",
+             "spectra.json", "simulation.csv", "sweep_summary.json")
 
 DEFAULTS: dict = {
     "vhc": {
@@ -404,36 +395,31 @@ _COMMANDS = {
 }
 
 
-def _exit_code_for(err: Exception) -> int:
-    if isinstance(err, UsageError):
-        return EXIT_USAGE
-    if isinstance(err, ConditionCheckError):
-        return EXIT_CONDITION
-    if isinstance(err, _NUMERIC_ERRORS):
-        return EXIT_NUMERIC
-    raise err
-
-
 def _run(command: str, cfg: dict, out: Path) -> tuple[int, VhcplanError | None, dict]:
     """Run one command into `out` and write its run files; returns (exit code, error, ctx).
 
-    config.resolved.json first; report.json once the existence check has
-    filled it, on failure too; error.json on a failure; metadata.json last.
-    An `out` that cannot be created or written is a usage error.
+    First the OUT_FILES an earlier run left in `out` go; then config.resolved.json;
+    report.json once the existence check has filled it, on failure too;
+    error.json on a failure; metadata.json last. An `out` that cannot be
+    created, cleared or written is a usage error.
     """
     try:
         out.mkdir(parents=True, exist_ok=True)
+        with os.scandir(out) as entries:
+            for entry in entries:
+                if entry.name in OUT_FILES and not entry.is_dir(follow_symlinks=False):
+                    os.unlink(entry.path)
         write_json(out / "config.resolved.json", cfg)
     except OSError as exc:
         raise UsageError(f"cannot write --out {out}: {exc}") from exc
     started = datetime.now(timezone.utc)
     t_start = time.perf_counter()
     ctx: dict = {}
-    code, err = EXIT_OK, None
+    code, err = 0, None
     try:
         _COMMANDS[command](cfg, out, ctx)
     except VhcplanError as exc:
-        code, err = _exit_code_for(exc), exc
+        code, err = exc.exit_code, exc
     if "report_json" in ctx:
         write_json(out / "report.json", ctx["report_json"])
     if err is not None:
@@ -478,7 +464,7 @@ def main(argv=None) -> int:
         return _run(args.command, _load_config(args), Path(args.out))[0]
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

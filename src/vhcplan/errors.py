@@ -1,12 +1,14 @@
 """Exception taxonomy shared across the toolkit.
 
-The CLI maps these onto process exit codes: condition-check failures exit 2,
-numerical failures exit 3, usage problems exit 64.
+Each class carries the CLI's process exit code for it: condition-check
+failures exit 2, usage problems 64, every other (numerical) failure 3.
 """
 
 
 class VhcplanError(Exception):
     """Base class for all toolkit errors; `diagnostics` go to the CLI's error.json."""
+
+    exit_code = 3
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -24,6 +26,8 @@ class DomainError(VhcplanError):
 class ConditionCheckError(VhcplanError):
     """A hypothesis check failed (existence conditions, failed report reused, ...)."""
 
+    exit_code = 2
+
 
 class BoundaryUnreachableError(VhcplanError):
     """The requested boundary state cannot be reached from the singular crossing."""
@@ -39,3 +43,5 @@ class ConvergenceError(VhcplanError):
 
 class UsageError(VhcplanError):
     """Bad configuration or command-line input."""
+
+    exit_code = 64

@@ -69,7 +69,6 @@ SIGMA_STEPS = 128
 CROSSING_STEPS = 16
 REST_TOL = 1e-8       # |dtheta| up to which an endpoint is a rest point
 LIFT_SAMPLES = 4096   # equal time samples of one period in `lift`
-MIRROR_INPUT_RTOL = 1e-8   # u gap (of max|u|) up to which `lift` mirrors its samples
 
 
 @dataclass
@@ -343,7 +342,7 @@ def make_periodic(sol: ScalarSolution) -> ScalarSolution:
     make its junctions C^2, so `sol` is a periodic orbit.
     """
     if not sol.at_rest:
-        raise ConditionCheckError("mirror concatenation requires rest endpoints (dtheta = 0)")
+        raise ConditionCheckError("a periodic orbit requires rest endpoints (dtheta = 0)")
     return sol
 
 
@@ -388,24 +387,12 @@ def lift(vhc: ParametricVhc, sol: ScalarSolution, sys: MechanicalSystem) -> Peri
     The trajectory holds LIFT_SAMPLES equal time samples over one period.
     Inputs come from the actuated least-squares inverse; the unactuated force
     residual B_perp (M q'' + C q' + G) is recorded per sample and must stay
-    below 1e-8 (it equals the reduced-equation residual). Samples k and N - k
-    mirror each other (`solve_boundary`): a rest-to-rest solution evaluates
-    samples 0 to N/2 and copies q, u and the residual past N/2 (q' flipped) if
-    u at four control samples there matches its mirror within
-    MIRROR_INPUT_RTOL, as without dissipation; else it evaluates all.
+    below 1e-8 (it equals the reduced-equation residual). Every sample is
+    evaluated, so each equals `full_state_at` at its time.
     """
-    n, half = LIFT_SAMPLES, LIFT_SAMPLES // 2 + 1
-    times = sol.t0 + sol.period * np.arange(n) / n
-    controls = np.linspace(half, n - 1, 4).astype(int)
-    for k in ([np.r_[:half, controls]] if sol.at_rest else []) + [np.arange(n)]:
-        q, qd, qdd = _constrained_motion(vhc, *sol.eval(times[k]))
-        u, res = inverse_input(sys, q, qd, qdd)
-        miss = np.abs(u[half:] - u[n - controls]).max() if k.size < n else 0.0
-        if miss <= MIRROR_INPUT_RTOL * np.abs(u).max():
-            break
-    if k.size < n:
-        m = np.minimum(np.arange(n), n - np.arange(n))
-        q, qd, u, res = q[m], qd[m] * np.where(m < np.arange(n), -1.0, 1.0)[:, None], u[m], res[m]
+    times = sol.t0 + sol.period * np.arange(LIFT_SAMPLES) / LIFT_SAMPLES
+    q, qd, qdd = _constrained_motion(vhc, *sol.eval(times))
+    u, res = inverse_input(sys, q, qd, qdd)
     if float(np.max(res)) > 1e-8:
         raise ConvergenceError(f"lift residual {np.max(res):.3e} exceeds 1e-8")
     # Closure: the end of the table's last piece, just short of the wrap, against the start.

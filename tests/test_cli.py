@@ -527,6 +527,40 @@ def test_usage_error_on_unwritable_out(tmp_path, capsys):
     assert taken.read_text() == "not a directory"
 
 
+def test_reused_out_holds_the_last_runs_files_only(tmp_path):
+    # Each run first removes the CLI files an earlier one left: a failed
+    # stabilize keeps no gains.csv or spectra.json of the run before it, and a
+    # plan after it no error.json. Other files and directories stay.
+    out = tmp_path / "d"
+    (out / "psi_1").mkdir(parents=True)
+    (out / "notes.txt").write_text("kept")
+    (out / "psi_1" / "report.json").write_text("kept")
+    kept = {"notes.txt", "psi_1"}
+    assert main(["stabilize", "--out", str(out), *FAST_STABILIZE]) == 0
+    assert {p.name for p in out.iterdir()} == kept | {
+        "config.resolved.json", "report.json", "ltv.csv", "gains.csv", "spectra.json",
+        "metadata.json"}
+    assert main(["stabilize", "--out", str(out), *FAST_STABILIZE,
+                 "--set", "stabilize.q_weight=1e-300"]) == 3
+    assert {p.name for p in out.iterdir()} == kept | {
+        "config.resolved.json", "report.json", "ltv.csv", "error.json", "metadata.json"}
+    # The config is read before the directory is cleared.
+    assert main(["plan", "--config", str(out / "config.resolved.json"), "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == kept | {
+        "config.resolved.json", "report.json", "trajectory.csv", "metadata.json"}
+    assert json.loads((out / "metadata.json").read_text())["exit_code"] == 0
+    assert json.loads((out / "config.resolved.json").read_text())["stabilize"]["q_weight"] == 1e-300
+    assert (out / "notes.txt").read_text() == "kept"
+    assert (out / "psi_1" / "report.json").read_text() == "kept"
+
+
+@pytest.mark.parametrize("name", [n for n in vhcplan.__all__ if n.endswith("Error")])
+def test_error_classes_carry_their_exit_codes(name):
+    # Checked conditions exit 2, usage errors 64, every other error 3.
+    code = {"ConditionCheckError": 2, "UsageError": 64}.get(name, 3)
+    assert getattr(vhcplan, name).exit_code == code
+
+
 def test_usage_error_on_bad_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

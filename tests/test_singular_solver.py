@@ -266,22 +266,23 @@ def test_lift_state_interpolation(tictoc_trajectory):
         assert np.abs(qdd - vp.tic_toc_acceleration(t)).max() < 1e-6
 
 
-def test_lift_mirrors_the_second_half(tictoc_trajectory):
-    # Samples k and N - k, 0 < k < N/2, share q and u and have opposite q', bit
-    # for bit, and each sample is its own evaluation to rounding.
-    traj, n = tictoc_trajectory, tictoc_trajectory.t.size
-    k = np.arange(1, n // 2)
-    assert np.array_equal(traj.q[n - k], traj.q[k]) and np.array_equal(traj.u[n - k], traj.u[k])
-    assert np.array_equal(traj.qdot[n - k], -traj.qdot[k])
-    q, qd, _, u = traj.full_state_at(traj.t)
-    assert np.abs(traj.q - q).max() <= 1e-14 and np.abs(traj.qdot - qd).max() <= 1e-14
-    assert np.abs(traj.u - u).max() <= 1e-12 * np.abs(u).max()
+def test_lift_mirrors_the_second_half(tictoc_trajectory, family_pack):
+    # Each sample is its own evaluation, bit for bit; samples k and N - k,
+    # 0 < k < N/2, share q and u and have opposite q' to rounding.
+    for traj in (tictoc_trajectory, family_pack["traj"]):
+        q, qd, _, u = traj.full_state_at(traj.t)
+        assert np.array_equal(traj.q, q) and np.array_equal(traj.qdot, qd)
+        assert np.array_equal(traj.u, u)
+        n = traj.t.size
+        k = np.arange(1, n // 2)
+        for value, sign in ((traj.q, 1.0), (traj.qdot, -1.0), (traj.u, 1.0)):
+            assert np.abs(value[n - k] - sign * value[k]).max() <= 1e-13 * np.abs(value).max()
 
 
 def test_lift_evaluates_every_sample_of_a_dissipative_model(pvtol, tictoc_model, tictoc_periodic):
     # A damping force B(q) D q' inside the actuated subspace leaves the orbit's
-    # residual alone but makes u*(-t) differ from u*(t): the control samples
-    # see it, and `lift` evaluates every sample.
+    # residual alone but makes u*(-t) differ from u*(t); `lift` evaluates every
+    # sample for it as for any model, and keeps the unmirrored inputs.
     D = np.array([[0.3, 0.0, 0.0], [0.0, 0.0, 0.2]])
     damped = dataclasses.replace(
         pvtol, accel=None, inverse=None,
