@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConditionCheckError, ConvergenceError, UsageError, VhcplanError
+from .errors import ConditionCheckError, UsageError, VhcplanError
 from .feasibility import (
     accessibility_det_closed_form,
     accessibility_det_numeric,
@@ -60,7 +60,6 @@ from .vhc import (
     tic_toc_reduced,
 )
 
-GRAMIAN_GATE = 1e-6   # the controllability Gramian's smallest eigenvalue must exceed this
 ACCESSIBILITY_SAMPLES = 64   # equal time samples of accessibility.csv over one period
 # Every file a run writes into --out: the run files, then the commands' tables.
 OUT_FILES = ("config.resolved.json", "report.json", "error.json", "metadata.json",
@@ -245,10 +244,6 @@ def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
     n_rho, n_w = ltv.B.shape[1:]
 
     w_eigs = np.linalg.eigvalsh(gramian(ltv))
-    if float(w_eigs.min()) <= GRAMIAN_GATE:
-        raise ConvergenceError(
-            f"controllability Gramian nearly singular: min eigenvalue {w_eigs.min():.3e}")
-
     gains = ctx["gains"] = periodic_lqr(ltv, Q=float(kcfg["q_weight"]) * np.eye(n_rho),
                                         R=float(kcfg["r_weight"]) * np.eye(n_w),
                                         max_sweeps=int(kcfg["max_sweeps"]))
@@ -259,7 +254,6 @@ def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
     spectra = {
         "gramian_eigenvalues": sorted((float(v) for v in w_eigs), reverse=True),
         "gramian_min_eigenvalue": float(w_eigs.min()),
-        "gramian_gate_margin": float(w_eigs.min()) / GRAMIAN_GATE,
         "gramian_eigenvalue_ratio": float(w_eigs.min() / w_eigs.max()),
         "open_loop_multipliers": [[float(v.real), float(v.imag)] for v in eig_open],
         "open_loop_spectral_radius": float(np.max(np.abs(eig_open))),
@@ -313,7 +307,7 @@ def _cmd_certify(cfg: dict, out: Path, ctx: dict) -> None:
 
 
 def _cmd_stabilize(cfg: dict, out: Path, ctx: dict) -> None:
-    """`_stabilize`, then the tables it computed: ltv.csv alone if the Gramian or Riccati fails."""
+    """`_stabilize`, then the tables it computed: ltv.csv alone if the Riccati solve fails."""
     _plan(cfg, ctx)
     try:
         _stabilize(cfg, out, ctx)
@@ -401,14 +395,17 @@ def _run(command: str, cfg: dict, out: Path) -> tuple[int, VhcplanError | None, 
     First the OUT_FILES an earlier run left in `out` go; then config.resolved.json;
     report.json once the existence check has filled it, on failure too;
     error.json on a failure; metadata.json last. An `out` that cannot be
-    created, cleared or written is a usage error.
+    created, cleared or written, or that holds a directory under an OUT_FILES
+    name (found before anything is removed), is a usage error.
     """
     try:
         out.mkdir(parents=True, exist_ok=True)
         with os.scandir(out) as entries:
-            for entry in entries:
-                if entry.name in OUT_FILES and not entry.is_dir(follow_symlinks=False):
-                    os.unlink(entry.path)
+            stale = [entry for entry in entries if entry.name in OUT_FILES]
+        if held := [entry.name for entry in stale if entry.is_dir(follow_symlinks=False)]:
+            raise UsageError(f"cannot write --out {out}: {held[0]} is a directory")
+        for entry in stale:
+            os.unlink(entry.path)
         write_json(out / "config.resolved.json", cfg)
     except OSError as exc:
         raise UsageError(f"cannot write --out {out}: {exc}") from exc

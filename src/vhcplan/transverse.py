@@ -317,13 +317,15 @@ def chart_invert(chart, tau, rho: Array, accel: Callable[[Array, Array], Array] 
     (k, 5) with tau of shape (k,) or one tau for all. The point is the
     chart's exact inverse `invert_guess`, checked by one forward map. Given
     `accel(q, qd) -> q''`, that map is `forward_rates` with this acceleration,
-    and its rates come back after (q, qd). Raises OutsideTubeError if any rho
-    leaves the tube or any point's forward-map residual is not below
-    CHART_INVERT_TOL.
+    and its rates come back after (q, qd). Raises DomainError if any tau is not
+    finite, and OutsideTubeError if any rho leaves the tube or any point's
+    forward-map residual is not below CHART_INVERT_TOL.
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(np.linalg.norm(rho, axis=-1) > chart.tube_radius):
         raise OutsideTubeError(f"requested rho leaves the chart tube (radius {chart.tube_radius})")
+    if not np.all(np.isfinite(tau)):
+        raise DomainError(f"chart phase tau must be finite, got {tau!r}")
     tau = wrap_angle(np.broadcast_to(np.asarray(tau, dtype=float), rho.shape[:-1]))
     q, qd = chart.invert_guess(tau, rho)
     tau_b, rho_b, *more = (chart.forward(q, qd) if accel is None

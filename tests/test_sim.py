@@ -160,6 +160,53 @@ def test_family_closed_loop(pvtol, family_pack, family_gains):
     assert end < 0.2 * start
 
 
+def _simulate_explicit_family_orbit(tmp_path, psi_s, k, rho0, *settings):
+    """Exit code and --out of `simulate` on the explicit family orbit k = (k1, k2, k3)
+    at psi_s and theta_max 0.2, for 10 periods from chart_invert(chart, 0.3, rho0)
+    on the orbit the CLI plans."""
+    model = vp.family_reduced(psi_s, *k, (-0.2, 0.2))
+    sol = vp.solve_boundary(model, vp.check_theorem1(model), -0.8 * 0.2, 0.0, 0.8 * 0.2, 0.0)
+    chart = vp.FamilyChart(vp.lift(model.vhc, vp.make_periodic(sol), vp.pvtol_model()))
+    q0, qd0 = vp.chart_invert(chart, 0.3, rho0)
+    out = tmp_path / "sim"
+    assignments = [f"vhc.psi_s={psi_s!r}", "vhc.theta_max=0.2", "simulate.periods=10",
+                   f"simulate.q0={json.dumps(q0.tolist())}",
+                   f"simulate.qd0={json.dumps(qd0.tolist())}", *settings]
+    assignments += [f"vhc.k{i}={v!r}" for i, v in enumerate(k, 1)]
+    args = ["simulate", "--out", str(out), "--set", "vhc.kind=family"]
+    return main(args + [arg for a in assignments for arg in ("--set", a)]), out
+
+
+@pytest.mark.parametrize("psi_s", [0.5 * math.pi, 1.0])
+def test_kappa_eight_family_orbit_closed_loop_converges(tmp_path, psi_s):
+    # The kappa 8 orbit (0.25, 0.5, -0.1), whose Gramian minimum reads 5.7e-8 at
+    # pi/2 and 8.0e-8 at 1.0, stabilizes in simulate, and its closed loop more than
+    # halves a start 1e-3 off the orbit in 10 periods (3.2e-4 and 3.6e-4, about
+    # 800 steps).
+    code, out = _simulate_explicit_family_orbit(tmp_path, psi_s, (0.25, 0.5, -0.1),
+                                                np.array([1e-3, 0.0, 0.0, 0.0, 0.0]))
+    assert code == 0
+    assert json.loads((out / "spectra.json").read_text())["closed_loop_max_abs"] < 0.85
+    simulation = json.loads((out / "report.json").read_text())["simulation"]
+    assert simulation["converged"] and simulation["final_orbit_error"] < 5e-4
+
+
+@pytest.mark.xfail(strict=True, raises=vp.ConvergenceError,
+                   reason="u* has theta'' ~ |xi|^(1/3) at the crossing, and the short steps "
+                          "there fall under SIM_MIN_STEP")
+def test_kappa_four_thirds_family_orbit_closed_loop_passes_its_crossing(tmp_path):
+    # The kappa 4/3 orbit (0.25, 1, -0.1) stabilizes (closed-loop radius 0.856),
+    # but its closed loop stops at the first crossing even from the orbit itself:
+    # "simulation diverged (a step of 9.53e-06 under 1e-05) at t = 0.166".
+    code, out = _simulate_explicit_family_orbit(tmp_path, 0.5 * math.pi, (0.25, 1.0, -0.1),
+                                                np.zeros(5), "simulate.dt=0.05")
+    assert json.loads((out / "spectra.json").read_text())["closed_loop_max_abs"] < 0.86
+    if code:    # the run's error, raised as its class
+        error = json.loads((out / "error.json").read_text())
+        raise getattr(vp, error["error"])(error["message"])
+    assert json.loads((out / "report.json").read_text())["simulation"]["converged"]
+
+
 def test_closed_form_dynamics_give_the_rows_of_the_mass_solve(pvtol, tictoc_chart,
                                                                tictoc_gains, family_pack,
                                                                family_gains):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import vhcplan as vp
-from vhcplan.cli import GRAMIAN_GATE
 
 
 def test_singular_acceleration_tictoc_vanishes(tictoc_model, tictoc_report):
@@ -409,12 +408,6 @@ def test_atlas_is_every_admissible_explicit_orbit():
 
 # Integer kappa off psi_s = pi/2, where gamma is no longer even: kappa 2 and 8.
 OFF_AXIS = [(1.2, (0.25, 2.0, -0.25)), (1.0, (0.25, 0.5, -0.1))]
-# The atlas orbits whose controllability Gramian falls below the CLI's absolute gate
-# at n_grid 128, though periodic LQR stabilizes them: kappa 8 (minimum 5.7e-8), 4/3
-# (7.4e-7), 4/3 (2.8e-7) and, off pi/2, kappa 8 (8.0e-8). The other atlas orbits clear
-# it, the nearest by 1.13 times, on (0.75, 0.5, -0.25).
-BELOW_GRAMIAN_GATE = [(0.5 * math.pi, (0.25, 0.5, -0.1)), (0.5 * math.pi, (0.25, 1.0, -0.1)),
-                      (0.5 * math.pi, (0.5, 0.5, -0.1)), (1.0, (0.25, 0.5, -0.1))]
 
 
 @pytest.mark.parametrize("orbit", [(0.5 * math.pi, k) for k in ATLAS] + OFF_AXIS
@@ -432,9 +425,12 @@ def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_
     # generic least squares' within 1e-15.
     # The orbit is certified to admit no regular constraint, with its singular
     # passes at the planner's crossing times; periodic LQR stabilizes it, its
-    # Riccati multipliers match the closed-loop period map's, its Gramian
-    # clears the CLI's gate unless BELOW_GRAMIAN_GATE names it, and the mirror
-    # fill and half-period integrals agree with the full grid (`check_mirror`).
+    # Riccati multipliers match the closed-loop period map's, its Gramian is
+    # positive definite, and the mirror fill and half-period integrals agree
+    # with the full grid (`check_mirror`). The Gramian's minimum is a
+    # diagnostic, no verdict: it reads 5.7e-8 to 7.4e-7 on the kappa 8 and 4/3
+    # orbits (0.25, 0.5, -0.1), (0.25, 1, -0.1) and (0.5, 0.5, -0.1), on and off
+    # pi/2, which stabilize like the rest.
     psi_s, k = orbit
     if k is None:
         params = vp.find_family_parameters(psi_s)
@@ -463,9 +459,8 @@ def test_atlas_orbit_plans_and_linearizes(pvtol, orbit, check_round_trip, check_
     assert multipliers.max() < 1.0
     assert np.abs(np.sort(np.abs(gains.multipliers)) - np.sort(multipliers)).max() <= 1e-7
     w_min = np.linalg.eigvalsh(vp.gramian(ltv)).min()
-    print(f"closed-loop radius {multipliers.max():.3f}, Gramian minimum {w_min:.2e}, "
-          f"gate margin {w_min / GRAMIAN_GATE:.3f}")
-    assert (w_min > GRAMIAN_GATE) == (orbit not in BELOW_GRAMIAN_GATE)
+    print(f"closed-loop radius {multipliers.max():.3f}, Gramian minimum {w_min:.2e}")
+    assert w_min > 0.0
     check_mirror(chart, pvtol, ltv)
 
 

@@ -242,6 +242,17 @@ def test_chart_invert_rejects_points_outside_tube(chart_cases):
             vp.chart_invert(chart, 0.0, np.array([2.0, 0.0, 0.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_chart_invert_rejects_a_phase_that_is_not_finite(chart_cases, bad):
+    # A DomainError naming tau, before any chart call: no RuntimeWarning from
+    # wrap_angle, and no OutsideTubeError for a residual of nan.
+    for chart in chart_cases.values():
+        with pytest.raises(vp.DomainError, match="tau must be finite"):
+            vp.chart_invert(chart, bad, np.zeros(5))
+        with pytest.raises(vp.DomainError, match="tau must be finite"):
+            vp.chart_invert(chart, np.array([0.3, bad]), np.zeros((2, 5)))
+
+
 def test_chart_forward_flags_inside(tictoc_chart):
     q, qd, _ = vp.tic_toc_reference(0.3)
     _, rho = tictoc_chart.forward(q, qd)
