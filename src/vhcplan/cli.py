@@ -50,8 +50,8 @@ from .io_utils import write_csv, write_json
 from .mech import pvtol_model, tic_toc_orbit
 from .sim import output_steps, run_closed_loop
 from .singular_solver import lift, make_periodic, solve_boundary
-from .transverse import (REVERSAL_TOL, FamilyChart, TicTocChart, gramian, linearize, monodromy,
-                         periodic_lqr)
+from .transverse import (DERIVATIVE_TOL, REVERSAL_TOL, FamilyChart, TicTocChart, gramian,
+                         linearize, monodromy, periodic_lqr)
 from .vhc import (
     FamilyParameters,
     check_theorem1,
@@ -263,9 +263,9 @@ def _stabilize(cfg: dict, out: Path, ctx: dict) -> None:
         "riccati_fixed_point_gap": gains.fixed_point_gap,
         "riccati_multiplier_gap": float(np.max(np.abs(
             np.sort(np.abs(gains.multipliers)) - np.sort(np.abs(eig_closed))))),
-        "reversal_gap": None if ltv.reversal_gap is None else {
-            "value": ltv.reversal_gap, "threshold": REVERSAL_TOL,
-            "margin": REVERSAL_TOL / ltv.reversal_gap},
+        **{name: None if gap is None else {"value": gap, "threshold": tol, "margin": tol / gap}
+           for name, gap, tol in (("reversal_gap", ltv.reversal_gap, REVERSAL_TOL),
+                                  ("derivative_gap", ltv.derivative_gap, DERIVATIVE_TOL))},
     }
     write_json(out / "spectra.json", spectra)
     if closed_max >= 1.0:
@@ -338,10 +338,10 @@ def _cmd_simulate(cfg: dict, out: Path, ctx: dict) -> None:
               ["t", "x", "z", "psi", "xdot", "zdot", "psidot", "u1", "u2",
                "tau"] + [f"rho{i}" for i in range(1, res.rho.shape[1] + 1)],
               np.column_stack([res.t, res.q, res.qdot, res.u, res.tau, res.rho]))
-    final_error = float(np.linalg.norm(res.rho[-1]))
+    initial, final = (float(np.linalg.norm(res.rho[i])) for i in (0, -1))
     ctx["report_json"]["simulation"] = {
-        "final_orbit_error": final_error,
-        "converged": bool(np.isfinite(final_error) and final_error < 1e-3),
+        "initial_orbit_error": initial, "final_orbit_error": final,
+        "converged": final < 1e-3 and (initial < 1e-6 or final <= 0.5 * initial),
         "dt": res.dt,
         **{key: res.metadata[key] for key in ("horizon", "rhs_evals", "integrator_steps", "tol")},
     }

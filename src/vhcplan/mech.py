@@ -34,8 +34,8 @@ class MechanicalSystem:
     The optional `accel(q, qdot, u)` is a closed-form forward dynamics that
     `solve_accel` returns instead of its mass solve. It must equal
     M^{-1}(B u - C q' - G) of this model's own fields, for one point or a
-    batch. It must also take one point's q and qdot as lists, as the closed
-    loop's stages pass them, and return a list then. The optional
+    batch, complex too (`linearize`), and take one point's q and qdot as
+    lists, as the closed loop's stages pass them, returning a list. The optional
     `inverse(q, qdot, qddot) -> (u, residual)` is likewise a closed-form
     `inverse_input`, for one point's arrays or a batch's. A copy whose M, C, G
     or B is replaced (by `dataclasses.replace`, say) must drop both

@@ -32,8 +32,8 @@ def point_or_batch(a, point_ndim: int = 1):
     return np, a.T
 
 
-# Step of `central_derivative` per unit of 1 + |x|: its O(h^4) truncation and
-# its rounding, about eps/h, both stay near 1e-11 relative in `linearize`.
+# Step of `central_derivative` per unit of 1 + |x| (and of `linearize`'s exact B
+# rule): its truncation and rounding, eps/h, keep `derivative_gap` below 1e-10.
 DIFF_STEP = 1e-4
 
 

@@ -11,10 +11,10 @@ deviation from the orbit. `TicTocChart` is its closed-form instance on the
 tic-toc orbit, which is the unit circle in that plane.
 
 Differentiating rho along the dynamics and dividing by taudot yields
-drho/dtau = f(rho, tau, w) with input deviation w = u - u*(tau); finite
-differences of f give the periodic pair A(tau), B(tau) used for the
-controllability Gramian, the periodic LQR gain schedule and the monodromy
-(period map) spectrum.
+drho/dtau = f(rho, tau, w) with input deviation w = u - u*(tau); a complex
+step in rho (Squire & Trapp, SIAM Review 40, 1998) and one exact step in w
+give the periodic pair A(tau), B(tau) used for the controllability Gramian,
+the periodic LQR gain schedule and the monodromy (period map) spectrum.
 
 Time reversal t -> -t, qdot -> -qdot maps a planned orbit onto itself (its
 second half mirrors its first) with tau -> pi - tau and rho -> R rho, R =
@@ -28,8 +28,8 @@ holds, `linearize` and the period integrals compute |tau| <= pi/2 only.
 
 from __future__ import annotations
 
-import functools
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
@@ -37,7 +37,8 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import ConditionCheckError, ConvergenceError, DomainError, OutsideTubeError
+from .errors import (ConditionCheckError, ConvergenceError, DomainError, ModelInvariantError,
+                     OutsideTubeError)
 from .mech import MechanicalSystem, eval_accel, tic_toc_input, tic_toc_input_terms
 from .numdiff import (PeriodicPiecewisePolynomial, central_derivative, cubic_coefficients,
                       point_or_batch)
@@ -161,14 +162,14 @@ class FamilyChart:
     phase gives. Methods take one point or a batch along a leading axis; one
     point runs on `math` (the closed loop calls `forward` at every stage, with
     the point as two lists, and gets tau and rho on Python floats, rho as a
-    list). `invert_guess` is the exact inverse
-    of `forward` inside the tube of radius `tube_radius` in rho, and
-    `chart_invert` only checks its residual. One lookup of r* serves each
-    point: `invert_guess` looks it up once per distinct phase of a batch,
-    and `forward`, given an acceleration, returns the rates of the motion
-    from the same lookup (`forward_rates` is its name for that call).
-    The interpolant samples the first half of the orbit and mirrors it (sample
-    k and N - k share 1/taudot; tau goes to pi - tau). Raises
+    list). `invert_guess` is the exact inverse of `forward` inside the tube of
+    radius `tube_radius` in rho, and `chart_invert` only checks its residual.
+    One lookup of r* serves each point: `invert_guess` looks it up once per
+    distinct phase of a batch, and `forward`, given an acceleration, returns
+    the rates of the motion from the same lookup (`forward_rates` is its name
+    for that call). At a known phase both take complex batches. The
+    interpolant samples the first half of the orbit and mirrors it (sample k
+    and N - k share 1/taudot; tau goes to pi - tau). Raises
     ConditionCheckError for a constraint without a read-back, or a phase that
     does not run monotonically through half a turn, pi, on that half.
     """
@@ -204,10 +205,13 @@ class FamilyChart:
     def _pv(self, theta, dtheta):
         return theta / self.theta_scale, dtheta / (self.omega * self.theta_scale)
 
+    def _radius(self, m, p, v):   # m.hypot(p, v), but np.hypot rejects a complex batch
+        return np.sqrt(p * p + v * v) if m is np and p.dtype.kind == "c" else m.hypot(p, v)
+
     def _phase_rates(self, theta, dtheta, ddtheta):
         """Radius r in the scaled reduced plane and the rates taudot, rdot along the orbit."""
         (p, v), (pdot, vdot) = self._pv(theta, dtheta), self._pv(dtheta, ddtheta)
-        r = point_or_batch(p, point_ndim=0)[0].hypot(p, v)
+        r = self._radius(point_or_batch(p, point_ndim=0)[0], p, v)
         return r, (v * pdot - p * vdot) / (r * r), (p * pdot + v * vdot) / r
 
     def _time(self, tau):
@@ -225,9 +229,10 @@ class FamilyChart:
         taus, where = np.unique(tau, return_inverse=True)
         return self._orbit_radial(taus)[0][where]
 
-    def forward(self, q: Array, qd: Array, qdd: Array | None = None):
+    def forward(self, q: Array, qd: Array, qdd: Array | None = None, tau: Array | None = None):
         """tau and rho, a list for a point given as lists; with the acceleration qdd,
         also the rates (taudot, rhodot) of the motion, from the same orbit lookup.
+        Known phases tau replace atan2, so a complex batch passes (`linearize`).
         Raises OutsideTubeError at the reduced-plane origin when rates are asked."""
         as_list = isinstance(q, list)
         m, q = point_or_batch(q)
@@ -238,15 +243,15 @@ class FamilyChart:
         if m is np:     # a batch's curve values by coordinate
             phi, dphi = phi.T, dphi.T
         p, v = self._pv(th, dth)
-        tau = wrap_angle(m.atan2(p, v))
+        tau = wrap_angle(m.atan2(p, v)) if tau is None else tau
         r_star, dr_star = self._orbit_radial(tau)
-        # Loops, not comprehensions: this runs at every closed-loop stage.
+        # Loops, not comprehensions, and math.hypot inline: this runs at every closed-loop stage.
         rho = []
         for j in self._others:
             rho.append(q[j] - phi[j])
         for j in self._others:
             rho.append(qd[j] - dphi[j] * dth)
-        rho.append(m.hypot(p, v) - r_star)
+        rho.append((m.hypot(p, v) if m is math else self._radius(m, p, v)) - r_star)
         if qdd is None:
             return tau, rho if as_list else np.array(rho).T
         if np.any(p * p + v * v == 0.0):
@@ -342,13 +347,13 @@ def chart_invert(chart, tau, rho: Array, accel: Callable[[Array, Array], Array] 
 class LtvModel:
     """Periodic linearization drho/dtau = A(tau) rho + B(tau) w on [-pi, pi).
 
-    A and B are sampled on the uniform grid `taus`; `a_of(tau)` and
-    `b_of(tau)` are their two `PeriodicMatrixSpline`s. `a_grid` and `b_grid`
-    are the splines' `grid` samplers, which the period integrals read. They
-    are fields of their own, bound once, so that a copy whose `a_of` or
-    `b_of` is replaced by a plain function of one argument (a counting
-    wrapper, say) still runs the period integrals. `reversal_gap` checks
-    `linearize`'s mirror fill: None where it computed every node.
+    A and B are sampled on the uniform grid `taus`; `a_of(tau)` and `b_of(tau)`
+    are their two `PeriodicMatrixSpline`s. `a_grid` and `b_grid` are the
+    splines' `grid` samplers, which the period integrals read. They are fields
+    of their own, bound once, so that a copy whose `a_of` or `b_of` is replaced
+    by a plain function of one argument (a counting wrapper, say) still runs the
+    period integrals. `reversal_gap` and `derivative_gap` check `linearize`'s
+    mirror fill and complex step, None where it made no such check.
     """
 
     taus: Array
@@ -356,6 +361,7 @@ class LtvModel:
     B: Array
     f0_max: float
     reversal_gap: float | None = None
+    derivative_gap: float | None = None
     a_of: PeriodicMatrixSpline = field(init=False, repr=False)
     b_of: PeriodicMatrixSpline = field(init=False, repr=False)
     a_grid: Callable[..., Array] = field(init=False, repr=False)
@@ -373,15 +379,12 @@ def _check_count(name: str, value) -> None:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
-# Most stencil points that `linearize` evaluates in one batched call, its nodes
-# split evenly under it: the 261 nodes of a 512-node grid go in 4 blocks of at
-# most 80 nodes of 23 points. One unblocked batch runs the family linearize
-# 13-17 % faster (2-vCPU VM) but lifts its `stabilize` tracemalloc peak from
-# 2.79 to 3.62 MiB.
-LINEARIZE_POINTS = 1856
 # Largest gap of `linearize`'s mirror fill from nodes computed in full, relative
 # to max|A| and max|B| (9e-11 on the atlas orbits, 5e-12 on the tic-toc).
 REVERSAL_TOL = 1e-8
+# Gate of `linearize`'s derivative_gap, relative to max|A| (1e-10 on the atlas orbits).
+DERIVATIVE_TOL = 1e-8
+COMPLEX_STEP = 1e-30   # the imaginary rho step s of `linearize`'s A
 
 
 def _reversal_signs(n_rho: int) -> Array:
@@ -391,24 +394,23 @@ def _reversal_signs(n_rho: int) -> Array:
 
 def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
               n_grid: int = 512) -> LtvModel:
-    """Finite-difference periodic linearization of the transverse dynamics.
+    """Periodic linearization of the transverse dynamics.
 
     A and B are the Jacobians of f(rho, tau, w) = rhodot/taudot in rho and in
-    the input offset w at rho = 0, w = 0; A is by `central_derivative`. At
-    rho = 0 the state does not depend on w and taudot, rhodot are affine in u,
-    so B_j = (f(h e_j) - f(0))/h taudot(h e_j)/taudot(0) is exact for any step
-    h (`numdiff.DIFF_STEP`). The 1 + 4 n_rho + n_w points of each node, in even
-    blocks of at most LINEARIZE_POINTS, go through `chart_invert` with the
-    model's acceleration (its forward check gives the rates) as one batch,
-    and the reference input is taken once for all nodes. n_grid must be a
-    positive integer. The chart/trajectory pair is validated first (on-orbit
-    states must map to rho ~ 0), A and B must be finite, and the on-orbit
-    vector field f(0, tau, 0) must vanish to 1e-9 at every node computed.
-    If n_grid % 4 == 0 the nodes with |tau| > pi/2 are filled by the mirror
-    rule (module notes) and those at +-pi/2 keep their symmetric part, so A
-    and B are mirror images bit for bit; four filled nodes computed in full
-    give `reversal_gap`, and one above REVERSAL_TOL raises ConditionCheckError.
-    Other grids compute every node.
+    the input offset w at rho = 0, w = 0. At rho = 0 the state does not depend
+    on w and taudot, rhodot are affine in u, so B_j = (f(h e_j) - f(0))/h
+    taudot(h e_j)/taudot(0) is exact for any step h (`numdiff.DIFF_STEP`), from
+    1 + n_w points a node through `chart_invert`. A_j = Im f(i s e_j)/s, from
+    n_rho complex points a node through `invert_guess`, `accel` and
+    `forward_rates` at the node's tau (a ComplexWarning raises
+    ModelInvariantError); a model without `accel` takes A by
+    `central_derivative`. n_grid must be a positive integer. The chart must
+    vanish on the trajectory, A and B must be finite, and f(0, tau, 0) must
+    vanish to 1e-9 at every node computed. On a grid of 4k nodes those with
+    |tau| > pi/2 are filled by the mirror rule (module notes) and those at
+    +-pi/2 keep their symmetric part, so A and B are mirror images bit for bit.
+    Four filled nodes computed in full give `reversal_gap`, and their A by
+    `central_derivative` `derivative_gap`; ConditionCheckError above its *_TOL.
     """
     _check_count("n_grid", n_grid)
     q, qd = traj.state_at(traj.t0 + traj.period * np.arange(8) / 8.0)
@@ -420,21 +422,37 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     h = numdiff.DIFF_STEP
     steps = np.c_[np.zeros((n_w, n_rho)), h * np.eye(n_w)]   # the input points h e_j
 
-    # f at the rho stencil around each node, shape (nodes, n_rho, points); the
-    # input points h e_j join the batch, and their columns of B go onto `B`.
-    def transverse_field(node_tau: Array, node_u: Array, B: list, rho_points: Array) -> Array:
+    # f at the rho points around each node, shape (nodes, n_rho, points), and B
+    # from the input points h e_j, which join the batch.
+    def transverse_field(nodes, rho_points: Array) -> tuple[Array, Array]:
         points = np.r_[np.c_[rho_points, np.zeros((len(rho_points), n_w))], steps]
-        tau = np.repeat(node_tau, len(points))
-        u = (node_u[:, None, :] + points[:, n_rho:]).reshape(-1, n_w)
-        rho = np.tile(points[:, :n_rho], (node_tau.size, 1))
+        tau = np.repeat(node_taus[nodes], len(points))
+        u = (u_star[nodes, None, :] + points[:, n_rho:]).reshape(-1, n_w)
+        rho = np.tile(points[:, :n_rho], (tau.size // len(points), 1))
         *_, rates = chart_invert(chart, tau, rho, lambda q, qd: eval_accel(sys, q, qd, u))
         taudot = rates[:, 0]
         if np.any(taudot <= 0.0):
             raise ConditionCheckError(f"phase rate is not positive at tau={tau[taudot <= 0.0][0]}")
-        rates = rates.reshape(node_tau.size, len(points), n_rho + 1).transpose(0, 2, 1)
+        rates = rates.reshape(-1, len(points), n_rho + 1).transpose(0, 2, 1)
         taudot, f = rates[:, :1], rates[:, 1:] / rates[:, :1]
-        B.append((f[..., -n_w:] - f[..., :1]) / h * taudot[..., -n_w:] / taudot[..., :1])
-        return f[..., :-n_w]
+        B = (f[..., -n_w:] - f[..., :1]) / h * taudot[..., -n_w:] / taudot[..., :1]
+        return f[..., :-n_w], B
+
+    def differences(nodes):   # A by `central_derivative` at those nodes
+        return central_derivative(lambda x: transverse_field(nodes, x)[0], np.zeros(n_rho))[1]
+
+    def complex_step():   # A_j = Im f(i s e_j)/s at every node
+        tau, rho = np.repeat(node_taus, n_rho), np.tile(np.eye(n_rho), (todo.size, 1))
+        try:   # a NaN warns in the complex division; the finite check below names it
+            with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+                warnings.simplefilter("error", np.exceptions.ComplexWarning)
+                q, qd = chart.invert_guess(tau, 1j * COMPLEX_STEP * rho)
+                qdd = sys.accel(q, qd, np.repeat(u_star, n_rho, 0))
+                rates = chart.forward_rates(q, qd, qdd, tau)[2]
+                f = rates[:, 1:] / rates[:, :1]
+        except np.exceptions.ComplexWarning as exc:
+            raise ModelInvariantError(f"the complex step lost its imaginary part: {exc}") from exc
+        return (f.imag / COMPLEX_STEP).reshape(todo.size, n_rho, n_rho).transpose(0, 2, 1)
 
     taus = -math.pi + TWO_PI * np.arange(n_grid) / n_grid
     quarter = n_grid // 4 if n_grid % 4 == 0 else 0
@@ -443,19 +461,21 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
     todo = np.sort(np.r_[np.delete(np.arange(n_grid), rest), controls])
     node_taus = taus[todo]
     u_star = chart.reference_input(node_taus)
-    per_block, B = LINEARIZE_POINTS // (1 + 4 * n_rho + n_w), []
-    blocks = [central_derivative(functools.partial(transverse_field, node_taus[i], u_star[i], B),
-                                 np.zeros(n_rho))
-              for i in np.array_split(np.arange(todo.size), -(-todo.size // per_block))]
-    f0 = np.concatenate([block_f0 for block_f0, _ in blocks])
-    jac = np.concatenate([np.concatenate([A for _, A in blocks]), np.concatenate(B)], axis=-1)
-    bad = np.flatnonzero(~(np.isfinite(f0).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))))
+    f0, B = transverse_field(slice(None), np.zeros((1, n_rho)))   # f(0) and B at every node
+    A = differences(slice(None)) if sys.accel is None else complex_step()
+    jac = np.concatenate([A, B], axis=-1)
+    bad = np.flatnonzero(~np.isfinite(np.concatenate([f0, jac], axis=-1)).all(axis=(1, 2)))
     if bad.size:
         raise ConvergenceError(f"linearization is not finite at tau = {node_taus[bad[0]]:.6f}")
     f0_max = float(np.max(np.abs(f0)))
     if f0_max > 1e-9:
         raise ConditionCheckError(f"on-orbit transverse field does not vanish: {f0_max:.3e}")
-    J, gap = np.empty((n_grid, n_rho, n_rho + n_w)), None
+    J, gap, dgap = np.empty((n_grid, n_rho, n_rho + n_w)), None, None
+    if quarter and sys.accel is not None:
+        fd = differences(at := np.searchsorted(todo, controls))
+        dgap = float(np.abs(A[at] - fd).max() / np.abs(fd).max())
+        if not dgap <= DERIVATIVE_TOL:
+            raise ConditionCheckError(f"derivative_gap {dgap:.3e} exceeds {DERIVATIVE_TOL:.0e}")
     J[todo] = jac
     if quarter:
         rev = _reversal_signs(n_rho)
@@ -472,7 +492,7 @@ def linearize(chart, sys: MechanicalSystem, traj: PeriodicTrajectory,
             raise ConditionCheckError(f"reversal_gap {gap:.3e} exceeds {REVERSAL_TOL:.0e}: A and B "
                                       f"are not mirror images under tau -> pi - tau")
     return LtvModel(taus=taus, A=J[..., :n_rho], B=J[..., n_rho:], f0_max=f0_max,
-                    reversal_gap=gap)
+                    reversal_gap=gap, derivative_gap=dgap)
 
 
 # Longest step of the interval maps: at 2 pi/1024 the tic-toc P(0) is 2.9e-9

@@ -170,33 +170,31 @@ def family_gains(family_pack):
 
 
 def _linearize_by_chart_invert(chart, sys, n_grid):
-    """A and B as `linearize` builds them at every grid node, with no mirror: the
-    stencil points of each block of nodes through `chart_invert`, `reference_input`
-    and `forward_rates`, A by `central_derivative` in rho and B by `linearize`'s
-    input rule, the one-sided slope at h e_j times the ratio of taudot."""
+    """A and B as `linearize` builds them at every grid node, with no mirror: f(0)
+    and B from the points 0 and h e_j in w through `chart_invert`, `reference_input`
+    and `forward_rates`, B by `linearize`'s input rule, the one-sided slope at h e_j
+    times the ratio of taudot; A by the complex step, Im f(i s e_j)/s, from
+    `invert_guess`, the model's closed-form `accel` and `forward_rates` at the
+    node's tau."""
     n_rho, n_w = 5, sys.n - 1
-    h = vp.numdiff.DIFF_STEP
-    block = vp.transverse.LINEARIZE_POINTS // (1 + 4 * n_rho + n_w)
-
-    def field(node_tau, rho_points, inputs):
-        points = np.r_[np.c_[rho_points, np.zeros((len(rho_points), n_w))],
-                       np.c_[np.zeros((n_w, n_rho)), h * np.eye(n_w)]]
-        tau = np.repeat(node_tau, len(points))
-        q, qd = vp.chart_invert(chart, tau, np.tile(points[:, :n_rho], (node_tau.size, 1)))
-        u = chart.reference_input(node_tau)[:, None, :] + points[:, n_rho:]
-        qdd = vp.eval_accel(sys, q, qd, u.reshape(-1, n_w))
-        rates = chart.forward_rates(q, qd, qdd)[2]
-        f = (rates[:, 1:] / rates[:, 0][:, None]).reshape(node_tau.size, len(points), n_rho)
-        f, taudot = f.transpose(0, 2, 1), rates[:, 0].reshape(node_tau.size, 1, len(points))
-        inputs.append((f[..., -n_w:] - f[..., :1]) / h * taudot[..., -n_w:] / taudot[..., :1])
-        return f[..., :-n_w]
-
+    h, s = vp.numdiff.DIFF_STEP, vp.transverse.COMPLEX_STEP
     taus = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
-    A, B = [], []
-    for i in range(0, n_grid, block):
-        A.append(central_derivative(lambda points: field(taus[i:i + block], points, B),
-                                    np.zeros(n_rho))[1])
-    return np.concatenate(A), np.concatenate(B)
+    u_star = chart.reference_input(taus)
+
+    points = np.c_[np.zeros((n_w + 1, n_rho)), np.r_[np.zeros((1, n_w)), h * np.eye(n_w)]]
+    tau = np.repeat(taus, len(points))
+    q, qd = vp.chart_invert(chart, tau, np.tile(points[:, :n_rho], (n_grid, 1)))
+    u = u_star[:, None, :] + points[:, n_rho:]
+    rates = chart.forward_rates(q, qd, vp.eval_accel(sys, q, qd, u.reshape(-1, n_w)))[2]
+    f = (rates[:, 1:] / rates[:, 0][:, None]).reshape(n_grid, len(points), n_rho)
+    f, taudot = f.transpose(0, 2, 1), rates[:, 0].reshape(n_grid, 1, len(points))
+    B = (f[..., 1:] - f[..., :1]) / h * taudot[..., 1:] / taudot[..., :1]
+
+    tau = np.repeat(taus, n_rho)
+    q, qd = chart.invert_guess(tau, np.tile(1j * s * np.eye(n_rho), (n_grid, 1)))
+    rates = chart.forward_rates(q, qd, sys.accel(q, qd, np.repeat(u_star, n_rho, 0)), tau)[2]
+    f = rates[:, 1:] / rates[:, :1]
+    return (f.imag / s).reshape(n_grid, n_rho, n_rho).transpose(0, 2, 1), B
 
 
 @pytest.fixture(scope="session")

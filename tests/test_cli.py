@@ -241,12 +241,15 @@ def test_stabilize_artifacts(tmp_path):
         "gramian_eigenvalues", "gramian_min_eigenvalue", "gramian_eigenvalue_ratio",
         "open_loop_multipliers", "open_loop_spectral_radius", "closed_loop_multipliers",
         "closed_loop_max_abs", "riccati_sweeps", "riccati_fixed_point_gap",
-        "riccati_multiplier_gap", "reversal_gap"}
+        "riccati_multiplier_gap", "reversal_gap", "derivative_gap"}
     assert spectra["gramian_eigenvalue_ratio"] == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
     assert spectra["riccati_multiplier_gap"] < 1e-6
-    gap = spectra["reversal_gap"]       # n_grid 64: linearize fills half the nodes
-    assert gap["threshold"] == vhcplan.transverse.REVERSAL_TOL and gap["value"] < gap["threshold"]
-    assert gap["margin"] == pytest.approx(gap["threshold"] / gap["value"], rel=1e-12)
+    # n_grid 64: linearize fills half the nodes, and takes A by complex step.
+    for key, tol in (("reversal_gap", vhcplan.transverse.REVERSAL_TOL),
+                     ("derivative_gap", vhcplan.transverse.DERIVATIVE_TOL)):
+        gap = spectra[key]
+        assert gap["threshold"] == tol and gap["value"] < gap["threshold"]
+        assert gap["margin"] == pytest.approx(gap["threshold"] / gap["value"], rel=1e-12)
     # stabilize writes the plan's report but not its orbit table: only plan does.
     assert not (out / "trajectory.csv").exists()
     assert (out / "report.json").is_file()
@@ -322,10 +325,12 @@ def test_resolved_config_rebuilds_the_controller(tmp_path, kind):
 @pytest.mark.parametrize("n_grid", [1, 2, 3])
 def test_stabilize_on_the_smallest_grids(tmp_path, n_grid):
     # The periodic spline's branches for 2 and 3 knots and its smallest
-    # condensed system. Off a grid of 4k nodes linearize computes every node.
+    # condensed system. Off a grid of 4k nodes linearize computes every node,
+    # and has no control nodes for either gap.
     assert main(["stabilize", "--out", str(tmp_path / "s"),
                  "--set", f"stabilize.n_grid={n_grid}"]) == 0
-    assert json.loads((tmp_path / "s" / "spectra.json").read_text())["reversal_gap"] is None
+    spectra = json.loads((tmp_path / "s" / "spectra.json").read_text())
+    assert spectra["reversal_gap"] is None and spectra["derivative_gap"] is None
 
 
 # Runs every command a fresh interpreter would, then lists the scipy modules

@@ -189,6 +189,20 @@ def test_kappa_eight_family_orbit_closed_loop_converges(tmp_path, psi_s):
     assert json.loads((out / "spectra.json").read_text())["closed_loop_max_abs"] < 0.85
     simulation = json.loads((out / "report.json").read_text())["simulation"]
     assert simulation["converged"] and simulation["final_orbit_error"] < 5e-4
+    assert simulation["initial_orbit_error"] == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_a_start_the_closed_loop_does_not_halve_reads_not_converged(tmp_path):
+    # 1e-3 off the kappa 8 orbit along (1, 1, 1, 1, 1)/sqrt 5, the closed loop
+    # swells to 1.2e-3 and ends 10 periods later at 9.6e-4: under the absolute
+    # bound 1e-3, but not half the start.
+    code, out = _simulate_explicit_family_orbit(tmp_path, 0.5 * math.pi, (0.25, 0.5, -0.1),
+                                                np.full(5, 1e-3 / math.sqrt(5.0)))
+    assert code == 0
+    simulation = json.loads((out / "report.json").read_text())["simulation"]
+    assert simulation["initial_orbit_error"] == pytest.approx(1e-3, rel=1e-9)
+    assert 0.5e-3 < simulation["final_orbit_error"] < 1e-3
+    assert not simulation["converged"]
 
 
 @pytest.mark.xfail(strict=True, raises=vp.ConvergenceError,

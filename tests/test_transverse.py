@@ -370,16 +370,75 @@ def test_central_derivative_one_call_on_the_stencil():
 @pytest.mark.parametrize("which", ["tictoc", "family"])
 def test_linearize_matches_coarser_richardson_step(which, monkeypatch, pvtol, tictoc_chart,
                                                    tictoc_trajectory, family_pack):
-    # At step 1e-3 the rule's O(h^4) truncation is far below 2e-10; at the
-    # default step so is its rounding. A rho step of 1e-6 read 4e-10 (tic-toc)
-    # and 4e-9 (family) here, nearly all of it rounding.
+    # The complex-step A against `central_derivative`'s at step 1e-3, whose
+    # O(h^4) truncation and rounding are both far below 2e-10 (2.6e-12 tic-toc,
+    # 2.5e-12 family at n_grid 128). The generic solve (accel=None) takes A by
+    # `central_derivative`; B is exact in its step.
     chart, traj = ((tictoc_chart, tictoc_trajectory) if which == "tictoc"
                    else (family_pack["chart"], family_pack["traj"]))
     ltv = vp.linearize(chart, pvtol, traj, n_grid=64)
     monkeypatch.setattr(vhcplan.numdiff, "DIFF_STEP", 1e-3)
-    ref = vp.linearize(chart, pvtol, traj, n_grid=64)
+    ref = vp.linearize(chart, dataclasses.replace(pvtol, accel=None, inverse=None), traj, n_grid=64)
+    assert ref.derivative_gap is None and ltv.derivative_gap <= 1e-10
     for got, want in ((ltv.A, ref.A), (ltv.B, ref.B)):
         assert np.abs(got - want).max() <= 2e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("which", ["tictoc", "family"])
+def test_complex_step_a_is_insensitive_to_an_ulp_of_the_reference_input(
+        which, monkeypatch, pvtol, tictoc_chart, tictoc_trajectory, family_pack):
+    # One ulp of u* moves the complex-step A by rounding alone (1.6e-16 tic-toc
+    # and 6.8e-16 family, of max|A|); `central_derivative`'s A moved by 1.1e-12
+    # and 1.8e-12.
+    chart, traj = ((tictoc_chart, tictoc_trajectory) if which == "tictoc"
+                   else (family_pack["chart"], family_pack["traj"]))
+    ltv = vp.linearize(chart, pvtol, traj, n_grid=128)
+    reference_input = chart.reference_input
+    monkeypatch.setattr(chart, "reference_input", lambda tau: reference_input(tau) * (1 + 2.2e-16))
+    moved = vp.linearize(chart, pvtol, traj, n_grid=128)
+    assert np.abs(moved.A - ltv.A).max() <= 1e-14 * np.abs(ltv.A).max()
+
+
+def test_linearize_rejects_a_chart_that_drops_the_complex_step(pvtol, tictoc_chart,
+                                                              tictoc_trajectory):
+    # With the imaginary part dropped before `invert_guess` (a chart that casts
+    # to real, say), A reads 0; the finite-difference A at the controls catches it.
+    class RealChart:
+        def __init__(self, chart):
+            self._chart = chart
+
+        def invert_guess(self, tau, rho):
+            return self._chart.invert_guess(tau, rho.real)
+
+        def __getattr__(self, name):
+            return getattr(self._chart, name)
+
+    with pytest.raises(vp.ConditionCheckError, match="derivative_gap"):
+        vp.linearize(RealChart(tictoc_chart), pvtol, tictoc_trajectory, n_grid=64)
+
+
+def test_linearize_rejects_an_accel_that_drops_the_complex_step(pvtol, tictoc_chart,
+                                                               tictoc_trajectory):
+    # A closed-form accel that writes into a float buffer drops the imaginary
+    # part with a ComplexWarning, which the complex step turns into an error.
+    def accel(q, qd, u):
+        out = np.zeros(np.shape(q))
+        out[...] = pvtol.accel(q, qd, u)
+        return out
+
+    broken = dataclasses.replace(pvtol, accel=accel)
+    with pytest.raises(vp.ModelInvariantError, match="imaginary part"):
+        vp.linearize(tictoc_chart, broken, tictoc_trajectory, n_grid=6)
+
+
+def test_generic_solve_linearizes_as_the_closed_form_model(pvtol, tictoc_chart, tictoc_trajectory):
+    # Without a closed-form accel, A comes from `central_derivative` at every node.
+    generic = dataclasses.replace(pvtol, accel=None, inverse=None)
+    ltv = vp.linearize(tictoc_chart, generic, tictoc_trajectory, n_grid=64)
+    ref = vp.linearize(tictoc_chart, pvtol, tictoc_trajectory, n_grid=64)
+    assert ltv.derivative_gap is None and ltv.reversal_gap <= vp.transverse.REVERSAL_TOL
+    assert np.abs(ltv.A - ref.A).max() <= 1e-10 * np.abs(ref.A).max()
+    assert np.abs(ltv.B - ref.B).max() <= 1e-14 * np.abs(ref.B).max()
 
 
 def test_linearize_rejects_mismatched_chart(pvtol, family_pack, tictoc_trajectory):
@@ -388,12 +447,13 @@ def test_linearize_rejects_mismatched_chart(pvtol, family_pack, tictoc_trajector
 
 
 def test_linearize_rejects_a_non_finite_jacobian(pvtol, tictoc_chart, tictoc_trajectory):
-    # NaN in one stencil row of the second node (23 rows a node) leaves
-    # f(0, tau, 0) finite and small but a column of A at that node NaN.
+    # NaN in row 7 of the complex step (5 rows a node), the third rho step of
+    # the second node, leaves f(0, tau, 0) finite and small but a column of A
+    # at that node NaN.
     def accel(q, qd, u):
         qdd = pvtol.accel(q, qd, u)
-        if np.ndim(qdd) == 2 and len(qdd) > 40:
-            qdd[40] = math.nan
+        if np.iscomplexobj(qdd):
+            qdd[7] = math.nan
         return qdd
 
     broken = dataclasses.replace(pvtol, accel=accel)
@@ -424,9 +484,11 @@ def test_linearize_input_columns_are_exact_in_the_step(orbit, pvtol, tictoc_char
 
 def test_family_linearize_looks_up_the_orbit_once(monkeypatch, pvtol, family_pack,
                                                  linearize_by_chart_invert):
-    # The 23 stencil points of a node share one phase, so `invert_guess` looks
-    # up r* once per node; the chart's forward check and its rates share one
-    # lookup per point; the chart check on the orbit takes 8 points.
+    # The 3 real and 5 complex points of a node share one phase, so each of the
+    # two batches' `invert_guess` looks up r* once per node; the chart's forward
+    # check and its rates share one lookup per point; the central differences at
+    # the 4 control nodes take 23 points and one phase each; the chart check on
+    # the orbit takes 8 points.
     chart = family_pack["chart"]
     orbit_radial, looked_up = vp.FamilyChart._orbit_radial, []
 
@@ -436,7 +498,7 @@ def test_family_linearize_looks_up_the_orbit_once(monkeypatch, pvtol, family_pac
 
     monkeypatch.setattr(vp.FamilyChart, "_orbit_radial", counting)
     ltv = vp.linearize(chart, pvtol, family_pack["traj"], n_grid=64)
-    assert sum(looked_up) <= 64 * 23 + 64 + 8
+    assert sum(looked_up) <= 64 * 8 + 2 * 64 + 4 * (23 + 1) + 8
     monkeypatch.undo()
     # The nodes with |tau| <= pi/2 are computed as the full path computes them,
     # bit for bit (the self-mirror ones less their antisymmetric part), and the
